@@ -8,6 +8,10 @@ previous horizontal map and extended freely), and the grid-shaped lemmas
 subalgebras.  Construction guarantees the hypotheses wherever possible;
 decorations that cannot be forced are obtained by bounded rejection with a
 guaranteed fallback.
+
+Hom lists (enumerate_homs, extend_homs) come in lexicographic order of their
+tables, and generators pick from them by index with rng.choice, so a seeded
+corpus stays the same only as long as that order does.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .slominski import (
     SlominskiForm,
     SlominskiHom,
     enumerate_homs,
+    hom_tables,
     is_normal_subalgebra,
     subalgebras,
 )
@@ -52,39 +57,9 @@ def _is_bijective_table(t: Sequence[int], cod_n: int) -> bool:
 def extend_homs(
     A: SlominskiAlgebra, B: SlominskiAlgebra, forced: dict[int, int]
 ) -> list[tuple[int, ...]]:
-    """All hom tables A -> B agreeing with the forced partial assignment."""
-    n, m = A.n, B.n
-    table = [-1] * n
-
-    def consistent(k: int) -> bool:
-        for x in range(k + 1):
-            for y in range(k + 1):
-                for op, bop in ((A.p, B.p), (A.d, B.d)):
-                    z = op[x][y]
-                    if z <= k and table[z] != bop[table[x]][table[y]]:
-                        return False
-        return True
-
-    out = []
-
-    def rec(k: int):
-        if k == n:
-            out.append(tuple(table))
-            return
-        if k in forced:
-            choices = (forced[k],)
-        elif k == A.zero:
-            choices = (B.zero,)
-        else:
-            choices = range(m)
-        for v in choices:
-            table[k] = v
-            if consistent(k):
-                rec(k + 1)
-        table[k] = -1
-
-    rec(0)
-    return out
+    """All hom tables A -> B agreeing with the forced partial map, in
+    lexicographic order."""
+    return hom_tables(A, B, forced)
 
 
 class InstanceLab:
@@ -168,7 +143,9 @@ def lift_ladder(
     """Column maps making every square commute, lifting degree by degree.
 
     prefs maps column index to a table predicate tried first when extending;
-    returns None when a prescribed partial map is inconsistent.
+    returns None when a prescribed partial map is inconsistent.  Each column
+    map is picked by index from its extensions in lexicographic order (see
+    extend_homs), which keeps seeded ladders reproducible.
     """
     tobjs, tmaps = top
     bobjs, bmaps = bottom

@@ -227,14 +227,18 @@ def is_subalgebra(alg: SlominskiAlgebra, elems: Iterable[int]) -> bool:
     return close_mask(alg, m) == m and (m >> alg.zero) & 1
 
 
+def _kernel_congruence(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Congruence:
+    """The congruence generated by B x {0}, for a subalgebra B."""
+    if not is_subalgebra(alg, belems):
+        raise ValidationError(f"{belems} is not a subalgebra of {alg.name}")
+    return generate_congruence(alg, [(b, alg.zero) for b in belems])
+
+
 def is_normal_subalgebra(alg: SlominskiAlgebra, B: Iterable[int]) -> bool:
     """B is a kernel iff the congruence generated by B x {0} has zero class
     exactly B."""
     belems = tuple(sorted(set(B)))
-    if not is_subalgebra(alg, belems):
-        raise ValidationError(f"{belems} is not a subalgebra of {alg.name}")
-    cong = generate_congruence(alg, [(b, alg.zero) for b in belems])
-    return cong.zero_class == belems
+    return _kernel_congruence(alg, belems).zero_class == belems
 
 
 def quotient(
@@ -246,10 +250,10 @@ def quotient(
     reproducible.
     """
     belems = tuple(sorted(set(B)))
-    if not is_normal_subalgebra(alg, belems):
+    cong = _kernel_congruence(alg, belems)
+    if cong.zero_class != belems:
         raise UnsupportedSubobjectError(f"{belems} is not normal in {alg.name}",
                                         subobject=belems)
-    cong = generate_congruence(alg, [(b, alg.zero) for b in belems])
     k = len(cong.classes)
     cls = [0] * alg.n
     for i, c in enumerate(cong.classes):
@@ -299,36 +303,91 @@ def permuted(alg: SlominskiAlgebra, perm: Sequence[int], name: Optional[str] = N
 # hom enumeration
 
 
-@lru_cache(maxsize=None)
-def enumerate_homs(A: SlominskiAlgebra, B: SlominskiAlgebra) -> tuple[SlominskiHom, ...]:
-    """All homs A -> B, by lexicographic backtracking with table pruning."""
-    n, m = A.n, B.n
-    table = [-1] * n
-    out = []
+def hom_tables(
+    A: SlominskiAlgebra, B: SlominskiAlgebra, forced: Optional[dict[int, int]] = None
+) -> list[tuple[int, ...]]:
+    """All hom tables A -> B agreeing with the partial map forced, in
+    lexicographic order.
 
-    def consistent(k: int) -> bool:
-        # check every p/d constraint whose three indices are all assigned
-        for x in range(k + 1):
-            for y in range(k + 1):
-                for op, bop in ((A.p, B.p), (A.d, B.d)):
-                    z = op[x][y]
-                    if z <= k and table[op[x][y]] != bop[table[x]][table[y]]:
+    0 |-> 0 and the forced values are assigned first.  Whenever an element x
+    is assigned it is paired, both ways, with every element assigned before
+    it: the image of d(x, y) is then determined, and is assigned, or
+    compared with the value already there (a clash cuts the branch).  So
+    every pair is checked once per table (d(x, x) = 0 needs no check).
+    Checking d is enough: on a finite carrier p(-, y) is the inverse of
+    d(-, y), so a map that preserves d preserves p.  In a group the assigned
+    set is always a subgroup, since p(x, y) = d(x, d(0, y)).  Branching is
+    only on the least unassigned element, with its values in ascending
+    order, which puts the tables in lexicographic order: seeded generators
+    pick from this list by index.
+    """
+    n, m = A.n, B.n
+    Ad, Bd = A.d, B.d
+    table = [-1] * n
+    order: list[int] = []  # assigned elements, in the order they were assigned
+
+    def propagate(done: int) -> bool:
+        # order[:done] is closed under d and consistent; pair each later
+        # element with everything assigned before it.  d(x, y) and d(y, x)
+        # are written out because a loop over the two costs twice as much,
+        # and this is the enumerator's inner loop.
+        while done < len(order):
+            x = order[done]
+            fx = table[x]
+            Adx, Bdx = Ad[x], Bd[fx]
+            for y in order[:done]:
+                fy = table[y]
+                z, w = Adx[y], Bdx[fy]
+                t = table[z]
+                if t != w:
+                    if t >= 0:
                         return False
+                    table[z] = w
+                    order.append(z)
+                z, w = Ad[y][x], Bd[fy][fx]
+                t = table[z]
+                if t != w:
+                    if t >= 0:
+                        return False
+                    table[z] = w
+                    order.append(z)
+            done += 1
         return True
 
-    def rec(k: int):
-        if k == n:
-            out.append(SlominskiHom(A, B, tuple(table)))
-            return
-        choices = (B.zero,) if k == A.zero else range(m)
-        for v in choices:
-            table[k] = v
-            if consistent(k):
-                rec(k + 1)
-        table[k] = -1
+    out: list[tuple[int, ...]] = []
 
-    rec(0)
-    return tuple(out)
+    def branch(x: int) -> None:
+        while x < n and table[x] >= 0:
+            x += 1
+        if x == n:
+            out.append(tuple(table))
+            return
+        mark = len(order)
+        for v in range(m):
+            table[x] = v
+            order.append(x)
+            if propagate(mark):
+                branch(x + 1)
+            for z in order[mark:]:
+                table[z] = -1
+            del order[mark:]
+
+    for x, v in ((A.zero, B.zero), *(forced or {}).items()):
+        if table[x] >= 0:
+            if table[x] != v:
+                return []
+            continue
+        table[x] = v
+        order.append(x)
+    if propagate(0):
+        branch(0)
+    return out
+
+
+@lru_cache(maxsize=None)
+def enumerate_homs(A: SlominskiAlgebra, B: SlominskiAlgebra) -> tuple[SlominskiHom, ...]:
+    """All homs A -> B, in lexicographic order of their tables (see hom_tables)."""
+    return tuple(SlominskiHom(A, B, t) for t in hom_tables(A, B))
 
 
 def zero_hom(A: SlominskiAlgebra, B: SlominskiAlgebra) -> SlominskiHom:

@@ -12,19 +12,24 @@ from noetherform.groups import (
     D8_V,
     all_groups_le8,
     cyclic,
+    cyclic_data,
     dihedral8,
+    dihedral_data,
+    product_data,
     quaternion8,
     symmetric3,
     trivial_group,
     xor_group,
 )
 from noetherform.slominski import (
+    SlominskiAlgebra,
     SlominskiHom,
     as_form,
     close_homs,
     enumerate_homs,
     from_group,
     generate_congruence,
+    hom_tables,
     is_hom_table,
     is_normal_subalgebra,
     quotient,
@@ -158,13 +163,14 @@ def test_quotient_requires_normal():
 
 
 def brute_homs(A, B):
+    # itertools.product runs through the tables in lexicographic order
     out = []
     for table in itertools.product(range(B.n), repeat=A.n):
         if table[A.zero] != B.zero:
             continue
         if is_hom_table(A, B, table):
             out.append(table)
-    return sorted(out)
+    return out
 
 
 @pytest.mark.parametrize(
@@ -174,7 +180,64 @@ def brute_homs(A, B):
     ids=lambda g: g.name,
 )
 def test_enumerate_homs_against_bruteforce(a, b):
-    assert sorted(h.table for h in enumerate_homs(a, b)) == brute_homs(a, b)
+    assert [h.table for h in enumerate_homs(a, b)] == brute_homs(a, b)
+
+
+def from_permutations(name, sigmas):
+    # p(x, y) = sigmas[y][x] and d(-, y) its inverse: a Slominski algebra
+    # when sigmas[y][0] == y, and in general not a group
+    n = len(sigmas)
+    inv = [{v: x for x, v in enumerate(s)} for s in sigmas]
+    p = tuple(tuple(sigmas[y][x] for y in range(n)) for x in range(n))
+    d = tuple(tuple(inv[y][x] for y in range(n)) for x in range(n))
+    alg = SlominskiAlgebra(name, 0, p, d)
+    alg.validate()
+    return alg
+
+
+# two non-associative Slominski algebras, with homs between them
+T3 = from_permutations("T3", [(0, 1, 2), (1, 0, 2), (2, 1, 0)])
+T4 = from_permutations("T4", [(0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3), (3, 1, 2, 0)])
+
+LE4 = [trivial_group(), cyclic(2), cyclic(3), cyclic(4), xor_group(2)]
+HOM_PAIRS = list(itertools.product(LE4, repeat=2)) + [
+    (xor_group(2), xor_group(3)), (symmetric3(), cyclic(6)),
+    (T3, T3), (T3, T4), (T4, T4), (xor_group(2), T4)]
+
+
+@pytest.mark.parametrize("a,b", HOM_PAIRS, ids=lambda g: g.name)
+def test_hom_tables_forced_against_bruteforce(a, b):
+    # every partial map on at most two elements, consistent or not, defined
+    # on a subalgebra or not, including values at 0 other than 0
+    brute = brute_homs(a, b)
+    assert hom_tables(a, b) == brute
+    for size in (1, 2):
+        for dom in itertools.combinations(range(a.n), size):
+            for vals in itertools.product(range(b.n), repeat=size):
+                forced = dict(zip(dom, vals))
+                want = [t for t in brute if all(t[x] == v for x, v in forced.items())]
+                assert hom_tables(a, b, forced) == want, forced
+
+
+def test_hom_tables_forced_edge_cases():
+    z4, z2, e4 = cyclic(4), cyclic(2), xor_group(2)
+    assert hom_tables(z4, z2, {0: 1}) == []          # clashes with 0 |-> 0
+    assert hom_tables(z4, z4, {1: 1, 2: 0}) == []    # 1+1 = 2 is forced to 2
+    assert hom_tables(z4, z2, {1: 1, 3: 0}) == []    # 3 = -1 must go to -1 = 1
+    # {1} is not a subalgebra of Z4; its closure is all of Z4
+    assert hom_tables(z4, z4, {1: 3}) == [(0, 3, 2, 1)]
+    # {1, 2} is not a subalgebra of E4; 3 = 1 xor 2 is determined
+    assert hom_tables(e4, e4, {1: 2, 2: 3}) == [(0, 2, 3, 1)]
+
+
+def test_hom_counts_order_16():
+    z4z4 = from_group(*product_data(cyclic_data(4), cyclic_data(4)), name="Z4xZ4")
+    d16 = from_group(*dihedral_data(8), name="D16")
+    # End(Z4 x Z4) = M_2(Z4); End(D16) = 32 automorphisms + 0 + 27 homs
+    # with image of order 2 + 24 with Klein image; Hom(E16, E8) = 8^4
+    assert len(enumerate_homs(z4z4, z4z4)) == 256
+    assert len(enumerate_homs(d16, d16)) == 100
+    assert len(hom_tables(xor_group(4), xor_group(3))) == 8 ** 4
 
 
 def test_enumerate_homs_counts():
