@@ -43,6 +43,7 @@ from .diagram import (
     verify_generic,
 )
 from .lemmas import (
+    LEMMAS,
     HomologyObject,
     SnakeResult,
     UndefinedMarker,
@@ -52,6 +53,7 @@ from .lemmas import (
     salamander,
     snake,
     strongly_short_exact_check,
+    verify,
     verify_exercise,
     verify_five,
     verify_four,

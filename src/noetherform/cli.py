@@ -14,16 +14,7 @@ import sys
 from .axioms import axiom_suite
 from .core import render_key
 from .errors import FormError, ParseError
-from .lemmas import (
-    generalized_snail,
-    goursat,
-    salamander,
-    snake,
-    verify_exercise,
-    verify_five,
-    verify_four,
-    verify_threebythree,
-)
+from .lemmas import ALIASES, LEMMAS, snake, verify
 from .parser import merge, parse_file
 from .pyramid import build_pyramid, decide_induction
 from .zigzag import chase_backward, chase_forward
@@ -121,28 +112,7 @@ def cmd_pyramid(args) -> int:
 
 def cmd_verify(args) -> int:
     ws = _load(args.files)
-    d = ws.diagram(args.diagram)
-    lemma = args.lemma
-    if lemma == "generic":
-        from .diagram import verify_generic
-
-        report = verify_generic(d, [], lemma=args.diagram)
-        print(report.render())
-        return EXIT_PASS if report.passed else EXIT_FAIL
-    if lemma == "four":
-        report = verify_four(d, args.part or "i")
-    elif lemma == "five":
-        report = verify_five(d, args.part or "full")
-    elif lemma in ("3x3", "threebythree"):
-        report = verify_threebythree(d, args.part or "upper")
-    elif lemma == "goursat":
-        report, _ = goursat(d)
-    elif lemma == "salamander":
-        report = salamander(d)
-    elif lemma == "generalized-snail":
-        report = generalized_snail(d).report
-    else:
-        report = verify_exercise(d, lemma, args.part)
+    report, _ = verify(ws.diagram(args.diagram), args.lemma, args.part)
     print(report.render())
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -195,8 +165,11 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a named lemma on a diagram")
     p.add_argument("files", nargs="+")
     p.add_argument("diagram")
-    p.add_argument("--lemma", required=True)
-    p.add_argument("--part", help="lemma part or variant (e.g. i, ii, upper)")
+    aliases = ", ".join(f"{a} for {n}" for a, n in ALIASES.items())
+    parts = "; ".join(f"{name} {'|'.join(spec.parts)}"
+                      for name, spec in LEMMAS.items() if None not in spec.parts)
+    p.add_argument("--lemma", required=True, help=f"one of {', '.join(LEMMAS)} ({aliases})")
+    p.add_argument("--part", help=f"part of a lemma that has parts, the first by default: {parts}")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("snake", help="construct and check the snake sequence")
@@ -211,13 +184,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FormError as exc:
+    except (FileNotFoundError, FormError) as exc:  # ParseError is a FormError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -310,22 +310,6 @@ class Form:
     def dual(self) -> "Form":
         return DualForm(self)
 
-    # conveniences -----------------------------------------------------
-
-    def normal_subobjects(self, obj: FormObject):
-        return tuple(S for S in obj.subobjects() if self.is_normal(S))
-
-    def conormal_subobjects(self, obj: FormObject):
-        return tuple(S for S in obj.subobjects() if self.is_conormal(S))
-
-    def coker(self, f: Morphism) -> Morphism:
-        """Projection by Im f (requires Im f normal)."""
-        return self.projection_of(image(f))
-
-    def ker_embedding(self, f: Morphism) -> Morphism:
-        """Embedding of Ker f (requires Ker f conormal)."""
-        return self.embedding_of(kernel(f))
-
 
 class DataForm(Form):
     """A form given purely by declared data; all existential notions are

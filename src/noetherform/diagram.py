@@ -11,7 +11,7 @@ such.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import (
     Form,
@@ -47,6 +47,8 @@ class Assertion:
     args: tuple
 
     def label(self) -> str:
+        if self.kind == "commute":
+            return f"commute {self.args[0]} = {self.args[1]}"
         return f"{self.kind} {' '.join(str(a) for a in self.args)}"
 
 
@@ -174,6 +176,17 @@ class LemmaReport:
     def skipped(self) -> bool:
         return not self.hypotheses_hold
 
+    def hyp(self, name: str, ok: bool, witness: Optional[str] = None) -> None:
+        self.hypotheses.append(CheckLine(PASS if ok else FAIL, name, witness))
+
+    def conclude(self, name: str, check: Callable, *args) -> None:
+        """check(*args) -> (ok, witness), SKIPped unless every hypothesis holds."""
+        if not self.hypotheses_hold:
+            self.conclusions.append(CheckLine(SKIP, name))
+            return
+        ok, witness = check(*args)
+        self.conclusions.append(CheckLine(PASS if ok else FAIL, name, witness))
+
     def render(self) -> str:
         """One PASS|FAIL|SKIP line per hypothesis and conclusion."""
         lines = [f"lemma {self.lemma}"]
@@ -184,22 +197,26 @@ class LemmaReport:
         return "\n".join(lines)
 
 
+def check_assertions(d: Diagram, report: LemmaReport, hyps: Iterable[Assertion],
+                     conclusions: Iterable = ()) -> None:
+    """Check the hypotheses, then the conclusions (skipped unless every
+    hypothesis passes).  A conclusion is an Assertion or a (label, check)
+    pair with check(d) -> (ok, witness)."""
+    for a in hyps:
+        report.hyp(a.label(), *d.check(a))
+    for c in conclusions:
+        if isinstance(c, Assertion):
+            report.conclude(c.label(), d.check, c)
+        else:
+            label, check = c
+            report.conclude(label, check, d)
+
+
 def verify_generic(d: Diagram, conclusions: Iterable[Assertion], lemma: str = "") -> LemmaReport:
     """Check the diagram's own assertions and commutativities as hypotheses,
     then the given conclusions (skipped unless every hypothesis passes)."""
     d.validate()
     report = LemmaReport(lemma or d.name)
-    for p1, p2 in d.commutes:
-        ok, w = d.check(Assertion("commute", (p1, p2)))
-        report.hypotheses.append(CheckLine(PASS if ok else FAIL, f"commute {p1} = {p2}", w))
-    for a in d.assertions:
-        ok, w = d.check(a)
-        report.hypotheses.append(CheckLine(PASS if ok else FAIL, a.label(), w))
-    if not report.hypotheses_hold:
-        for a in conclusions:
-            report.conclusions.append(CheckLine(SKIP, a.label()))
-        return report
-    for a in conclusions:
-        ok, w = d.check(a)
-        report.conclusions.append(CheckLine(PASS if ok else FAIL, a.label(), w))
+    commutes = [Assertion("commute", c) for c in d.commutes]
+    check_assertions(d, report, [*commutes, *d.assertions], conclusions)
     return report

@@ -76,17 +76,6 @@ class Zigzag:
         return Zigzag(tuple(reversed(self.nodes)), flipped, form=self.form)
 
 
-def zigzag(form, *parts) -> Zigzag:
-    """Build a zigzag from alternating node, (morphism, dir), node, ... parts."""
-    nodes = [parts[0]]
-    edges = []
-    for i in range(1, len(parts), 2):
-        m, direction = parts[i]
-        edges.append(Edge(m, direction))
-        nodes.append(parts[i + 1])
-    return Zigzag(tuple(nodes), tuple(edges), form=form)
-
-
 def dual_zigzag(z: Zigzag, dual_form) -> Zigzag:
     """The same zigzag seen in the dual form: every arrow reverses, so each
     direction flag flips and each morphism is replaced by its dual."""

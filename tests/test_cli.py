@@ -112,6 +112,36 @@ def test_verify_unknown_lemma_exit2(capsys):
     code, _, err = run(capsys, "verify", fx("z4_stack.nf"), "shortfive",
                        "--lemma", "nonsense")
     assert code == 2
+    assert "unknown lemma 'nonsense'" in err
+
+
+def test_verify_unknown_part_exit2(capsys):
+    code, out, err = run(capsys, "verify", fx("z4_stack.nf"), "shortfive",
+                         "--lemma", "short-five", "--part", "iv")
+    assert code == 2
+    assert out == ""
+    assert "short-five has parts iii, i, ii, not 'iv'" in err
+
+
+def test_verify_part_of_single_part_lemma_exit2(capsys):
+    code, out, err = run(capsys, "verify", fx("z4_stack.nf"), "sescheck",
+                         "--lemma", "generic", "--part", "ii")
+    assert code == 2
+    assert out == ""
+    assert "generic has no parts, not 'ii'" in err
+    code, _, err = run(capsys, "verify", fx("d8_snake.nf"), "snakefix",
+                       "--lemma", "snake", "--part", "i")
+    assert code == 2
+    assert "snake has no parts" in err
+
+
+def test_verify_lemma_snake_prints_the_snake_report(capsys):
+    code, out, _ = run(capsys, "verify", fx("d8_snake.nf"), "snakefix", "--lemma", "snake")
+    assert code == 0
+    assert out.startswith("lemma snake\n")
+    assert out.count("PASS exact at") == 4
+    _, snake_out, _ = run(capsys, "snake", fx("d8_snake.nf"), "snakefix")
+    assert snake_out.endswith(out)
 
 
 def test_verify_generic_diagram_checks(capsys):

@@ -154,3 +154,36 @@ def test_assertion_kinds(uni):
         assert ok, label
     ok, witness = d.check(injective("z"))
     assert not ok and witness
+
+
+def test_assertion_labels_are_report_lines(uni):
+    from noetherform.diagram import Assertion
+
+    assert Assertion("commute", ("t.f", "x.s")).label() == "commute t.f = x.s"
+    assert exact("f", "g").label() == "exact f g"
+    assert zero("y.x").label() == "zero y.x"
+    z2 = uni.object_of(cyclic(2))
+    d = Diagram(uni, name="square")
+    d.add_arrow("id", identity_morphism(z2))
+    d.add_arrow("z", uni.zero_morphism(z2, z2))
+    d.commutes = [("id", "z")]
+    report = verify_generic(d, [])
+    assert report.render() == "lemma square\nFAIL commute id = z [paths id and z differ]"
+
+
+def test_check_assertions_takes_labelled_checks(uni):
+    from noetherform.diagram import LemmaReport, check_assertions
+
+    z2 = uni.object_of(cyclic(2))
+    d = Diagram(uni, name="pair")
+    d.add_arrow("id", identity_morphism(z2))
+    report = LemmaReport("pair")
+    check_assertions(d, report, [iso("id")],
+                     [("order 2", lambda d: (d.arrows["id"].dom.order == 2, None)),
+                      ("order 3", lambda d: (False, "order 2"))])
+    assert report.render() == "\n".join([
+        "lemma pair", "PASS iso id", "PASS order 2", "FAIL order 3 [order 2]",
+        "REFUTATION: hypotheses hold but a conclusion fails"])
+    skipped = LemmaReport("pair")
+    check_assertions(d, skipped, [zero("id")], [("order 2", lambda d: (True, None))])
+    assert [l.status for l in skipped.conclusions] == ["SKIP"]

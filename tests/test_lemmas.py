@@ -33,7 +33,8 @@ from noetherform.gen import (
     threebythree_instance,
 )
 from noetherform.groups import D8_B, cyclic, dihedral8, trivial_group, xor_group
-from noetherform.lemmas import SHAPES, check_shape, generalized_snail
+from noetherform.diagram import Assertion
+from noetherform.lemmas import ALIASES, LEMMAS, SHAPES, check_shape, generalized_snail, verify
 from noetherform.slominski import element_morphism
 
 
@@ -62,6 +63,36 @@ def test_check_shape_names_bad_endpoints(lab):
     d.arrows["f"], d.arrows["g"] = d.arrows["g"], d.arrows["f"]
     with pytest.raises(ShapeError, match="arrow 'f'"):
         check_shape(d, "four")
+
+
+def _arrow_names(assertion):
+    if assertion.kind in ("commute", "zero"):
+        return [n for path in assertion.args for n in path.split(".")]
+    return list(assertion.args)
+
+
+def test_registry_covers_shapes_and_names_only_shape_arrows():
+    shapes = {spec.shape for spec in LEMMAS.values() if spec.shape is not None}
+    assert shapes == set(SHAPES)  # every lemma shape exists, every shape is used
+    for name, spec in LEMMAS.items():
+        if spec.shape is None:
+            continue
+        shape = SHAPES[spec.shape]
+        assertions = [Assertion("commute", c) for c in shape.commutes] + list(spec.hyps)
+        for extra_hyps, conclusions in spec.parts.values():
+            assertions += list(extra_hyps)
+            assertions += [c for c in conclusions if isinstance(c, Assertion)]
+        for a in assertions:
+            for arrow in _arrow_names(a):
+                assert arrow in shape.arrows, (name, a.label(), arrow)
+    assert all(target in LEMMAS for target in ALIASES.values())
+
+
+def test_verify_labels_parts_and_alias(lab):
+    d = threebythree_instance(lab)
+    assert verify(d, "threebythree")[0].lemma == "3x3 (upper)"
+    assert verify(d, "3x3", "lower")[0].lemma == "3x3 (lower)"
+    assert verify(spider_instance(lab), "spider")[0].lemma == "spider"
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +311,12 @@ def _all_trivial_diagram(uni, shape_name):
 
 
 @pytest.mark.parametrize("name,part", [
-    ("diamond", "i"), ("diamond", "ii"),
-    ("baby-dragon", "i"), ("baby-dragon", "ii"),
-    ("dragon", "i"), ("dragon", "ii"),
+    (name, part) for name, spec in LEMMAS.items()
+    if spec.shape is not None and spec.construct is None for part in spec.parts
 ])
 def test_exercises_all_trivial_instances(uni, name, part):
-    d = _all_trivial_diagram(uni, name)
-    r = verify_exercise(d, name, part)
+    d = _all_trivial_diagram(uni, LEMMAS[name].shape)
+    r = verify(d, name, part)[0]
     assert r.passed, r.render()
 
 
