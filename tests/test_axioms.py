@@ -101,3 +101,59 @@ def test_report_rendering_shape():
     assert names == ["P1", "P2", "P3", "BL", "G", "I", "A", "F1", "F2",
                      "AX2", "AX3", "AX4", "AX5", "AX6"]
     assert lines[-1].startswith("PASS axioms(")
+
+
+# ---------------------------------------------------------------------------
+# report-text pin: render() of the whole suite, byte for byte, so a change
+# to any line or to the order in which witnesses are found fails here
+
+AXIOM_REPORT_DIGEST = "c4752b3fb86b6de840fa5f9ad45e2342b09405186b647e68f4de6ba9b26a5e04"
+
+
+def _swap_dimg(m):
+    """m with the direct images of bottom and top exchanged."""
+    dl = m.dom.lattice
+    dimg = dict(m.dimg)
+    dimg[dl.bottom], dimg[dl.top] = dimg[dl.top], dimg[dl.bottom]
+    return Morphism(m.dom, m.cod, dimg, dict(m.iimg), name=m.name,
+                    element_map=m.element_map)
+
+
+def axiom_report_texts():
+    """End(G) and its dual for every group of order <= 4, and data forms over
+    the same morphisms: with the first non-identity morphism dropped, and
+    with the direct image of the first one that is neither an identity nor
+    zero swapped at bottom and top."""
+    from noetherform.groups import klein4
+
+    texts = []
+    for alg in (trivial_group(), cyclic(2), cyclic(3), cyclic(4), klein4()):
+        homs = [SlominskiHom(alg, alg, h.table, name="h" + "".join(map(str, h.table)))
+                for h in enumerate_homs(alg, alg)]
+        form = as_form([alg], homs, name=alg.name)
+        texts.append(axiom_suite(form, include_axiom6=True).render())
+        texts.append(axiom_suite(dualize(form), include_axiom6=True).render())
+        objs = list(form.objects.values())
+        mors = list(form.morphisms)
+        ident = tuple(range(alg.n))
+        others = [m for m in mors if m.element_map != ident]
+        if others:
+            dropped = DataForm(objs, [m for m in mors if m is not others[0]],
+                               name=f"{alg.name} without {others[0].name}")
+            texts.append(axiom_suite(dropped, include_axiom6=True).render())
+        zero = (0,) * alg.n
+        victims = [m for m in others if m.element_map != zero]
+        if victims:
+            swapped = [_swap_dimg(m) if m is victims[0] else m for m in mors]
+            tampered = DataForm(objs, swapped,
+                                name=f"{alg.name} swapped {victims[0].name}")
+            texts.append(axiom_suite(tampered, include_axiom6=True).render())
+    return texts
+
+
+def test_axiom_report_text_unchanged():
+    import hashlib
+
+    texts = axiom_report_texts()
+    digest = hashlib.sha256("\n\0".join(texts).encode()).hexdigest()
+    assert digest == AXIOM_REPORT_DIGEST, (len(texts), digest)
