@@ -87,14 +87,15 @@ def axiom_suite(form: Form, include_axiom6: bool = False) -> AxiomReport:
                  if a != b and o.lattice.leq(a, b) and o.lattice.leq(b, a)))
     check("BL", _bl_failures(objs))
     check("G", (f"{m.name or m!r}: adjunction fails at A={a!r}, C={c!r}"
-                for m in mors for a in m.dom.lattice.keys for c in m.cod.lattice.keys
-                if m.dom.lattice.leq(a, m.iimg[c]) != m.cod.lattice.leq(m.dimg[a], c)))
+                for m in mors for dl, cl in [(m.dom.lattice, m.cod.lattice)]
+                for p, a in enumerate(dl.keys) for q, c in enumerate(cl.keys)
+                if dl.leq(a, dl.keys[m.i[q]]) != cl.leq(cl.keys[m.d[p]], c)))
     check("I", _identity_failures(form, objs, mors))
     check("A", _assoc_failures(form, mors))
     check("F1", (f"id_{o.id} moves {k!r}"
                  for o in objs for ident in [_safe_identity(form, o)] if ident is not None
-                 for k in o.lattice.keys
-                 if ident.dimg[k] != k or ident.iimg[k] != k))
+                 for p, k in enumerate(o.lattice.keys)
+                 if ident.d[p] != p or ident.i[p] != p))
     check("F2", _functor_failures(mors))
     check("AX2", _ax2_failures(mors))
     check("AX3", _ax3_failures(form, objs))
@@ -172,54 +173,25 @@ def _identity_failures(form, objs, mors):
 
 
 def _assoc_failures(form, mors):
-    # closure under composition, with the element-table fast path; otherwise
-    # image maps are recoded as integer index tuples so composing is cheap
-    by_table = None
-    if mors and all(m.element_map is not None for m in mors):
-        by_table = {(m.dom.id, m.cod.id, m.element_map) for m in mors}
-    key_index: dict[str, dict] = {}
-
-    def kidx(obj):
-        d = key_index.get(obj.id)
-        if d is None:
-            d = {k: i for i, k in enumerate(obj.lattice.keys)}
-            key_index[obj.id] = d
-        return d
-
-    encoded: dict[int, tuple] = {}
-
-    def encode(m):
-        e = encoded.get(id(m))
-        if e is None:
-            ci, di = kidx(m.cod), kidx(m.dom)
-            e = (
-                m.dom.id,
-                m.cod.id,
-                tuple(ci[m.dimg[k]] for k in m.dom.lattice.keys),
-                tuple(di[m.iimg[k]] for k in m.cod.lattice.keys),
-            )
-            encoded[id(m)] = e
-        return e
-
-    declared = None if by_table is not None else {encode(m) for m in mors}
+    # closure under composition, by element tables when every morphism has
+    # one, by image tables otherwise
+    by_table = bool(mors) and all(m.element_map is not None for m in mors)
+    if by_table:
+        declared = {(m.dom.id, m.cod.id, m.element_map) for m in mors}
+    else:
+        declared = {(m.dom.id, m.cod.id, m.d, m.i) for m in mors}
     for g in mors:
-        ge = None if by_table is not None else encode(g)
+        gd, gi, ge = g.d, g.i, g.element_map
         for f in mors:
             if f.cod.id != g.dom.id:
                 continue
-            if by_table is not None:
-                emap = tuple(g.element_map[x] for x in f.element_map)
-                ok = (f.dom.id, g.cod.id, emap) in by_table
+            if by_table:
+                comp = (f.dom.id, g.cod.id, tuple([ge[x] for x in f.element_map]))
             else:
-                fe = encode(f)
-                comp = (
-                    fe[0],
-                    ge[1],
-                    tuple(ge[2][x] for x in fe[2]),
-                    tuple(fe[3][x] for x in ge[3]),
-                )
-                ok = comp in declared
-            if not ok:
+                fi = f.i
+                comp = (f.dom.id, g.cod.id, tuple([gd[x] for x in f.d]),
+                        tuple([fi[x] for x in gi]))
+            if comp not in declared:
                 yield f"composite ({g.name or g!r}).({f.name or f!r}) not in the form"
                 return
     # associativity on (sampled) triples; extensional composition makes this
@@ -260,22 +232,22 @@ def _functor_failures(mors):
     for g, f in pairs:
         emap = tuple(g.element_map[x] for x in f.element_map)
         declared = by_table.get((f.dom.id, g.cod.id, emap))
-        if declared is not None and declared.signature() != compose(g, f).signature():
+        if declared is not None and declared != compose(g, f):
             yield f"image maps of ({g.name}).({f.name}) do not compose"
             return
 
 
 def _ax2_failures(mors):
     for m in mors:
-        dl, cl = m.dom.lattice, m.cod.lattice
-        ker = m.iimg[cl.bottom]
-        img = m.dimg[dl.top]
-        for b in cl.keys:
-            if m.dimg[m.iimg[b]] != cl.meet(b, img):
+        dl, cl, d, i = m.dom.lattice, m.cod.lattice, m.d, m.i
+        ker = kernel(m).key
+        img = image(m).key
+        for q, b in enumerate(cl.keys):
+            if cl.keys[d[i[q]]] != cl.meet(b, img):
                 yield f"{m.name or m!r}: f f^-1 B != B ^ Im f at B={b!r}"
                 return
-        for a in dl.keys:
-            if m.iimg[m.dimg[a]] != dl.join(a, ker):
+        for p, a in enumerate(dl.keys):
+            if dl.keys[i[d[p]]] != dl.join(a, ker):
                 yield f"{m.name or m!r}: f^-1 f A != A v Ker f at A={a!r}"
                 return
 

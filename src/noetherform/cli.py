@@ -84,10 +84,10 @@ def cmd_induce(args) -> int:
         return EXIT_FAIL
     m = verdict.morphism
     print(f"PASS induce {m.dom.id} -> {m.cod.id}")
-    for k in m.dom.lattice.keys:
-        print(f"  dimg {render_key(k)} -> {render_key(m.dimg[k])}")
-    for k in m.cod.lattice.keys:
-        print(f"  iimg {render_key(k)} -> {render_key(m.iimg[k])}")
+    for k, v in m.dimg.items():
+        print(f"  dimg {render_key(k)} -> {render_key(v)}")
+    for k, v in m.iimg.items():
+        print(f"  iimg {render_key(k)} -> {render_key(v)}")
     if m.element_map is not None:
         print("  elements " + " ".join(map(str, m.element_map)))
     return EXIT_PASS

@@ -1,9 +1,14 @@
 """Objects, subobjects, morphisms and the noetherian-form interface.
 
 A form object owns a bounded subobject lattice; a morphism carries the
-direct/inverse image maps of its Galois connection as explicit tables over
-those lattices.  Morphism equality is extensional: same endpoints and the
-same image maps on every subobject.
+direct/inverse image maps of its Galois connection as tables of positions:
+d[a] is the position in cod.lattice.keys of the direct image of the
+subobject at position a in dom.lattice.keys, and i is the inverse image the
+other way.  These int tuples are the only stored form of the image maps;
+composing gathers them, and equality and hash compare them directly, so a
+morphism is extensional: same endpoints and the same image maps on every
+subobject.  Key -> key views (Morphism.dimg/iimg) and the converse
+(Morphism.from_maps) serve the edges: the parser, the CLI and the tests.
 
 A form bundles a set of objects with normality/conormality tests and the
 embedding/projection constructors of Axiom 3.  Two concrete families exist:
@@ -16,6 +21,7 @@ adapter; dualize(dualize(f)) returns the original form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Optional
 
 from .errors import (
@@ -39,7 +45,7 @@ class FormObject:
         self.algebra = algebra
 
     def sub(self, key) -> "Subobject":
-        if key not in set(self.lattice.keys):
+        if key not in self.lattice.index:
             raise LatticeError(f"{self.id} has no subobject {key!r}")
         return Subobject(self, key)
 
@@ -87,41 +93,51 @@ def render_key(key) -> str:
 
 
 class Morphism:
-    """A morphism with explicit direct/inverse image tables.
+    """A morphism with its direct/inverse image tables as position tuples.
 
-    dimg maps every subobject key of dom to one of cod; iimg the other way.
-    element_map (optional) is the carrier-level realization when both ends
-    are backed by Slominski algebras.
+    d has one entry per subobject of dom, in dom.lattice.keys order: the
+    position of its direct image in cod.lattice.keys.  i has one entry per
+    subobject of cod: the position of its inverse image in dom.lattice.keys.
+    dimg and iimg are read-only key -> key views of the same tables, built
+    on access.  element_map (optional) is the carrier-level realization when
+    both ends are backed by Slominski algebras.
     """
 
-    __slots__ = ("dom", "cod", "dimg", "iimg", "name", "element_map", "_sig")
+    __slots__ = ("dom", "cod", "d", "i", "name", "element_map")
 
-    def __init__(self, dom, cod, dimg, iimg, name="", element_map=None):
+    def __init__(self, dom, cod, d, i, name="", element_map=None):
         self.dom = dom
         self.cod = cod
-        self.dimg = dimg
-        self.iimg = iimg
+        self.d = tuple(d)
+        self.i = tuple(i)
         self.name = name
         self.element_map = tuple(element_map) if element_map is not None else None
-        self._sig = None
 
-    def signature(self):
-        if self._sig is None:
-            self._sig = (
-                self.dom.id,
-                self.cod.id,
-                tuple(self.dimg[k] for k in self.dom.lattice.keys),
-                tuple(self.iimg[k] for k in self.cod.lattice.keys),
-            )
-        return self._sig
+    @classmethod
+    def from_maps(cls, dom, cod, dimg, iimg, name="", element_map=None) -> "Morphism":
+        """The morphism with the given key -> key image maps."""
+        d = tuple(cod.lattice.index[dimg[k]] for k in dom.lattice.keys)
+        i = tuple(dom.lattice.index[iimg[k]] for k in cod.lattice.keys)
+        return cls(dom, cod, d, i, name=name, element_map=element_map)
+
+    @property
+    def dimg(self):
+        keys = self.cod.lattice.keys
+        return MappingProxyType(dict(zip(self.dom.lattice.keys, (keys[x] for x in self.d))))
+
+    @property
+    def iimg(self):
+        keys = self.dom.lattice.keys
+        return MappingProxyType(dict(zip(self.cod.lattice.keys, (keys[x] for x in self.i))))
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):
             return NotImplemented
-        return self.signature() == other.signature()
+        return (self.d == other.d and self.i == other.i
+                and self.dom.id == other.dom.id and self.cod.id == other.cod.id)
 
     def __hash__(self):
-        return hash(self.signature())
+        return hash((self.dom.id, self.cod.id, self.d, self.i))
 
     def __repr__(self):
         label = self.name or "morphism"
@@ -149,19 +165,21 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     """Composite g . f (f applied first)."""
     if f.cod is not g.dom and f.cod.id != g.dom.id:
         raise CompositionError(f"cannot compose {g!r} after {f!r}: codomain/domain mismatch")
-    dimg = {k: g.dimg[v] for k, v in f.dimg.items()}
-    iimg = {k: f.iimg[v] for k, v in g.iimg.items()}
+    gd, fi = g.d, f.i
+    d = tuple([gd[x] for x in f.d])
+    i = tuple([fi[x] for x in g.i])
     emap = None
     if f.element_map is not None and g.element_map is not None:
-        emap = tuple(g.element_map[x] for x in f.element_map)
+        ge = g.element_map
+        emap = tuple([ge[x] for x in f.element_map])
     name = f"{g.name}.{f.name}" if f.name and g.name else ""
-    return Morphism(f.dom, g.cod, dimg, iimg, name=name, element_map=emap)
+    return Morphism(f.dom, g.cod, d, i, name=name, element_map=emap)
 
 
 def identity_morphism(obj: FormObject) -> Morphism:
-    table = {k: k for k in obj.lattice.keys}
+    table = tuple(range(len(obj.lattice.keys)))
     emap = tuple(range(obj.algebra.n)) if obj.algebra is not None else None
-    return Morphism(obj, obj, dict(table), dict(table), name=f"id_{obj.id}", element_map=emap)
+    return Morphism(obj, obj, table, table, name=f"id_{obj.id}", element_map=emap)
 
 
 def _own(S: Subobject, obj: FormObject, what: str):
@@ -171,20 +189,22 @@ def _own(S: Subobject, obj: FormObject, what: str):
 
 def direct_image(f: Morphism, A: Subobject) -> Subobject:
     _own(A, f.dom, "domain of")
-    return Subobject(f.cod, f.dimg[A.key])
+    return Subobject(f.cod, f.cod.lattice.keys[f.d[f.dom.lattice.index[A.key]]])
 
 
 def inverse_image(f: Morphism, B: Subobject) -> Subobject:
     _own(B, f.cod, "codomain of")
-    return Subobject(f.dom, f.iimg[B.key])
+    return Subobject(f.dom, f.dom.lattice.keys[f.i[f.cod.lattice.index[B.key]]])
 
 
 def kernel(f: Morphism) -> Subobject:
-    return Subobject(f.dom, f.iimg[f.cod.lattice.bottom])
+    cl = f.cod.lattice
+    return Subobject(f.dom, f.dom.lattice.keys[f.i[cl.index[cl.bottom]]])
 
 
 def image(f: Morphism) -> Subobject:
-    return Subobject(f.cod, f.dimg[f.dom.lattice.top])
+    dl = f.dom.lattice
+    return Subobject(f.cod, f.cod.lattice.keys[f.d[dl.index[dl.top]]])
 
 
 def join(S: Subobject, T: Subobject) -> Subobject:
@@ -321,9 +341,7 @@ class DataForm(Form):
         self.morphisms = tuple(morphisms)
         self._ids = {}
         for m in self.morphisms:
-            if m.dom is m.cod and all(m.dimg[k] == k for k in m.dom.lattice.keys) and all(
-                m.iimg[k] == k for k in m.cod.lattice.keys
-            ):
+            if m.dom is m.cod and m.d == m.i == tuple(range(len(m.d))):
                 self._ids.setdefault(m.dom.id, m)
         self._dual: Optional[DualForm] = None
 
@@ -404,13 +422,8 @@ class DualForm(Form):
     def dual_morphism(self, m: Morphism) -> Morphism:
         got = self._mors.get(id(m))
         if got is None:
-            got = Morphism(
-                self.dual_object(m.cod),
-                self.dual_object(m.dom),
-                dict(m.iimg),
-                dict(m.dimg),
-                name=m.name,
-            )
+            got = Morphism(self.dual_object(m.cod), self.dual_object(m.dom), m.i, m.d,
+                           name=m.name)
             self._mors[id(m)] = got
             self._mors[id(got)] = m
         return got

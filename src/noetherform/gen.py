@@ -19,7 +19,8 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional, Sequence
 
-from .core import FormObject, Morphism, Subobject, compose, image, inverse_image, kernel
+from .core import (FormObject, Morphism, Subobject, compose, direct_image, image,
+                   inverse_image, kernel)
 from .diagram import Diagram
 from .groups import (
     all_groups_le8,
@@ -477,7 +478,7 @@ def snake_instance(lab: InstanceLab) -> Diagram:
         Bp = lab.obj(xor_group(rng.randrange(0, 4)))
         beta_h = lab.random_hom(B.algebra, Bp.algebra)
         beta = lab.table_mor(B, Bp, beta_h.table, "beta")
-        base = beta.dimg[Kg]
+        base = direct_image(beta, Subobject(B, Kg)).key
         supers = [k for k in subalgebras(Bp.algebra) if set(base) <= set(k)]
         Ip = rng.choice(supers)
         Apo, fp = lab.incl(Bp, Ip)

@@ -4,6 +4,10 @@ Two concrete kinds back the engine: element-based lattices (subalgebras of a
 finite algebra, keys are sorted element tuples, set operations run on bit
 masks) and table lattices (keys and a generating order declared in a form
 file).  DualLattice is a lazy order-reversing view used by dualize.
+
+Every lattice numbers its subobjects: `keys` lists them, and `index` maps a
+key to its position there.  Morphisms store their image maps over these
+positions (see core.Morphism).
 """
 
 from __future__ import annotations
@@ -44,14 +48,14 @@ class MaskLattice:
         self.n = n
         self._close = close
         ms = sorted(set(masks), key=lambda m: (bin(m).count("1"), elements_of(m)))
+        self.masks = tuple(ms)
         self.keys: tuple[Key, ...] = tuple(elements_of(m) for m in ms)
-        self._mask = {elements_of(m): m for m in ms}
-        self._key = {m: elements_of(m) for m in ms}
-        self.bottom = self.keys[0]
-        full = ms[-1]
-        if any(m & ~full for m in ms):
+        self.index = {k: i for i, k in enumerate(self.keys)}
+        self._mask = dict(zip(self.keys, ms))
+        self._position = {m: i for i, m in enumerate(ms)}
+        if any(m & ~ms[-1] for m in ms):
             raise LatticeError("no top element among the given masks")
-        self.top = self._key[full]
+        self.bottom, self.top = self.keys[0], self.keys[-1]
 
     def mask(self, key: Key) -> int:
         try:
@@ -59,11 +63,14 @@ class MaskLattice:
         except KeyError:
             raise LatticeError(f"unknown subobject key {key!r}") from None
 
-    def key_of_mask(self, mask: int) -> Key:
+    def position_of_mask(self, mask: int) -> int:
         try:
-            return self._key[mask]
+            return self._position[mask]
         except KeyError:
             raise LatticeError(f"mask {bin(mask)} is not a subobject") from None
+
+    def key_of_mask(self, mask: int) -> Key:
+        return self.keys[self.position_of_mask(mask)]
 
     def leq(self, a: Key, b: Key) -> bool:
         return self.mask(a) & ~self.mask(b) == 0
@@ -84,6 +91,7 @@ class TableLattice:
             raise LatticeError("a lattice needs at least one key")
         if len(set(self.keys)) != len(self.keys):
             raise LatticeError("duplicate subobject keys")
+        self.index = {k: i for i, k in enumerate(self.keys)}
         self.bottom = self.keys[0]
         self.top = self.keys[-1]
         up = {k: {k} for k in self.keys}
@@ -140,6 +148,7 @@ class DualLattice:
     def __init__(self, base):
         self.base = base
         self.keys = base.keys
+        self.index = base.index
         self.bottom = base.top
         self.top = base.bottom
 

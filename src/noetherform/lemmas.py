@@ -22,6 +22,7 @@ from .core import (
     Morphism,
     Subobject,
     compose,
+    direct_image,
     image,
     inverse_image,
     is_relatively_normal,
@@ -365,9 +366,9 @@ def _goursat(d: Diagram, report: LemmaReport) -> Optional[Morphism]:
                     lambda: (is_relatively_normal(form, W, X), None))
     result = quotient_iso(form, beta, W, X)
     report.conclude("beta X = Im beta ^ Im lam'",
-                    lambda: _equal("beta X", beta.dimg[X.key], upper.key))
+                    lambda: _equal("beta X", direct_image(beta, X).key, upper.key))
     report.conclude("beta W = Im(beta.lam)",
-                    lambda: _equal("beta W", beta.dimg[W.key], lower.key))
+                    lambda: _equal("beta W", direct_image(beta, W).key, lower.key))
     report.conclude("quotient isomorphism", lambda: (
         result.holds and result.iso is not None,
         None if result.holds else "quotient_iso verdicts disagree",
@@ -483,12 +484,12 @@ class LemmaSpec:
 
 def _four_i(d: Diagram):
     g, t, u = (d.arrows[r] for r in "gtu")
-    return _equal("g(Ker t)", g.dimg[kernel(t).key], kernel(u).key)
+    return _equal("g(Ker t)", direct_image(g, kernel(t)).key, kernel(u).key)
 
 
 def _four_ii(d: Diagram):
     y, t, u = (d.arrows[r] for r in "ytu")
-    return _equal("y^-1(Im u)", y.iimg[image(u).key], image(t).key)
+    return _equal("y^-1(Im u)", inverse_image(y, image(u)).key, image(t).key)
 
 
 LEMMAS: dict[str, LemmaSpec] = {

@@ -103,11 +103,11 @@ class Workspace:
             for k in co.lattice.keys:
                 if k not in iimg:
                     raise ParseError(f"morphism {mname}: iimg missing for key {k}", line)
-            bad = [v for v in dimg.values() if v not in set(co.lattice.keys)]
-            bad += [v for v in iimg.values() if v not in set(do.lattice.keys)]
+            bad = [v for v in dimg.values() if v not in co.lattice.index]
+            bad += [v for v in iimg.values() if v not in do.lattice.index]
             if bad:
                 raise ParseError(f"morphism {mname}: image keys {bad} unknown", line)
-            morphisms.append(Morphism(do, co, dict(dimg), dict(iimg), name=mname))
+            morphisms.append(Morphism.from_maps(do, co, dimg, iimg, name=mname))
         form = DataForm(objects, morphisms, name=name)
         self._forms[name] = form
         return form

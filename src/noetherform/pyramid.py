@@ -24,6 +24,7 @@ from .core import (
     Morphism,
     Subobject,
     compose,
+    direct_image,
     image,
     inverse_image,
     join,
@@ -362,8 +363,8 @@ def quotient_iso(form: Form, f: Morphism, W: Subobject, X: Subobject) -> Quotien
         raise ValidationError("precondition failed: X conormal")
 
     w_in_x = is_relatively_normal(form, W, X)
-    fX = Subobject(f.cod, f.dimg[X.key])
-    fW = Subobject(f.cod, f.dimg[W.key])
+    fX = direct_image(f, X)
+    fW = direct_image(f, W)
     fw_in_fx = is_relatively_normal(form, fW, fX)
     if not (w_in_x and fw_in_fx):
         return QuotientIsoResult(w_in_x, fw_in_fx, None, None)

@@ -390,10 +390,6 @@ def enumerate_homs(A: SlominskiAlgebra, B: SlominskiAlgebra) -> tuple[SlominskiH
     return tuple(SlominskiHom(A, B, t) for t in hom_tables(A, B))
 
 
-def zero_hom(A: SlominskiAlgebra, B: SlominskiAlgebra) -> SlominskiHom:
-    return SlominskiHom(A, B, (B.zero,) * A.n, name="0")
-
-
 def identity_hom(A: SlominskiAlgebra) -> SlominskiHom:
     return SlominskiHom(A, A, tuple(range(A.n)), name=f"id_{A.name}")
 
@@ -451,7 +447,6 @@ class SlominskiForm(Form):
         self._by_algebra: dict[SlominskiAlgebra, FormObject] = {}
         self._ids_taken: set[str] = set()
         self.morphisms: tuple[Morphism, ...] = ()
-        self._index: dict[tuple, Morphism] = {}
         self._sub_cache: dict[tuple, tuple[FormObject, Morphism]] = {}
         self._quot_cache: dict[tuple, tuple[FormObject, Morphism]] = {}
 
@@ -492,7 +487,6 @@ class SlominskiForm(Form):
                 raise ClosureError(f"hom {h.name or h.table} uses an undeclared algebra")
             mors.append(self.morphism(h))
         self.morphisms = tuple(mors)
-        self._index = {m.signature(): m for m in self.morphisms}
         self._check_closure(objs)
 
     def _check_closure(self, objs):
@@ -623,14 +617,11 @@ def _need_elements(f: Morphism):
 def element_morphism(dom: FormObject, cod: FormObject, table: Sequence[int], name: str = "") -> Morphism:
     """Build a Morphism from a carrier-level map; image maps are elementwise."""
     dl, cl = dom.lattice, cod.lattice
-    dimg = {}
-    for key in dl.keys:
-        dimg[key] = cl.key_of_mask(mask_of({table[x] for x in key}))
-    iimg = {}
-    for key in cl.keys:
-        want = cl.mask(key)
-        iimg[key] = dl.key_of_mask(mask_of(x for x in range(dom.algebra.n) if (want >> table[x]) & 1))
-    return Morphism(dom, cod, dimg, iimg, name=name, element_map=tuple(table))
+    d = tuple([cl.position_of_mask(mask_of([table[x] for x in key])) for key in dl.keys])
+    carrier = range(dom.algebra.n)
+    i = tuple([dl.position_of_mask(mask_of([x for x in carrier if (want >> table[x]) & 1]))
+               for want in cl.masks])
+    return Morphism(dom, cod, d, i, name=name, element_map=tuple(table))
 
 
 def as_form(

@@ -94,10 +94,9 @@ def chase_forward(z: Zigzag, S: Subobject, trace: bool = False):
     steps = [S]
     cur = S
     for i, e in enumerate(z.edges):
-        if e.direction == RIGHT:
-            cur = Subobject(z.nodes[i + 1], e.morphism.dimg[cur.key])
-        else:
-            cur = Subobject(z.nodes[i + 1], e.morphism.iimg[cur.key])
+        m = e.morphism
+        src, dst, t = (m.dom, m.cod, m.d) if e.direction == RIGHT else (m.cod, m.dom, m.i)
+        cur = Subobject(z.nodes[i + 1], dst.lattice.keys[t[src.lattice.index[cur.key]]])
         steps.append(cur)
     return (cur, steps) if trace else cur
 
@@ -109,10 +108,9 @@ def chase_backward(z: Zigzag, T: Subobject, trace: bool = False):
     cur = T
     for i in range(len(z.edges) - 1, -1, -1):
         e = z.edges[i]
-        if e.direction == RIGHT:
-            cur = Subobject(z.nodes[i], e.morphism.iimg[cur.key])
-        else:
-            cur = Subobject(z.nodes[i], e.morphism.dimg[cur.key])
+        m = e.morphism
+        src, dst, t = (m.cod, m.dom, m.i) if e.direction == RIGHT else (m.dom, m.cod, m.d)
+        cur = Subobject(z.nodes[i], dst.lattice.keys[t[src.lattice.index[cur.key]]])
         steps.append(cur)
     return (cur, steps) if trace else cur
 
@@ -130,9 +128,16 @@ def is_subquotient(z: Zigzag) -> bool:
 
 
 def chased_morphism(z: Zigzag, name: str = "") -> Morphism:
-    """Morphism whose image maps are the forward/backward chases."""
-    dimg = {k: chase_forward(z, Subobject(z.start, k)).key for k in z.start.lattice.keys}
-    iimg = {k: chase_backward(z, Subobject(z.end, k)).key for k in z.end.lattice.keys}
+    """Morphism whose image maps are the forward/backward chases: the edge
+    tables gathered along the zigzag, one way for d and the other for i."""
+    d = tuple(range(len(z.start.lattice.keys)))
+    for e in z.edges:
+        t = e.morphism.d if e.direction == RIGHT else e.morphism.i
+        d = tuple([t[x] for x in d])
+    i = tuple(range(len(z.end.lattice.keys)))
+    for e in reversed(z.edges):
+        t = e.morphism.i if e.direction == RIGHT else e.morphism.d
+        i = tuple([t[x] for x in i])
     emap = None
     rel = None
     if all(n.algebra is not None for n in z.nodes) and all(
@@ -142,7 +147,7 @@ def chased_morphism(z: Zigzag, name: str = "") -> Morphism:
         fn = relation_function(rel, z.start.algebra.n)
         if fn is not None:
             emap = fn
-    return Morphism(z.start, z.end, dimg, iimg, name=name, element_map=emap)
+    return Morphism(z.start, z.end, d, i, name=name, element_map=emap)
 
 
 def collapse(z: Zigzag) -> Morphism:
@@ -162,10 +167,8 @@ def collapse(z: Zigzag) -> Morphism:
                 emap = [0] * m.dom.algebra.n
                 for x, v in enumerate(m.element_map):
                     emap[v] = x
-            step = Morphism(
-                m.cod, m.dom, dict(m.iimg), dict(m.dimg),
-                name=f"{m.name}^-1" if m.name else "", element_map=emap,
-            )
+            step = Morphism(m.cod, m.dom, m.i, m.d,
+                            name=f"{m.name}^-1" if m.name else "", element_map=emap)
         cur = compose(step, cur)
     return cur
 

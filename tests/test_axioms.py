@@ -56,12 +56,12 @@ def test_axiom_suite_all_homs_between_a_pair():
 def _tiny_data_form(corrupt=None):
     lat = TableLattice(["bot", "top"], [])
     T = FormObject("T", lat)
-    ident = Morphism(T, T, {"bot": "bot", "top": "top"},
-                     {"bot": "bot", "top": "top"}, name="id")
+    ident = Morphism.from_maps(T, T, {"bot": "bot", "top": "top"},
+                               {"bot": "bot", "top": "top"}, name="id")
     morphisms = [ident]
     if corrupt == "dimg":
-        bad = Morphism(T, T, {"bot": "top", "top": "bot"},
-                       {"bot": "bot", "top": "top"}, name="bad")
+        bad = Morphism.from_maps(T, T, {"bot": "top", "top": "bot"},
+                                 {"bot": "bot", "top": "top"}, name="bad")
         morphisms.append(bad)
     return DataForm([T], morphisms, name="tiny")
 
@@ -89,7 +89,11 @@ def test_fault_injection_broken_ax2():
     # a Slominski form whose image tables were tampered with
     form = endo_form(cyclic(4))
     victim = next(m for m in form.morphisms if len(set(m.element_map)) == 2)
-    victim.dimg[(0, 2)] = (0, 1, 2, 3)  # image of {0,2} corrupted upward
+    dimg = dict(victim.dimg)
+    dimg[(0, 2)] = (0, 1, 2, 3)  # image of {0,2} corrupted upward
+    tampered = Morphism.from_maps(victim.dom, victim.cod, dimg, victim.iimg,
+                                  name=victim.name, element_map=victim.element_map)
+    form.morphisms = tuple(tampered if m is victim else m for m in form.morphisms)
     report = axiom_suite(form)
     assert not report.passed
 
@@ -115,8 +119,8 @@ def _swap_dimg(m):
     dl = m.dom.lattice
     dimg = dict(m.dimg)
     dimg[dl.bottom], dimg[dl.top] = dimg[dl.top], dimg[dl.bottom]
-    return Morphism(m.dom, m.cod, dimg, dict(m.iimg), name=m.name,
-                    element_map=m.element_map)
+    return Morphism.from_maps(m.dom, m.cod, dimg, m.iimg, name=m.name,
+                              element_map=m.element_map)
 
 
 def axiom_report_texts():

@@ -7,6 +7,7 @@ enumeration over the Cayley tables before being frozen here.
 import pytest
 
 from noetherform import (
+    Morphism,
     SlominskiForm,
     bottom,
     compose,
@@ -74,6 +75,27 @@ def test_compose_endpoint_mismatch(uni, z4, z2):
     q = mod2(uni, z4, z2)
     with pytest.raises(CompositionError):
         compose(q, q)
+
+
+def test_image_maps_are_read_only(uni, z4, z2):
+    q = mod2(uni, z4, z2)
+    with pytest.raises(TypeError):
+        q.dimg[(0, 2)] = (0, 1)
+    with pytest.raises(TypeError):
+        q.iimg[(0,)] = (0, 1, 2, 3)
+    assert Morphism.from_maps(z4, z2, q.dimg, q.iimg) == q
+
+
+def test_composite_equals_element_morphism_of_composed_table(uni, z4, z2, d8):
+    incl = element_morphism(z2, z4, (0, 2), "incl")
+    pairs = [(incl, mod2(uni, z4, z2))]
+    ends = [uni.morphism(h) for h in enumerate_homs(dihedral8(), dihedral8())]
+    pairs += [(g, f) for g in ends[::7] for f in ends[::5]]
+    for g, f in pairs:
+        c = compose(g, f)
+        e = element_morphism(f.dom, g.cod, tuple(g.element_map[x] for x in f.element_map))
+        assert c == e and hash(c) == hash(e) and e in {c}
+        assert c.dimg == e.dimg and c.iimg == e.iimg
 
 
 def test_direct_image_of_identity_is_identity(z4):

@@ -183,7 +183,7 @@ def test_induced_relation_requires_elements(uni):
 
     z4 = uni.object_of(cyclic(4))
     ident = identity_morphism(z4)
-    stripped = Morphism(z4, z4, dict(ident.dimg), dict(ident.iimg), name="bare")
+    stripped = Morphism(z4, z4, ident.d, ident.i, name="bare")
     with pytest.raises(UnsupportedFormError):
         induced_relation(Zigzag((z4, z4), (Edge(stripped, RIGHT),), form=uni))
 
