@@ -173,25 +173,17 @@ def _identity_failures(form, objs, mors):
 
 
 def _assoc_failures(form, mors):
-    # closure under composition, by element tables when every morphism has
-    # one, by image tables otherwise
-    by_table = bool(mors) and all(m.element_map is not None for m in mors)
-    if by_table:
-        declared = {(m.dom.id, m.cod.id, m.element_map) for m in mors}
-    else:
-        declared = {(m.dom.id, m.cod.id, m.d, m.i) for m in mors}
+    # closure under composition: the composite's image tables, gathered as
+    # compose does, must be those of a declared morphism (Morphism.__eq__)
+    declared = {(m.dom.id, m.cod.id, m.d, m.i) for m in mors}
     for g in mors:
-        gd, gi, ge = g.d, g.i, g.element_map
+        gd, gi = g.d, g.i
         for f in mors:
             if f.cod.id != g.dom.id:
                 continue
-            if by_table:
-                comp = (f.dom.id, g.cod.id, tuple([ge[x] for x in f.element_map]))
-            else:
-                fi = f.i
-                comp = (f.dom.id, g.cod.id, tuple([gd[x] for x in f.d]),
-                        tuple([fi[x] for x in gi]))
-            if comp not in declared:
+            fi = f.i
+            if (f.dom.id, g.cod.id, tuple([gd[x] for x in f.d]),
+                    tuple([fi[x] for x in gi])) not in declared:
                 yield f"composite ({g.name or g!r}).({f.name or f!r}) not in the form"
                 return
     # associativity on (sampled) triples; extensional composition makes this

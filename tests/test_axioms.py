@@ -98,6 +98,23 @@ def test_fault_injection_broken_ax2():
     assert not report.passed
 
 
+def test_closure_is_decided_by_image_maps():
+    # the automorphisms of Z3 fix every subgroup, so x -> 2x has the image
+    # maps of the identity and equals it: without the identity the morphisms
+    # are still closed, though the element table of (x -> 2x)^2 is missing;
+    # x -> 2x with other image maps breaks closure
+    z3 = cyclic(3)
+    form = endo_form(z3)
+    ident, neg = (next(m for m in form.morphisms if m.element_map == t)
+                  for t in ((0, 1, 2), (0, 2, 1)))
+    assert neg == ident
+    objs = list(form.objects.values())
+    closed = DataForm(objs, [m for m in form.morphisms if m is not ident])
+    assert axiom_suite(closed).checks[6].render() == "PASS A"
+    swapped = DataForm(objs, [_swap_dimg(m) if m is neg else m for m in form.morphisms])
+    assert "A" in axiom_suite(swapped).failed_names()
+
+
 def test_report_rendering_shape():
     report = axiom_suite(endo_form(cyclic(2)), include_axiom6=True)
     lines = report.render().splitlines()
@@ -109,9 +126,12 @@ def test_report_rendering_shape():
 
 # ---------------------------------------------------------------------------
 # report-text pin: render() of the whole suite, byte for byte, so a change
-# to any line or to the order in which witnesses are found fails here
+# to any line or to the order in which witnesses are found fails here.  It
+# was recorded while check A still decided closure by element tables when
+# every morphism had one; deciding it by image tables changed the A line of
+# the three swapped forms from PASS to FAIL, and nothing else.
 
-AXIOM_REPORT_DIGEST = "c4752b3fb86b6de840fa5f9ad45e2342b09405186b647e68f4de6ba9b26a5e04"
+AXIOM_REPORT_DIGEST = "c0f37cf371ed29dad7d71c064c04abb0da5d719343a79922c4f759691fafce11"
 
 
 def _swap_dimg(m):
