@@ -461,6 +461,9 @@ def test_goursat_identities_trivial(uni):
     report_t, iso_t = goursat(dt)
     assert report_t.passed, report_t.render()
     assert iso_t is not None and iso_t.dom.order == 1
+    # the same conclusion lines whatever the verdict
+    assert [c.name for c in report.conclusions] == [c.name for c in report_t.conclusions]
+    assert {c.status for c in report.conclusions} == {"SKIP"} and iso_m is None
 
 
 def test_goursat_z4_instance(uni):
