@@ -18,7 +18,9 @@ from .core import (
     Morphism,
     Subobject,
     compose,
+    direct_image,
     identity_morphism,
+    inverse_image,
     is_injective,
     is_isomorphism,
     is_surjective,
@@ -93,10 +95,8 @@ def chase_forward(z: Zigzag, S: Subobject, trace: bool = False):
         raise OwnershipError(f"{S!r} is not a subobject of the initial node {z.start.id}")
     steps = [S]
     cur = S
-    for i, e in enumerate(z.edges):
-        m = e.morphism
-        src, dst, t = (m.dom, m.cod, m.d) if e.direction == RIGHT else (m.cod, m.dom, m.i)
-        cur = Subobject(z.nodes[i + 1], dst.lattice.keys[t[src.lattice.index[cur.key]]])
+    for e in z.edges:
+        cur = (direct_image if e.direction == RIGHT else inverse_image)(e.morphism, cur)
         steps.append(cur)
     return (cur, steps) if trace else cur
 
@@ -106,11 +106,8 @@ def chase_backward(z: Zigzag, T: Subobject, trace: bool = False):
         raise OwnershipError(f"{T!r} is not a subobject of the final node {z.end.id}")
     steps = [T]
     cur = T
-    for i in range(len(z.edges) - 1, -1, -1):
-        e = z.edges[i]
-        m = e.morphism
-        src, dst, t = (m.cod, m.dom, m.i) if e.direction == RIGHT else (m.dom, m.cod, m.d)
-        cur = Subobject(z.nodes[i], dst.lattice.keys[t[src.lattice.index[cur.key]]])
+    for e in reversed(z.edges):
+        cur = (inverse_image if e.direction == RIGHT else direct_image)(e.morphism, cur)
         steps.append(cur)
     return (cur, steps) if trace else cur
 
