@@ -4,7 +4,8 @@ corrupted ones."""
 import pytest
 
 from noetherform import DataForm, FormObject, Morphism, axiom_suite, dualize
-from noetherform.groups import cyclic, dihedral8, symmetric3, trivial_group
+from noetherform.errors import ClosureError
+from noetherform.groups import cyclic, dihedral8, symmetric3, trivial_group, xor_group
 from noetherform.lattice import TableLattice
 from noetherform.slominski import SlominskiHom, as_form, close_homs, enumerate_homs
 
@@ -143,41 +144,77 @@ def _swap_dimg(m):
                               element_map=m.element_map)
 
 
+def _named_homs(alg):
+    return [SlominskiHom(alg, alg, h.table, name="h" + "".join(map(str, h.table)))
+            for h in enumerate_homs(alg, alg)]
+
+
+def _broken_forms(form):
+    """Data forms over the morphisms of a one-object form: with the first
+    non-identity morphism dropped, and with the direct image of the first
+    one that is neither an identity nor zero swapped at bottom and top."""
+    (obj,) = objs = list(form.objects.values())
+    mors = list(form.morphisms)
+    ident = tuple(range(obj.algebra.n))
+    others = [m for m in mors if m.element_map != ident]
+    if others:
+        yield DataForm(objs, [m for m in mors if m is not others[0]],
+                       name=f"{form.name} without {others[0].name}")
+    zero = (obj.algebra.zero,) * obj.algebra.n
+    victims = [m for m in others if m.element_map != zero]
+    if victims:
+        swapped = [_swap_dimg(m) if m is victims[0] else m for m in mors]
+        yield DataForm(objs, swapped, name=f"{form.name} swapped {victims[0].name}")
+
+
 def axiom_report_texts():
-    """End(G) and its dual for every group of order <= 4, and data forms over
-    the same morphisms: with the first non-identity morphism dropped, and
-    with the direct image of the first one that is neither an identity nor
-    zero swapped at bottom and top."""
+    """End(G) and its dual for every group of order <= 4, and the broken
+    data forms over the same morphisms."""
     from noetherform.groups import klein4
 
     texts = []
     for alg in (trivial_group(), cyclic(2), cyclic(3), cyclic(4), klein4()):
-        homs = [SlominskiHom(alg, alg, h.table, name="h" + "".join(map(str, h.table)))
-                for h in enumerate_homs(alg, alg)]
-        form = as_form([alg], homs, name=alg.name)
+        form = as_form([alg], _named_homs(alg), name=alg.name)
         texts.append(axiom_suite(form, include_axiom6=True).render())
         texts.append(axiom_suite(dualize(form), include_axiom6=True).render())
-        objs = list(form.objects.values())
-        mors = list(form.morphisms)
-        ident = tuple(range(alg.n))
-        others = [m for m in mors if m.element_map != ident]
-        if others:
-            dropped = DataForm(objs, [m for m in mors if m is not others[0]],
-                               name=f"{alg.name} without {others[0].name}")
-            texts.append(axiom_suite(dropped, include_axiom6=True).render())
-        zero = (0,) * alg.n
-        victims = [m for m in others if m.element_map != zero]
-        if victims:
-            swapped = [_swap_dimg(m) if m is victims[0] else m for m in mors]
-            tampered = DataForm(objs, swapped,
-                                name=f"{alg.name} swapped {victims[0].name}")
-            texts.append(axiom_suite(tampered, include_axiom6=True).render())
+        texts.extend(axiom_suite(f, include_axiom6=True).render() for f in _broken_forms(form))
     return texts
 
 
-def test_axiom_report_text_unchanged():
+def _digest(texts):
     import hashlib
 
+    return hashlib.sha256("\n\0".join(texts).encode()).hexdigest()
+
+
+def test_axiom_report_text_unchanged():
     texts = axiom_report_texts()
-    digest = hashlib.sha256("\n\0".join(texts).encode()).hexdigest()
-    assert digest == AXIOM_REPORT_DIGEST, (len(texts), digest)
+    assert _digest(texts) == AXIOM_REPORT_DIGEST, (len(texts), _digest(texts))
+
+
+# the same pin on the broken data forms over End(E8): 512 morphisms, so F2
+# samples PAIR_BUDGET of its 262,144 pairs and check A names its first
+# failing pair out of as many
+
+AXIOM_REPORT_E8_DIGEST = "560514a7dd029abd3d9960792e1215220fe6a188cd2b0a8f932e2173a8b7d9fa"
+
+
+def test_axiom_report_text_unchanged_e8():
+    alg = xor_group(3)
+    form = as_form([alg], _named_homs(alg), name=alg.name)
+    texts = [axiom_suite(f, include_axiom6=True).render() for f in _broken_forms(form)]
+    assert len(texts) == 2
+    assert _digest(texts) == AXIOM_REPORT_E8_DIGEST, _digest(texts)
+
+
+@pytest.mark.parametrize("alg, dropped, message", [
+    (cyclic(4), "h0000", "composite of ('h0202', 'h0202') is not declared"),
+    (xor_group(3), "h00001111",
+     "composite of ('h00110011', 'h00002222') is not declared"),
+], ids=["Z4", "E8"])
+def test_closure_error_text_unchanged(alg, dropped, message):
+    homs = _named_homs(alg)
+    assert dropped in [h.name for h in homs]
+    with pytest.raises(ClosureError) as exc:
+        as_form([alg], [h for h in homs if h.name != dropped], name=alg.name)
+    assert str(exc.value) == message
