@@ -2,21 +2,26 @@
 
 axiom_suite runs one check per lettered requirement (P1-P3, BL, G, I, A, F1,
 F2, AX2 equations, AX3, AX4, AX5, optional AX6) and reports a witness for
-the first failure of each.  Checks whose exhaustive cost explodes with the
-morphism count (associativity triples, F2 pairs) fall back to a
-deterministic sample; everything else is exhaustive.
+the first failure of each.  Closure under composition (check A) is
+exhaustive, decided from generators by core.first_uncomposed.  Checks whose
+exhaustive cost explodes with the morphism count (associativity triples, F2
+pairs) fall back to a deterministic sample, compared as gathered image
+tables without building composite morphisms; everything else is exhaustive.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
 from typing import Optional
 
 from .core import (
     Form,
     Subobject,
     compose,
+    first_uncomposed,
     image,
     is_injective,
     is_isomorphism,
@@ -172,37 +177,40 @@ def _identity_failures(form, objs, mors):
             return
 
 
+def _gather(table, positions):
+    """The table of a composite: _gather(g.d, f.d) is (g . f).d and
+    _gather(f.i, g.i) is (g . f).i."""
+    return tuple([table[x] for x in positions])
+
+
+def _table_key(m):
+    return (m.dom.id, m.cod.id, m.d, m.i)
+
+
+def _composite_table_key(g, f):
+    return (f.dom.id, g.cod.id, _gather(g.d, f.d), _gather(f.i, g.i))
+
+
 def _assoc_failures(form, mors):
-    # closure under composition: the composite's image tables, gathered as
-    # compose does, must be those of a declared morphism (Morphism.__eq__)
-    declared = {(m.dom.id, m.cod.id, m.d, m.i) for m in mors}
-    for g in mors:
-        gd, gi = g.d, g.i
-        for f in mors:
-            if f.cod.id != g.dom.id:
-                continue
-            fi = f.i
-            if (f.dom.id, g.cod.id, tuple([gd[x] for x in f.d]),
-                    tuple([fi[x] for x in gi])) not in declared:
-                yield f"composite ({g.name or g!r}).({f.name or f!r}) not in the form"
-                return
+    # closure under composition, decided from generators: the composite's
+    # image tables must be those of a declared morphism (Morphism.__eq__)
+    pair = first_uncomposed(mors, _table_key, _composite_table_key)
+    if pair is not None:
+        g, f = pair
+        yield f"composite ({g.name or g!r}).({f.name or f!r}) not in the form"
+        return
     # associativity on (sampled) triples; extensional composition makes this
     # a consistency check rather than a search for deep failures
-    comp = [(g, f) for g in mors for f in mors if f.cod.id == g.dom.id]
-    rng = random.Random(11)
-    triples = []
-    for h, g in comp:
-        for f in mors:
-            if f.cod.id == g.dom.id:
-                triples.append((h, g, f))
-                if len(triples) > TRIPLE_BUDGET:
-                    break
-        if len(triples) > TRIPLE_BUDGET:
-            break
+    triples = list(islice(((h, g, f) for h in mors for g in mors if g.cod.id == h.dom.id
+                           for f in mors if f.cod.id == g.dom.id), TRIPLE_BUDGET + 1))
     if len(triples) > TRIPLE_BUDGET:
-        triples = rng.sample(triples, TRIPLE_BUDGET)
+        triples = random.Random(11).sample(triples, TRIPLE_BUDGET)
     for h, g, f in triples:
-        if compose(compose(h, g), f) != compose(h, compose(g, f)):
+        hd, gd, fd, hi, gi, fi = h.d, g.d, f.d, h.i, g.i, f.i
+        hgd, gfd = [hd[x] for x in gd], [gd[x] for x in fd]
+        hgi, gfi = [gi[x] for x in hi], [fi[x] for x in gi]
+        if ([hgd[x] for x in fd] != [hd[x] for x in gfd]
+                or [fi[x] for x in hgi] != [gfi[x] for x in hi]):
             yield f"associativity fails on ({h.name},{g.name},{f.name})"
             return
 
@@ -214,17 +222,28 @@ def _functor_failures(mors):
     # extensionally, so the closure check already covers F2.
     if not mors or any(m.element_map is None for m in mors):
         return
-    pairs = [(g, f) for g in mors for f in mors if f.cod.id == g.dom.id]
-    if len(pairs) > PAIR_BUDGET:
-        rng = random.Random(13)
-        pairs = rng.sample(pairs, PAIR_BUDGET)
+    by_cod = {}
+    for f in mors:
+        by_cod.setdefault(f.cod.id, []).append(f)
+    # the composable pairs in g-major order, or PAIR_BUDGET of them drawn by
+    # their positions in that order
+    counts = [len(by_cod.get(g.dom.id, ())) for g in mors]
+    ends = list(accumulate(counts))
+    if ends[-1] > PAIR_BUDGET:
+        def pair(j):
+            k = bisect_right(ends, j)
+            g = mors[k]
+            return g, by_cod[g.dom.id][j - ends[k] + counts[k]]
+        pairs = map(pair, random.Random(13).sample(range(ends[-1]), PAIR_BUDGET))
+    else:
+        pairs = ((g, f) for g in mors for f in by_cod.get(g.dom.id, ()))
     by_table = {}
     for m in mors:
         by_table.setdefault((m.dom.id, m.cod.id, m.element_map), m)
     for g, f in pairs:
-        emap = tuple(g.element_map[x] for x in f.element_map)
-        declared = by_table.get((f.dom.id, g.cod.id, emap))
-        if declared is not None and declared != compose(g, f):
+        declared = by_table.get((f.dom.id, g.cod.id, _gather(g.element_map, f.element_map)))
+        if declared is not None and (declared.d != _gather(g.d, f.d)
+                                     or declared.i != _gather(f.i, g.i)):
             yield f"image maps of ({g.name}).({f.name}) do not compose"
             return
 

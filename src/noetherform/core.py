@@ -176,6 +176,76 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     return Morphism(f.dom, g.cod, d, i, name=name, element_map=emap)
 
 
+def first_uncomposed(items, key, compose_key):
+    """The first composable pair (g, f) of items, in g-major order, whose
+    composite g . f is not declared, or None when items are closed under
+    composition.
+
+    key(m) names a morphism (a composite is declared when some item has its
+    key); compose_key(g, f) is the key of g . f and must depend on the keys
+    of g and f only.  Closure is decided from generators: in declared order,
+    an item that is not yet a product of earlier items becomes a generator,
+    and every product reached is left-composed with every generator, each
+    (generator, product) pair once.  The products then are all composites of
+    generators, so when none of them is undeclared, every item is a product
+    and the items are closed.  Only when one is undeclared does the ordered
+    pairwise scan run, to name the first failing pair; the composites
+    already taken are not taken again, so there are never more than |items|^2.
+    """
+    items = list(items)
+    first: dict = {}
+    for n, m in enumerate(items):
+        first.setdefault(key(m), n)
+    canon = [first[key(m)] for m in items]
+    dom = [m.dom.id for m in items]
+    cod = [m.cod.id for m in items]
+    taken: dict = {}  # (g, f) -> position of the first item with g . f's key, or None
+
+    def composite(g, f):
+        if (g, f) not in taken:
+            taken[g, f] = first.get(compose_key(items[g], items[f]))
+        return taken[g, f]
+
+    def closed():
+        gens, products, reached = [], [], set()
+        done = 0  # products[:done] are left-composed with every generator
+
+        def reach(r):
+            if r not in reached:
+                reached.add(r)
+                products.append(r)
+
+        for p in range(len(items)):
+            if canon[p] != p or p in reached:
+                continue
+            gens.append(p)
+            for q in products[:done]:
+                if cod[q] == dom[p]:
+                    r = composite(p, q)
+                    if r is None:
+                        return False
+                    reach(r)
+            reach(p)
+            while done < len(products):
+                q = products[done]
+                for g in gens:
+                    if cod[q] == dom[g]:
+                        r = composite(g, q)
+                        if r is None:
+                            return False
+                        reach(r)
+                done += 1
+        return True
+
+    if closed():
+        return None
+    for g in range(len(items)):
+        for f in range(len(items)):
+            if cod[f] == dom[g] and composite(canon[g], canon[f]) is None:
+                return items[g], items[f]
+    return None
+
+
 def identity_morphism(obj: FormObject) -> Morphism:
     table = tuple(range(len(obj.lattice.keys)))
     emap = tuple(range(obj.algebra.n)) if obj.algebra is not None else None

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .core import Form, FormObject, Morphism, Factorization, Subobject, identity_morphism, image, kernel
+from .core import (Form, FormObject, Morphism, Factorization, Subobject, first_uncomposed,
+                   identity_morphism, image, kernel)
 from .errors import ClosureError, UnsupportedFormError, UnsupportedSubobjectError, ValidationError
 from .lattice import MaskLattice, elements_of, mask_of
 
@@ -487,23 +488,14 @@ class SlominskiForm(Form):
                 raise ClosureError(f"hom {h.name or h.table} uses an undeclared algebra")
             mors.append(self.morphism(h))
         self.morphisms = tuple(mors)
-        self._check_closure(objs)
-
-    def _check_closure(self, objs):
-        by_table = {(m.dom.id, m.cod.id, m.element_map): m for m in self.morphisms}
+        tables = {_table_key(m) for m in mors}
         for o in objs:
-            emap = tuple(range(o.algebra.n))
-            if (o.id, o.id, emap) not in by_table:
+            if (o.id, o.id, tuple(range(o.algebra.n))) not in tables:
                 raise ClosureError(f"identity of {o.id} is not declared")
-        for g in self.morphisms:
-            for f in self.morphisms:
-                if f.cod.id != g.dom.id:
-                    continue
-                emap = tuple(g.element_map[x] for x in f.element_map)
-                if (f.dom.id, g.cod.id, emap) not in by_table:
-                    raise ClosureError(
-                        f"composite of ({g.name or g!r}, {f.name or f!r}) is not declared"
-                    )
+        pair = first_uncomposed(mors, _table_key, _composite_table_key)
+        if pair is not None:
+            g, f = pair
+            raise ClosureError(f"composite of ({g.name or g!r}, {f.name or f!r}) is not declared")
 
     def identity(self, obj):
         return identity_morphism(obj)
@@ -607,6 +599,15 @@ class SlominskiForm(Form):
 
     def zero_morphism(self, X: FormObject, Y: FormObject) -> Morphism:
         return element_morphism(X, Y, (Y.algebra.zero,) * X.algebra.n, "0")
+
+
+def _table_key(m: Morphism):
+    return (m.dom.id, m.cod.id, m.element_map)
+
+
+def _composite_table_key(g: Morphism, f: Morphism):
+    ge = g.element_map
+    return (f.dom.id, g.cod.id, tuple([ge[x] for x in f.element_map]))
 
 
 def _need_elements(f: Morphism):
