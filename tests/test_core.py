@@ -273,3 +273,93 @@ def test_dual_morphism_roundtrip():
         md = dual.dual_morphism(m)
         assert dual.primal_of(md) is m
         assert md.dimg == m.iimg and md.iimg == m.dimg
+
+
+# ---------------------------------------------------------------------------
+# closure from generators: first_uncomposed names the pair that the ordered
+# pairwise scan names, with at most |items|^2 composites
+
+
+def _image_key(m):
+    return (m.dom.id, m.cod.id, m.d, m.i)
+
+
+def _element_key(m):
+    return (m.dom.id, m.cod.id, m.element_map)
+
+
+def _ordered_scan(items, key, compose_key):
+    declared = {key(m) for m in items}
+    for g in items:
+        for f in items:
+            if f.cod.id == g.dom.id and compose_key(g, f) not in declared:
+                return g, f
+    return None
+
+
+def _counted(key):
+    calls = [0]
+
+    def compose_key(g, f):
+        calls[0] += 1
+        return key(compose(g, f))
+
+    return compose_key, calls
+
+
+def _closure_cases():
+    """Drop-one and drop-two subsets of End(G) for |G| <= 4 and of the
+    closed two-object form over Z4 and E4, each with its dual, whose
+    morphisms have image tables only."""
+    from itertools import combinations
+
+    from noetherform.groups import cyclic, klein4, trivial_group
+    from noetherform.slominski import as_form, close_homs, enumerate_homs
+
+    z4, e4 = cyclic(4), klein4()
+    forms = [as_form([a], enumerate_homs(a, a), name=a.name)
+             for a in (trivial_group(), cyclic(2), cyclic(3), z4, e4)]
+    pairs = [enumerate_homs(a, b) for a in (z4, e4) for b in (z4, e4)]
+    forms.append(as_form([z4, e4], close_homs([z4, e4], [h for p in pairs for h in p]),
+                         name="Z4+E4"))
+    for form in forms:
+        for side in (form, dualize(form)):
+            mors = list(side.morphisms)
+            keys = (_image_key, _element_key) if side is form else (_image_key,)
+            for r in range(3):
+                for dropped in combinations(range(len(mors)), r):
+                    items = [m for n, m in enumerate(mors) if n not in dropped]
+                    for key in keys:
+                        yield f"{side.name} without {dropped} by {key.__name__}", items, key
+
+
+def test_first_uncomposed_names_the_first_pair_of_the_ordered_scan():
+    from noetherform.core import first_uncomposed
+
+    cases = gaps = 0
+    for label, items, key in _closure_cases():
+        compose_key, calls = _counted(key)
+        got = first_uncomposed(items, key, compose_key)
+        want = _ordered_scan(items, key, lambda g, f: key(compose(g, f)))
+        if want is None:
+            assert got is None, label
+        else:
+            assert got is not None and got[0] is want[0] and got[1] is want[1], label
+        assert calls[0] <= len(items) ** 2, (label, calls[0])
+        cases += 1
+        gaps += want is not None
+    assert cases == 1704 and 0 < gaps < cases
+
+
+def test_first_uncomposed_on_end_e8_takes_few_composites():
+    from noetherform.core import first_uncomposed
+    from noetherform.groups import xor_group
+    from noetherform.slominski import as_form, enumerate_homs
+
+    alg = xor_group(3)
+    mors = as_form([alg], enumerate_homs(alg, alg)).morphisms
+    assert len(mors) == 512
+    for key in (_image_key, _element_key):
+        compose_key, calls = _counted(key)
+        assert first_uncomposed(mors, key, compose_key) is None
+        assert calls[0] <= 40_000, (key.__name__, calls[0])
