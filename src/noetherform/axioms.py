@@ -91,7 +91,7 @@ def axiom_suite(form: Form, include_axiom6: bool = False) -> AxiomReport:
                  for o in objs for a in o.lattice.keys for b in o.lattice.keys
                  if a != b and o.lattice.leq(a, b) and o.lattice.leq(b, a)))
     check("BL", _bl_failures(objs))
-    check("G", (f"{m.name or m!r}: adjunction fails at A={a!r}, C={c!r}"
+    check("G", (f"{m.name or repr(m)}: adjunction fails at A={a!r}, C={c!r}"
                 for m in mors for dl, cl in [(m.dom.lattice, m.cod.lattice)]
                 for p, a in enumerate(dl.keys) for q, c in enumerate(cl.keys)
                 if dl.leq(a, dl.keys[m.i[q]]) != cl.leq(cl.keys[m.d[p]], c)))
@@ -170,10 +170,10 @@ def _identity_failures(form, objs, mors):
     sample = mors if len(mors) <= 200 else rng.sample(mors, 200)
     for m in sample:
         if compose(_safe_identity(form, m.cod), m) != m:
-            yield f"id.{m.name or m!r} != {m.name or m!r}"
+            yield f"id.{m.name or repr(m)} != {m.name or repr(m)}"
             return
         if compose(m, _safe_identity(form, m.dom)) != m:
-            yield f"{m.name or m!r}.id != {m.name or m!r}"
+            yield f"{m.name or repr(m)}.id != {m.name or repr(m)}"
             return
 
 
@@ -197,7 +197,7 @@ def _assoc_failures(form, mors):
     pair = first_uncomposed(mors, _table_key, _composite_table_key)
     if pair is not None:
         g, f = pair
-        yield f"composite ({g.name or g!r}).({f.name or f!r}) not in the form"
+        yield f"composite ({g.name or repr(g)}).({f.name or repr(f)}) not in the form"
         return
     # associativity on (sampled) triples; extensional composition makes this
     # a consistency check rather than a search for deep failures
@@ -255,11 +255,11 @@ def _ax2_failures(mors):
         img = image(m).key
         for q, b in enumerate(cl.keys):
             if cl.keys[d[i[q]]] != cl.meet(b, img):
-                yield f"{m.name or m!r}: f f^-1 B != B ^ Im f at B={b!r}"
+                yield f"{m.name or repr(m)}: f f^-1 B != B ^ Im f at B={b!r}"
                 return
         for p, a in enumerate(dl.keys):
             if dl.keys[i[d[p]]] != dl.join(a, ker):
-                yield f"{m.name or m!r}: f^-1 f A != A v Ker f at A={a!r}"
+                yield f"{m.name or repr(m)}: f^-1 f A != A v Ker f at A={a!r}"
                 return
 
 
@@ -297,19 +297,19 @@ def _ax4_failures(form, mors):
         try:
             fac = form.factorize(f)
         except FormError as exc:
-            yield f"factorize({f.name or f!r}): {exc}"
+            yield f"factorize({f.name or repr(f)}): {exc}"
             return
         if fac.composite != f:
-            yield f"factorize({f.name or f!r}): composite differs"
+            yield f"factorize({f.name or repr(f)}): composite differs"
             return
         if not is_isomorphism(fac.h):
-            yield f"factorize({f.name or f!r}): middle map is not an isomorphism"
+            yield f"factorize({f.name or repr(f)}): middle map is not an isomorphism"
             return
         if kernel(fac.e) != kernel(f) or not is_surjective(fac.e):
-            yield f"factorize({f.name or f!r}): projection part is wrong"
+            yield f"factorize({f.name or repr(f)}): projection part is wrong"
             return
         if image(fac.m) != image(f) or not is_injective(fac.m):
-            yield f"factorize({f.name or f!r}): embedding part is wrong"
+            yield f"factorize({f.name or repr(f)}): embedding part is wrong"
             return
 
 

@@ -495,7 +495,7 @@ class SlominskiForm(Form):
         pair = first_uncomposed(mors, _table_key, _composite_table_key)
         if pair is not None:
             g, f = pair
-            raise ClosureError(f"composite of ({g.name or g!r}, {f.name or f!r}) is not declared")
+            raise ClosureError(f"composite of ({g.name or repr(g)}, {f.name or repr(f)}) is not declared")
 
     def identity(self, obj):
         return identity_morphism(obj)
