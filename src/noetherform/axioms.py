@@ -183,18 +183,26 @@ def _gather(table, positions):
     return tuple([table[x] for x in positions])
 
 
-def _table_key(m):
+def _image_key(m):
     return (m.dom.id, m.cod.id, m.d, m.i)
 
 
-def _composite_table_key(g, f):
+def _composite_image_key(g, f):
     return (f.dom.id, g.cod.id, _gather(g.d, f.d), _gather(f.i, g.i))
+
+
+def _element_key(m):
+    return (m.dom.id, m.cod.id, m.element_map)
+
+
+def _composite_element_key(g, f):
+    return (f.dom.id, g.cod.id, _gather(g.element_map, f.element_map))
 
 
 def _assoc_failures(form, mors):
     # closure under composition, decided from generators: the composite's
     # image tables must be those of a declared morphism (Morphism.__eq__)
-    pair = first_uncomposed(mors, _table_key, _composite_table_key)
+    pair = first_uncomposed(mors, _image_key, _composite_image_key)
     if pair is not None:
         g, f = pair
         yield f"composite ({g.name or repr(g)}).({f.name or repr(f)}) not in the form"
@@ -219,8 +227,14 @@ def _functor_failures(mors):
     # F2 has independent content only for element-realized morphisms: there
     # the declared composite is identified by its element table and must
     # carry the composed image maps.  Elsewhere composites are identified
-    # extensionally, so the closure check already covers F2.
+    # extensionally, so the closure check already covers F2.  The element
+    # tables must be closed first, as check A decides closure by image maps.
     if not mors or any(m.element_map is None for m in mors):
+        return
+    pair = first_uncomposed(mors, _element_key, _composite_element_key)
+    if pair is not None:
+        g, f = pair
+        yield f"element table of ({g.name or repr(g)}).({f.name or repr(f)}) is not declared"
         return
     by_cod = {}
     for f in mors:
@@ -230,20 +244,19 @@ def _functor_failures(mors):
     counts = [len(by_cod.get(g.dom.id, ())) for g in mors]
     ends = list(accumulate(counts))
     if ends[-1] > PAIR_BUDGET:
-        def pair(j):
+        def nth(j):
             k = bisect_right(ends, j)
             g = mors[k]
             return g, by_cod[g.dom.id][j - ends[k] + counts[k]]
-        pairs = map(pair, random.Random(13).sample(range(ends[-1]), PAIR_BUDGET))
+        pairs = map(nth, random.Random(13).sample(range(ends[-1]), PAIR_BUDGET))
     else:
         pairs = ((g, f) for g in mors for f in by_cod.get(g.dom.id, ()))
     by_table = {}
     for m in mors:
-        by_table.setdefault((m.dom.id, m.cod.id, m.element_map), m)
+        by_table.setdefault(_element_key(m), m)
     for g, f in pairs:
-        declared = by_table.get((f.dom.id, g.cod.id, _gather(g.element_map, f.element_map)))
-        if declared is not None and (declared.d != _gather(g.d, f.d)
-                                     or declared.i != _gather(f.i, g.i)):
+        declared = by_table[_composite_element_key(g, f)]
+        if declared.d != _gather(g.d, f.d) or declared.i != _gather(f.i, g.i):
             yield f"image maps of ({g.name}).({f.name}) do not compose"
             return
 

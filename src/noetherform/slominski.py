@@ -488,11 +488,11 @@ class SlominskiForm(Form):
                 raise ClosureError(f"hom {h.name or h.table} uses an undeclared algebra")
             mors.append(self.morphism(h))
         self.morphisms = tuple(mors)
-        tables = {_table_key(m) for m in mors}
+        tables = {_element_key(m) for m in mors}
         for o in objs:
             if (o.id, o.id, tuple(range(o.algebra.n))) not in tables:
                 raise ClosureError(f"identity of {o.id} is not declared")
-        pair = first_uncomposed(mors, _table_key, _composite_table_key)
+        pair = first_uncomposed(mors, _element_key, _composite_element_key)
         if pair is not None:
             g, f = pair
             raise ClosureError(f"composite of ({g.name or repr(g)}, {f.name or repr(f)}) is not declared")
@@ -601,11 +601,11 @@ class SlominskiForm(Form):
         return element_morphism(X, Y, (Y.algebra.zero,) * X.algebra.n, "0")
 
 
-def _table_key(m: Morphism):
+def _element_key(m: Morphism):
     return (m.dom.id, m.cod.id, m.element_map)
 
 
-def _composite_table_key(g: Morphism, f: Morphism):
+def _composite_element_key(g: Morphism, f: Morphism):
     ge = g.element_map
     return (f.dom.id, g.cod.id, tuple([ge[x] for x in f.element_map]))
 

@@ -116,6 +116,18 @@ def test_closure_is_decided_by_image_maps():
     assert "A" in axiom_suite(swapped).failed_names()
 
 
+def test_f2_fails_when_element_tables_are_not_closed():
+    # without the identity, End(Z3) is closed by image maps (check A) but
+    # the element table of (x -> 2x)^2 is missing
+    z3 = cyclic(3)
+    form = as_form([z3], _named_homs(z3), name=z3.name)
+    objs = list(form.objects.values())
+    without_id = DataForm(objs, [m for m in form.morphisms if m.name != "h012"])
+    checks = {c.name: c.render() for c in axiom_suite(without_id).checks}
+    assert checks["A"] == "PASS A"
+    assert checks["F2"] == "FAIL F2 [element table of (h021).(h021) is not declared]"
+
+
 def test_report_rendering_shape():
     report = axiom_suite(endo_form(cyclic(2)), include_axiom6=True)
     lines = report.render().splitlines()
@@ -133,8 +145,11 @@ def test_report_rendering_shape():
 # the three swapped forms from PASS to FAIL, and nothing else.  Witnesses
 # that named a morphism printed its name quoted ('h021') until they were
 # made to print it bare (h021), which changed those lines and no others.
+# F2 then came to decide element-table closure before its sampled pairs,
+# which turned its PASS line into a FAIL naming the first undeclared pair on
+# Z4, E4 (and, in the E8 pin below, E8) without their zero map.
 
-AXIOM_REPORT_DIGEST = "22d2a4375e100230b2f568180c4d4934c86b62aa1c84f2f9840ebaa23ce0c81e"
+AXIOM_REPORT_DIGEST = "023f066873c6e7ee976afd37b662edd4d2cc3d92aa564d27613de643c53bda39"
 
 
 def _swap_dimg(m):
@@ -198,7 +213,7 @@ def test_axiom_report_text_unchanged():
 # samples PAIR_BUDGET of its 262,144 pairs and check A names its first
 # failing pair out of as many
 
-AXIOM_REPORT_E8_DIGEST = "46d2008ac08c71862dd5104ad861316a5639ca681cc7a02564675134a8e54ba1"
+AXIOM_REPORT_E8_DIGEST = "2c055f2321b413d5d8fc0ae52c08a516d6219396afee8234b750024357bbc1c5"
 
 
 def test_axiom_report_text_unchanged_e8():
