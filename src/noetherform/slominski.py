@@ -480,6 +480,13 @@ class SlominskiForm(Form):
         return element_morphism(dom, cod, hom.table, name or hom.name)
 
     def declare(self, algebras: Sequence[SlominskiAlgebra], homs: Sequence[SlominskiHom]) -> None:
+        """Declare the algebras and homs as this form's objects and morphisms.
+
+        Raises ClosureError when a hom uses an undeclared algebra, an
+        identity is missing, or the element tables are not closed under
+        composition; closure is decided from generators (first_uncomposed),
+        and the error names the first missing composite in g-major order.
+        """
         objs = [self.object_of(a, declare=True) for a in algebras]
         mors = []
         for h in homs:
@@ -633,7 +640,8 @@ def as_form(
     """Declared Slominski form.
 
     The hom set must contain the identities and be closed under composition;
-    violations raise ClosureError naming the offending pair.
+    violations raise ClosureError naming the offending pair (see
+    SlominskiForm.declare).
     """
     form = SlominskiForm(name)
     form.declare(algebras, homs)
