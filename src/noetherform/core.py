@@ -193,13 +193,12 @@ def first_uncomposed(items, key, compose_key):
     already taken are not taken again, so there are never more than |items|^2.
     """
     items = list(items)
-    first: dict = {}
+    first: dict = {}  # key -> position of the first item with that key
     for n, m in enumerate(items):
         first.setdefault(key(m), n)
-    canon = [first[key(m)] for m in items]
     dom = [m.dom.id for m in items]
     cod = [m.cod.id for m in items]
-    taken: dict = {}  # (g, f) -> position of the first item with g . f's key, or None
+    taken: dict = {}  # (g, f) positions -> first's entry for g . f, or None
 
     def composite(g, f):
         if (g, f) not in taken:
@@ -215,8 +214,8 @@ def first_uncomposed(items, key, compose_key):
                 reached.add(r)
                 products.append(r)
 
-        for p in range(len(items)):
-            if canon[p] != p or p in reached:
+        for p in first.values():
+            if p in reached:
                 continue
             gens.append(p)
             for q in products[:done]:
@@ -241,7 +240,7 @@ def first_uncomposed(items, key, compose_key):
         return None
     for g in range(len(items)):
         for f in range(len(items)):
-            if cod[f] == dom[g] and composite(canon[g], canon[f]) is None:
+            if cod[f] == dom[g] and composite(g, f) is None:
                 return items[g], items[f]
     return None
 
