@@ -502,7 +502,9 @@ class SlominskiForm(Form):
         pair = first_uncomposed(mors, _element_key, _composite_element_key)
         if pair is not None:
             g, f = pair
-            raise ClosureError(f"composite of ({g.name or repr(g)}, {f.name or repr(f)}) is not declared")
+            raise ClosureError(
+                f"composite of ({g.name or repr(g)}, {f.name or repr(f)}) is not declared"
+            )
 
     def identity(self, obj):
         return identity_morphism(obj)
