@@ -9,6 +9,17 @@ The module provides subalgebra lattices, congruence generation, quotients,
 hom enumeration, and SlominskiForm, which realizes the abstract form
 interface with intrinsic constructions (every subalgebra is conormal;
 normality is decided by the generated congruence's zero class).
+
+Costs the module avoids:
+- Subalgebras are closed semi-naively (only pairs with a new element are
+  taken) and enumerated by cyclic extension (subalgebra_masks).
+- The congruence generated by a subalgebra is cached per algebra and
+  subalgebra, so normality and the quotient share it.
+- Only an algebra's own lattice is enumerated.  The lattice of a quotient
+  G/N is the image of the interval [N, G] (by AX2, f^-1 f A = A v Ker f, so
+  the projection's images of the A >= N are all of G/N's subalgebras), and
+  that of a subalgebra S is the interval [0, S], relabelled
+  (SlominskiForm.quotient_object and subobject_object).
 """
 
 from __future__ import annotations
@@ -122,37 +133,56 @@ def from_group(
 
 
 def close_mask(alg: SlominskiAlgebra, mask: int) -> int:
-    """Least subalgebra containing the given subset (as a bit mask)."""
-    mask |= 1 << alg.zero
-    while True:
-        new = mask
+    """Least subalgebra containing the given subset (as a bit mask), closed
+    semi-naively over the zero subalgebra (see _close_over)."""
+    zero = 1 << alg.zero
+    return _close_over(alg, zero, mask | zero)
+
+
+def _close_over(alg: SlominskiAlgebra, closed: int, mask: int) -> int:
+    """Least subalgebra containing mask, given a subalgebra closed <= mask.
+
+    Semi-naive: each round pairs, both ways, only the elements added in the
+    round before (at first, those of mask outside closed) with every element
+    so far.  Pairs inside closed give nothing new, and every other pair is
+    taken in the round after its later element arrived, and in no later one.
+    """
+    p, d = alg.p, alg.d
+    new = mask & ~closed
+    while new:
         elems = elements_of(mask)
-        for x in elems:
-            px, dx = alg.p[x], alg.d[x]
+        add = 0
+        for x in elements_of(new):
+            px, dx = p[x], d[x]
             for y in elems:
-                new |= (1 << px[y]) | (1 << dx[y])
-        if new == mask:
-            return mask
-        mask = new
+                add |= (1 << px[y]) | (1 << dx[y]) | (1 << p[y][x]) | (1 << d[y][x])
+        new = add & ~mask
+        mask |= new
+    return mask
 
 
 @lru_cache(maxsize=None)
 def subalgebra_masks(alg: SlominskiAlgebra) -> tuple[int, ...]:
-    """All subalgebra masks, found by closing each known subalgebra plus one
-    extra generator until no new ones appear."""
-    found = {close_mask(alg, 0)}
-    frontier = list(found)
-    full = (1 << alg.n) - 1
+    """All subalgebra masks, in ascending order of the mask.
+
+    Neubüser's cyclic extension: every subalgebra is the join of the
+    1-generated subalgebras below it, so extending each subalgebra found by
+    each 1-generated subalgebra not below it, starting from the zero
+    subalgebra, reaches them all.  The extension closes over the subalgebra
+    already found (_close_over), so only pairs with a new element are taken.
+    """
+    bottom = 1 << alg.zero
+    cyclic = sorted({close_mask(alg, 1 << x) for x in range(alg.n)} - {bottom})
+    found = {bottom}
+    frontier = [bottom]
     while frontier:
         s = frontier.pop()
-        rest = full & ~s
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            t = close_mask(alg, s | b)
-            if t not in found:
-                found.add(t)
-                frontier.append(t)
+        for c in cyclic:
+            if c & ~s:
+                t = _close_over(alg, s, s | c)
+                if t not in found:
+                    found.add(t)
+                    frontier.append(t)
     return tuple(sorted(found))
 
 
@@ -228,8 +258,11 @@ def is_subalgebra(alg: SlominskiAlgebra, elems: Iterable[int]) -> bool:
     return close_mask(alg, m) == m and (m >> alg.zero) & 1
 
 
+@lru_cache(maxsize=None)
 def _kernel_congruence(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Congruence:
-    """The congruence generated by B x {0}, for a subalgebra B."""
+    """The congruence generated by B x {0}, for a subalgebra B (sorted
+    elements).  Cached, so deciding normality and building the quotient
+    generate it once per algebra and subalgebra."""
     if not is_subalgebra(alg, belems):
         raise ValidationError(f"{belems} is not a subalgebra of {alg.name}")
     return generate_congruence(alg, [(b, alg.zero) for b in belems])
@@ -459,6 +492,10 @@ class SlominskiForm(Form):
         """Form object for an algebra.  Only declared objects enter
         self.objects; derived ones (quotients, subalgebra copies) are kept in
         a side registry so the axiom suite sees the declared form only."""
+        return self._object(alg, lambda: subalgebra_lattice(alg), name, declare)
+
+    def _object(self, alg, lattice, name=None, declare=False) -> FormObject:
+        """object_of, with lattice() building the lattice of a new object."""
         got = self._by_algebra.get(alg)
         if got is not None:
             if declare:
@@ -467,7 +504,7 @@ class SlominskiForm(Form):
         oid = name or alg.name
         if oid in self._ids_taken:
             oid = f"{oid}#{len(self._ids_taken)}"
-        obj = FormObject(oid, subalgebra_lattice(alg), algebra=alg)
+        obj = FormObject(oid, lattice(), algebra=alg)
         self._ids_taken.add(oid)
         if declare:
             self.objects[oid] = obj
@@ -524,6 +561,12 @@ class SlominskiForm(Form):
         return self.quotient_object(S)[1]
 
     def subobject_object(self, S: Subobject, perm=None) -> tuple[FormObject, Morphism]:
+        """S as an algebra, with its inclusion; perm(n) relabels its carrier.
+
+        The subalgebras of S are the interval [0, S] of its owner's lattice,
+        so S's lattice is that interval, relabelled along the inclusion,
+        instead of enumerated.
+        """
         ck = (S.owner.id, S.key)
         if perm is None and ck in self._sub_cache:
             return self._sub_cache[ck]
@@ -535,13 +578,24 @@ class SlominskiForm(Form):
                 inv[v] = i
             sub = permuted(sub, p, name=sub.name + "~")
             incl = SlominskiHom(sub, incl.cod, tuple(incl.table[inv[i]] for i in range(sub.n)))
-        obj = self.object_of(sub)
+        lat, top = S.owner.lattice, S.owner.lattice.mask(S.key)
+        obj = self._object(sub, lambda: _lattice_along(
+            sub, [m for m in lat.masks if not m & ~top], incl.table))
         mor = element_morphism(obj, S.owner, incl.table, f"iota_{S.owner.id}{list(S.key)}")
         if perm is None:
             self._sub_cache[ck] = (obj, mor)
         return obj, mor
 
     def quotient_object(self, S: Subobject, perm=None) -> tuple[FormObject, Morphism]:
+        """G/N for a normal N, with its projection; perm(n) relabels its
+        carrier.
+
+        By AX2 the projection π gives a correspondence: the subalgebras of
+        G/N are the images π(A) of the subalgebras A >= N of G.  Each such A
+        is a union of classes, since x = p(d(x, a), a) and d(x, a) lies in
+        N when x and a are in one class; so π(A) is read at one element of
+        each class, and G/N's lattice is read off G's instead of enumerated.
+        """
         ck = (S.owner.id, S.key)
         if perm is None and ck in self._quot_cache:
             return self._quot_cache[ck]
@@ -550,7 +604,12 @@ class SlominskiForm(Form):
             p = tuple(perm(q.n))
             q = permuted(q, p, name=q.name + "~")
             proj = SlominskiHom(proj.dom, q, tuple(p[v] for v in proj.table))
-        obj = self.object_of(q)
+        lat, bottom = S.owner.lattice, S.owner.lattice.mask(S.key)
+        reps = [0] * q.n
+        for x, c in enumerate(proj.table):
+            reps[c] = x
+        obj = self._object(q, lambda: _lattice_along(
+            q, [m for m in lat.masks if m & bottom == bottom], reps))
         mor = element_morphism(S.owner, obj, proj.table, f"pi_{S.owner.id}/{list(S.key)}")
         if perm is None:
             self._quot_cache[ck] = (obj, mor)
@@ -617,6 +676,17 @@ def _element_key(m: Morphism):
 def _composite_element_key(g: Morphism, f: Morphism):
     ge = g.element_map
     return (f.dom.id, g.cod.id, tuple([ge[x] for x in f.element_map]))
+
+
+def _lattice_along(alg: SlominskiAlgebra, masks: Sequence[int], source: Sequence[int]) -> MaskLattice:
+    """alg's lattice, given its subalgebras as masks over another carrier:
+    element j of alg lies in the subalgebra of mask m when source[j] is in
+    m.  MaskLattice sorts the masks, so the keys come in the order that
+    subalgebra_lattice(alg) gives."""
+    return MaskLattice(
+        alg.n,
+        [sum(1 << j for j, x in enumerate(source) if (m >> x) & 1) for m in masks],
+        lambda m: close_mask(alg, m))
 
 
 def _need_elements(f: Morphism):

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noetherform.slominski as slominski
+from noetherform.core import Subobject
 from noetherform.errors import ClosureError, UnsupportedSubobjectError, ValidationError
+from noetherform.gen import InstanceLab
 from noetherform.groups import (
     D8_B,
     D8_V,
@@ -17,12 +20,15 @@ from noetherform.groups import (
     dihedral_data,
     product_data,
     quaternion8,
+    quaternion_data,
     symmetric3,
     trivial_group,
     xor_group,
 )
+from noetherform.lattice import elements_of
 from noetherform.slominski import (
     SlominskiAlgebra,
+    SlominskiForm,
     SlominskiHom,
     as_form,
     close_homs,
@@ -34,6 +40,7 @@ from noetherform.slominski import (
     is_normal_subalgebra,
     quotient,
     subalgebra_algebra,
+    subalgebra_masks,
     subalgebras,
 )
 
@@ -303,3 +310,164 @@ def test_close_homs_idempotent():
     assert {(h.dom.name, h.cod.name, h.table) for h in once} == {
         (h.dom.name, h.cod.name, h.table) for h in twice
     }
+
+
+# ---------------------------------------------------------------------------
+# derived lattices: quotients and subobjects against enumeration
+
+
+def cyclic_extension(base, k, alpha, t=0, name="G"):
+    """N.Z_k for an abelian group N = base: elements n b^j, indexed
+    n + |N| j, with b n b^-1 = alpha[n] and b^k = t (alpha an automorphism
+    of N with alpha^k = 1 that fixes t).  from_group checks the result."""
+    table, _, e = base
+    m = len(table)
+
+    def mul(x, y):
+        (j1, n1), (j2, n2) = divmod(x, m), divmod(y, m)
+        for _ in range(j1):
+            n2 = alpha[n2]
+        n = table[n1][n2]
+        if j1 + j2 >= k:
+            n = table[n][t]
+        return n + m * ((j1 + j2) % k)
+
+    cayley = tuple(tuple(mul(x, y) for y in range(m * k)) for x in range(m * k))
+    inverse = tuple(next(y for y in range(m * k) if cayley[x][y] == e) for x in range(m * k))
+    return from_group(cayley, inverse, e, name=name)
+
+
+def groups_9_to_16():
+    """One group of each isomorphism class of order 9 to 16."""
+    z, g = cyclic_data, lambda data, name: from_group(*data, name=name)
+    e2 = z(2)
+    neg = lambda m: tuple((-x) % m for x in range(m))
+    times = lambda m, r: tuple((r * x) % m for x in range(m))
+    # product_data puts (a, c) of Z4 x Z2 at 2a + c
+    z4z2 = product_data(z(4), e2)
+    return [
+        g(z(9), "Z9"), g(product_data(z(3), z(3)), "Z3xZ3"),
+        g(z(10), "Z10"), g(dihedral_data(5), "D10"),
+        g(z(11), "Z11"),
+        g(z(12), "Z12"), g(product_data(z(6), e2), "Z6xZ2"), g(dihedral_data(6), "D12"),
+        cyclic_extension(product_data(e2, e2), 3, (0, 2, 3, 1), name="A4"),
+        cyclic_extension(z(3), 4, neg(3), name="Dic12"),
+        g(z(13), "Z13"),
+        g(z(14), "Z14"), g(dihedral_data(7), "D14"),
+        g(z(15), "Z15"),
+        g(z(16), "Z16"), g(product_data(z(8), e2), "Z8xZ2"),
+        g(product_data(z(4), z(4)), "Z4xZ4"), g(product_data(z4z2, e2), "Z4xZ2xZ2"),
+        xor_group(4),
+        g(dihedral_data(8), "D16"),
+        cyclic_extension(z(8), 2, neg(8), t=4, name="Q16"),
+        cyclic_extension(z(8), 2, times(8, 3), name="SD16"),
+        cyclic_extension(z(8), 2, times(8, 5), name="M16"),
+        g(product_data(dihedral_data(4), e2), "D8xZ2"),
+        g(product_data(quaternion_data(), e2), "Q8xZ2"),
+        cyclic_extension(z(4), 4, neg(4), name="Z4:Z4"),
+        # (a, c) -> (a, c + a mod 2) on Z4 x Z2: b a b^-1 = a c
+        cyclic_extension(z4z2, 2, tuple(2 * (x // 2) + (x % 2 + x // 2) % 2 for x in range(8)),
+                         name="(Z4xZ2):Z2"),
+        # (a, c) -> (a + 2c, c), a central of order 4: the Pauli group
+        cyclic_extension(z4z2, 2, tuple(2 * ((x // 2 + 2 * (x % 2)) % 4) + x % 2 for x in range(8)),
+                         name="Pauli"),
+    ]
+
+
+LE16 = list(all_groups_le8()) + groups_9_to_16()
+# non-associative; extending its subalgebra {0, 2} by {0, 1} must take the
+# pair (2, 1), the old element first: p(2, 1) = 3
+U4 = from_permutations("U4", [(0, 1, 2, 3), (1, 0, 3, 2), (2, 1, 0, 3), (3, 1, 0, 2)])
+
+
+def enumerated_masks(alg):
+    """Reference enumerator: close each known subalgebra plus one element
+    until no new ones appear, closing by rescanning every pair."""
+    def close(mask):
+        mask |= 1 << alg.zero
+        while True:
+            elems = elements_of(mask)
+            new = mask
+            for x in elems:
+                for y in elems:
+                    new |= (1 << alg.p[x][y]) | (1 << alg.d[x][y])
+            if new == mask:
+                return mask
+            mask = new
+
+    found = {close(0)}
+    frontier = list(found)
+    while frontier:
+        s = frontier.pop()
+        for x in range(alg.n):
+            t = close(s | 1 << x)
+            if t not in found:
+                found.add(t)
+                frontier.append(t)
+    return found
+
+
+def enumerated_keys(alg):
+    return tuple(sorted((elements_of(m) for m in enumerated_masks(alg)),
+                        key=lambda k: (len(k), k)))
+
+
+def test_groups_le16_are_pairwise_non_isomorphic():
+    # one group per isomorphism class: 1, 1, 1, 2, 1, 2, 1, 5 of orders
+    # 1..8, then 2, 2, 1, 5, 1, 2, 1, 14 of orders 9..16 (42 in all)
+    def invariant(alg):
+        def order(x):
+            k, y = 1, x
+            while y != alg.zero:
+                k, y = k + 1, alg.p[y][x]
+            return k
+        subs = enumerated_masks(alg)
+        return (alg.n, len(subs), sorted(order(x) for x in range(alg.n)),
+                sum(is_normal_subalgebra(alg, elements_of(m)) for m in subs))
+    assert len(LE16) == 42
+    assert len({repr(invariant(a)) for a in LE16}) == 42
+
+
+def reversing(n):
+    return list(reversed(range(n)))
+
+
+@pytest.mark.parametrize("alg", LE16 + [T3, T4, U4], ids=lambda a: a.name)
+def test_derived_lattices_against_enumeration(alg):
+    # subalgebra_masks enumerates alg's own lattice; quotient_object reads
+    # G/N's off the interval [N, G] and subobject_object reads S's off the
+    # interval [0, S].  Each must give the keys, in the order, that the
+    # reference enumerator gives.
+    form = SlominskiForm()
+    obj = form.object_of(alg)
+    assert obj.lattice.keys == enumerated_keys(alg)
+    for key in obj.lattice.keys:
+        S = Subobject(obj, key)
+        for perm in (None, reversing):
+            sub, incl = form.subobject_object(S, perm)
+            assert sub.lattice.keys == enumerated_keys(sub.algebra), (key, perm)
+            assert incl.d[-1] == obj.lattice.index[key]
+            if is_normal_subalgebra(alg, key):
+                q, proj = form.quotient_object(S, perm)
+                assert q.lattice.keys == enumerated_keys(q.algebra), (key, perm)
+                assert proj.i[0] == obj.lattice.index[key]
+
+
+def test_normal_keys_and_quotients_generate_one_congruence_each(monkeypatch):
+    calls = []
+
+    def counting(alg, pairs):
+        pairs = list(pairs)
+        calls.append((alg.name, tuple(sorted(b for b, _ in pairs))))
+        return generate_congruence(alg, pairs)
+
+    monkeypatch.setattr(slominski, "generate_congruence", counting)
+    # a name of its own, so no congruence of it is cached yet
+    alg = from_group(*dihedral_data(4), name="D8 counted")
+    lab = InstanceLab(0)
+    normals = lab.normal_keys(alg)
+    assert lab.normal_keys(alg) == normals
+    for key in normals:
+        lab.proj(lab.obj(alg), key)
+    assert len(normals) == 6
+    assert sorted(calls) == sorted((alg.name, k) for k in subalgebras(alg))
