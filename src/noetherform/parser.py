@@ -234,6 +234,13 @@ def _expect(cond, msg, ln):
         raise ParseError(msg, ln + 1)
 
 
+def _int(tok, what, ln):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, not {tok!r}", ln + 1) from None
+
+
 def _fresh(table, name, kind, ln):
     if name in table:
         raise ParseError(f"duplicate {kind} name {name!r}", ln + 1)
@@ -245,7 +252,7 @@ def _parse_algebra(ws, lines, i):
             "expected: algebra <name> size <n> zero <i>", i)
     name = toks[1]
     _fresh(ws.algebras, name, "algebra", i)
-    n, zero = int(toks[3]), int(toks[5])
+    n, zero = _int(toks[3], "size", i), _int(toks[5], "zero", i)
     tables = {}
     j = i + 1
     while j < len(lines):
@@ -276,7 +283,7 @@ def _parse_group(ws, lines, i):
             "expected: group <name> size <n> id <i>", i)
     name = toks[1]
     _fresh(ws.algebras, name, "algebra", i)
-    n, ident = int(toks[3]), int(toks[5])
+    n, ident = _int(toks[3], "size", i), _int(toks[5], "id", i)
     j = i + 1
     while j < len(lines) and not _tokens(lines[j]):
         j += 1

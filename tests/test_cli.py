@@ -2,6 +2,8 @@
 
 import importlib.resources as resources
 
+import pytest
+
 from noetherform.cli import main
 
 FIXTURES = resources.files("noetherform") / "fixtures"
@@ -172,6 +174,22 @@ def test_parse_error_exit2(tmp_path, capsys):
     code, _, err = run(capsys, "check-axioms", str(bad))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("text,want", [
+    ("group Z2 size x id 0\n", "line 1: size must be an integer, not 'x'"),
+    ("group Z2 size 2 id e\ntable 0 1 / 1 0\n", "line 1: id must be an integer, not 'e'"),
+    ("\nalgebra A size two zero 0\np 0 1 / 1 0\nd 0 1 / 1 0\n",
+     "line 2: size must be an integer, not 'two'"),
+    ("algebra A size 2 zero y\np 0 1 / 1 0\nd 0 1 / 1 0\n",
+     "line 1: zero must be an integer, not 'y'"),
+], ids=["group-size", "group-id", "algebra-size", "algebra-zero"])
+def test_non_integer_header_field_exit2(tmp_path, capsys, text, want):
+    bad = tmp_path / "bad.nf"
+    bad.write_text(text)
+    code, out, err = run(capsys, "check-axioms", str(bad))
+    assert (code, out) == (2, "")
+    assert want in err
 
 
 def test_missing_file_exit2(capsys):
