@@ -235,3 +235,31 @@ def test_closure_error_text_unchanged(alg, dropped, message):
     with pytest.raises(ClosureError) as exc:
         as_form([alg], [h for h in homs if h.name != dropped], name=alg.name)
     assert str(exc.value) == message
+
+
+def test_identity_check_names_first_failing_morphism():
+    # check I compares every morphism, in declared order, with its identity
+    # composites.  Here E8's declared identity is the idempotent x -> x & 3,
+    # so the witness is the first of the 512 morphisms it does not fix.
+    from noetherform.core import compose
+
+    e8 = xor_group(3)
+    form = as_form([e8], _named_homs(e8), name="E8")
+    mors = list(form.morphisms)
+    (fake,) = [m for m in mors if m.element_map == tuple(x & 3 for x in range(8))]
+
+    class FakeIdentity(DataForm):
+        def identity(self, obj):
+            return fake
+
+    def failure(m):
+        if compose(fake, m) != m:
+            return f"id.{m.name} != {m.name}"
+        if compose(m, fake) != m:
+            return f"{m.name}.id != {m.name}"
+        return None
+
+    want = next(w for w in map(failure, mors) if w is not None)
+    report = axiom_suite(FakeIdentity(form.objects.values(), mors, name="E8"))
+    (check,) = [c for c in report.checks if c.name == "I"]
+    assert (check.passed, check.witness) == (False, want)
