@@ -494,8 +494,8 @@ class SlominskiForm(Form):
         a side registry so the axiom suite sees the declared form only."""
         return self._object(alg, lambda: subalgebra_lattice(alg), name, declare)
 
-    def _object(self, alg, lattice, name=None, declare=False) -> FormObject:
-        """object_of, with lattice() building the lattice of a new object."""
+    def _object(self, alg, make_lattice, name=None, declare=False) -> FormObject:
+        """object_of, with make_lattice() building a new object's lattice."""
         got = self._by_algebra.get(alg)
         if got is not None:
             if declare:
@@ -504,7 +504,7 @@ class SlominskiForm(Form):
         oid = name or alg.name
         if oid in self._ids_taken:
             oid = f"{oid}#{len(self._ids_taken)}"
-        obj = FormObject(oid, lattice(), algebra=alg)
+        obj = FormObject(oid, make_lattice(), algebra=alg)
         self._ids_taken.add(oid)
         if declare:
             self.objects[oid] = obj
