@@ -176,7 +176,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     return Morphism(f.dom, g.cod, d, i, name=name, element_map=emap)
 
 
-def first_uncomposed(items, key, compose_key):
+def first_uncomposed(items, key, compose_key, rank=None):
     """The first composable pair (g, f) of items, in g-major order, whose
     composite g . f is not declared, or None when items are closed under
     composition.
@@ -191,6 +191,9 @@ def first_uncomposed(items, key, compose_key):
     and the items are closed.  Only when one is undeclared does the ordered
     pairwise scan run, to name the first failing pair; the composites
     already taken are not taken again, so there are never more than |items|^2.
+    rank(m), when given, is the order (ascending, then declared) in which
+    items are tried as generators: it changes how many composites are
+    taken, never the answer.
     """
     items = list(items)
     first: dict = {}  # key -> position of the first item with that key
@@ -214,7 +217,7 @@ def first_uncomposed(items, key, compose_key):
                 reached.add(r)
                 products.append(r)
 
-        for p in first.values():
+        for p in sorted(first.values(), key=lambda p: rank(items[p])) if rank else first.values():
             if p in reached:
                 continue
             gens.append(p)

@@ -263,3 +263,63 @@ def test_identity_check_names_first_failing_morphism():
     report = axiom_suite(FakeIdentity(form.objects.values(), mors, name="E8"))
     (check,) = [c for c in report.checks if c.name == "I"]
     assert (check.passed, check.witness) == (False, want)
+
+
+# ---------------------------------------------------------------------------
+# F2 without samples: the witness is the first failing pair in g-major order,
+# and a twin morphism (an element table carried with two sets of image maps)
+# fails by well-definedness
+
+
+def _first_uncomposing_pair(mors):
+    """The first composable (g, f), g-major, whose declared composite (by
+    element table) does not carry the composed image maps."""
+    by_table = {}
+    for m in mors:
+        by_table.setdefault(m.element_map, m)
+    for g in mors:
+        for f in mors:
+            declared = by_table[tuple(g.element_map[x] for x in f.element_map)]
+            if (declared.d != tuple(g.d[x] for x in f.d)
+                    or declared.i != tuple(f.i[x] for x in g.i)):
+                return g, f
+    return None
+
+
+def test_f2_names_the_first_failing_pair_on_swapped_e8():
+    alg = xor_group(3)
+    form = as_form([alg], _named_homs(alg), name=alg.name)
+    swapped = list(_broken_forms(form))[-1]
+    g, f = _first_uncomposing_pair(list(swapped.morphisms))
+    (check,) = [c for c in axiom_suite(swapped).checks if c.name == "F2"]
+    assert check.render() == f"FAIL F2 [image maps of ({g.name}).({f.name}) do not compose]"
+
+
+def test_f2_fails_on_a_twin_by_well_definedness():
+    z4 = cyclic(4)
+    form = as_form([z4], _named_homs(z4), name=z4.name)
+    mors = list(form.morphisms)
+    (victim,) = [m for m in mors if m.name == "h0202"]
+    twin = _swap_dimg(victim)
+    twin.name = "twin"
+    report = axiom_suite(DataForm(list(form.objects.values()), mors + [twin]))
+    (check,) = [c for c in report.checks if c.name == "F2"]
+    assert check.render() == ("FAIL F2 [h0202 and twin have one element table "
+                              "but different image maps]")
+
+
+def test_every_check_says_how_it_decided_on_end_e8():
+    alg = xor_group(3)
+    form = as_form([alg], _named_homs(alg), name=alg.name)
+    got = {c.name: (c.mode, c.cases) for c in axiom_suite(form, include_axiom6=True).checks}
+    # G: 512 morphisms x 16 x 16 subobject pairs; AX2: 512 x (16 + 16)
+    # equations; A and F2: the composites with 7 generators, F2 also the
+    # 512 element tables of its well-definedness step
+    assert got == {
+        "P1": ("exhaustive", 16), "P2": ("exhaustive", 66), "P3": ("exhaustive", 16),
+        "BL": ("exhaustive", 256), "G": ("exhaustive", 131_072),
+        "I": ("exhaustive", 1_025), "A": ("derived", 3_584), "F1": ("exhaustive", 16),
+        "F2": ("derived", 4_096), "AX2": ("exhaustive", 16_384),
+        "AX3": ("exhaustive", 16), "AX4": ("exhaustive", 512),
+        "AX5": ("exhaustive", 512), "AX6": ("exhaustive", 2),
+    }
