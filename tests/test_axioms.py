@@ -145,9 +145,11 @@ def test_report_rendering_shape():
 # the three swapped forms from PASS to FAIL, and nothing else.  Witnesses
 # that named a morphism printed its name quoted ('h021') until they were
 # made to print it bare (h021), which changed those lines and no others.
-# F2 then came to decide element-table closure before its sampled pairs,
-# which turned its PASS line into a FAIL naming the first undeclared pair on
-# Z4, E4 (and, in the E8 pin below, E8) without their zero map.
+# F2 then came to decide element-table closure before its pairs, which
+# turned its PASS line into a FAIL naming the first undeclared pair on Z4,
+# E4 (and, in the E8 pin below, E8) without their zero map.  F2 no longer
+# samples pairs: it decides every pair from generators and names the first
+# failing one in g-major order, as it always did on these small forms.
 
 AXIOM_REPORT_DIGEST = "023f066873c6e7ee976afd37b662edd4d2cc3d92aa564d27613de643c53bda39"
 
@@ -209,11 +211,13 @@ def test_axiom_report_text_unchanged():
     assert _digest(texts) == AXIOM_REPORT_DIGEST, (len(texts), _digest(texts))
 
 
-# the same pin on the broken data forms over End(E8): 512 morphisms, so F2
-# samples PAIR_BUDGET of its 262,144 pairs and check A names its first
-# failing pair out of as many
+# the same pin on the broken data forms over End(E8): 512 morphisms, so
+# checks A and F2 each name the first failing pair out of 262,144.  F2's
+# line was recorded while F2 sampled 20,000 of those pairs; naming the first
+# one changed it from (h07076161).(h00225577) to (h00001111).(h00000000),
+# and nothing else.
 
-AXIOM_REPORT_E8_DIGEST = "2c055f2321b413d5d8fc0ae52c08a516d6219396afee8234b750024357bbc1c5"
+AXIOM_REPORT_E8_DIGEST = "1f9880df274cd14b833cda052dc164cc21df28f9942fcd13db365af04822cbae"
 
 
 def test_axiom_report_text_unchanged_e8():
