@@ -176,24 +176,26 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     return Morphism(f.dom, g.cod, d, i, name=name, element_map=emap)
 
 
-def first_uncomposed(items, key, compose_key, rank=None):
+def first_uncomposed(items, key, compose_key):
     """The first composable pair (g, f) of items, in g-major order, whose
     composite g . f is not declared, or None when items are closed under
     composition.
 
     key(m) names a morphism (a composite is declared when some item has its
     key); compose_key(g, f) is the key of g . f and must depend on the keys
-    of g and f only.  Closure is decided from generators: in declared order,
-    an item that is not yet a product of earlier items becomes a generator,
-    and every product reached is left-composed with every generator, each
+    of g and f only.  Closure is decided from generators: an item that is
+    not yet a product of the earlier generators becomes a generator, and
+    every product reached is left-composed with every generator, each
     (generator, product) pair once.  The products then are all composites of
     generators, so when none of them is undeclared, every item is a product
-    and the items are closed.  Only when one is undeclared does the ordered
-    pairwise scan run, to name the first failing pair; the composites
-    already taken are not taken again, so there are never more than |items|^2.
-    rank(m), when given, is the order (ascending, then declared) in which
-    items are tried as generators: it changes how many composites are
-    taken, never the answer.
+    and the items are closed.  Items are tried most injective first (by
+    the number of distinct entries of d, then in declared order): the
+    isomorphisms generate a group, from which few more generators reach the
+    rest (End(E8): 7 generators and 3,584 composites, against 57 and 29,184
+    in declared order).  Only when a composite is undeclared does the
+    ordered pairwise scan run, to name the first failing pair; the
+    composites already taken are not taken again, so there are never more
+    than |items|^2.
     """
     items = list(items)
     first: dict = {}  # key -> position of the first item with that key
@@ -217,7 +219,7 @@ def first_uncomposed(items, key, compose_key, rank=None):
                 reached.add(r)
                 products.append(r)
 
-        for p in sorted(first.values(), key=lambda p: rank(items[p])) if rank else first.values():
+        for p in sorted(first.values(), key=lambda p: -len(set(items[p].d))):
             if p in reached:
                 continue
             gens.append(p)
