@@ -357,10 +357,11 @@ def _functor_failures(mors):
     # tables must be closed first, as check A decides closure by image maps.
     if not mors or any(m.element_map is None for m in mors):
         return
-    # phi(g . f) = phi(g) . phi(f) for every pair exactly when the combined
-    # key of every composite is declared.  That also declares every
-    # composite's element table, so the element-table pass, whose failure is
-    # named first, runs only when the combined pass fails.
+    # With closed element tables and a well-defined phi, phi(g . f) =
+    # phi(g) . phi(f) for every pair exactly when the combined key of every
+    # composite is declared.  A declared combined key declares its element
+    # table, so the element-table pass, whose failure is named first, runs
+    # only when the combined pass fails.
     combined, taken = _uncomposed(mors, _functor_key, _composite_functor_key)
     if combined is not None:
         pair, more = _uncomposed(mors, _element_key, _composite_element_key)
