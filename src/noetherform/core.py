@@ -165,15 +165,29 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     """Composite g . f (f applied first)."""
     if f.cod is not g.dom and f.cod.id != g.dom.id:
         raise CompositionError(f"cannot compose {g!r} after {f!r}: codomain/domain mismatch")
-    gd, fi = g.d, f.i
-    d = tuple([gd[x] for x in f.d])
-    i = tuple([fi[x] for x in g.i])
     emap = None
     if f.element_map is not None and g.element_map is not None:
-        ge = g.element_map
-        emap = tuple([ge[x] for x in f.element_map])
+        emap = gather(g.element_map, f.element_map)
     name = f"{g.name}.{f.name}" if f.name and g.name else ""
-    return Morphism(f.dom, g.cod, d, i, name=name, element_map=emap)
+    return Morphism(f.dom, g.cod, gather(g.d, f.d), gather(f.i, g.i), name=name,
+                    element_map=emap)
+
+
+def gather(table, positions):
+    """table read at each of positions: the tables of a composite g . f are
+    gather(g.d, f.d), gather(f.i, g.i) and gather(g.element_map,
+    f.element_map)."""
+    return tuple([table[x] for x in positions])
+
+
+def element_key(m: Morphism):
+    """A morphism's carrier map with its endpoints."""
+    return (m.dom.id, m.cod.id, m.element_map)
+
+
+def composite_element_key(g: Morphism, f: Morphism):
+    """element_key(g . f), without building the composite."""
+    return (f.dom.id, g.cod.id, gather(g.element_map, f.element_map))
 
 
 def first_uncomposed(items, key, compose_key):

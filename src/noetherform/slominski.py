@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .core import (Form, FormObject, Morphism, Factorization, Subobject, first_uncomposed,
-                   identity_morphism, image, kernel)
+from .core import (Form, FormObject, Morphism, Factorization, Subobject, composite_element_key,
+                   element_key, first_uncomposed, identity_morphism, image, kernel)
 from .errors import ClosureError, UnsupportedFormError, UnsupportedSubobjectError, ValidationError
 from .lattice import MaskLattice, elements_of, mask_of
 
@@ -532,11 +532,11 @@ class SlominskiForm(Form):
                 raise ClosureError(f"hom {h.name or h.table} uses an undeclared algebra")
             mors.append(self.morphism(h))
         self.morphisms = tuple(mors)
-        tables = {_element_key(m) for m in mors}
+        tables = {element_key(m) for m in mors}
         for o in objs:
             if (o.id, o.id, tuple(range(o.algebra.n))) not in tables:
                 raise ClosureError(f"identity of {o.id} is not declared")
-        pair = first_uncomposed(mors, _element_key, _composite_element_key)
+        pair = first_uncomposed(mors, element_key, composite_element_key)
         if pair is not None:
             g, f = pair
             raise ClosureError(
@@ -667,15 +667,6 @@ class SlominskiForm(Form):
 
     def zero_morphism(self, X: FormObject, Y: FormObject) -> Morphism:
         return element_morphism(X, Y, (Y.algebra.zero,) * X.algebra.n, "0")
-
-
-def _element_key(m: Morphism):
-    return (m.dom.id, m.cod.id, m.element_map)
-
-
-def _composite_element_key(g: Morphism, f: Morphism):
-    ge = g.element_map
-    return (f.dom.id, g.cod.id, tuple([ge[x] for x in f.element_map]))
 
 
 def _lattice_along(alg: SlominskiAlgebra, masks: Sequence[int], source: Sequence[int]) -> MaskLattice:

@@ -19,6 +19,7 @@ from .core import (
     Subobject,
     compose,
     direct_image,
+    gather,
     identity_morphism,
     inverse_image,
     is_injective,
@@ -130,11 +131,11 @@ def chased_morphism(z: Zigzag, name: str = "") -> Morphism:
     d = tuple(range(len(z.start.lattice.keys)))
     for e in z.edges:
         t = e.morphism.d if e.direction == RIGHT else e.morphism.i
-        d = tuple([t[x] for x in d])
+        d = gather(t, d)
     i = tuple(range(len(z.end.lattice.keys)))
     for e in reversed(z.edges):
         t = e.morphism.i if e.direction == RIGHT else e.morphism.d
-        i = tuple([t[x] for x in i])
+        i = gather(t, i)
     emap = None
     rel = None
     if all(n.algebra is not None for n in z.nodes) and all(
