@@ -15,9 +15,12 @@ compared, the rest following from them), and how many instances it compared.
   composition, decided from generators on the combined key.  Without
   element tables composites are identified by their image tables, so the
   closure of check A is F2.
-- Every other check is exhaustive.  The order checks (P1-P3, BL, G) and AX2
-  read dense tables built once per lattice within the call: up-sets and
-  down-sets of positions as bitsets, rows of joins and meets by position.
+- Every other check is exhaustive.  The order checks (P1-P3, BL, G) read
+  the up-set and down-set bitsets that every lattice holds (lattice.py);
+  AX2 compares each morphism's gathered image tables with rows of joins and
+  meets by position, built once per lattice within the check.  A missing
+  join or meet is a failure of BL, AX2 or AX5 with the lattice's message as
+  its witness, never an exception.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from typing import Optional
 from .core import (
     Form,
     Subobject,
+    composite_element_key,
+    element_key,
     first_uncomposed,
+    gather,
     image,
     is_injective,
     is_isomorphism,
@@ -37,6 +43,7 @@ from .core import (
     kernel,
 )
 from .errors import FormError
+from .lattice import elements_of
 
 
 @dataclass
@@ -87,68 +94,27 @@ def _first_fail(results) -> tuple[Optional[str], int]:
     return None, cases
 
 
-class _Orders:
-    """Dense tables of the lattices met in one axiom_suite call, each built
-    on first use."""
-
-    def __init__(self):
-        self._sets: dict = {}
-        self._rows: dict = {}
-
-    def sets(self, lat):
-        """(up, down, above): up[p] has bit q and down[q] has bit p when
-        keys[p] <= keys[q]; above[p] lists those q in order."""
-        if lat not in self._sets:
-            keys, leq = lat.keys, lat.leq
-            up, down = [0] * len(keys), [0] * len(keys)
-            for p, a in enumerate(keys):
-                for q, b in enumerate(keys):
-                    if leq(a, b):
-                        up[p] |= 1 << q
-                        down[q] |= 1 << p
-            above = [tuple(q for q in range(len(keys)) if u >> q & 1) for u in up]
-            self._sets[lat] = up, down, above
-        return self._sets[lat]
-
-    def row(self, lat, op, x):
-        """The positions of op(keys[x], k) for every key k, op being "join"
-        or "meet"."""
-        if (lat, op, x) not in self._rows:
-            bound, keys, index = getattr(lat, op), lat.keys, lat.index
-            self._rows[lat, op, x] = tuple([index[bound(keys[x], k)] for k in keys])
-        return self._rows[lat, op, x]
-
-    def row_is(self, lat, op, x, got) -> bool:
-        """Whether got is that row; False when a bound is missing, so that
-        the caller's per-key scan meets the missing bound where it would."""
-        try:
-            return got == self.row(lat, op, x)
-        except FormError:
-            return False
-
-
 def axiom_suite(form: Form, include_axiom6: bool = False) -> AxiomReport:
     report = AxiomReport(form.name)
     objs = sorted(form.objects.values(), key=lambda o: o.id)
     mors = list(form.morphisms)
-    orders = _Orders()
 
     def check(name, results, mode="exhaustive"):
         w, cases = _first_fail(results)
         report.checks.append(AxiomCheck(name, w is None, w, mode, cases))
 
-    check("P1", _reflexivity_failures(objs, orders))
-    check("P2", _transitivity_failures(objs, orders))
-    check("P3", _antisymmetry_failures(objs, orders))
-    check("BL", _bl_failures(objs, orders))
-    check("G", _galois_failures(mors, orders))
+    check("P1", _reflexivity_failures(objs))
+    check("P2", _transitivity_failures(objs))
+    check("P3", _antisymmetry_failures(objs))
+    check("BL", _bl_failures(objs))
+    check("G", _galois_failures(mors))
     check("I", _identity_failures(form, objs, mors))
     check("A", _closure_failures(mors), "derived")
     check("F1", (None if ident.d[p] == p and ident.i[p] == p else f"id_{o.id} moves {k!r}"
                  for o in objs for ident in [_safe_identity(form, o)] if ident is not None
                  for p, k in enumerate(o.lattice.keys)))
     check("F2", _functor_failures(mors), "derived")
-    check("AX2", _ax2_failures(mors, orders))
+    check("AX2", _ax2_failures(mors))
     check("AX3", _ax3_failures(form, objs))
     check("AX4", _ax4_failures(form, mors))
     check("AX5", _ax5_failures(form, objs))
@@ -171,43 +137,41 @@ def _lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def _reflexivity_failures(objs, orders):
+def _reflexivity_failures(objs):
     for o in objs:
-        up = orders.sets(o.lattice)[0]
+        up = o.lattice.up
         for p, k in enumerate(o.lattice.keys):
             yield None if up[p] >> p & 1 else f"{o.id}: {k!r} not <= itself"
 
 
-def _transitivity_failures(objs, orders):
+def _transitivity_failures(objs):
     for o in objs:
-        keys = o.lattice.keys
-        up, _, above = orders.sets(o.lattice)
+        keys, up = o.lattice.keys, o.lattice.up
         for p, a in enumerate(keys):
-            for n, q in enumerate(above[p]):
+            above = elements_of(up[p])
+            for n, q in enumerate(above):
                 beyond = up[q] & ~up[p]
                 if beyond:
                     b, c = keys[q], keys[_lowest(beyond)]
                     yield n
                     yield f"{o.id}: {a!r}<={b!r}<={c!r} but not {a!r}<={c!r}"
                     return
-            yield len(above[p])
+            yield len(above)
 
 
-def _antisymmetry_failures(objs, orders):
+def _antisymmetry_failures(objs):
     for o in objs:
-        keys = o.lattice.keys
-        up, down, _ = orders.sets(o.lattice)
+        keys, up, down = o.lattice.keys, o.lattice.up, o.lattice.down
         for p, a in enumerate(keys):
             both = up[p] & down[p] & ~(1 << p)
             yield (None if not both
                    else f"{o.id}: {a!r} and {keys[_lowest(both)]!r} mutually <= but distinct")
 
 
-def _bl_failures(objs, orders):
+def _bl_failures(objs):
     for o in objs:
         lat = o.lattice
-        keys, index = lat.keys, lat.index
-        up, down, _ = orders.sets(lat)
+        keys, index, up, down = lat.keys, lat.index, lat.up, lat.down
         every = (1 << len(keys)) - 1
         if up[index[lat.bottom]] != every:
             yield f"{o.id}: declared bottom is not least"
@@ -238,27 +202,27 @@ def _bl_failures(objs, orders):
                 return
 
 
-def _galois_failures(mors, orders):
+def _galois_failures(mors):
     # d is left adjoint to i when A <= i(C) iff d(A) <= C for every A and C.
     # Row by row: the C with A <= i(C), gathered from the preimages of i
-    # under the up-set of A, must be the up-set of d(A).  A failing row is
-    # scanned pair by pair to name its first C.
+    # under the up-set of A, must be the up-set of d(A); the lowest bit where
+    # they differ is the first failing C.
+    above = {}  # lattice -> the positions in each up-set
     for m in mors:
-        dl, cl, d, i = m.dom.lattice, m.cod.lattice, m.d, m.i
-        dup, _, above = orders.sets(dl)
-        cup = orders.sets(cl)[0]
+        dl, d, i, cup = m.dom.lattice, m.d, m.i, m.cod.lattice.up
+        if dl not in above:
+            above[dl] = [elements_of(u) for u in dl.up]
         preimage = [0] * len(dl.keys)  # disjoint bitsets, so sums are unions
         for q, x in enumerate(i):
             preimage[x] |= 1 << q
         for p, y in enumerate(d):
-            if sum(map(preimage.__getitem__, above[p])) == cup[y]:
-                continue
-            for q, x in enumerate(i):
-                if (dup[p] >> x & 1) != (cup[y] >> q & 1):
-                    yield p * len(i) + q
-                    yield (f"{m.name or repr(m)}: adjunction fails at "
-                           f"A={dl.keys[p]!r}, C={cl.keys[q]!r}")
-                    return
+            wrong = sum(map(preimage.__getitem__, above[dl][p])) ^ cup[y]
+            if wrong:
+                q = _lowest(wrong)
+                yield p * len(i) + q
+                yield (f"{m.name or repr(m)}: adjunction fails at "
+                       f"A={dl.keys[p]!r}, C={m.cod.lattice.keys[q]!r}")
+                return
         yield len(d) * len(i)
 
 
@@ -280,20 +244,14 @@ def _identity_failures(form, objs, mors):
         left = idents.get(m.cod.id) or _safe_identity(form, m.cod)
         right = idents.get(m.dom.id) or _safe_identity(form, m.dom)
         name = m.name or repr(m)
-        if _gather(left.d, m.d) != m.d or _gather(m.i, left.i) != m.i:
+        if gather(left.d, m.d) != m.d or gather(m.i, left.i) != m.i:
             yield f"id.{name} != {name}"
             return
         yield None
-        if _gather(m.d, right.d) != m.d or _gather(right.i, m.i) != m.i:
+        if gather(m.d, right.d) != m.d or gather(right.i, m.i) != m.i:
             yield f"{name}.id != {name}"
             return
         yield None
-
-
-def _gather(table, positions):
-    """The table of a composite: _gather(g.d, f.d) is (g . f).d and
-    _gather(f.i, g.i) is (g . f).i."""
-    return tuple([table[x] for x in positions])
 
 
 def _image_key(m):
@@ -301,15 +259,7 @@ def _image_key(m):
 
 
 def _composite_image_key(g, f):
-    return (f.dom.id, g.cod.id, _gather(g.d, f.d), _gather(f.i, g.i))
-
-
-def _element_key(m):
-    return (m.dom.id, m.cod.id, m.element_map)
-
-
-def _composite_element_key(g, f):
-    return (f.dom.id, g.cod.id, _gather(g.element_map, f.element_map))
+    return (f.dom.id, g.cod.id, gather(g.d, f.d), gather(f.i, g.i))
 
 
 def _functor_key(m):
@@ -317,8 +267,8 @@ def _functor_key(m):
 
 
 def _composite_functor_key(g, f):
-    return (f.dom.id, g.cod.id, _gather(g.element_map, f.element_map),
-            _gather(g.d, f.d), _gather(f.i, g.i))
+    return (f.dom.id, g.cod.id, gather(g.element_map, f.element_map),
+            gather(g.d, f.d), gather(f.i, g.i))
 
 
 def _uncomposed(mors, key, compose_key):
@@ -364,7 +314,7 @@ def _functor_failures(mors):
     # only when the combined pass fails.
     combined, taken = _uncomposed(mors, _functor_key, _composite_functor_key)
     if combined is not None:
-        pair, more = _uncomposed(mors, _element_key, _composite_element_key)
+        pair, more = _uncomposed(mors, element_key, composite_element_key)
         taken += more
         if pair is not None:
             yield taken - 1
@@ -375,7 +325,7 @@ def _functor_failures(mors):
     # carry it, must be a function
     phi = {}
     for m in mors:
-        first = phi.setdefault(_element_key(m), m)
+        first = phi.setdefault(element_key(m), m)
         if (first.d, first.i) != (m.d, m.i):
             yield (f"{first.name or repr(first)} and {m.name or repr(m)} have one "
                    f"element table but different image maps")
@@ -385,28 +335,41 @@ def _functor_failures(mors):
         yield f"image maps of {_pair_name(combined)} do not compose"
 
 
-def _ax2_failures(mors, orders):
+def _ax2_failures(mors):
     # f f^-1 B = B ^ Im f and f^-1 f A = A v Ker f, each compared for all B
-    # (all A) at once against a row of meets (joins) with Im f (Ker f); a
-    # failing row is scanned key by key to name its first B (A)
+    # (all A) at once against a row of meets (joins) with Im f (Ker f); the
+    # first position where they differ names B (A), or the missing bound
+    rows = {}  # (lattice, "meet" or "join", position) -> row
+
+    def row(lat, op, x):
+        if (lat, op, x) not in rows:
+            rows[lat, op, x] = tuple([_op_position(lat, op, lat.keys[x], k)
+                                      for k in lat.keys])
+        return rows[lat, op, x]
+
     for m in mors:
         dl, cl, d, i = m.dom.lattice, m.cod.lattice, m.d, m.i
-        ker = i[cl.index[cl.bottom]]
-        img = d[dl.index[dl.top]]
-        if not orders.row_is(cl, "meet", img, _gather(d, i)):
-            for q, b in enumerate(cl.keys):
-                if cl.keys[d[i[q]]] != cl.meet(b, cl.keys[img]):
-                    yield q
-                    yield f"{m.name or repr(m)}: f f^-1 B != B ^ Im f at B={b!r}"
-                    return
-        yield len(i)
-        if not orders.row_is(dl, "join", ker, _gather(i, d)):
-            for p, a in enumerate(dl.keys):
-                if dl.keys[i[d[p]]] != dl.join(a, dl.keys[ker]):
-                    yield p
-                    yield f"{m.name or repr(m)}: f^-1 f A != A v Ker f at A={a!r}"
-                    return
-        yield len(d)
+        for lat, op, x, got, law in (
+                (cl, "meet", d[dl.index[dl.top]], gather(d, i), "f f^-1 B != B ^ Im f at B"),
+                (dl, "join", i[cl.index[cl.bottom]], gather(i, d), "f^-1 f A != A v Ker f at A")):
+            want = row(lat, op, x)
+            if got == want:
+                yield len(got)
+                continue
+            q = next(q for q, (g, w) in enumerate(zip(got, want)) if g != w)
+            yield q
+            why = want[q] if isinstance(want[q], FormError) else f"{law}={lat.keys[q]!r}"
+            yield f"{m.name or repr(m)}: {why}"
+            return
+
+
+def _op_position(lat, op, a, b):
+    """The position of op(a, b) in lat, op being "join" or "meet", or the
+    error that says it is missing."""
+    try:
+        return lat.index[getattr(lat, op)(a, b)]
+    except FormError as exc:
+        return exc
 
 
 def _ax3_failures(form, objs):
@@ -464,19 +427,17 @@ def _ax4_failures(form, mors):
 def _ax5_failures(form, objs):
     for o in objs:
         lat = o.lattice
-        normals = [S for S in o.subobjects() if form.is_normal(S)]
-        for a in normals:
-            for b in normals:
-                j = Subobject(o, lat.join(a.key, b.key))
-                if not form.is_normal(j):
-                    yield f"{o.id}: join of normals {a.key!r},{b.key!r} not normal"
-                    return
-                yield None
-        conormals = [S for S in o.subobjects() if form.is_conormal(S)]
-        for a in conormals:
-            for b in conormals:
-                m = Subobject(o, lat.meet(a.key, b.key))
-                if not form.is_conormal(m):
-                    yield f"{o.id}: meet of conormals {a.key!r},{b.key!r} not conormal"
-                    return
-                yield None
+        for op, holds, kind in (("join", form.is_normal, "normal"),
+                                ("meet", form.is_conormal, "conormal")):
+            keys = [S.key for S in o.subobjects() if holds(S)]
+            for a in keys:
+                for b in keys:
+                    try:
+                        bound = Subobject(o, getattr(lat, op)(a, b))
+                    except FormError as exc:
+                        yield f"{o.id}: {exc}"
+                        return
+                    if not holds(bound):
+                        yield f"{o.id}: {op} of {kind}s {a!r},{b!r} not {kind}"
+                        return
+                    yield None

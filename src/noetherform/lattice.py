@@ -7,12 +7,17 @@ file).  DualLattice is a lazy order-reversing view used by dualize.
 
 Every lattice numbers its subobjects: `keys` lists them, and `index` maps a
 key to its position there.  Morphisms store their image maps over these
-positions (see core.Morphism).
+positions (see core.Morphism).  Every lattice also holds its order once, as
+two tuples of bitsets over positions: bit q of up[p], and bit p of down[q],
+is set when keys[p] <= keys[q].  A table lattice builds them from its
+declared order and answers leq, join and meet from them; a mask lattice
+derives them from its masks on first use; a dual lattice swaps its base's.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from functools import cached_property
+from typing import Callable, Iterable
 
 from .errors import LatticeError
 
@@ -36,6 +41,12 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _converse(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The bitset rows of the converse relation."""
+    n = len(rows)
+    return tuple(sum(1 << p for p in range(n) if rows[p] >> q & 1) for q in range(n))
+
+
 class MaskLattice:
     """Lattice of closed subsets of {0..n-1}, ordered by inclusion.
 
@@ -56,6 +67,15 @@ class MaskLattice:
         if any(m & ~ms[-1] for m in ms):
             raise LatticeError("no top element among the given masks")
         self.bottom, self.top = self.keys[0], self.keys[-1]
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        ms = self.masks
+        return tuple(sum(1 << q for q, b in enumerate(ms) if not a & ~b) for a in ms)
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        return _converse(self.up)
 
     def mask(self, key: Key) -> int:
         try:
@@ -83,7 +103,9 @@ class MaskLattice:
 
 
 class TableLattice:
-    """Lattice given by explicit keys and a generating order relation."""
+    """Lattice given by explicit keys and a generating order relation: the
+    first key is the bottom, the last the top, and the order is the
+    reflexive-transitive closure of the pairs."""
 
     def __init__(self, keys: Iterable[str], pairs: Iterable[tuple[str, str]]):
         self.keys = tuple(keys)
@@ -91,55 +113,48 @@ class TableLattice:
             raise LatticeError("a lattice needs at least one key")
         if len(set(self.keys)) != len(self.keys):
             raise LatticeError("duplicate subobject keys")
-        self.index = {k: i for i, k in enumerate(self.keys)}
+        self.index = index = {k: i for i, k in enumerate(self.keys)}
         self.bottom = self.keys[0]
         self.top = self.keys[-1]
-        up = {k: {k} for k in self.keys}
+        n = len(self.keys)
+        up = [1 << p | 1 << (n - 1) for p in range(n)]
+        up[0] = (1 << n) - 1
         for a, b in pairs:
-            if a not in up or b not in up:
+            if a not in index or b not in index:
                 raise LatticeError(f"order relation mentions unknown key {a!r} or {b!r}")
-            up[a].add(b)
-        for k in self.keys:
-            up[self.bottom].add(k)
-            up[k].add(self.top)
-        # reflexive-transitive closure (Warshall on the small key set)
-        changed = True
-        while changed:
-            changed = False
-            for a in self.keys:
-                grow = set()
-                for b in up[a]:
-                    grow |= up[b]
-                if not grow <= up[a]:
-                    up[a] |= grow
-                    changed = True
-        self._up =up
+            up[index[a]] |= 1 << index[b]
+        # Warshall on bitsets: whatever is above k is above everything below k
+        for k in range(n):
+            for p in range(n):
+                if up[p] >> k & 1:
+                    up[p] |= up[k]
+        self.up = tuple(up)
+        self.down = _converse(self.up)
+
+    def _positions(self, a: Key, b: Key) -> tuple[int, int]:
+        try:
+            return self.index[a], self.index[b]
+        except KeyError:
+            raise LatticeError(f"unknown subobject key {a!r} or {b!r}") from None
 
     def leq(self, a: Key, b: Key) -> bool:
-        if a not in self._up or b not in self._up:
-            raise LatticeError(f"unknown subobject key {a!r} or {b!r}")
-        return b in self._up[a]
+        p, q = self._positions(a, b)
+        return self.up[p] >> q & 1 == 1
 
-    def _bound(self, a: Key, b: Key, upper: bool) -> Optional[Key]:
-        if upper:
-            cands = [k for k in self.keys if self.leq(a, k) and self.leq(b, k)]
-            best = [k for k in cands if all(self.leq(k, c) for c in cands)]
-        else:
-            cands = [k for k in self.keys if self.leq(k, a) and self.leq(k, b)]
-            best = [k for k in cands if all(self.leq(c, k) for c in cands)]
-        return best[0] if len(best) == 1 else None
+    def _unique_with(self, sets: tuple[int, ...], a: Key, b: Key, op: str) -> Key:
+        """The one key whose set in sets is the intersection of a's and b's:
+        over up-sets the join, over down-sets the meet."""
+        p, q = self._positions(a, b)
+        want = sets[p] & sets[q]
+        if sets.count(want) != 1:
+            raise LatticeError(f"{op} of {a!r} and {b!r} does not exist")
+        return self.keys[sets.index(want)]
 
     def join(self, a: Key, b: Key) -> Key:
-        j = self._bound(a, b, upper=True)
-        if j is None:
-            raise LatticeError(f"join of {a!r} and {b!r} does not exist")
-        return j
+        return self._unique_with(self.up, a, b, "join")
 
     def meet(self, a: Key, b: Key) -> Key:
-        m = self._bound(a, b, upper=False)
-        if m is None:
-            raise LatticeError(f"meet of {a!r} and {b!r} does not exist")
-        return m
+        return self._unique_with(self.down, a, b, "meet")
 
 
 class DualLattice:
@@ -151,6 +166,14 @@ class DualLattice:
         self.index = base.index
         self.bottom = base.top
         self.top = base.bottom
+
+    @property
+    def up(self) -> tuple[int, ...]:
+        return self.base.down
+
+    @property
+    def down(self) -> tuple[int, ...]:
+        return self.base.up
 
     def leq(self, a: Key, b: Key) -> bool:
         return self.base.leq(b, a)

@@ -327,3 +327,46 @@ def test_every_check_says_how_it_decided_on_end_e8():
         "AX3": ("exhaustive", 16), "AX4": ("exhaustive", 512),
         "AX5": ("exhaustive", 512), "AX6": ("exhaustive", 2),
     }
+
+
+# ---------------------------------------------------------------------------
+# a form whose lattice lacks a bound: a and b lie below both c and d, so
+# they have no join.  The suite reports it and does not raise.
+
+NON_LATTICE_KEYS = ("bot", "a", "b", "c", "d", "top")
+
+
+def _non_lattice_text():
+    lines = ["form X", "object X subobjects " + " ".join(NON_LATTICE_KEYS)]
+    lines += [f"order X {s} <= {t}" for s in "ab" for t in "cd"]
+    for name, d, i in (("id", None, None), ("f", "bot", "a"), ("g", "bot", "b")):
+        lines.append(f"morphism {name} X -> X")
+        lines += [f"  dimg {k} -> {d or k}" for k in NON_LATTICE_KEYS]
+        lines += [f"  iimg {k} -> {i or k}" for k in NON_LATTICE_KEYS]
+    return "\n".join(lines) + "\n"
+
+
+def test_missing_bound_is_a_failure_not_an_error():
+    lat = TableLattice(NON_LATTICE_KEYS, [(s, t) for s in "ab" for t in "cd"])
+    X = FormObject("X", lat)
+    maps = [("id", lambda k: k, lambda k: k),
+            ("f", lambda k: "bot", lambda k: "a"),
+            ("g", lambda k: "bot", lambda k: "b")]
+    form = DataForm([X], [Morphism.from_maps(X, X, {k: d(k) for k in lat.keys},
+                                             {k: i(k) for k in lat.keys}, name=name)
+                          for name, d, i in maps], name="X")
+    checks = {c.name: c for c in axiom_suite(form).checks}
+    assert checks["BL"].render() == "FAIL BL [X: join of 'a' and 'b' does not exist]"
+    assert checks["AX2"].render() == "FAIL AX2 [f: join of 'a' and 'b' does not exist]"
+    assert checks["AX5"].render() == "FAIL AX5 [X: join of 'a' and 'b' does not exist]"
+
+
+def test_check_axioms_cli_fails_on_a_non_lattice(tmp_path, capsys):
+    from noetherform.cli import main
+
+    path = tmp_path / "nonlattice.nf"
+    path.write_text(_non_lattice_text())
+    assert main(["check-axioms", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL BL [X: join of 'a' and 'b' does not exist]" in out
+    assert out[-1] == "FAIL axioms(X)"

@@ -88,3 +88,79 @@ def test_dual_lattice_swaps_everything(z4_lattice):
     assert d.join((0,), (0, 2)) == (0,)
     assert d.meet((0,), (0, 2)) == (0, 2)
     assert dual_lattice(d) is z4_lattice
+
+
+class _ReferenceTable:
+    """The search TableLattice used before it held bitset tables: the order
+    closed by repeated set unions, and each bound found among all the keys
+    by O(k^2) comparisons."""
+
+    def __init__(self, keys, pairs):
+        self.keys = tuple(keys)
+        up = {k: {k, self.keys[-1]} for k in self.keys}
+        up[self.keys[0]] |= set(self.keys)
+        for a, b in pairs:
+            up[a].add(b)
+        changed = True
+        while changed:
+            changed = False
+            for a in self.keys:
+                grow = set().union(*(up[b] for b in up[a]))
+                if not grow <= up[a]:
+                    up[a] |= grow
+                    changed = True
+        self.up = up
+
+    def leq(self, a, b):
+        return b in self.up[a]
+
+    def bound(self, a, b, upper):
+        if upper:
+            cands = [k for k in self.keys if self.leq(a, k) and self.leq(b, k)]
+            best = [k for k in cands if all(self.leq(k, c) for c in cands)]
+        else:
+            cands = [k for k in self.keys if self.leq(k, a) and self.leq(k, b)]
+            best = [k for k in cands if all(self.leq(c, k) for c in cands)]
+        return best[0] if len(best) == 1 else None
+
+
+def _outcome(op, a, b):
+    try:
+        return op(a, b)
+    except LatticeError as exc:
+        return str(exc)
+
+
+def test_table_lattice_matches_the_reference_search():
+    import random
+
+    rng = random.Random(5)
+    missing = cycles = 0
+    for _ in range(300):
+        keys = [f"k{j}" for j in range(rng.randint(1, 7))]
+        pairs = [(rng.choice(keys), rng.choice(keys)) for _ in range(rng.randint(0, 9))]
+        lat, ref = TableLattice(keys, pairs), _ReferenceTable(keys, pairs)
+        for a in keys:
+            for b in keys:
+                assert lat.leq(a, b) == ref.leq(a, b)
+                for op, upper, name in ((lat.join, True, "join"), (lat.meet, False, "meet")):
+                    want = ref.bound(a, b, upper)
+                    if want is None:
+                        want = f"{name} of {a!r} and {b!r} does not exist"
+                        missing += 1
+                    assert _outcome(op, a, b) == want
+                cycles += a != b and lat.leq(a, b) and lat.leq(b, a)
+    # the relations include cycles (a <= b <= a) and non-lattices
+    assert missing and cycles
+
+
+def test_lattices_hold_their_order_as_bitsets(z4_lattice):
+    for lat in (z4_lattice, TableLattice(["bot", "a", "b", "top"], [("a", "top")])):
+        for p, a in enumerate(lat.keys):
+            for q, b in enumerate(lat.keys):
+                assert lat.up[p] >> q & 1 == lat.down[q] >> p & 1 == lat.leq(a, b)
+    masks = z4_lattice.masks
+    assert z4_lattice.up == tuple(
+        sum(1 << q for q, n in enumerate(masks) if m & n == m) for m in masks)
+    d = DualLattice(z4_lattice)
+    assert d.up is z4_lattice.down and d.down is z4_lattice.up
