@@ -19,8 +19,8 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional, Sequence
 
-from .core import (FormObject, Morphism, Subobject, compose, direct_image, image,
-                   inverse_image, kernel)
+from .core import (FormObject, Morphism, Subobject, compose, direct_image,
+                   identity_morphism, image, inverse_image, kernel)
 from .diagram import Diagram
 from .groups import (
     all_groups_le8,
@@ -53,6 +53,14 @@ def _is_surjective_table(t: Sequence[int], cod_n: int) -> bool:
 
 def _is_bijective_table(t: Sequence[int], cod_n: int) -> bool:
     return len(t) == cod_n and _is_injective_table(t)
+
+
+# ladder decorations: name -> predicate on (table, codomain size)
+_DECORATIONS = {
+    "inj": lambda t, n: _is_injective_table(t),
+    "surj": _is_surjective_table,
+    "iso": _is_bijective_table,
+}
 
 
 def extend_homs(
@@ -200,35 +208,14 @@ def _ladder_instance(lab, maps, prefs_spec, v0_pred, attempts=400):
         if hom is None:
             continue
         v0 = lab.table_mor(top[0][0], b0, hom.table, "v0")
-        prefs = {}
-        for idx, prop in prefs_spec.items():
-            codn = bottom[0][idx].algebra.n
-            if prop == "inj":
-                prefs[idx] = _is_injective_table
-            elif prop == "surj":
-                prefs[idx] = lambda t, n=codn: _is_surjective_table(t, n)
-            elif prop == "iso":
-                prefs[idx] = lambda t, n=codn: _is_bijective_table(t, n)
+        prefs = {idx: (lambda t, ok=_DECORATIONS[prop], n=bottom[0][idx].algebra.n: ok(t, n))
+                 for idx, prop in prefs_spec.items()}
         vs = lift_ladder(lab, top, bottom, v0, prefs)
-        if vs is None:
-            continue
-        # verify the preferred decorations actually came out
-        good = True
-        for idx, prop in prefs_spec.items():
-            t = vs[idx].element_map
-            n = bottom[0][idx].algebra.n
-            if prop == "inj" and not _is_injective_table(t):
-                good = False
-            if prop == "surj" and not _is_surjective_table(t, n):
-                good = False
-            if prop == "iso" and not _is_bijective_table(t, n):
-                good = False
-        if good:
+        # the preferred decorations must actually have come out
+        if vs is not None and all(ok(vs[idx].element_map) for idx, ok in prefs.items()):
             return top, bottom, vs
     # fallback: identical rows with identity columns (hypotheses guaranteed)
     top = random_exact_row(lab, maps)
-    from .core import identity_morphism
-
     vs = [identity_morphism(o) for o in top[0]]
     return top, top, vs
 
@@ -426,8 +413,6 @@ def square_exact_instance(lab: InstanceLab, part: str) -> Diagram:
         Bp, y = lab.proj(B, N)
         m = uni.mediating_projection(compose(y, f), x)
         n = uni.mediating_projection(g, y)
-        from .core import identity_morphism
-
         z = identity_morphism(C)
         d = Diagram(uni, name="square-exact")
         for role, obj in (("A", A), ("B", B), ("C", C), ("Ap", Ap), ("Bp", Bp), ("Cp", C)):
@@ -445,8 +430,6 @@ def square_exact_instance(lab: InstanceLab, part: str) -> Diagram:
     Bobj, y = lab.incl(Bp, S)
     f = uni.mediating_embedding(mm, y)
     g = compose(nn, y)
-    from .core import identity_morphism
-
     d = Diagram(uni, name="square-exact")
     for role, obj in (("A", Ap), ("B", Bobj), ("C", Cp), ("Ap", Ap), ("Bp", Bp), ("Cp", Cp)):
         d.add_object(role, obj)
