@@ -2,7 +2,8 @@
 
 Subcommands: check-axioms, chase, induce, pyramid, verify, snake.
 Exit codes: 0 all checks pass, 1 a verified failure or refutation,
-2 input error (parse failure, unknown names, shape mismatch).
+2 input error (unreadable or undecodable file, parse failure, unknown names,
+shape mismatch).
 Output ordering is deterministic (sorted names).
 """
 
@@ -184,7 +185,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, FormError) as exc:  # ParseError is a FormError
+    except (OSError, FormError) as exc:  # ParseError is a FormError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

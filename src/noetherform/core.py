@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import (
     CompositionError,
@@ -431,7 +431,6 @@ class DataForm(Form):
         for m in self.morphisms:
             if m.dom is m.cod and m.d == m.i == tuple(range(len(m.d))):
                 self._ids.setdefault(m.dom.id, m)
-        self._dual: Optional[DualForm] = None
 
     def identity(self, obj):
         try:

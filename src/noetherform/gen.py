@@ -7,7 +7,8 @@ previous horizontal map and extended freely), and the grid-shaped lemmas
 (3x3, spider, snail, square) from a group with a chosen pair of normal
 subalgebras.  Construction guarantees the hypotheses wherever possible;
 decorations that cannot be forced are obtained by bounded rejection with a
-guaranteed fallback.
+guaranteed fallback.  Every instance binds its objects and arrows through
+the role names of its shape in lemmas.SHAPES, in the order listed there.
 
 Hom lists (enumerate_homs, extend_homs) come in lexicographic order of their
 tables, and generators pick from them by index with rng.choice, so a seeded
@@ -31,6 +32,7 @@ from .groups import (
     symmetric3,
     xor_group,
 )
+from .lemmas import SHAPES
 from .slominski import (
     SlominskiAlgebra,
     SlominskiForm,
@@ -102,6 +104,14 @@ class InstanceLab:
 
     def proj(self, obj: FormObject, key) -> tuple[FormObject, Morphism]:
         return self.universe.quotient_object(Subobject(obj, key))
+
+
+def _diagram(lab: InstanceLab, shape: str, objects, arrows) -> Diagram:
+    """A diagram of the named shape, binding the values to its object and
+    arrow roles in SHAPES order."""
+    spec = SHAPES[shape]
+    return Diagram(lab.universe, dict(zip(spec.objects, objects, strict=True)),
+                   dict(zip(spec.arrows, arrows, strict=True)), name=shape)
 
 
 GRID_PALETTE = lambda: (
@@ -183,10 +193,11 @@ def lift_ladder(
     return vs
 
 
-def _ladder_instance(lab, maps, prefs_spec, v0_pred, attempts=400):
-    """Generic ladder generator; prefs_spec maps column -> property name."""
+def _ladder_instance(lab, maps, prefs_spec, v0_pred):
+    """Generic ladder generator; prefs_spec maps column -> property name.
+    Falls back to identity columns after 400 rejected attempts."""
     wants_iso = any(p == "iso" for p in prefs_spec.values())
-    for _ in range(attempts):
+    for _ in range(400):
         top = random_exact_row(lab, maps)
         # isomorphism columns need matching shapes; reuse the row half the
         # time so the columns can be nontrivial automorphism lifts
@@ -224,18 +235,7 @@ def four_instance(lab: InstanceLab) -> Diagram:
     top, bottom, vs = _ladder_instance(
         lab, 3, prefs_spec={3: "inj"}, v0_pred=_is_surjective_table
     )
-    d = Diagram(lab.universe, name="four")
-    for role, obj in zip(("A", "B", "C", "D"), top[0]):
-        d.add_object(role, obj)
-    for role, obj in zip(("Ap", "Bp", "Cp", "Dp"), bottom[0]):
-        d.add_object(role, obj)
-    for role, mor in zip(("f", "g", "h"), top[1]):
-        d.add_arrow(role, mor)
-    for role, mor in zip(("x", "y", "z"), bottom[1]):
-        d.add_arrow(role, mor)
-    for role, mor in zip(("s", "t", "u", "v"), vs):
-        d.add_arrow(role, mor)
-    return d
+    return _diagram(lab, "four", (*top[0], *bottom[0]), (*top[1], *bottom[1], *vs))
 
 
 def five_instance(lab: InstanceLab, part: str) -> Diagram:
@@ -246,18 +246,7 @@ def five_instance(lab: InstanceLab, part: str) -> Diagram:
     }[part]
     v0_pred = _is_surjective_table if part in ("i", "full") else (lambda t, n: True)
     top, bottom, vs = _ladder_instance(lab, 4, prefs_spec=prefs, v0_pred=v0_pred)
-    d = Diagram(lab.universe, name="five")
-    for role, obj in zip(("A", "B", "C", "D", "E"), top[0]):
-        d.add_object(role, obj)
-    for role, obj in zip(("Ap", "Bp", "Cp", "Dp", "Ep"), bottom[0]):
-        d.add_object(role, obj)
-    for role, mor in zip(("f", "g", "h", "m"), top[1]):
-        d.add_arrow(role, mor)
-    for role, mor in zip(("x", "y", "z", "n"), bottom[1]):
-        d.add_arrow(role, mor)
-    for role, mor in zip(("s", "t", "u", "v", "w"), vs):
-        d.add_arrow(role, mor)
-    return d
+    return _diagram(lab, "five", (*top[0], *bottom[0]), (*top[1], *bottom[1], *vs))
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +278,8 @@ def threebythree_instance(lab: InstanceLab) -> Diagram:
     g, u = uni.epi_mono(yt)
     Cpp, k = lab.proj(Cp, image(yt).key)
     n = uni.mediating_projection(compose(k, y), j)
-    d = Diagram(uni, name="threebythree")
-    for role, obj in (("A", A), ("B", B), ("C", g.cod), ("Ap", Ap), ("Bp", Bp),
-                      ("Cp", Cp), ("App", App), ("Bpp", Bpp), ("Cpp", Cpp)):
-        d.add_object(role, obj)
-    for role, mor in (("f", f), ("g", g), ("x", x), ("y", y), ("m", m), ("n", n),
-                      ("s", s), ("t", t), ("u", u), ("i", i), ("j", j), ("k", k)):
-        d.add_arrow(role, mor)
-    return d
+    return _diagram(lab, "threebythree", (A, B, g.cod, Ap, Bp, Cp, App, Bpp, Cpp),
+                    (f, g, x, y, m, n, s, t, u, i, j, k))
 
 
 def short_five_instance(lab: InstanceLab, part: str) -> Diagram:
@@ -332,12 +315,7 @@ def short_five_instance(lab: InstanceLab, part: str) -> Diagram:
         phi = lab.table_mor(G, Gp, phi_h.table, "phi")
         s = uni.mediating_embedding(compose(phi, fm), xm)
         u = uni.mediating_projection(compose(ym, phi), gm)
-        d = Diagram(uni, name="short-five")
-        for role, obj in (("A", A), ("B", G), ("C", C), ("Ap", Apo), ("Bp", Gp), ("Cp", Cpo)):
-            d.add_object(role, obj)
-        for role, mor in (("f", fm), ("g", gm), ("x", xm), ("y", ym),
-                          ("s", s), ("t", phi), ("u", u)):
-            d.add_arrow(role, mor)
+        d = _diagram(lab, "short-five", (A, G, C, Apo, Gp, Cpo), (fm, gm, xm, ym, s, phi, u))
         from .core import is_injective, is_isomorphism, is_surjective
 
         want = {"i": is_injective, "ii": is_surjective, "iii": is_isomorphism}[part]
@@ -349,7 +327,6 @@ def short_five_instance(lab: InstanceLab, part: str) -> Diagram:
 def spider_instance(lab: InstanceLab) -> Diagram:
     """From a group with two complementary normal subalgebras (so k is an
     isomorphism by construction)."""
-    uni = lab.universe
     rng = lab.rng
     while True:
         X = lab.obj(rng.choice(GRID_PALETTE()))
@@ -368,13 +345,8 @@ def spider_instance(lab: InstanceLab) -> Diagram:
         Z, i = lab.proj(X, P)
         Y, j = lab.incl(X, Q)
         W, h = lab.proj(X, Q)
-        d = Diagram(uni, name="spider")
-        for role, obj in (("V", V), ("W", W), ("X", X), ("Y", Y), ("Z", Z)):
-            d.add_object(role, obj)
-        for role, mor in (("f", compose(h, g)), ("g", g), ("h", h),
-                          ("j", j), ("i", i), ("k", compose(i, j))):
-            d.add_arrow(role, mor)
-        return d
+        return _diagram(lab, "spider", (V, W, X, Y, Z),
+                        (compose(h, g), g, h, j, i, compose(i, j)))
 
 
 def incomplete_snail_instance(lab: InstanceLab) -> Diagram:
@@ -389,13 +361,8 @@ def incomplete_snail_instance(lab: InstanceLab) -> Diagram:
     e = compose(dmor, a)
     Z, fmor = lab.proj(Y2, image(e).key)
     y = uni.mediating_projection(compose(fmor, dmor), b)
-    d = Diagram(uni, name="incomplete-snail")
-    for role, obj in (("W1", W1), ("W2", W2), ("X", X), ("Y1", Y1), ("Y2", Y2), ("Z", Z)):
-        d.add_object(role, obj)
-    for role, mor in (("x", compose(b, g)), ("g", g), ("b", b), ("d", dmor),
-                      ("a", a), ("e", e), ("y", y), ("f", fmor)):
-        d.add_arrow(role, mor)
-    return d
+    return _diagram(lab, "incomplete-snail", (W1, W2, X, Y1, Y2, Z),
+                    (compose(b, g), g, b, dmor, a, e, y, fmor))
 
 
 def square_exact_instance(lab: InstanceLab, part: str) -> Diagram:
@@ -413,13 +380,8 @@ def square_exact_instance(lab: InstanceLab, part: str) -> Diagram:
         Bp, y = lab.proj(B, N)
         m = uni.mediating_projection(compose(y, f), x)
         n = uni.mediating_projection(g, y)
-        z = identity_morphism(C)
-        d = Diagram(uni, name="square-exact")
-        for role, obj in (("A", A), ("B", B), ("C", C), ("Ap", Ap), ("Bp", Bp), ("Cp", C)):
-            d.add_object(role, obj)
-        for role, mor in (("f", f), ("g", g), ("m", m), ("n", n), ("x", x), ("y", y), ("z", z)):
-            d.add_arrow(role, mor)
-        return d
+        return _diagram(lab, "square-exact", (A, B, C, Ap, Bp, C),
+                        (f, g, m, n, x, y, identity_morphism(C)))
     # part ii: bottom exact, y an inclusion of a subalgebra containing K'
     Bp = B
     Kp = rng.choice(normals)
@@ -430,13 +392,8 @@ def square_exact_instance(lab: InstanceLab, part: str) -> Diagram:
     Bobj, y = lab.incl(Bp, S)
     f = uni.mediating_embedding(mm, y)
     g = compose(nn, y)
-    d = Diagram(uni, name="square-exact")
-    for role, obj in (("A", Ap), ("B", Bobj), ("C", Cp), ("Ap", Ap), ("Bp", Bp), ("Cp", Cp)):
-        d.add_object(role, obj)
-    for role, mor in (("f", f), ("g", g), ("m", mm), ("n", nn),
-                      ("x", identity_morphism(Ap)), ("y", y), ("z", identity_morphism(Cp))):
-        d.add_arrow(role, mor)
-    return d
+    return _diagram(lab, "square-exact", (Ap, Bobj, Cp, Ap, Bp, Cp),
+                    (f, g, mm, nn, identity_morphism(Ap), y, identity_morphism(Cp)))
 
 
 # ---------------------------------------------------------------------------
@@ -468,25 +425,14 @@ def snake_instance(lab: InstanceLab) -> Diagram:
         Cpo, gp = lab.proj(Bp, Ip)
         alpha = uni.mediating_embedding(compose(beta, f), fp)
         gamma = uni.mediating_projection(compose(gp, beta), g)
-        d = Diagram(uni, name="snake")
-        for role, obj in (("A", A), ("B", B), ("C", C), ("Ap", Apo), ("Bp", Bp), ("Cp", Cpo)):
-            d.add_object(role, obj)
-        for role, mor in (("f", f), ("g", g), ("fp", fp), ("gp", gp),
-                          ("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-            d.add_arrow(role, mor)
-        return d
+        return _diagram(lab, "snake", (A, B, C, Apo, Bp, Cpo),
+                        (f, g, fp, gp, alpha, beta, gamma))
 
 
 def goursat_instance(lab: InstanceLab) -> Diagram:
     """2x3 with exact rows (reusing the snake construction)."""
     s = snake_instance(lab)
-    d = Diagram(lab.universe, name="goursat")
-    for role, src in (("A", "A"), ("B", "B"), ("C", "C"), ("D", "Ap"), ("E", "Bp"), ("F", "Cp")):
-        d.add_object(role, s.objects[src])
-    for role, src in (("lam", "f"), ("mu", "g"), ("lamp", "fp"), ("mup", "gp"),
-                      ("alpha", "alpha"), ("beta", "beta"), ("gamma", "gamma")):
-        d.add_arrow(role, s.arrows[src])
-    return d
+    return _diagram(lab, "goursat", s.objects.values(), s.arrows.values())
 
 
 def quotient_iso_triple(lab: InstanceLab):
@@ -635,10 +581,11 @@ def _chain_map(lab, src, dst, vanish_on: Optional[list] = None) -> Optional[list
     return out
 
 
-def double_complex_window(lab: InstanceLab, max_dim: int = 2) -> Optional[Diagram]:
-    """The 12-object salamander window of a random double complex."""
+def double_complex_window(lab: InstanceLab) -> Optional[Diagram]:
+    """The 12-object salamander window of a random double complex, with
+    cells of rank at most 2."""
     rng = lab.rng
-    dims = [[rng.randrange(0, max_dim + 1) for _ in range(5)] for _ in range(4)]
+    dims = [[rng.randrange(0, 3) for _ in range(5)] for _ in range(4)]
     cols = [_chain_complex(lab, d) for d in dims]
     h0 = _chain_map(lab, cols[0], cols[1])
     if h0 is None:
@@ -660,16 +607,9 @@ def double_complex_window(lab: InstanceLab, max_dim: int = 2) -> Optional[Diagra
     def hmap(r, c):
         return lab.table_mor(cell(r, c), cell(r, c + 1), hs[c][r], f"dh{r}{c}")
 
-    d = Diagram(lab.universe, name="salamander")
-    for role, obj in (("M", cell(0, 1)), ("L", cell(1, 0)), ("C", cell(1, 1)),
-                      ("K", cell(1, 2)), ("Dl", cell(2, 0)), ("A", cell(2, 1)),
-                      ("B", cell(2, 2)), ("S", cell(2, 3)), ("F", cell(3, 1)),
-                      ("D", cell(3, 2)), ("T", cell(3, 3)), ("U", cell(4, 2))):
-        d.add_object(role, obj)
-    for role, mor in (("a", hmap(1, 0)), ("m", vmap(0, 1)), ("j", vmap(1, 0)),
-                      ("c", vmap(1, 1)), ("k", hmap(1, 1)), ("v", vmap(1, 2)),
-                      ("d", hmap(2, 0)), ("e", hmap(2, 1)), ("f", vmap(2, 1)),
-                      ("l", hmap(3, 1)), ("g", vmap(2, 2)), ("s", hmap(2, 2)),
-                      ("n", vmap(2, 3)), ("t", hmap(3, 2)), ("u", vmap(3, 2))):
-        d.add_arrow(role, mor)
-    return d
+    return _diagram(lab, "salamander",
+                    (cell(1, 0), cell(0, 1), cell(1, 1), cell(1, 2), cell(2, 0), cell(2, 1),
+                     cell(2, 2), cell(3, 1), cell(2, 3), cell(3, 2), cell(3, 3), cell(4, 2)),
+                    (hmap(1, 0), vmap(0, 1), vmap(1, 0), vmap(1, 1), hmap(1, 1), vmap(1, 2),
+                     hmap(2, 0), hmap(2, 1), vmap(2, 1), hmap(3, 1), vmap(2, 2), hmap(2, 2),
+                     vmap(2, 3), hmap(3, 2), vmap(3, 2)))

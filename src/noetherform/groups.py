@@ -130,5 +130,3 @@ def all_groups_le8() -> tuple[SlominskiAlgebra, ...]:
 # named D8 subgroups under the fixed element order e,a,a2,a3,b,ab,a2b,a3b
 D8_B = (0, 4)            # {e, b}
 D8_V = (0, 2, 4, 6)      # {e, a2, b, a2b}
-D8_CENTER = (0, 2)       # {e, a2}
-D8_ROTATIONS = (0, 1, 2, 3)

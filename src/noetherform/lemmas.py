@@ -47,7 +47,7 @@ from .diagram import (
 )
 from .errors import ShapeError, ValidationError
 from .pyramid import decide_induction, quotient_iso
-from .zigzag import LEFT, RIGHT, Edge, Zigzag
+from .zigzag import LEFT, RIGHT, Zigzag, path
 
 # ---------------------------------------------------------------------------
 # shape templates
@@ -252,15 +252,6 @@ def _kernels_cokernels(d: Diagram, roles):
 # constructions: exact sequences by homomorphism induction, Goursat
 
 
-def _path(form, *edges: tuple[Morphism, str]) -> Zigzag:
-    """Zigzag along (morphism, direction) edges; each node is where the
-    edge before it ends."""
-    m, direction = edges[0]
-    nodes = [m.dom if direction == RIGHT else m.cod]
-    nodes += [m.cod if direction == RIGHT else m.dom for m, direction in edges]
-    return Zigzag(tuple(nodes), tuple(Edge(m, dr) for m, dr in edges), form=form)
-
-
 @dataclass
 class SnakeResult:
     objects: Optional[list[FormObject]]
@@ -312,11 +303,11 @@ def _snake(d: Diagram, report: LemmaReport) -> SnakeResult:
         f, g, fp, gp, beta = (d.arrows[r] for r in ("f", "g", "fp", "gp", "beta"))
         (ia, ib, ic), (pa, pb, pc) = _kernels_cokernels(d, ("alpha", "beta", "gamma"))
         return [
-            _path(form, (ia, RIGHT), (f, RIGHT), (ib, LEFT)),
-            _path(form, (ib, RIGHT), (g, RIGHT), (ic, LEFT)),
-            _path(form, (ic, RIGHT), (g, LEFT), (beta, RIGHT), (fp, LEFT), (pa, RIGHT)),
-            _path(form, (pa, LEFT), (fp, RIGHT), (pb, RIGHT)),
-            _path(form, (pb, LEFT), (gp, RIGHT), (pc, RIGHT)),
+            path(form, (ia, RIGHT), (f, RIGHT), (ib, LEFT)),
+            path(form, (ib, RIGHT), (g, RIGHT), (ic, LEFT)),
+            path(form, (ic, RIGHT), (g, LEFT), (beta, RIGHT), (fp, LEFT), (pa, RIGHT)),
+            path(form, (pa, LEFT), (fp, RIGHT), (pb, RIGHT)),
+            path(form, (pb, LEFT), (gp, RIGHT), (pc, RIGHT)),
         ]
 
     return exact_sequence_by_induction(
@@ -333,11 +324,11 @@ def _generalized_snail(d: Diagram, report: LemmaReport) -> SnakeResult:
         gamma, betap = d.arrows["gamma"], d.arrows["betap"]
         (ig, ia, ibp), (pg, pa, pbp) = _kernels_cokernels(d, ("gamma", "alpha", "betap"))
         return [
-            _path(form, (ig, RIGHT), (ia, LEFT)),
-            _path(form, (ia, RIGHT), (gamma, RIGHT), (ibp, LEFT)),
-            _path(form, (ibp, RIGHT), (pg, RIGHT)),
-            _path(form, (pg, LEFT), (betap, RIGHT), (pa, RIGHT)),
-            _path(form, (pa, LEFT), (pbp, RIGHT)),
+            path(form, (ig, RIGHT), (ia, LEFT)),
+            path(form, (ia, RIGHT), (gamma, RIGHT), (ibp, LEFT)),
+            path(form, (ibp, RIGHT), (pg, RIGHT)),
+            path(form, (pg, LEFT), (betap, RIGHT), (pa, RIGHT)),
+            path(form, (pa, LEFT), (pbp, RIGHT)),
         ]
 
     return exact_sequence_by_induction(
@@ -423,8 +414,8 @@ def homology_object(form: Form, kind: str, **arrows: Morphism):
 def _connecting(form, src: HomologyObject, dst: HomologyObject, middle: Optional[Morphism]):
     """Zigzag src <-proj- (upper/1) -emb-> node [-middle->] <-emb- (upper'/1) -proj-> dst."""
     mid = () if middle is None else ((middle, RIGHT),)
-    return _path(form, (src.projection, LEFT), (src.embedding, RIGHT), *mid,
-                 (dst.embedding, LEFT), (dst.projection, RIGHT))
+    return path(form, (src.projection, LEFT), (src.embedding, RIGHT), *mid,
+                (dst.embedding, LEFT), (dst.projection, RIGHT))
 
 
 def _salamander(d: Diagram, report: LemmaReport) -> SnakeResult:

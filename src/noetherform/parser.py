@@ -174,13 +174,6 @@ class Workspace:
         return d
 
 
-TOP_KEYWORDS = {
-    "algebra", "group", "hom", "form", "object", "order", "morphism",
-    "zigzag", "diagram", "use", "commute", "assert", "p", "d", "table",
-    "dimg", "iimg",
-}
-
-
 def _tokens(line: str) -> list[str]:
     code = line.split("#", 1)[0].strip()
     return code.split() if code else []
@@ -424,7 +417,11 @@ def _parse_assert(args, j):
 
 def parse_file(path: str) -> Workspace:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse(text)
 
 
 def merge(*spaces: Workspace) -> Workspace:

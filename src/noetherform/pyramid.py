@@ -1,15 +1,17 @@
 """Pyramids over zigzags, homomorphism induction, and induced isomorphisms.
 
-build_pyramid completes the triangular grid over a zigzag: base triangles
-come from epi-mono splittings, wedges of two projections close into
-projection diamonds (apex = quotient by the join of the kernels), wedges of
-two embeddings into embedding diamonds (apex = meet of the images), and
-mixed wedges factor the dotted composite.  Upward arrows are projections,
-downward arrows embeddings.
+build_pyramid completes the triangular grid over a zigzag.  Base triangles
+and mixed wedges are one split step: the edge, or the dotted composite
+across the wedge, is split into a projection and an embedding.  Wedges of
+two projections close into projection diamonds (apex = quotient by the join
+of the kernels), wedges of two embeddings into embedding diamonds (apex =
+meet of the images).  Upward arrows are projections, downward arrows
+embeddings.
 
 decide_induction implements the chase criterion: a zigzag induces a
 morphism iff forward-chasing bottom gives bottom and backward-chasing top
 gives top; the induced morphism's image maps are the chases themselves.
+decide_isomorphism is that criterion on the zigzag and on its opposite.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from .zigzag import (
     chase_backward,
     chase_forward,
     chased_morphism,
+    chased_table,
+    path,
 )
 
 Coord = tuple[int, int]  # (s, t): subscript, superscript; 0 <= s <= t <= n
@@ -136,15 +140,15 @@ class Pyramid:
         out = []
         for bot, ul, ur, tp in self.diamonds():
             for src, dst in ((ul, ur), (ur, ul)):
-                z_bottom = self._path_zigzag([src, bot, dst])
-                z_top = self._path_zigzag([src, tp, dst])
-                for k in self.node[src].lattice.keys:
-                    S = Subobject(self.node[src], k)
-                    a, b = chase_forward(z_bottom, S), chase_forward(z_top, S)
+                via_bot = chased_table(self._path_zigzag([src, bot, dst]))
+                via_top = chased_table(self._path_zigzag([src, tp, dst]))
+                target = self.node[dst]
+                for k, a, b in zip(self.node[src].lattice.keys, via_bot, via_top):
                     if a != b:
+                        A, B = (Subobject(target, target.lattice.keys[p]) for p in (a, b))
                         out.append(
                             f"diamond at {tp}: chasing {render_key(k)} from {src} "
-                            f"gives {a!r} via {bot} but {b!r} via {tp}"
+                            f"gives {A!r} via {bot} but {B!r} via {tp}"
                         )
         return out
 
@@ -187,17 +191,18 @@ def build_pyramid(
     for i, obj in enumerate(z.nodes):
         node[(i, i)] = obj
 
-    for i in range(1, n + 1):
-        e = z.edges[i - 1]
-        epi, mono = _split(form, e.morphism, perm)
-        top_coord = (i - 1, i)
-        node[top_coord] = epi.cod
-        if e.direction == RIGHT:
-            arrow[((i - 1, i - 1), top_coord)] = (epi, True)
-            arrow[((i, i), top_coord)] = (mono, False)
-        else:
-            arrow[((i, i), top_coord)] = (epi, True)
-            arrow[((i - 1, i - 1), top_coord)] = (mono, False)
+    def split(m: Morphism, a: Coord, b: Coord, apex: Coord) -> None:
+        """Triangle over m: a -> b, split as projection a -> apex then
+        embedding apex -> b."""
+        epi, mono = _split(form, m, perm)
+        node[apex] = epi.cod
+        arrow[(a, apex)] = (epi, True)
+        arrow[(b, apex)] = (mono, False)
+
+    for i, e in enumerate(z.edges):
+        left, right = (i, i), (i + 1, i + 1)
+        a, b = (left, right) if e.direction == RIGHT else (right, left)
+        split(e.morphism, a, b, (i, i + 1))
 
     for h in range(2, n + 1):
         span = range(0, n - h + 1)
@@ -226,20 +231,12 @@ def build_pyramid(
                 node[tp] = i_s.dom
                 arrow[(ul, tp)] = (u, False)
                 arrow[(ur, tp)] = (v, False)
-            elif not l_up and r_up:
-                # dotted composite UL -> UR, split as projection then embedding
-                dotted = compose(leg_r, leg_l)
-                epi, mono = _split(form, dotted, perm)
-                node[tp] = epi.cod
-                arrow[(ul, tp)] = (epi, True)
-                arrow[(ur, tp)] = (mono, False)
             else:
-                # dotted composite UR -> UL
-                dotted = compose(leg_l, leg_r)
-                epi, mono = _split(form, dotted, perm)
-                node[tp] = epi.cod
-                arrow[(ur, tp)] = (epi, True)
-                arrow[(ul, tp)] = (mono, False)
+                # mixed wedge: the dotted composite runs from the node whose
+                # leg points down to the node whose leg points up
+                (a, down), (b, up) = (((ul, leg_l), (ur, leg_r)) if r_up
+                                      else ((ur, leg_r), (ul, leg_l)))
+                split(compose(up, down), a, b, tp)
 
     return Pyramid(z, form, node, arrow)
 
@@ -308,25 +305,24 @@ class IsoVerdict:
         return self.holds
 
 
+# a forward chase on the opposite zigzag is a backward chase on the zigzag
+_OPPOSITE_CONDITION = {"forward-bottom": "backward-bottom", "backward-top": "forward-top"}
+
+
 def decide_isomorphism(z: Zigzag, name: str = "") -> IsoVerdict:
-    """Universal isomorphism criterion: bottom and top are preserved by
-    chasing from each end to the opposite end (four chases); then the
-    zigzag and its opposite induce mutually inverse isomorphisms."""
-    failures = []
-    checks = (
-        ("forward-bottom", chase_forward(z, z.start.bottom), z.end.lattice.bottom),
-        ("forward-top", chase_forward(z, z.start.top), z.end.lattice.top),
-        ("backward-bottom", chase_backward(z, z.end.bottom), z.start.lattice.bottom),
-        ("backward-top", chase_backward(z, z.end.top), z.start.lattice.top),
-    )
-    for cond, got, want in checks:
-        if got.key != want:
-            failures.append(ChaseFailure(cond, got.owner.id, got.key))
+    """Universal isomorphism criterion: the zigzag and its opposite both
+    induce, so bottom and top are preserved by chasing from each end to the
+    other; the two induced morphisms are then mutually inverse
+    isomorphisms."""
+    fwd = decide_induction(z, name=name)
+    bwd = decide_induction(z.opposite(), name=f"{name}^-1" if name else "")
+    failures = fwd.failures + [
+        ChaseFailure(_OPPOSITE_CONDITION[f.condition], f.node, f.subobject)
+        for f in bwd.failures
+    ]
     if failures:
         return IsoVerdict(False, None, None, failures)
-    fwd = chased_morphism(z, name=name)
-    bwd = chased_morphism(z.opposite(), name=f"{name}^-1" if name else "")
-    return IsoVerdict(True, fwd, bwd)
+    return IsoVerdict(True, fwd.morphism, bwd.morphism)
 
 
 @dataclass
@@ -373,17 +369,7 @@ def quotient_iso(form: Form, f: Morphism, W: Subobject, X: Subobject) -> Quotien
     pi_w = form.projection_of(inverse_image(iota_x, W))
     iota_fx = form.embedding_of(fX)
     pi_fw = form.projection_of(inverse_image(iota_fx, fW))
-    zz = Zigzag(
-        (pi_w.cod, iota_x.dom, f.dom, f.cod, iota_fx.dom, pi_fw.cod),
-        (
-            Edge(pi_w, LEFT),
-            Edge(iota_x, RIGHT),
-            Edge(f, RIGHT),
-            Edge(iota_fx, LEFT),
-            Edge(pi_fw, RIGHT),
-        ),
-        form=form,
-    )
+    zz = path(form, (pi_w, LEFT), (iota_x, RIGHT), (f, RIGHT), (iota_fx, LEFT), (pi_fw, RIGHT))
     verdict = decide_isomorphism(zz, name="quotient-iso")
     if not verdict.holds:
         return QuotientIsoResult(w_in_x, fw_in_fx, None, zz)

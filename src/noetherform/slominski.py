@@ -206,15 +206,9 @@ class Congruence:
     algebra: SlominskiAlgebra
     classes: tuple[tuple[int, ...], ...]
 
-    def class_index(self, x: int) -> int:
-        for i, c in enumerate(self.classes):
-            if x in c:
-                return i
-        raise ValidationError(f"element {x} outside carrier")
-
     @property
     def zero_class(self) -> tuple[int, ...]:
-        return self.classes[self.class_index(self.algebra.zero)]
+        return next(c for c in self.classes if self.algebra.zero in c)
 
 
 def generate_congruence(alg: SlominskiAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:

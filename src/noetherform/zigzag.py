@@ -1,16 +1,17 @@
 """Zigzags: alternating-direction chains of morphisms and subgroup chasing.
 
 Chasing forward applies direct images on right-pointing edges and inverse
-images on left-pointing ones; backward chasing is dual.  A zigzag whose
-left-pointing edges are all isomorphisms is collapsible and induces a
-composite morphism.  For zigzags realized by Slominski homs the induced
-relation (relational composite of the edge graphs) provides an independent
-element-level oracle.
+images on left-pointing ones; backward chasing is the forward chase of the
+opposite zigzag.  A zigzag whose left-pointing edges are all isomorphisms is
+collapsible and induces a composite morphism.  For zigzags realized by
+Slominski homs the induced relation (relational composite of the edge
+graphs) provides an independent element-level oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .core import (
@@ -72,11 +73,26 @@ class Zigzag:
         return self.nodes[-1]
 
     def opposite(self) -> "Zigzag":
+        return self._opposite
+
+    @cached_property
+    def _opposite(self) -> "Zigzag":
+        # built once per zigzag: a backward chase and chased_morphism both
+        # read the opposite, and a zigzag never changes
         flipped = tuple(
             Edge(e.morphism, LEFT if e.direction == RIGHT else RIGHT)
             for e in reversed(self.edges)
         )
         return Zigzag(tuple(reversed(self.nodes)), flipped, form=self.form)
+
+
+def path(form, *edges: tuple[Morphism, str]) -> Zigzag:
+    """Zigzag along (morphism, direction) edges; each node is where the
+    edge before it ends."""
+    m, direction = edges[0]
+    nodes = [m.dom if direction == RIGHT else m.cod]
+    nodes += [m.cod if direction == RIGHT else m.dom for m, direction in edges]
+    return Zigzag(tuple(nodes), tuple(Edge(m, dr) for m, dr in edges), form=form)
 
 
 def dual_zigzag(z: Zigzag, dual_form) -> Zigzag:
@@ -105,12 +121,7 @@ def chase_forward(z: Zigzag, S: Subobject, trace: bool = False):
 def chase_backward(z: Zigzag, T: Subobject, trace: bool = False):
     if T.owner.id != z.end.id:
         raise OwnershipError(f"{T!r} is not a subobject of the final node {z.end.id}")
-    steps = [T]
-    cur = T
-    for e in reversed(z.edges):
-        cur = (inverse_image if e.direction == RIGHT else direct_image)(e.morphism, cur)
-        steps.append(cur)
-    return (cur, steps) if trace else cur
+    return chase_forward(z.opposite(), T, trace)
 
 
 def is_collapsible(z: Zigzag) -> bool:
@@ -125,26 +136,25 @@ def is_subquotient(z: Zigzag) -> bool:
     )
 
 
-def chased_morphism(z: Zigzag, name: str = "") -> Morphism:
-    """Morphism whose image maps are the forward/backward chases: the edge
-    tables gathered along the zigzag, one way for d and the other for i."""
-    d = tuple(range(len(z.start.lattice.keys)))
+def chased_table(z: Zigzag) -> tuple[int, ...]:
+    """The forward chase of every subobject of the start node, by position:
+    the edge tables gathered along the zigzag, d on right-pointing edges and
+    i on left-pointing ones."""
+    table = tuple(range(len(z.start.lattice.keys)))
     for e in z.edges:
-        t = e.morphism.d if e.direction == RIGHT else e.morphism.i
-        d = gather(t, d)
-    i = tuple(range(len(z.end.lattice.keys)))
-    for e in reversed(z.edges):
-        t = e.morphism.i if e.direction == RIGHT else e.morphism.d
-        i = gather(t, i)
+        table = gather(e.morphism.d if e.direction == RIGHT else e.morphism.i, table)
+    return table
+
+
+def chased_morphism(z: Zigzag, name: str = "") -> Morphism:
+    """Morphism whose image maps are the forward chases of the zigzag (d)
+    and of its opposite (i)."""
+    d, i = chased_table(z), chased_table(z.opposite())
     emap = None
-    rel = None
     if all(n.algebra is not None for n in z.nodes) and all(
         e.morphism.element_map is not None for e in z.edges
     ):
-        rel = induced_relation(z)
-        fn = relation_function(rel, z.start.algebra.n)
-        if fn is not None:
-            emap = fn
+        emap = relation_function(induced_relation(z), z.start.algebra.n)
     return Morphism(z.start, z.end, d, i, name=name, element_map=emap)
 
 

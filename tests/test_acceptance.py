@@ -142,6 +142,10 @@ def test_pyramid_uniqueness_and_commutativity():
             m2 = collapse(p2.principal_horizontal())
             assert m1.dimg == m2.dimg == verdict.morphism.dimg
             assert m1.iimg == m2.iimg == verdict.morphism.iimg
+            # the paper's route to the element map (edge carriers composed,
+            # isomorphisms inverted) is independent of induced_relation
+            assert m1.element_map is not None
+            assert verdict.morphism.element_map == m1.element_map == m2.element_map
     assert inducing >= 10
     report("pyramid-uniqueness", f"(50 zigzags, {inducing} induce)")
 

@@ -195,3 +195,23 @@ def test_non_integer_header_field_exit2(tmp_path, capsys, text, want):
 def test_missing_file_exit2(capsys):
     code, _, err = run(capsys, "check-axioms", "/nonexistent/file.nf")
     assert code == 2
+
+
+def test_undecodable_file_exit2(tmp_path, capsys):
+    bad = tmp_path / "binary.nf"
+    bad.write_bytes(b"group Z2 size 2 id 0\n\xff\xfe\x00\x01\n")
+    code, out, err = run(capsys, "check-axioms", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: not UTF-8 text (byte 21)\n"
+
+
+def test_directory_as_input_exit2(tmp_path, capsys):
+    code, out, err = run(capsys, "check-axioms", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_directory_as_dot_output_exit2(tmp_path, capsys):
+    code, out, err = run(capsys, "pyramid", fx("d8_snake.nf"), "delta", "--dot", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err

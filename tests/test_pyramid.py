@@ -217,6 +217,22 @@ def test_decide_isomorphism_examples(uni):
     assert not decide_isomorphism(Zigzag((z4, z2), (Edge(q, RIGHT),), form=uni)).holds
 
 
+def test_decide_isomorphism_names_the_first_deviating_node(uni):
+    # each failure names the first node where its chase leaves bottom (top)
+    z4 = uni.object_of(cyclic(4))
+    s1, i1 = uni.subobject_object(z4.sub((0, 2)))
+    s2, i2 = uni.subobject_object(z4.sub((0,)))
+    v = decide_isomorphism(Zigzag((s1, z4, s2), (Edge(i1, RIGHT), Edge(i2, LEFT)), form=uni))
+    assert (v.holds, v.forward, v.backward) == (False, None, None)
+    assert [(f.condition, f.node, f.subobject) for f in v.failures] == [
+        ("backward-top", "Z4", (0,))]
+    z2 = uni.object_of(cyclic(2))
+    q = element_morphism(z4, z2, (0, 1, 0, 1), "q")
+    v = decide_isomorphism(Zigzag((z4, z2), (Edge(q, RIGHT),), form=uni))
+    assert [(f.condition, f.node, f.subobject) for f in v.failures] == [
+        ("backward-bottom", "Z4", (0, 2))]
+
+
 def test_decide_isomorphism_on_snake_delta(uni, delta):
     # in this fixture the connecting morphism is the identity on V/B, so the
     # universal-isomorphism chases all succeed
