@@ -10,18 +10,25 @@ decorations that cannot be forced are obtained by bounded rejection with a
 guaranteed fallback.  Every instance binds its objects and arrows through
 the role names of its shape in lemmas.SHAPES, in the order listed there.
 
-Hom lists (enumerate_homs, extend_homs) come in lexicographic order of their
-tables, and generators pick from them by index with rng.choice, so a seeded
-corpus stays the same only as long as that order does.
+Hom lists (enumerate_homs, extend_homs, the injective homs) come in
+lexicographic order of their tables, and generators pick from them by index
+with rng.choice, so a seeded corpus stays the same only as long as that order
+does.  The corpus draws its groups from a small fixed palette and so asks the
+same questions again and again: hom lists, extensions and normal keys are
+cached per process, as tuples that no caller can change, in the same order as
+when they are computed (hom lists lexicographic, normal keys in the order of
+subalgebras), so a draw from a cached answer is the draw a recomputed one
+would give.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .core import (FormObject, Morphism, Subobject, compose, direct_image,
-                   identity_morphism, image, inverse_image, kernel)
+from .core import (FormObject, Morphism, Subobject, compose, direct_image, identity_morphism,
+                   image, inverse_image, is_injective, is_isomorphism, is_surjective, kernel)
 from .diagram import Diagram
 from .groups import (
     all_groups_le8,
@@ -37,6 +44,7 @@ from .slominski import (
     SlominskiAlgebra,
     SlominskiForm,
     SlominskiHom,
+    element_morphism,
     enumerate_homs,
     hom_tables,
     is_normal_subalgebra,
@@ -67,10 +75,28 @@ _DECORATIONS = {
 
 def extend_homs(
     A: SlominskiAlgebra, B: SlominskiAlgebra, forced: dict[int, int]
-) -> list[tuple[int, ...]]:
+) -> tuple[tuple[int, ...], ...]:
     """All hom tables A -> B agreeing with the forced partial map, in
-    lexicographic order."""
-    return hom_tables(A, B, forced)
+    lexicographic order.  The list does not depend on the order in which
+    forced was filled, so it is cached on the sorted forced pairs."""
+    return _extensions(A, B, tuple(sorted(forced.items())))
+
+
+@lru_cache(maxsize=None)
+def _extensions(A: SlominskiAlgebra, B: SlominskiAlgebra,
+                forced: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple(hom_tables(A, B, dict(forced)))
+
+
+@lru_cache(maxsize=None)
+def _injective_homs(A: SlominskiAlgebra, B: SlominskiAlgebra) -> tuple[SlominskiHom, ...]:
+    """The injective homs A -> B, in the order of enumerate_homs."""
+    return tuple(h for h in enumerate_homs(A, B) if _is_injective_table(h.table))
+
+
+@lru_cache(maxsize=None)
+def _normal_keys(alg: SlominskiAlgebra) -> tuple[tuple[int, ...], ...]:
+    return tuple(k for k in subalgebras(alg) if is_normal_subalgebra(alg, k))
 
 
 class InstanceLab:
@@ -84,9 +110,7 @@ class InstanceLab:
         return self.universe.object_of(alg)
 
     def table_mor(self, A: FormObject, B: FormObject, table, name="") -> Morphism:
-        from .slominski import element_morphism
-
-        return element_morphism(A, B, tuple(table), name)
+        return element_morphism(A, B, table, name)
 
     def random_hom(self, A, B, pred: Optional[Callable] = None) -> Optional[SlominskiHom]:
         homs = enumerate_homs(A, B)
@@ -96,8 +120,8 @@ class InstanceLab:
             return None
         return self.rng.choice(homs)
 
-    def normal_keys(self, alg):
-        return [k for k in subalgebras(alg) if is_normal_subalgebra(alg, k)]
+    def normal_keys(self, alg) -> tuple[tuple[int, ...], ...]:
+        return _normal_keys(alg)
 
     def incl(self, obj: FormObject, key) -> tuple[FormObject, Morphism]:
         return self.universe.subobject_object(Subobject(obj, key))
@@ -144,7 +168,7 @@ def random_exact_row(lab: InstanceLab, maps: int) -> tuple[list[FormObject], lis
             qdim = q.algebra.n.bit_length() - 1
             dim = min(3, qdim + rng.randrange(0, 2))
             nxt = lab.obj(xor_group(dim))
-            memb = lab.random_hom(q.algebra, nxt.algebra, pred=_is_injective_table)
+            memb = rng.choice(_injective_homs(q.algebra, nxt.algebra))
             f = compose(lab.table_mor(q, nxt, memb.table), p)
         objs.append(f.cod)
         mors.append(f)
@@ -316,8 +340,6 @@ def short_five_instance(lab: InstanceLab, part: str) -> Diagram:
         s = uni.mediating_embedding(compose(phi, fm), xm)
         u = uni.mediating_projection(compose(ym, phi), gm)
         d = _diagram(lab, "short-five", (A, G, C, Apo, Gp, Cpo), (fm, gm, xm, ym, s, phi, u))
-        from .core import is_injective, is_isomorphism, is_surjective
-
         want = {"i": is_injective, "ii": is_surjective, "iii": is_isomorphism}[part]
         if want(s) and want(u):
             return d
@@ -450,8 +472,7 @@ def quotient_iso_triple(lab: InstanceLab):
             # non-abelian sources make non-normal W <= X reachable
             A = lab.obj(rng.choice((dihedral8(), symmetric3(), quaternion8())))
             Bo = A
-            hom = lab.random_hom(A.algebra, A.algebra,
-                                 pred=lambda t: _is_injective_table(t))
+            hom = rng.choice(_injective_homs(A.algebra, A.algebra))
         else:
             A = lab.obj(rng.choice(palette))
             Bo = lab.obj(rng.choice(palette))

@@ -15,6 +15,10 @@ Costs the module avoids:
   taken) and enumerated by cyclic extension (subalgebra_masks).
 - The congruence generated by a subalgebra is cached per algebra and
   subalgebra, so normality and the quotient share it.
+- The image tables of element_morphism are cached per pair of lattices and
+  element table, so a map built again (the corpus generators draw from a
+  small palette of groups) costs one lookup.  An algebra hashes its tables
+  once, when it is built.
 - Only an algebra's own lattice is enumerated.  The lattice of a quotient
   G/N is the image of the interval [N, G] (by AX2, f^-1 f A = A v Ker f, so
   the projection's images of the A >= N are all of G/N's subalgebras), and
@@ -40,6 +44,14 @@ class SlominskiAlgebra:
     zero: int
     p: tuple[tuple[int, ...], ...]
     d: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        # hashed once: the caches keyed on algebras would otherwise hash the
+        # whole p and d tables on every lookup
+        object.__setattr__(self, "_hash", hash((self.name, self.zero, self.p, self.d)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -680,13 +692,29 @@ def _need_elements(f: Morphism):
 
 
 def element_morphism(dom: FormObject, cod: FormObject, table: Sequence[int], name: str = "") -> Morphism:
-    """Build a Morphism from a carrier-level map; image maps are elementwise."""
-    dl, cl = dom.lattice, cod.lattice
+    """Build a Morphism from a carrier-level map; image maps are elementwise
+    (see _image_tables)."""
+    table = tuple(table)
+    d, i = _image_tables(dom.lattice, cod.lattice, table, dom.algebra.n)
+    return Morphism(dom, cod, d, i, name=name, element_map=table)
+
+
+@lru_cache(maxsize=None)
+def _image_tables(dl: MaskLattice, cl: MaskLattice, table: tuple[int, ...],
+                  n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The direct and inverse image tables (Morphism.d and .i) of the carrier
+    map table, from dl's carrier of size n to cl's.
+
+    Raises LatticeError when an image is not a subalgebra, i.e. table is not
+    a hom; lru_cache keeps no exception, so every such call raises.  A
+    MaskLattice hashes by identity, and the cache holds the lattices it is
+    keyed on, so no key can be taken by another lattice.
+    """
     d = tuple([cl.position_of_mask(mask_of([table[x] for x in key])) for key in dl.keys])
-    carrier = range(dom.algebra.n)
+    carrier = range(n)
     i = tuple([dl.position_of_mask(mask_of([x for x in carrier if (want >> table[x]) & 1]))
                for want in cl.masks])
-    return Morphism(dom, cod, d, i, name=name, element_map=tuple(table))
+    return d, i
 
 
 def as_form(

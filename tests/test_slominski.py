@@ -1,5 +1,6 @@
 """Slominski algebras: identities, subalgebras, congruences, quotients, homs."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 import noetherform.slominski as slominski
 from noetherform.core import Subobject
-from noetherform.errors import ClosureError, UnsupportedSubobjectError, ValidationError
-from noetherform.gen import InstanceLab
+from noetherform.errors import (ClosureError, LatticeError, UnsupportedSubobjectError,
+                                ValidationError)
+from noetherform.gen import InstanceLab, extend_homs
 from noetherform.groups import (
     D8_B,
     D8_V,
@@ -32,6 +34,7 @@ from noetherform.slominski import (
     SlominskiHom,
     as_form,
     close_homs,
+    element_morphism,
     enumerate_homs,
     from_group,
     generate_congruence,
@@ -235,6 +238,44 @@ def test_hom_tables_forced_edge_cases():
     assert hom_tables(z4, z4, {1: 3}) == [(0, 3, 2, 1)]
     # {1, 2} is not a subalgebra of E4; 3 = 1 xor 2 is determined
     assert hom_tables(e4, e4, {1: 2, 2: 3}) == [(0, 2, 3, 1)]
+
+
+def test_extend_homs_does_not_depend_on_the_order_of_forced():
+    z4, z2, e8 = cyclic(4), cyclic(2), xor_group(3)
+    for a, b, forced in ((e8, e8, {1: 3, 2: 5}),      # 8 extensions
+                         (z4, z4, {2: 2, 3: 1}),      # one
+                         (z4, z2, {1: 1, 3: 0})):     # a clash: none
+        backward = dict(reversed(forced.items()))
+        assert list(forced) != list(backward)
+        want = tuple(hom_tables(a, b, forced))
+        assert extend_homs(a, b, forced) == extend_homs(a, b, backward) == want
+    assert len(extend_homs(e8, e8, {1: 3, 2: 5})) == 8
+    assert extend_homs(z4, z2, {3: 0, 1: 1}) == ()
+
+
+def test_element_morphism_shares_image_tables_but_not_names():
+    uni = SlominskiForm()
+    z4, z2 = uni.object_of(cyclic(4)), uni.object_of(cyclic(2))
+    f = element_morphism(z4, z2, [0, 1, 0, 1], "f")
+    g = element_morphism(z4, z2, (0, 1, 0, 1), "g")
+    assert (f.d, f.i) == (g.d, g.i)
+    assert (f.name, g.name) == ("f", "g")
+    assert f.element_map == (0, 1, 0, 1) and isinstance(f.element_map, tuple)
+    # not a hom: {0, 3}, the inverse image of {0}, is no subgroup of Z4;
+    # the error is raised again, not remembered as an answer
+    for _ in range(2):
+        with pytest.raises(LatticeError):
+            element_morphism(z4, z2, (0, 1, 1, 0), "bad")
+
+
+def test_algebra_hash_matches_fieldwise_equality():
+    a = from_group(*dihedral_data(4), name="D8 twice")
+    b = from_group(*dihedral_data(4), name="D8 twice")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "found"}[b] == "found"
+    assert a != dataclasses.replace(a, name="D8 renamed")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.zero = 1
 
 
 def test_hom_counts_order_16():
