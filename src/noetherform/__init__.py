@@ -47,8 +47,6 @@ from .lemmas import (
     HomologyObject,
     SnakeResult,
     UndefinedMarker,
-    generalized_snail,
-    goursat,
     homology_object,
     salamander,
     snake,

@@ -11,11 +11,16 @@ subobject.  Key -> key views (Morphism.dimg/iimg) and the converse
 (Morphism.from_maps) serve the edges: the parser, the CLI and the tests.
 
 A form bundles a set of objects with normality/conormality tests and the
-embedding/projection constructors of Axiom 3.  Two concrete families exist:
-data-defined forms (everything decided by search over the declared morphism
-set, see DataForm) and Slominski-algebra forms (intrinsic constructions, see
-slominski.SlominskiForm).  DualForm is the lazy order/direction-reversing
-adapter; dualize(dualize(f)) returns the original form.
+embedding/projection constructors of Axiom 3.  The mediators and the
+factorization f = m . h . e are homomorphism induction on image tables,
+written once in Form: a mediator's tables are two gathers of its inputs',
+and it exists iff they send bottom to bottom and pull top back to top.  Two
+concrete families exist: data-defined forms (normality, embeddings and
+projections found by search over the declared morphism set, and each
+mediator looked up there, see DataForm) and Slominski-algebra forms
+(intrinsic constructions, see slominski.SlominskiForm).  DualForm is the
+lazy order/direction-reversing adapter; dualize(dualize(f)) returns the
+original form.
 """
 
 from __future__ import annotations
@@ -363,6 +368,25 @@ def restricted_modular_law_check(form, X: Subobject, Y: Subobject, Z: Subobject)
     return RMLResult(lhs == rhs, True)
 
 
+def declared_member(form, m: Morphism):
+    """The declared morphism of form extensionally equal to m, or None.
+
+    Induced morphisms are represented by their image maps and need not be
+    members of a declared form; this is the membership lookup."""
+    for candidate in form.morphisms:
+        if candidate == m:
+            return candidate
+    return None
+
+
+def _check_induced(dom: FormObject, cod: FormObject, d, i, f: Morphism, g: Morphism) -> None:
+    """The induction criterion on image tables dom -> cod: d sends bottom to
+    bottom and i pulls top back to top, or no morphism mediates f through g."""
+    dl, cl = dom.lattice, cod.lattice
+    if d[dl.index[dl.bottom]] != cl.index[cl.bottom] or i[cl.index[cl.top]] != dl.index[dl.top]:
+        raise UnsupportedFormError(f"no morphism mediates {f!r} through {g!r}")
+
+
 def is_relatively_normal(form, B: Subobject, A: Subobject) -> bool:
     """B normal to A: B <= A, A conormal, and the pullback of B along the
     embedding of A is normal in the embedding's domain."""
@@ -400,7 +424,11 @@ class Form:
         raise NotImplementedError
 
     def factorize(self, f: Morphism) -> Factorization:
-        raise NotImplementedError
+        """f = m . h . e: e the projection of Ker f, m the embedding of Im f,
+        and h the mediator of the mediator of f through e, through m."""
+        e = self.projection_of(kernel(f))
+        m = self.embedding_of(image(f))
+        return Factorization(e, self.mediating_embedding(self.mediating_projection(f, e), m), m)
 
     def epi_mono(self, f: Morphism, perm=None) -> tuple[Morphism, Morphism]:
         """Split f as (projection e, embedding m) with f = m . e."""
@@ -408,12 +436,29 @@ class Form:
         return compose(fac.h, fac.e), fac.m
 
     def mediating_projection(self, p: Morphism, n: Morphism) -> Morphism:
-        """The x with x . n = p, for projections with Ker n <= Ker p."""
-        raise NotImplementedError
+        """The x with x . n = p: the morphism induced by the zigzag n^-1, p,
+        so x(B) = p(n^-1 B) and x^-1(C) = n(p^-1 C).  It exists iff Ker n <=
+        Ker p and n is surjective; then x[n[g]] = p[g] on elements."""
+        d, i = gather(p.d, n.i), gather(n.d, p.i)
+        _check_induced(n.cod, p.cod, d, i, p, n)
+        emap = None
+        if p.element_map is not None and n.element_map is not None:
+            emap = [0] * n.cod.algebra.n
+            for g, v in enumerate(n.element_map):
+                emap[v] = p.element_map[g]
+        return Morphism(n.cod, p.cod, d, i, name=f"med_{p.name or 'p'}", element_map=emap)
 
     def mediating_embedding(self, i: Morphism, m: Morphism) -> Morphism:
-        """The u with m . u = i, for embeddings with Im i <= Im m."""
-        raise NotImplementedError
+        """The u with m . u = i: the morphism induced by the zigzag i, m^-1,
+        so u(A) = m^-1(i A) and u^-1(B) = i^-1(m B).  It exists iff m is
+        injective and Im i <= Im m; then u[a] = m^-1[i[a]] on elements."""
+        d, inv = gather(m.i, i.d), gather(i.i, m.d)
+        _check_induced(i.dom, m.dom, d, inv, i, m)
+        emap = None
+        if i.element_map is not None and m.element_map is not None:
+            lookup = {v: x for x, v in enumerate(m.element_map)}
+            emap = [lookup[v] for v in i.element_map]
+        return Morphism(i.dom, m.dom, d, inv, name=f"med_{i.name or 'i'}", element_map=emap)
 
     def dual(self) -> "Form":
         return DualForm(self)
@@ -421,7 +466,8 @@ class Form:
 
 class DataForm(Form):
     """A form given purely by declared data; all existential notions are
-    decided by exhaustive search over the declared morphism set."""
+    decided by exhaustive search over the declared morphism set, and each
+    mediator is the declared morphism equal to Form's induced one."""
 
     def __init__(self, objects: Iterable[FormObject], morphisms: Iterable[Morphism], name="form"):
         self.name = name
@@ -460,29 +506,17 @@ class DataForm(Form):
             f"no projection associated to {S!r} is declared", subobject=S
         )
 
-    def factorize(self, f):
-        e0 = self.projection_of(kernel(f))
-        m0 = self.embedding_of(image(f))
-        for h in self.morphisms:
-            if h.dom.id != e0.cod.id or h.cod.id != m0.dom.id or not is_isomorphism(h):
-                continue
-            if compose(m0, compose(h, e0)) == f:
-                return Factorization(e0, h, m0)
-        raise UnsupportedFormError(
-            f"no declared isomorphism completes the factorization of {f!r}"
-        )
-
     def mediating_projection(self, p, n):
-        for x in self.morphisms:
-            if x.dom.id == n.cod.id and x.cod.id == p.cod.id and compose(x, n) == p:
-                return x
-        raise UnsupportedFormError(f"no declared morphism mediates {p!r} through {n!r}")
+        return self._declared(super().mediating_projection(p, n))
 
     def mediating_embedding(self, i, m):
-        for u in self.morphisms:
-            if u.dom.id == i.dom.id and u.cod.id == m.dom.id and compose(m, u) == i:
-                return u
-        raise UnsupportedFormError(f"no declared morphism mediates {i!r} through {m!r}")
+        return self._declared(super().mediating_embedding(i, m))
+
+    def _declared(self, m):
+        got = declared_member(self, m)
+        if got is None:
+            raise UnsupportedFormError(f"{m!r} mediates, but no declared morphism equals it")
+        return got
 
 
 class DualForm(Form):
@@ -516,10 +550,16 @@ class DualForm(Form):
         return got
 
     def primal_of(self, m: Morphism) -> Morphism:
+        """The primal morphism m is the dual of: the one dual_morphism saw,
+        or else (a composite, say) m's tables swapped onto the primal objects."""
         got = self._mors.get(id(m))
-        if got is None:
-            raise UnsupportedFormError(f"{m!r} is not a morphism of {self.name}")
-        return got
+        if got is not None:
+            return got
+        try:
+            dom, cod = self._primal_objs[m.cod.id], self._primal_objs[m.dom.id]
+        except KeyError:
+            raise UnsupportedFormError(f"{m!r} is not a morphism of {self.name}") from None
+        return Morphism(dom, cod, m.i, m.d, name=m.name)
 
     def _dual_sub(self, S: Subobject) -> Subobject:
         return Subobject(self._primal_objs[S.owner.id], S.key)
@@ -541,12 +581,6 @@ class DualForm(Form):
 
     def projection_of(self, S):
         return self.dual_morphism(self.primal.embedding_of(self._dual_sub(S)))
-
-    def factorize(self, f):
-        fac = self.primal.factorize(self.primal_of(f))
-        return Factorization(
-            self.dual_morphism(fac.m), self.dual_morphism(fac.h), self.dual_morphism(fac.e)
-        )
 
     def mediating_projection(self, p, n):
         x = self.primal.mediating_embedding(self.primal_of(p), self.primal_of(n))

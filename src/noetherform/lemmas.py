@@ -645,14 +645,6 @@ def snake(d: Diagram) -> SnakeResult:
     return verify(d, "snake")[1]
 
 
-def generalized_snail(d: Diagram) -> SnakeResult:
-    return verify(d, "generalized-snail")[1]
-
-
-def goursat(d: Diagram) -> tuple[LemmaReport, Optional[Morphism]]:
-    return verify(d, "goursat")
-
-
 def salamander(d: Diagram) -> LemmaReport:
     return verify(d, "salamander")[0]
 

@@ -29,6 +29,7 @@ from .core import (
     direct_image,
     image,
     inverse_image,
+    is_relatively_normal,
     join,
     kernel,
     leq,
@@ -283,17 +284,6 @@ def decide_induction(z: Zigzag, name: str = "") -> InductionVerdict:
     return InductionVerdict(True, chased_morphism(z, name=name))
 
 
-def declared_member(form: Form, m: Morphism) -> Optional[Morphism]:
-    """The declared morphism extensionally equal to m, if any.
-
-    Induced morphisms are represented by their image maps and need not be
-    members of a declared form; this is the optional membership check."""
-    for candidate in form.morphisms:
-        if candidate == m:
-            return candidate
-    return None
-
-
 @dataclass
 class IsoVerdict:
     holds: bool
@@ -347,8 +337,6 @@ def quotient_iso(form: Form, f: Morphism, W: Subobject, X: Subobject) -> Quotien
     Preconditions Ker f <= W <= X with X conormal are validated; the result
     records both relative-normality verdicts (they must agree) and, when
     they hold, the isomorphism induced by the theorem's zigzag."""
-    from .core import is_relatively_normal  # local import to avoid a cycle
-
     if W.owner.id != f.dom.id or X.owner.id != f.dom.id:
         raise ValidationError("W and X must be subobjects of the domain of f")
     if not leq(kernel(f), W):

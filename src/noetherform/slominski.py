@@ -7,8 +7,10 @@ subgroups and homomorphisms are group homomorphisms.
 
 The module provides subalgebra lattices, congruence generation, quotients,
 hom enumeration, and SlominskiForm, which realizes the abstract form
-interface with intrinsic constructions (every subalgebra is conormal;
-normality is decided by the generated congruence's zero class).
+interface with intrinsic embeddings and projections (every subalgebra is
+conormal; normality is decided by the generated congruence's zero class).
+Its mediators and factorization are core.Form's induction on image tables,
+which also fills in their element maps.
 
 Costs the module avoids:
 - Subalgebras are closed semi-naively (only pairs with a new element are
@@ -32,9 +34,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .core import (Form, FormObject, Morphism, Factorization, Subobject, composite_element_key,
-                   element_key, first_uncomposed, identity_morphism, image, kernel)
-from .errors import ClosureError, UnsupportedFormError, UnsupportedSubobjectError, ValidationError
+from .core import (Form, FormObject, Morphism, Subobject, composite_element_key, element_key,
+                   first_uncomposed, identity_morphism, image)
+from .errors import ClosureError, UnsupportedSubobjectError, ValidationError
 from .lattice import MaskLattice, elements_of, mask_of
 
 
@@ -621,55 +623,10 @@ class SlominskiForm(Form):
             self._quot_cache[ck] = (obj, mor)
         return obj, mor
 
-    # factorization and mediators ----------------------------------------
-
-    def factorize(self, f: Morphism) -> Factorization:
-        _need_elements(f)
-        ker = kernel(f)
-        qobj, e = self.quotient_object(ker)
-        img = image(f)
-        mobj, m = self.subobject_object(img)
-        # h sends the class of x to f(x), reindexed into the image algebra
-        lookup = {v: i for i, v in enumerate(m.element_map)}
-        table = [0] * qobj.algebra.n
-        for x in range(f.dom.algebra.n):
-            table[e.element_map[x]] = lookup[f.element_map[x]]
-        h = element_morphism(qobj, mobj, tuple(table), f"h_{f.name or 'f'}")
-        return Factorization(e, h, m)
-
     def epi_mono(self, f: Morphism, perm=None) -> tuple[Morphism, Morphism]:
         """Corestriction onto the image algebra, then inclusion."""
-        _need_elements(f)
-        mobj, m = self.subobject_object(image(f), perm=perm)
-        lookup = {v: i for i, v in enumerate(m.element_map)}
-        e = element_morphism(
-            f.dom, mobj, tuple(lookup[v] for v in f.element_map), f"e_{f.name or 'f'}"
-        )
-        return e, m
-
-    def mediating_projection(self, p: Morphism, n: Morphism) -> Morphism:
-        _need_elements(p)
-        _need_elements(n)
-        table = [-1] * n.cod.algebra.n
-        for g in range(n.dom.algebra.n):
-            v = n.element_map[g]
-            w = p.element_map[g]
-            if table[v] not in (-1, w):
-                raise UnsupportedFormError(f"{p!r} does not factor through {n!r}")
-            table[v] = w
-        if -1 in table:
-            raise UnsupportedFormError(f"{n!r} is not surjective")
-        return element_morphism(n.cod, p.cod, tuple(table), f"med_{p.name or 'p'}")
-
-    def mediating_embedding(self, i: Morphism, m: Morphism) -> Morphism:
-        _need_elements(i)
-        _need_elements(m)
-        lookup = {v: x for x, v in enumerate(m.element_map)}
-        try:
-            table = tuple(lookup[v] for v in i.element_map)
-        except KeyError:
-            raise UnsupportedFormError(f"{i!r} does not land inside {m!r}") from None
-        return element_morphism(i.dom, m.dom, table, f"med_{i.name or 'i'}")
+        m = self.subobject_object(image(f), perm=perm)[1]
+        return self.mediating_embedding(f, m), m
 
     def zero_morphism(self, X: FormObject, Y: FormObject) -> Morphism:
         return element_morphism(X, Y, (Y.algebra.zero,) * X.algebra.n, "0")
@@ -684,11 +641,6 @@ def _lattice_along(alg: SlominskiAlgebra, masks: Sequence[int], source: Sequence
         alg.n,
         [sum(1 << j for j, x in enumerate(source) if (m >> x) & 1) for m in masks],
         lambda m: close_mask(alg, m))
-
-
-def _need_elements(f: Morphism):
-    if f.element_map is None or f.dom.algebra is None or f.cod.algebra is None:
-        raise UnsupportedFormError(f"{f!r} has no Slominski realization")
 
 
 def element_morphism(dom: FormObject, cod: FormObject, table: Sequence[int], name: str = "") -> Morphism:

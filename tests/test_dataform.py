@@ -70,6 +70,41 @@ def test_data_form_providers(form):
     assert fac.composite == q
 
 
+def test_data_form_mediators_are_declared_induced_morphisms(form):
+    from noetherform.core import FormObject, Morphism
+    from noetherform.lattice import TableLattice
+    from noetherform.zigzag import path
+
+    X, Q = form.objects["X"], form.objects["Q"]
+    q = next(m for m in form.morphisms if m.name == "q")
+    idX, idQ = form.identity(X), form.identity(Q)
+    # each mediator is the declared morphism its zigzag induces
+    for got, z in ((form.mediating_projection(q, q), path(form, (q, LEFT), (q, RIGHT))),
+                   (form.mediating_embedding(q, idQ), path(form, (q, RIGHT), (idQ, LEFT)))):
+        want = decide_induction(z).morphism
+        assert got in form.morphisms
+        assert (got.d, got.i, got.element_map) == (want.d, want.i, want.element_map)
+    # the zero morphism X -> Q mediates itself through idQ, but is not declared
+    zero_xq = Morphism(X, Q, (0, 0, 0), (2, 2))
+    with pytest.raises(UnsupportedFormError, match="no declared morphism"):
+        form.mediating_embedding(zero_xq, idQ)
+    O = FormObject("O", TableLattice(["0"], []))
+    cases = [
+        # n not surjective (Ker n = Ker p = tq, but Im n is 1)
+        lambda: form.mediating_projection(Morphism(Q, Q, (0, 0), (1, 1)),
+                                          Morphism(Q, X, (0, 0), (1, 1, 1))),
+        # Ker n = K is not below Ker p = 1
+        lambda: form.mediating_projection(idX, q),
+        # m not injective (Im i = Im m = tq, but Ker m is K)
+        lambda: form.mediating_embedding(idQ, q),
+        # Im i = tq is not below Im m = 1q
+        lambda: form.mediating_embedding(idQ, Morphism(O, Q, (0,), (0, 0))),
+    ]
+    for case in cases:
+        with pytest.raises(UnsupportedFormError, match="no morphism mediates"):
+            case()
+
+
 def test_data_form_pyramid_with_mediator_search(form):
     X = form.objects["X"]
     Q = form.objects["Q"]
@@ -118,7 +153,7 @@ def test_data_form_identity_and_compose(form):
 
 
 def test_induced_morphism_membership_check(form):
-    from noetherform.pyramid import declared_member
+    from noetherform.core import declared_member
 
     X = form.objects["X"]
     Q = form.objects["Q"]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from noetherform import (
     SlominskiForm,
+    decide_induction,
     direct_image,
     dualize,
     inverse_image,
@@ -17,6 +18,7 @@ from noetherform import (
     leq,
 )
 from noetherform.core import Subobject
+from noetherform.errors import UnsupportedFormError
 from noetherform.gen import (
     InstanceLab,
     five_instance,
@@ -29,7 +31,7 @@ from noetherform.gen import (
 )
 from noetherform.groups import cyclic, dihedral8, quaternion8, symmetric3, xor_group
 from noetherform.slominski import as_form, enumerate_homs
-from noetherform.zigzag import chase_backward, is_collapsible, is_subquotient
+from noetherform.zigzag import LEFT, RIGHT, chase_backward, is_collapsible, is_subquotient, path
 
 ALGS = [cyclic(4), cyclic(8), xor_group(2), symmetric3(), dihedral8(), quaternion8()]
 
@@ -120,6 +122,41 @@ def test_projection_diamond_lemma(uni, alg):
                 lhs = y.iimg[x.dimg[S]]
                 rhs = r.dimg[n.iimg[S]]
                 assert lhs == rhs, (alg.name, N.key, R.key, S)
+            # the mediator is the morphism the zigzag n^-1, p induces
+            _same_tables(x, decide_induction(path(uni, (n, LEFT), (p, RIGHT))).morphism)
+    # and the embedding mediator is the one i, m^-1 induces
+    subs = obj.subobjects()
+    for S in subs:
+        for T in subs:
+            if leq(S, T):
+                i, m = uni.embedding_of(S), uni.embedding_of(T)
+                u = uni.mediating_embedding(i, m)
+                _same_tables(u, decide_induction(path(uni, (i, RIGHT), (m, LEFT))).morphism)
+
+
+def _same_tables(got, want):
+    assert (got.dom.id, got.cod.id) == (want.dom.id, want.cod.id)
+    assert got.d == want.d and got.i == want.i
+    assert got.element_map == want.element_map
+
+
+def test_mediators_raise_without_the_induction_criterion(uni):
+    d8 = uni.object_of(dihedral8())
+    N = d8.sub((0, 2))  # the center, normal
+    n, iota = uni.projection_of(N), uni.embedding_of(N)
+    cases = [
+        # n not surjective (Ker n = 0 <= Ker p, but Im n is N)
+        lambda: uni.mediating_projection(uni.identity(iota.dom), iota),
+        # Ker n = N is not below Ker p = 0
+        lambda: uni.mediating_projection(uni.identity(d8), n),
+        # m not injective (Im i <= Im m = D8, but Ker m is N)
+        lambda: uni.mediating_embedding(uni.identity(n.cod), n),
+        # Im i = D8 is not below Im m = N
+        lambda: uni.mediating_embedding(uni.identity(d8), iota),
+    ]
+    for case in cases:
+        with pytest.raises(UnsupportedFormError, match="no morphism mediates"):
+            case()
 
 
 def test_collapsible_subquotient_lemma():

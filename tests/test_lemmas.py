@@ -7,7 +7,6 @@ from noetherform import (
     SlominskiForm,
     UndefinedMarker,
     dualize,
-    goursat,
     homology_object,
     identity_morphism,
     salamander,
@@ -34,7 +33,7 @@ from noetherform.gen import (
 )
 from noetherform.groups import D8_B, cyclic, dihedral8, trivial_group, xor_group
 from noetherform.diagram import Assertion
-from noetherform.lemmas import ALIASES, LEMMAS, SHAPES, check_shape, generalized_snail, verify
+from noetherform.lemmas import ALIASES, LEMMAS, SHAPES, check_shape, verify
 from noetherform.slominski import element_morphism
 
 
@@ -406,7 +405,7 @@ def test_generalized_snail_degenerate_bottom(uni):
                       ("gamma", gamma), ("f0p", f0p), ("betap", betap),
                       ("f0", uni.zero_morphism(z2, t1))):
         d.add_arrow(role, mor)
-    result = generalized_snail(d)
+    result = verify(d, "generalized-snail")[1]
     assert result.report.passed, result.report.render()
     assert len(result.objects) == 6
 
@@ -429,7 +428,7 @@ def test_generalized_snail_from_snake_instances(lab):
         d.add_arrow("betap", beta)
         d.add_arrow("beta", _comp(s.arrows["gp"], beta))
         d.add_arrow("f0", s.arrows["gp"])
-        result = generalized_snail(d)
+        result = verify(d, "generalized-snail")[1]
         assert not result.report.refuted, result.report.render()
         assert result.report.passed, result.report.render()
 
@@ -448,7 +447,7 @@ def test_goursat_identities_trivial(uni):
         d.add_object(role, z2)
     for role in ("lam", "mu", "lamp", "mup", "alpha", "beta", "gamma"):
         d.add_arrow(role, idm)
-    report, iso_m = goursat(d)
+    report, iso_m = verify(d, "goursat")
     # identity rows over a nontrivial object are not exact: hypotheses fail
     assert report.skipped
     # over the trivial object the same diagram passes with trivial quotients
@@ -458,7 +457,7 @@ def test_goursat_identities_trivial(uni):
         dt.add_object(role, t1)
     for role in ("lam", "mu", "lamp", "mup", "alpha", "beta", "gamma"):
         dt.add_arrow(role, identity_morphism(t1))
-    report_t, iso_t = goursat(dt)
+    report_t, iso_t = verify(dt, "goursat")
     assert report_t.passed, report_t.render()
     assert iso_t is not None and iso_t.dom.order == 1
     # the same conclusion lines whatever the verdict
@@ -484,7 +483,7 @@ def test_goursat_z4_instance(uni):
                       ("alpha", uni.zero_morphism(z2, z2)),
                       ("beta", beta), ("gamma", uni.zero_morphism(z2, z2))):
         d.add_arrow(role, mor)
-    report, iso_m = goursat(d)
+    report, iso_m = verify(d, "goursat")
     assert report.passed, report.render()
     assert iso_m is not None
     assert iso_m.dom.order == 2 and iso_m.cod.order == 2
@@ -492,7 +491,7 @@ def test_goursat_z4_instance(uni):
 
 def test_goursat_generated(lab):
     for _ in range(5):
-        report, iso_m = goursat(goursat_instance(lab))
+        report, iso_m = verify(goursat_instance(lab), "goursat")
         assert not report.refuted, report.render()
         assert report.passed, report.render()
 

@@ -206,6 +206,22 @@ def test_induced_duality():
             assert v2.morphism.iimg == v1.morphism.dimg
 
 
+def test_dual_pyramids_build_and_keep_the_induction_verdict():
+    # the dual form factors its own composites: every pyramid over a dual
+    # zigzag builds, in either order and relabelled, and commutes
+    from noetherform.core import dualize
+    from noetherform.zigzag import dual_zigzag
+
+    lab = InstanceLab(seed=202)
+    dual = dualize(lab.universe)
+    for i in range(60):
+        z = recipe_zigzag(lab, max_len=4) if i % 2 else random_zigzag(lab, max_len=4)
+        zd = dual_zigzag(z, dual)
+        assert not build_pyramid(zd, order="ltr").commutativity_failures()
+        assert not build_pyramid(zd, order="rtl", scramble=i).commutativity_failures()
+        assert decide_induction(zd.opposite()).induces == decide_induction(z).induces
+
+
 def test_decide_isomorphism_examples(uni):
     z4 = uni.object_of(cyclic(4))
     neg = element_morphism(z4, z4, (0, 3, 2, 1), "neg")

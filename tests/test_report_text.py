@@ -15,8 +15,6 @@ import hashlib
 
 from noetherform import (
     Diagram,
-    generalized_snail,
-    goursat,
     identity_morphism,
     salamander,
     snake,
@@ -41,7 +39,7 @@ from noetherform.gen import (
     threebythree_instance,
 )
 from noetherform.groups import cyclic, trivial_group
-from noetherform.lemmas import SHAPES
+from noetherform.lemmas import SHAPES, verify
 from noetherform.slominski import element_morphism
 
 REPORT_DIGEST = "429b69a0204066d6766d2c8280ee2252b74fce2cd4bf443085c8de18172f3998"
@@ -85,10 +83,10 @@ def _run(d, shape):
         r = snake(d)
         return [r.report.render(), _maps(r)]
     if shape == "generalized-snail":
-        r = generalized_snail(d)
+        r = verify(d, "generalized-snail")[1]
         return [r.report.render(), _maps(r)]
     if shape == "goursat":
-        report, iso = goursat(d)
+        report, iso = verify(d, "goursat")
         return [report.render(), repr(iso and iso.element_map)]
     if shape == "salamander":
         return [salamander(d).render()]
