@@ -11,13 +11,18 @@ subobject.  Key -> key views (Morphism.dimg/iimg) and the converse
 (Morphism.from_maps) serve the edges: the parser, the CLI and the tests.
 
 A form bundles a set of objects with normality/conormality tests and the
-embedding/projection constructors of Axiom 3.  The mediators and the
-factorization f = m . h . e are homomorphism induction on image tables,
-written once in Form: a mediator's tables are two gathers of its inputs',
-and it exists iff they send bottom to bottom and pull top back to top.  Two
-concrete families exist: data-defined forms (normality, embeddings and
-projections found by search over the declared morphism set, and each
-mediator looked up there, see DataForm) and Slominski-algebra forms
+two constructors of Axiom 3, which every form implements:
+subobject_object(S, perm) gives S as an object with its embedding, and
+quotient_object(S, perm) the quotient by S with its projection.  perm(n)
+relabels the carrier of a constructed object in Slominski forms and their
+duals; data forms ignore it (they have only their declared objects).
+embedding_of and projection_of are derived from the pair in Form.  The
+mediators and the factorization f = m . h . e are homomorphism induction on
+image tables, written once in Form: a mediator's tables are two gathers of
+its inputs', and it exists iff they send bottom to bottom and pull top back
+to top.  Two concrete families exist: data-defined forms (normality,
+embeddings and projections found by search over the declared morphism set,
+and each mediator looked up there, see DataForm) and Slominski-algebra forms
 (intrinsic constructions, see slominski.SlominskiForm).  DualForm is the
 lazy order/direction-reversing adapter; dualize(dualize(f)) returns the
 original form.
@@ -402,7 +407,10 @@ def is_relatively_normal(form, B: Subobject, A: Subobject) -> bool:
 
 
 class Form:
-    """Interface shared by all form flavours."""
+    """Interface shared by all form flavours.
+
+    A form implements identity, is_normal, is_conormal and the Axiom 3 pair
+    subobject_object/quotient_object; the rest is derived here."""
 
     name = "form"
     objects: dict
@@ -417,11 +425,23 @@ class Form:
     def is_conormal(self, S: Subobject) -> bool:
         raise NotImplementedError
 
-    def embedding_of(self, S: Subobject) -> Morphism:
+    def subobject_object(self, S: Subobject, perm=None) -> tuple[FormObject, Morphism]:
+        """S as an object, with its embedding into S.owner; perm(n), where
+        the form honours it, relabels the new object's carrier.  Raises
+        UnsupportedSubobjectError when the form has no such embedding."""
         raise NotImplementedError
 
-    def projection_of(self, S: Subobject) -> Morphism:
+    def quotient_object(self, S: Subobject, perm=None) -> tuple[FormObject, Morphism]:
+        """The quotient of S.owner by S, with its projection; perm(n), where
+        the form honours it, relabels the new object's carrier.  Raises
+        UnsupportedSubobjectError when the form has no such projection."""
         raise NotImplementedError
+
+    def embedding_of(self, S: Subobject) -> Morphism:
+        return self.subobject_object(S)[1]
+
+    def projection_of(self, S: Subobject) -> Morphism:
+        return self.quotient_object(S)[1]
 
     def factorize(self, f: Morphism) -> Factorization:
         """f = m . h . e: e the projection of Ker f, m the embedding of Im f,
@@ -431,9 +451,11 @@ class Form:
         return Factorization(e, self.mediating_embedding(self.mediating_projection(f, e), m), m)
 
     def epi_mono(self, f: Morphism, perm=None) -> tuple[Morphism, Morphism]:
-        """Split f as (projection e, embedding m) with f = m . e."""
-        fac = self.factorize(f)
-        return compose(fac.h, fac.e), fac.m
+        """Split f as (h . e, m) with e and h as in factorize and m the
+        embedding of subobject_object(Im f, perm)."""
+        e = self.projection_of(kernel(f))
+        m = self.subobject_object(image(f), perm)[1]
+        return compose(self.mediating_embedding(self.mediating_projection(f, e), m), e), m
 
     def mediating_projection(self, p: Morphism, n: Morphism) -> Morphism:
         """The x with x . n = p: the morphism induced by the zigzag n^-1, p,
@@ -467,7 +489,9 @@ class Form:
 class DataForm(Form):
     """A form given purely by declared data; all existential notions are
     decided by exhaustive search over the declared morphism set, and each
-    mediator is the declared morphism equal to Form's induced one."""
+    mediator is the declared morphism equal to Form's induced one.
+    subobject_object and quotient_object ignore perm: a data form has only
+    its declared objects."""
 
     def __init__(self, objects: Iterable[FormObject], morphisms: Iterable[Morphism], name="form"):
         self.name = name
@@ -490,18 +514,18 @@ class DataForm(Form):
     def is_conormal(self, S):
         return any(m.cod.id == S.owner.id and image(m) == S for m in self.morphisms)
 
-    def embedding_of(self, S):
+    def subobject_object(self, S, perm=None):
         for m in self.morphisms:
             if m.cod.id == S.owner.id and image(m) == S and is_injective(m):
-                return m
+                return m.dom, m
         raise UnsupportedSubobjectError(
             f"no embedding associated to {S!r} is declared", subobject=S
         )
 
-    def projection_of(self, S):
+    def quotient_object(self, S, perm=None):
         for m in self.morphisms:
             if m.dom.id == S.owner.id and kernel(m) == S and is_surjective(m):
-                return m
+                return m.cod, m
         raise UnsupportedSubobjectError(
             f"no projection associated to {S!r} is declared", subobject=S
         )
@@ -521,16 +545,21 @@ class DataForm(Form):
 
 class DualForm(Form):
     """Lazy dual view: morphisms reversed with image maps swapped, lattices
-    order-reversed, normal/conormal and embeddings/projections exchanged."""
+    order-reversed, normal/conormal and subobjects/quotients exchanged.
+    subobject_object and quotient_object pass perm on to the primal's
+    quotient_object and subobject_object, so a dual pyramid relabels when
+    its primal does."""
 
     def __init__(self, primal: Form):
         self.primal = primal
         self.name = f"dual({primal.name})"
         self._objs = {}
         self._primal_objs = {}
-        self._mors = {}
+        self._mors = {}  # id() of a declared morphism -> its dual, both ways
         self.objects = {oid: self.dual_object(o) for oid, o in primal.objects.items()}
         self.morphisms = tuple(self.dual_morphism(m) for m in primal.morphisms)
+        for m, md in zip(primal.morphisms, self.morphisms):
+            self._mors[id(m)], self._mors[id(md)] = md, m
 
     def dual_object(self, obj: FormObject) -> FormObject:
         got = self._objs.get(obj.id)
@@ -541,17 +570,17 @@ class DualForm(Form):
         return got
 
     def dual_morphism(self, m: Morphism) -> Morphism:
+        """The dual of a primal morphism: the declared one for a declared m,
+        else m's tables swapped onto the dual objects."""
         got = self._mors.get(id(m))
         if got is None:
             got = Morphism(self.dual_object(m.cod), self.dual_object(m.dom), m.i, m.d,
                            name=m.name)
-            self._mors[id(m)] = got
-            self._mors[id(got)] = m
         return got
 
     def primal_of(self, m: Morphism) -> Morphism:
-        """The primal morphism m is the dual of: the one dual_morphism saw,
-        or else (a composite, say) m's tables swapped onto the primal objects."""
+        """The primal morphism m is the dual of: the declared one for a
+        declared m, else m's tables swapped onto the primal objects."""
         got = self._mors.get(id(m))
         if got is not None:
             return got
@@ -576,11 +605,13 @@ class DualForm(Form):
     def is_conormal(self, S):
         return self.primal.is_normal(self._dual_sub(S))
 
-    def embedding_of(self, S):
-        return self.dual_morphism(self.primal.projection_of(self._dual_sub(S)))
+    def subobject_object(self, S, perm=None):
+        m = self.dual_morphism(self.primal.quotient_object(self._dual_sub(S), perm)[1])
+        return m.dom, m
 
-    def projection_of(self, S):
-        return self.dual_morphism(self.primal.embedding_of(self._dual_sub(S)))
+    def quotient_object(self, S, perm=None):
+        m = self.dual_morphism(self.primal.subobject_object(self._dual_sub(S), perm)[1])
+        return m.cod, m
 
     def mediating_projection(self, p, n):
         x = self.primal.mediating_embedding(self.primal_of(p), self.primal_of(n))

@@ -25,14 +25,6 @@ class ClosureError(FormError):
     """A declared morphism set is missing identities or composites."""
 
 
-class UnsupportedSubobjectError(FormError):
-    """No embedding/projection is available for the subobject."""
-
-    def __init__(self, message, subobject=None):
-        super().__init__(message)
-        self.subobject = subobject
-
-
 class UnsupportedFormError(FormError):
     """The form lacks data required by a construction.
 
@@ -42,6 +34,12 @@ class UnsupportedFormError(FormError):
     def __init__(self, message, subobject=None):
         super().__init__(message)
         self.subobject = subobject
+
+
+class UnsupportedSubobjectError(UnsupportedFormError):
+    """No embedding/projection is available for the subobject: the form's
+    subobject_object or quotient_object cannot construct it.  A construction
+    that catches UnsupportedFormError catches this too."""
 
 
 class ShapeError(FormError):

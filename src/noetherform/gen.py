@@ -323,15 +323,11 @@ def short_five_instance(lab: InstanceLab, part: str) -> Diagram:
         else:
             cands = list(enumerate_homs(G.algebra, Gp.algebra))
             Np = None
-        if not cands:
-            continue
+        # the identity (part iii) and the top of Gp always qualify
         phi_h = rng.choice(cands)
         if Np is None:
             base = {phi_h.table[x] for x in N}
-            options = [k for k in lab.normal_keys(Gp.algebra) if base <= set(k)]
-            if not options:
-                continue
-            Np = rng.choice(options)
+            Np = rng.choice([k for k in lab.normal_keys(Gp.algebra) if base <= set(k)])
         A, fm = lab.incl(G, N)
         C, gm = lab.proj(G, N)
         Apo, xm = lab.incl(Gp, Np)
@@ -350,25 +346,23 @@ def spider_instance(lab: InstanceLab) -> Diagram:
     """From a group with two complementary normal subalgebras (so k is an
     isomorphism by construction)."""
     rng = lab.rng
-    while True:
-        X = lab.obj(rng.choice(GRID_PALETTE()))
-        lat = X.lattice
-        normals = lab.normal_keys(X.algebra)
-        pairs = [
-            (P, Q)
-            for P in normals
-            for Q in normals
-            if lat.meet(P, Q) == lat.bottom and lat.join(P, Q) == lat.top
-        ]
-        if not pairs:
-            continue
-        P, Q = rng.choice(pairs)
-        V, g = lab.incl(X, P)
-        Z, i = lab.proj(X, P)
-        Y, j = lab.incl(X, Q)
-        W, h = lab.proj(X, Q)
-        return _diagram(lab, "spider", (V, W, X, Y, Z),
-                        (compose(h, g), g, h, j, i, compose(i, j)))
+    X = lab.obj(rng.choice(GRID_PALETTE()))
+    lat = X.lattice
+    normals = lab.normal_keys(X.algebra)
+    # (bottom, top) is always among the pairs
+    pairs = [
+        (P, Q)
+        for P in normals
+        for Q in normals
+        if lat.meet(P, Q) == lat.bottom and lat.join(P, Q) == lat.top
+    ]
+    P, Q = rng.choice(pairs)
+    V, g = lab.incl(X, P)
+    Z, i = lab.proj(X, P)
+    Y, j = lab.incl(X, Q)
+    W, h = lab.proj(X, Q)
+    return _diagram(lab, "spider", (V, W, X, Y, Z),
+                    (compose(h, g), g, h, j, i, compose(i, j)))
 
 
 def incomplete_snail_instance(lab: InstanceLab) -> Diagram:
@@ -426,29 +420,27 @@ def snake_instance(lab: InstanceLab) -> Diagram:
     """2x3 with exact rows, g surjective, f' injective, over xor groups."""
     uni = lab.universe
     rng = lab.rng
-    while True:
-        B = lab.obj(xor_group(rng.randrange(1, 4)))
-        Kg = rng.choice(subalgebras(B.algebra))
-        C, g = lab.proj(B, Kg)
-        Ksub, incl_k = lab.incl(B, Kg)
-        adim = max(Ksub.algebra.n.bit_length() - 1, 0) + rng.randrange(0, 2)
-        A = lab.obj(xor_group(min(3, adim)))
-        sur = lab.random_hom(A.algebra, Ksub.algebra, pred=lambda t: _is_surjective_table(t, Ksub.algebra.n))
-        if sur is None:
-            continue
-        f = compose(incl_k, lab.table_mor(A, Ksub, sur.table))
-        Bp = lab.obj(xor_group(rng.randrange(0, 4)))
-        beta_h = lab.random_hom(B.algebra, Bp.algebra)
-        beta = lab.table_mor(B, Bp, beta_h.table, "beta")
-        base = direct_image(beta, Subobject(B, Kg)).key
-        supers = [k for k in subalgebras(Bp.algebra) if set(base) <= set(k)]
-        Ip = rng.choice(supers)
-        Apo, fp = lab.incl(Bp, Ip)
-        Cpo, gp = lab.proj(Bp, Ip)
-        alpha = uni.mediating_embedding(compose(beta, f), fp)
-        gamma = uni.mediating_projection(compose(gp, beta), g)
-        return _diagram(lab, "snake", (A, B, C, Apo, Bp, Cpo),
-                        (f, g, fp, gp, alpha, beta, gamma))
+    B = lab.obj(xor_group(rng.randrange(1, 4)))
+    Kg = rng.choice(subalgebras(B.algebra))
+    C, g = lab.proj(B, Kg)
+    Ksub, incl_k = lab.incl(B, Kg)
+    # rank(A) >= rank(Ksub), so A maps onto Ksub
+    adim = max(Ksub.algebra.n.bit_length() - 1, 0) + rng.randrange(0, 2)
+    A = lab.obj(xor_group(min(3, adim)))
+    sur = lab.random_hom(A.algebra, Ksub.algebra, pred=lambda t: _is_surjective_table(t, Ksub.algebra.n))
+    f = compose(incl_k, lab.table_mor(A, Ksub, sur.table))
+    Bp = lab.obj(xor_group(rng.randrange(0, 4)))
+    beta_h = lab.random_hom(B.algebra, Bp.algebra)
+    beta = lab.table_mor(B, Bp, beta_h.table, "beta")
+    base = direct_image(beta, Subobject(B, Kg)).key
+    supers = [k for k in subalgebras(Bp.algebra) if set(base) <= set(k)]
+    Ip = rng.choice(supers)
+    Apo, fp = lab.incl(Bp, Ip)
+    Cpo, gp = lab.proj(Bp, Ip)
+    alpha = uni.mediating_embedding(compose(beta, f), fp)
+    gamma = uni.mediating_projection(compose(gp, beta), g)
+    return _diagram(lab, "snake", (A, B, C, Apo, Bp, Cpo),
+                    (f, g, fp, gp, alpha, beta, gamma))
 
 
 def goursat_instance(lab: InstanceLab) -> Diagram:
@@ -466,32 +458,26 @@ def quotient_iso_triple(lab: InstanceLab):
     """
     rng = lab.rng
     palette = all_groups_le8()
-    while True:
-        injective_branch = rng.random() < 0.33
-        if injective_branch:
-            # non-abelian sources make non-normal W <= X reachable
-            A = lab.obj(rng.choice((dihedral8(), symmetric3(), quaternion8())))
-            Bo = A
-            hom = rng.choice(_injective_homs(A.algebra, A.algebra))
-        else:
-            A = lab.obj(rng.choice(palette))
-            Bo = lab.obj(rng.choice(palette))
-            hom = lab.random_hom(A.algebra, Bo.algebra)
-        if hom is None:
-            continue
-        f = lab.table_mor(A, Bo, hom.table, "f")
-        kf = set(kernel(f).key)
-        lat = A.lattice
-        xs = [k for k in lat.keys if kf <= set(k)]
-        if not xs:
-            continue
-        if injective_branch and rng.random() < 0.5:
-            X = lat.top
-        else:
-            X = rng.choice(xs)
-        ws = [k for k in lat.keys if kf <= set(k) <= set(X)]
-        W = rng.choice(ws)
-        return f, Subobject(A, W), Subobject(A, X)
+    injective_branch = rng.random() < 0.33
+    if injective_branch:
+        # non-abelian sources make non-normal W <= X reachable
+        A = lab.obj(rng.choice((dihedral8(), symmetric3(), quaternion8())))
+        Bo = A
+        hom = rng.choice(_injective_homs(A.algebra, A.algebra))
+    else:
+        A = lab.obj(rng.choice(palette))
+        Bo = lab.obj(rng.choice(palette))
+        hom = lab.random_hom(A.algebra, Bo.algebra)
+    f = lab.table_mor(A, Bo, hom.table, "f")
+    kf = set(kernel(f).key)
+    lat = A.lattice
+    if injective_branch and rng.random() < 0.5:
+        X = lat.top
+    else:
+        X = rng.choice([k for k in lat.keys if kf <= set(k)])
+    ws = [k for k in lat.keys if kf <= set(k) <= set(X)]
+    W = rng.choice(ws)
+    return f, Subobject(A, W), Subobject(A, X)
 
 
 # ---------------------------------------------------------------------------

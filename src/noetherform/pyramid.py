@@ -36,7 +36,7 @@ from .core import (
     meet,
     render_key,
 )
-from .errors import UnsupportedFormError, UnsupportedSubobjectError, ValidationError
+from .errors import UnsupportedFormError, ValidationError
 from .zigzag import (
     LEFT,
     RIGHT,
@@ -60,31 +60,6 @@ def _perm_fn(rng: Optional[random.Random]):
         rng.shuffle(p)
         return tuple(p)
     return perm
-
-
-def _split(form: Form, f: Morphism, perm):
-    try:
-        return form.epi_mono(f, perm=perm)
-    except UnsupportedSubobjectError as exc:
-        raise UnsupportedFormError(str(exc), subobject=exc.subobject) from exc
-
-
-def _proj(form: Form, S: Subobject, perm):
-    try:
-        if perm is not None and hasattr(form, "quotient_object"):
-            return form.quotient_object(S, perm=perm)[1]
-        return form.projection_of(S)
-    except UnsupportedSubobjectError as exc:
-        raise UnsupportedFormError(str(exc), subobject=S) from exc
-
-
-def _emb(form: Form, S: Subobject, perm):
-    try:
-        if perm is not None and hasattr(form, "subobject_object"):
-            return form.subobject_object(S, perm=perm)[1]
-        return form.embedding_of(S)
-    except UnsupportedSubobjectError as exc:
-        raise UnsupportedFormError(str(exc), subobject=S) from exc
 
 
 @dataclass
@@ -177,9 +152,12 @@ def build_pyramid(
 ) -> Pyramid:
     """Construct the full pyramid over a zigzag.
 
-    `order` picks the within-layer completion order and `scramble` relabels
-    the constructed intermediate objects from a seeded permutation; the
-    induced morphism must not depend on either choice.
+    `order` picks the within-layer completion order and `scramble` seeds the
+    perm passed to the form's epi_mono, quotient_object and subobject_object,
+    which relabels the constructed intermediate objects of a Slominski form
+    or its dual (a data form ignores it); the induced morphism must not
+    depend on either choice.  A subobject the form cannot construct raises
+    UnsupportedSubobjectError, naming it.
     """
     form = form if form is not None else z.form
     if form is None:
@@ -195,7 +173,7 @@ def build_pyramid(
     def split(m: Morphism, a: Coord, b: Coord, apex: Coord) -> None:
         """Triangle over m: a -> b, split as projection a -> apex then
         embedding apex -> b."""
-        epi, mono = _split(form, m, perm)
+        epi, mono = form.epi_mono(m, perm)
         node[apex] = epi.cod
         arrow[(a, apex)] = (epi, True)
         arrow[(b, apex)] = (mono, False)
@@ -217,7 +195,7 @@ def build_pyramid(
             if l_up and r_up:
                 # projection diamond: apex is the quotient by the kernel join
                 J = join(kernel(leg_l), kernel(leg_r))
-                p = _proj(form, J, perm)
+                p = form.quotient_object(J, perm)[1]
                 x = form.mediating_projection(p, leg_l)
                 y = form.mediating_projection(p, leg_r)
                 node[tp] = p.cod
@@ -226,7 +204,7 @@ def build_pyramid(
             elif not l_up and not r_up:
                 # embedding diamond: apex is the meet of the images
                 S = meet(image(leg_l), image(leg_r))
-                i_s = _emb(form, S, perm)
+                i_s = form.subobject_object(S, perm)[1]
                 u = form.mediating_embedding(i_s, leg_l)
                 v = form.mediating_embedding(i_s, leg_r)
                 node[tp] = i_s.dom

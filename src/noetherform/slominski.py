@@ -562,12 +562,6 @@ class SlominskiForm(Form):
     def is_conormal(self, S: Subobject) -> bool:
         return True
 
-    def embedding_of(self, S: Subobject) -> Morphism:
-        return self.subobject_object(S)[1]
-
-    def projection_of(self, S: Subobject) -> Morphism:
-        return self.quotient_object(S)[1]
-
     def subobject_object(self, S: Subobject, perm=None) -> tuple[FormObject, Morphism]:
         """S as an algebra, with its inclusion; perm(n) relabels its carrier.
 

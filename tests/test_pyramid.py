@@ -206,20 +206,58 @@ def test_induced_duality():
             assert v2.morphism.iimg == v1.morphism.dimg
 
 
-def test_dual_pyramids_build_and_keep_the_induction_verdict():
-    # the dual form factors its own composites: every pyramid over a dual
-    # zigzag builds, in either order and relabelled, and commutes
+@pytest.fixture(scope="module")
+def dual_builds():
+    """One dual form and 60 seeded zigzags, each with its dual zigzag and
+    the dual pyramids built left to right and right to left, relabelled."""
     from noetherform.core import dualize
     from noetherform.zigzag import dual_zigzag
 
     lab = InstanceLab(seed=202)
     dual = dualize(lab.universe)
+    builds = []
     for i in range(60):
         z = recipe_zigzag(lab, max_len=4) if i % 2 else random_zigzag(lab, max_len=4)
         zd = dual_zigzag(z, dual)
-        assert not build_pyramid(zd, order="ltr").commutativity_failures()
-        assert not build_pyramid(zd, order="rtl", scramble=i).commutativity_failures()
+        builds.append((z, zd, build_pyramid(zd, order="ltr"),
+                       build_pyramid(zd, order="rtl", scramble=i)))
+    return dual, builds
+
+
+def test_dual_pyramids_build_and_keep_the_induction_verdict(dual_builds):
+    # the dual form factors its own composites: every pyramid over a dual
+    # zigzag builds, in either order and relabelled, and commutes; the
+    # relabelling reaches the objects the dual constructs
+    relabelled = 0
+    for z, zd, ltr, scrambled in dual_builds[1]:
+        assert not ltr.commutativity_failures()
+        assert not scrambled.commutativity_failures()
         assert decide_induction(zd.opposite()).induces == decide_induction(z).induces
+        ids = ({c: o.id for c, o in p.node.items()} for p in (ltr, scrambled))
+        relabelled += next(ids) != next(ids)
+    assert relabelled >= 40
+
+
+def test_dual_form_holds_no_undeclared_morphism(dual_builds):
+    # every mediator of the dual pyramids passed through the dual form; it
+    # keeps none of them, only its declared morphisms
+    import gc
+
+    from noetherform.core import Morphism
+
+    dual = dual_builds[0]
+    declared = {id(m) for m in dual.primal.morphisms + dual.morphisms}
+    todo = [{k: v for k, v in vars(dual).items() if k != "primal"}]
+    seen = set()
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, Morphism):
+            assert id(x) in declared, x
+        elif isinstance(x, (dict, list, tuple, set, frozenset)):
+            todo.extend(gc.get_referents(x))
 
 
 def test_decide_isomorphism_examples(uni):
