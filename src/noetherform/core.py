@@ -23,9 +23,12 @@ its inputs', and it exists iff they send bottom to bottom and pull top back
 to top.  Two concrete families exist: data-defined forms (normality,
 embeddings and projections found by search over the declared morphism set,
 and each mediator looked up there, see DataForm) and Slominski-algebra forms
-(intrinsic constructions, see slominski.SlominskiForm).  DualForm is the
-lazy order/direction-reversing adapter; dualize(dualize(f)) returns the
-original form.
+(intrinsic constructions, see slominski.SlominskiForm).
+
+Duality is an involution memoized on the values: X.dual, S.dual and
+m.dual() read an object, subobject or morphism in the dual form, and
+X.dual.dual is X, m.dual().dual() is m.  DualForm is a stateless view over
+them, and dualize(dualize(f)) returns the original form.
 """
 
 from __future__ import annotations
@@ -47,12 +50,22 @@ from .lattice import dual_lattice
 class FormObject:
     """A 'group' of the framework: an identifier plus its subobject lattice."""
 
-    __slots__ = ("id", "lattice", "algebra")
+    __slots__ = ("id", "lattice", "algebra", "_dual")
 
     def __init__(self, id: str, lattice, algebra=None):
         self.id = id
         self.lattice = lattice
         self.algebra = algebra
+        self._dual = None
+
+    @property
+    def dual(self) -> "FormObject":
+        """The object read in the dual form: the same id, the reversed
+        lattice and no carrier.  Built once, so X.dual.dual is X."""
+        if self._dual is None:
+            self._dual = FormObject(self.id, dual_lattice(self.lattice))
+            self._dual._dual = self
+        return self._dual
 
     def sub(self, key) -> "Subobject":
         if key not in self.lattice.index:
@@ -95,6 +108,10 @@ class Subobject:
     def __repr__(self):
         return f"{self.owner.id}:{render_key(self.key)}"
 
+    @property
+    def dual(self) -> "Subobject":
+        return Subobject(self.owner.dual, self.key)
+
 
 def render_key(key) -> str:
     if isinstance(key, tuple):
@@ -113,7 +130,7 @@ class Morphism:
     both ends are backed by Slominski algebras.
     """
 
-    __slots__ = ("dom", "cod", "d", "i", "name", "element_map")
+    __slots__ = ("dom", "cod", "d", "i", "name", "element_map", "_dual")
 
     def __init__(self, dom, cod, d, i, name="", element_map=None):
         self.dom = dom
@@ -122,6 +139,16 @@ class Morphism:
         self.i = tuple(i)
         self.name = name
         self.element_map = tuple(element_map) if element_map is not None else None
+        self._dual = None
+
+    def dual(self) -> "Morphism":
+        """The morphism read in the dual form: reversed, with d and i
+        swapped, the same name and no element map.  Built once, so
+        m.dual().dual() is m."""
+        if self._dual is None:
+            self._dual = Morphism(self.cod.dual, self.dom.dual, self.i, self.d, name=self.name)
+            self._dual._dual = self
+        return self._dual
 
     @classmethod
     def from_maps(cls, dom, cod, dimg, iimg, name="", element_map=None) -> "Morphism":
@@ -544,82 +571,46 @@ class DataForm(Form):
 
 
 class DualForm(Form):
-    """Lazy dual view: morphisms reversed with image maps swapped, lattices
-    order-reversed, normal/conormal and subobjects/quotients exchanged.
-    subobject_object and quotient_object pass perm on to the primal's
-    quotient_object and subobject_object, so a dual pyramid relabels when
-    its primal does."""
+    """Stateless dual view: its objects and morphisms are the memoized duals
+    of the primal's (FormObject.dual, Morphism.dual()), so each lattice is
+    order-reversed and each morphism reversed with its image maps swapped.
+    Every method is the primal's with normal/conormal, subobjects/quotients
+    and the two mediators exchanged, read through the duals both ways; the
+    view keeps nothing it did not declare.  subobject_object and
+    quotient_object pass perm on to the primal's quotient_object and
+    subobject_object, so a dual pyramid relabels when its primal does."""
 
     def __init__(self, primal: Form):
         self.primal = primal
         self.name = f"dual({primal.name})"
-        self._objs = {}
-        self._primal_objs = {}
-        self._mors = {}  # id() of a declared morphism -> its dual, both ways
-        self.objects = {oid: self.dual_object(o) for oid, o in primal.objects.items()}
-        self.morphisms = tuple(self.dual_morphism(m) for m in primal.morphisms)
-        for m, md in zip(primal.morphisms, self.morphisms):
-            self._mors[id(m)], self._mors[id(md)] = md, m
-
-    def dual_object(self, obj: FormObject) -> FormObject:
-        got = self._objs.get(obj.id)
-        if got is None:
-            got = FormObject(obj.id, dual_lattice(obj.lattice), algebra=None)
-            self._objs[obj.id] = got
-            self._primal_objs[obj.id] = obj
-        return got
-
-    def dual_morphism(self, m: Morphism) -> Morphism:
-        """The dual of a primal morphism: the declared one for a declared m,
-        else m's tables swapped onto the dual objects."""
-        got = self._mors.get(id(m))
-        if got is None:
-            got = Morphism(self.dual_object(m.cod), self.dual_object(m.dom), m.i, m.d,
-                           name=m.name)
-        return got
-
-    def primal_of(self, m: Morphism) -> Morphism:
-        """The primal morphism m is the dual of: the declared one for a
-        declared m, else m's tables swapped onto the primal objects."""
-        got = self._mors.get(id(m))
-        if got is not None:
-            return got
-        try:
-            dom, cod = self._primal_objs[m.cod.id], self._primal_objs[m.dom.id]
-        except KeyError:
-            raise UnsupportedFormError(f"{m!r} is not a morphism of {self.name}") from None
-        return Morphism(dom, cod, m.i, m.d, name=m.name)
-
-    def _dual_sub(self, S: Subobject) -> Subobject:
-        return Subobject(self._primal_objs[S.owner.id], S.key)
+        self.objects = {oid: o.dual for oid, o in primal.objects.items()}
+        self.morphisms = tuple(m.dual() for m in primal.morphisms)
 
     def dual(self):
         return self.primal
 
     def identity(self, obj):
-        return self.dual_morphism(self.primal.identity(self._primal_objs[obj.id]))
+        return self.primal.identity(obj.dual).dual()
 
     def is_normal(self, S):
-        return self.primal.is_conormal(self._dual_sub(S))
+        return self.primal.is_conormal(S.dual)
 
     def is_conormal(self, S):
-        return self.primal.is_normal(self._dual_sub(S))
+        return self.primal.is_normal(S.dual)
 
     def subobject_object(self, S, perm=None):
-        m = self.dual_morphism(self.primal.quotient_object(self._dual_sub(S), perm)[1])
+        m = self.primal.quotient_object(S.dual, perm)[1].dual()
         return m.dom, m
 
     def quotient_object(self, S, perm=None):
-        m = self.dual_morphism(self.primal.subobject_object(self._dual_sub(S), perm)[1])
+        m = self.primal.subobject_object(S.dual, perm)[1].dual()
         return m.cod, m
 
     def mediating_projection(self, p, n):
-        x = self.primal.mediating_embedding(self.primal_of(p), self.primal_of(n))
-        return self.dual_morphism(x)
+        return self.primal.mediating_embedding(p.dual(), n.dual()).dual()
 
     def mediating_embedding(self, i, m):
-        u = self.primal.mediating_projection(self.primal_of(i), self.primal_of(m))
-        return self.dual_morphism(u)
+        return self.primal.mediating_projection(i.dual(), m.dual()).dual()
 
 
 def dualize(form: Form) -> Form:

@@ -601,7 +601,10 @@ class SlominskiForm(Form):
         ck = (S.owner.id, S.key)
         if perm is None and ck in self._quot_cache:
             return self._quot_cache[ck]
-        q, proj = quotient(S.owner.algebra, S.key)
+        try:
+            q, proj = quotient(S.owner.algebra, S.key)
+        except UnsupportedSubobjectError as exc:
+            raise UnsupportedSubobjectError(str(exc), subobject=S) from None
         if perm is not None:
             p = tuple(perm(q.n))
             q = permuted(q, p, name=q.name + "~")

@@ -77,13 +77,16 @@ class Zigzag:
 
     @cached_property
     def _opposite(self) -> "Zigzag":
-        # built once per zigzag: a backward chase and chased_morphism both
+        # built once per zigzag and linked back, so z.opposite().opposite()
+        # is z: a backward chase, chased_morphism and decide_isomorphism all
         # read the opposite, and a zigzag never changes
         flipped = tuple(
             Edge(e.morphism, LEFT if e.direction == RIGHT else RIGHT)
             for e in reversed(self.edges)
         )
-        return Zigzag(tuple(reversed(self.nodes)), flipped, form=self.form)
+        opp = Zigzag(tuple(reversed(self.nodes)), flipped, form=self.form)
+        opp.__dict__["_opposite"] = self
+        return opp
 
 
 def path(form, *edges: tuple[Morphism, str]) -> Zigzag:
@@ -98,11 +101,9 @@ def path(form, *edges: tuple[Morphism, str]) -> Zigzag:
 def dual_zigzag(z: Zigzag, dual_form) -> Zigzag:
     """The same zigzag seen in the dual form: every arrow reverses, so each
     direction flag flips and each morphism is replaced by its dual."""
-    nodes = tuple(dual_form.dual_object(n) for n in z.nodes)
+    nodes = tuple(n.dual for n in z.nodes)
     edges = tuple(
-        Edge(dual_form.dual_morphism(e.morphism),
-             LEFT if e.direction == RIGHT else RIGHT)
-        for e in z.edges
+        Edge(e.morphism.dual(), LEFT if e.direction == RIGHT else RIGHT) for e in z.edges
     )
     return Zigzag(nodes, edges, form=dual_form)
 

@@ -154,6 +154,20 @@ def test_verify_generic_diagram_checks(capsys):
     assert "PASS commute g.f = z0" in out
 
 
+@pytest.mark.parametrize("name,entity,code,want", [
+    ("dd", "idT", 0, "PASS commute f = f.f\nPASS iso f\n"),
+    ("bad", "nothere", 2, "diagram bad: unknown entity 'nothere'"),
+], ids=["declared", "unknown"])
+def test_verify_diagram_over_a_data_form(tmp_path, capsys, name, entity, code, want):
+    src = tmp_path / "dd.nf"
+    src.write_text((FIXTURES / "tiny_form.nf").read_text() + (
+        f"\ndiagram {name} over tinyform\nuse T as X\nuse {entity} as f\n"
+        "commute f = f.f\nassert iso f\n"))
+    got, out, err = run(capsys, "verify", str(src), name, "--lemma", "generic")
+    assert got == code
+    assert want in (out if code == 0 else err)
+
+
 def test_check_axioms_all_small_groups(capsys):
     code, out, _ = run(capsys, "check-axioms", fx("groups_le8.nf"),
                        "--with-axiom6")

@@ -269,10 +269,34 @@ def test_dual_morphism_roundtrip():
     g = cyclic(2)
     form = as_form([g], enumerate_homs(g, g), name="Z2")
     dual = dualize(form)
-    for m in form.morphisms:
-        md = dual.dual_morphism(m)
-        assert dual.primal_of(md) is m
+    for m, declared in zip(form.morphisms, dual.morphisms):
+        md = m.dual()
+        assert md is declared
+        assert md.dual() is m
         assert md.dimg == m.iimg and md.iimg == m.dimg
+
+
+@pytest.mark.parametrize("group", [cyclic(2), dihedral8()], ids=["Z2", "D8"])
+def test_duals_and_opposites_are_involutions(group):
+    # the values hold their duals and opposites, linked both ways; the dual
+    # form is a view over them and keeps nothing else
+    from noetherform.gen import InstanceLab, random_zigzag
+    from noetherform.slominski import as_form
+
+    form = as_form([group], enumerate_homs(group, group), name="End")
+    dual = dualize(form)
+    assert sorted(vars(dual)) == ["morphisms", "name", "objects", "primal"]
+    for X in form.objects.values():
+        assert X.dual.dual is X and dual.objects[X.id] is X.dual
+        for S in X.subobjects():
+            assert S.dual.dual == S and S.dual.owner is X.dual
+    for k, m in enumerate(form.morphisms):
+        assert dual.morphisms[k] is m.dual()
+        assert m.dual().dual() is m
+    lab = InstanceLab(seed=7)
+    for _ in range(20):
+        z = random_zigzag(lab, max_len=4)
+        assert z.opposite().opposite() is z
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,9 @@ def _dual_four(d):
     mormap = {"f": "z", "g": "y", "h": "x", "x": "h", "y": "g", "z": "f",
               "s": "v", "t": "u", "u": "t", "v": "s"}
     for role, src in objmap.items():
-        dd.add_object(role, dual.dual_object(d.objects[src]))
+        dd.add_object(role, d.objects[src].dual)
     for role, src in mormap.items():
-        dd.add_arrow(role, dual.dual_morphism(d.arrows[src]))
+        dd.add_arrow(role, d.arrows[src].dual())
     return dd
 
 

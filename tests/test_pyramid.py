@@ -1,5 +1,7 @@
 """Pyramids, homomorphism induction, induced isomorphisms."""
 
+import re
+
 import pytest
 
 from noetherform import (
@@ -239,14 +241,16 @@ def test_dual_pyramids_build_and_keep_the_induction_verdict(dual_builds):
 
 
 def test_dual_form_holds_no_undeclared_morphism(dual_builds):
-    # every mediator of the dual pyramids passed through the dual form; it
-    # keeps none of them, only its declared morphisms
+    # every mediator and constructed object of the dual pyramids passed
+    # through the dual form; it keeps none of them, only its declared
+    # morphisms and objects
     import gc
 
-    from noetherform.core import Morphism
+    from noetherform.core import FormObject, Morphism
 
     dual = dual_builds[0]
     declared = {id(m) for m in dual.primal.morphisms + dual.morphisms}
+    objects = {id(o) for o in dual.objects.values()}
     todo = [{k: v for k, v in vars(dual).items() if k != "primal"}]
     seen = set()
     while todo:
@@ -256,8 +260,40 @@ def test_dual_form_holds_no_undeclared_morphism(dual_builds):
         seen.add(id(x))
         if isinstance(x, Morphism):
             assert id(x) in declared, x
+        elif isinstance(x, FormObject):
+            assert id(x) in objects, x
         elif isinstance(x, (dict, list, tuple, set, frozenset)):
             todo.extend(gc.get_referents(x))
+
+
+def _zero_like(m):
+    """A zero morphism with m's endpoints, in m's form: built on the primal
+    carriers and dualized back when m is a dual morphism."""
+    p = m if m.dom.algebra is not None else m.dual()
+    z = element_morphism(p.dom, p.cod, (p.cod.algebra.zero,) * p.dom.algebra.n, "zero")
+    return z if p is m else z.dual()
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_diamond_that_does_not_commute_is_reported(uni, delta, side):
+    from noetherform.core import dualize
+    from noetherform.zigzag import dual_zigzag
+
+    z = delta if side == "primal" else dual_zigzag(delta, dualize(uni))
+    p = build_pyramid(z)
+    assert not p.commutativity_failures()
+    ul, tp = (2, 3), (2, 4)
+    m, up = p.arrow[(ul, tp)]
+    zero = _zero_like(m)
+    assert zero.dom is m.dom and zero.cod is m.cod and zero != m
+    p.arrow[(ul, tp)] = (zero, up)
+    failures = p.commutativity_failures()
+    ur = p.node[(3, 4)].id
+    assert (f"diamond at (2, 4): chasing {{0}} from (2, 3) gives {ur}:{{0}} "
+            f"via (3, 3) but {ur}:{{0,1,2,3}} via (2, 4)") in failures
+    line = re.compile(r"diamond at \(\d, \d\): chasing \S+ from \(\d, \d\) gives \S+ "
+                      r"via \(\d, \d\) but \S+ via \(\d, \d\)")
+    assert all(line.fullmatch(f) for f in failures)
 
 
 def test_decide_isomorphism_examples(uni):

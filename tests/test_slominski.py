@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noetherform.slominski as slominski
-from noetherform.core import Subobject
+from noetherform.core import Subobject, dualize
 from noetherform.errors import (ClosureError, LatticeError, UnsupportedSubobjectError,
                                 ValidationError)
 from noetherform.gen import InstanceLab, extend_homs
@@ -170,6 +170,19 @@ def test_quotient_d8_by_v():
 def test_quotient_requires_normal():
     with pytest.raises(UnsupportedSubobjectError):
         quotient(dihedral8(), D8_B)
+
+
+def test_form_names_the_subobject_it_cannot_quotient_by():
+    # as DataForm does, the Slominski form and its dual raise with the
+    # Subobject itself, not its element tuple
+    form = SlominskiForm()
+    S = form.object_of(symmetric3()).sub((0, 3))
+    for attempt in (lambda: form.projection_of(S),
+                    lambda: dualize(form).embedding_of(S.dual)):
+        with pytest.raises(UnsupportedSubobjectError) as err:
+            attempt()
+        assert err.value.subobject == S
+        assert err.value.subobject.owner is S.owner
 
 
 def brute_homs(A, B):
