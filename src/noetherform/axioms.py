@@ -409,7 +409,7 @@ def _ax4_failures(form, mors):
         except FormError as exc:
             yield f"factorize({f.name or repr(f)}): {exc}"
             return
-        if fac.composite != f:
+        if not _is_composite(f, fac):
             yield f"factorize({f.name or repr(f)}): composite differs"
             return
         if not is_isomorphism(fac.h):
@@ -422,6 +422,16 @@ def _ax4_failures(form, mors):
             yield f"factorize({f.name or repr(f)}): embedding part is wrong"
             return
         yield None
+
+
+def _is_composite(f, fac):
+    """f == fac.composite by Morphism.__eq__ (endpoint ids and image
+    tables), with the composite's tables gathered instead of built."""
+    e, h, m = fac.e, fac.h, fac.m
+    return (e.cod.id == h.dom.id and h.cod.id == m.dom.id
+            and (f.dom.id, f.cod.id) == (e.dom.id, m.cod.id)
+            and f.d == gather(m.d, gather(h.d, e.d))
+            and f.i == gather(e.i, gather(h.i, m.i)))
 
 
 def _ax5_failures(form, objs):

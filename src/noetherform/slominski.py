@@ -8,15 +8,20 @@ subgroups and homomorphisms are group homomorphisms.
 The module provides subalgebra lattices, congruence generation, quotients,
 hom enumeration, and SlominskiForm, which realizes the abstract form
 interface with intrinsic embeddings and projections (every subalgebra is
-conormal; normality is decided by the generated congruence's zero class).
-Its mediators and factorization are core.Form's induction on image tables,
-which also fills in their element maps.
+conormal; a subalgebra B is normal when its cosets p(B, y) are the
+classes of a congruence, the only one that can have zero class B).  Its
+mediators and factorization are core.Form's induction on image tables,
+which also fills in their element maps.  generate_congruence has no caller
+in the engine: it is the independent oracle the tests check normality
+against.
 
 Costs the module avoids:
 - Subalgebras are closed semi-naively (only pairs with a new element are
   taken) and enumerated by cyclic extension (subalgebra_masks).
-- The congruence generated by a subalgebra is cached per algebra and
-  subalgebra, so normality and the quotient share it.
+- Normality checks one candidate partition instead of generating a
+  congruence, and stops at the first translation that breaks it; the
+  answer is cached per algebra and subalgebra, so normality and the
+  quotient share it.
 - The image tables of element_morphism are cached per pair of lattices and
   element table, so a map built again (the corpus generators draw from a
   small palette of groups) costs one lookup.  An algebra hashes its tables
@@ -25,7 +30,9 @@ Costs the module avoids:
   G/N is the image of the interval [N, G] (by AX2, f^-1 f A = A v Ker f, so
   the projection's images of the A >= N are all of G/N's subalgebras), and
   that of a subalgebra S is the interval [0, S], relabelled
-  (SlominskiForm.quotient_object and subobject_object).
+  (SlominskiForm.quotient_object and subobject_object).  The image tables
+  of the projection and the inclusion are read off the same interval, by
+  position, instead of taking images element by element.
 """
 
 from __future__ import annotations
@@ -267,20 +274,54 @@ def is_subalgebra(alg: SlominskiAlgebra, elems: Iterable[int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _kernel_congruence(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Congruence:
-    """The congruence generated by B x {0}, for a subalgebra B (sorted
-    elements).  Cached, so deciding normality and building the quotient
-    generate it once per algebra and subalgebra."""
+def _kernel_classes(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """_candidate_classes, cached, so deciding normality and building the
+    quotient decide once per algebra and subalgebra."""
+    return _candidate_classes(alg, belems)
+
+
+def _candidate_classes(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """The class of each element under the congruence with zero class B (a
+    subalgebra, sorted elements), numbered by least element; None when B is
+    not normal.
+
+    Only x ~ y iff d(x, y) in B can have zero class B (x ~ y gives
+    d(x, y) ~ d(y, y) = 0, and d(x, y) ~ 0 gives x = p(d(x, y), y) ~
+    p(0, y) = y), so its classes are the cosets p(B, y).  They must not
+    overlap, and every translation p(z, -), p(-, z) and d(z, -) must keep
+    them: t does when cls(t(x)) = cls(t(r(x))) for each x and the least
+    element r(x) of its class.  Then d(-, z) keeps them too: each class has
+    |B| elements, so the bijection p(-, z) permutes them, and d(-, z) is its
+    inverse.  The overlap test only returns early: classes kept by the
+    translations all have the size of the zero class Z, which lies in B,
+    and the last coset placed keeps all |B| elements, so Z = B.
+    """
     if not is_subalgebra(alg, belems):
         raise ValidationError(f"{belems} is not a subalgebra of {alg.name}")
-    return generate_congruence(alg, [(b, alg.zero) for b in belems])
+    cls = [-1] * alg.n
+    rep = [0] * alg.n
+    k = 0
+    columns = tuple(zip(*alg.p))  # columns[y][x] = p(x, y)
+    for y, col in enumerate(columns):
+        if cls[y] < 0:
+            for b in belems:
+                x = col[b]
+                if cls[x] >= 0:
+                    return None
+                cls[x], rep[x] = k, y
+            k += 1
+    for rows in (alg.p, columns, alg.d):
+        for t in rows:
+            ct = [cls[v] for v in t]
+            if ct != [ct[r] for r in rep]:
+                return None
+    return tuple(cls)
 
 
 def is_normal_subalgebra(alg: SlominskiAlgebra, B: Iterable[int]) -> bool:
-    """B is a kernel iff the congruence generated by B x {0} has zero class
-    exactly B."""
-    belems = tuple(sorted(set(B)))
-    return _kernel_congruence(alg, belems).zero_class == belems
+    """B is a kernel iff its cosets p(B, y) are the classes of a congruence
+    (see _candidate_classes)."""
+    return _kernel_classes(alg, tuple(sorted(set(B)))) is not None
 
 
 def quotient(
@@ -292,22 +333,21 @@ def quotient(
     reproducible.
     """
     belems = tuple(sorted(set(B)))
-    cong = _kernel_congruence(alg, belems)
-    if cong.zero_class != belems:
+    cls = _kernel_classes(alg, belems)
+    if cls is None:
         raise UnsupportedSubobjectError(f"{belems} is not normal in {alg.name}",
                                         subobject=belems)
-    k = len(cong.classes)
-    cls = [0] * alg.n
-    for i, c in enumerate(cong.classes):
-        for x in c:
-            cls[x] = i
-    reps = [c[0] for c in cong.classes]
+    reps: list[int] = []
+    for x, c in enumerate(cls):
+        if c == len(reps):
+            reps.append(x)
+    k = len(reps)
     p = tuple(tuple(cls[alg.p[reps[i]][reps[j]]] for j in range(k)) for i in range(k))
     d = tuple(tuple(cls[alg.d[reps[i]][reps[j]]] for j in range(k)) for i in range(k))
     qname = name or f"{alg.name}/{{{','.join(map(str, belems))}}}"
     q = SlominskiAlgebra(qname, cls[alg.zero], p, d)
     q.validate()
-    proj = SlominskiHom(alg, q, tuple(cls), name=f"pi_{qname}")
+    proj = SlominskiHom(alg, q, cls, name=f"pi_{qname}")
     return q, proj
 
 
@@ -567,7 +607,10 @@ class SlominskiForm(Form):
 
         The subalgebras of S are the interval [0, S] of its owner's lattice,
         so S's lattice is that interval, relabelled along the inclusion,
-        instead of enumerated.
+        instead of enumerated, and the inclusion's tables are read off the
+        interval: the direct image of a subalgebra of S is itself, and the
+        inverse image of an A of the owner is the meet A ^ S, the
+        intersection of their masks.
         """
         ck = (S.owner.id, S.key)
         if perm is None and ck in self._sub_cache:
@@ -581,9 +624,11 @@ class SlominskiForm(Form):
             sub = permuted(sub, p, name=sub.name + "~")
             incl = SlominskiHom(sub, incl.cod, tuple(incl.table[inv[i]] for i in range(sub.n)))
         lat, top = S.owner.lattice, S.owner.lattice.mask(S.key)
-        obj = self._object(sub, lambda: _lattice_along(
-            sub, [m for m in lat.masks if not m & ~top], incl.table))
-        mor = element_morphism(obj, S.owner, incl.table, f"iota_{S.owner.id}{list(S.key)}")
+        below = [a for a, m in enumerate(lat.masks) if not m & ~top]
+        obj, d, at = self._interval_object(sub, lat, below, incl.table)
+        i = [at[lat.position_of_mask(m & top)] for m in lat.masks]
+        mor = Morphism(obj, S.owner, d, i, name=f"iota_{S.owner.id}{list(S.key)}",
+                       element_map=incl.table)
         if perm is None:
             self._sub_cache[ck] = (obj, mor)
         return obj, mor
@@ -597,6 +642,10 @@ class SlominskiForm(Form):
         is a union of classes, since x = p(d(x, a), a) and d(x, a) lies in
         N when x and a are in one class; so π(A) is read at one element of
         each class, and G/N's lattice is read off G's instead of enumerated.
+        The projection's tables are read off the interval [N, G] too: the
+        inverse image of π(A) is A, and the direct image of any A is
+        π(A v N).  The join A v N is the least key above both, and keys are
+        sorted by size, so its position is the lowest bit of up[A] & up[N].
         """
         ck = (S.owner.id, S.key)
         if perm is None and ck in self._quot_cache:
@@ -609,16 +658,36 @@ class SlominskiForm(Form):
             p = tuple(perm(q.n))
             q = permuted(q, p, name=q.name + "~")
             proj = SlominskiHom(proj.dom, q, tuple(p[v] for v in proj.table))
-        lat, bottom = S.owner.lattice, S.owner.lattice.mask(S.key)
         reps = [0] * q.n
         for x, c in enumerate(proj.table):
             reps[c] = x
-        obj = self._object(q, lambda: _lattice_along(
-            q, [m for m in lat.masks if m & bottom == bottom], reps))
-        mor = element_morphism(S.owner, obj, proj.table, f"pi_{S.owner.id}/{list(S.key)}")
+        lat = S.owner.lattice
+        above = lat.up[lat.index[S.key]]
+        obj, i, at = self._interval_object(q, lat, elements_of(above), reps)
+        joins = [u & above for u in lat.up]
+        d = [at[(j & -j).bit_length() - 1] for j in joins]
+        mor = Morphism(S.owner, obj, d, i, name=f"pi_{S.owner.id}/{list(S.key)}",
+                       element_map=proj.table)
         if perm is None:
             self._quot_cache[ck] = (obj, mor)
         return obj, mor
+
+    def _interval_object(self, alg: SlominskiAlgebra, lat: MaskLattice, positions: Sequence[int],
+                         source: Sequence[int]) -> tuple[FormObject, list[int], dict[int, int]]:
+        """alg's object, whose subalgebras are lat's at positions (an
+        interval) read along source: element j of alg lies in the subalgebra
+        of mask m when source[j] is in m.  Also returns the map between the
+        two numberings both ways: a list over alg's positions and a dict
+        over the given ones.  MaskLattice sorts the masks, so the keys come
+        in the order that subalgebra_lattice(alg) gives."""
+        local = [sum(1 << j for j, x in enumerate(source) if (lat.masks[a] >> x) & 1)
+                 for a in positions]
+        obj = self._object(alg, lambda: MaskLattice(alg.n, local, lambda m: close_mask(alg, m)))
+        at = dict(zip(positions, map(obj.lattice.position_of_mask, local)))
+        outer = [0] * len(local)
+        for a, b in at.items():
+            outer[b] = a
+        return obj, outer, at
 
     def epi_mono(self, f: Morphism, perm=None) -> tuple[Morphism, Morphism]:
         """Corestriction onto the image algebra, then inclusion."""
@@ -627,17 +696,6 @@ class SlominskiForm(Form):
 
     def zero_morphism(self, X: FormObject, Y: FormObject) -> Morphism:
         return element_morphism(X, Y, (Y.algebra.zero,) * X.algebra.n, "0")
-
-
-def _lattice_along(alg: SlominskiAlgebra, masks: Sequence[int], source: Sequence[int]) -> MaskLattice:
-    """alg's lattice, given its subalgebras as masks over another carrier:
-    element j of alg lies in the subalgebra of mask m when source[j] is in
-    m.  MaskLattice sorts the masks, so the keys come in the order that
-    subalgebra_lattice(alg) gives."""
-    return MaskLattice(
-        alg.n,
-        [sum(1 << j for j, x in enumerate(source) if (m >> x) & 1) for m in masks],
-        lambda m: close_mask(alg, m))
 
 
 def element_morphism(dom: FormObject, cod: FormObject, table: Sequence[int], name: str = "") -> Morphism:

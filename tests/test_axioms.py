@@ -1,13 +1,17 @@
 """Axiom harness: green runs on healthy forms, localized failures on
 corrupted ones."""
 
+import dataclasses
+
 import pytest
 
 from noetherform import DataForm, FormObject, Morphism, axiom_suite, dualize
 from noetherform.errors import ClosureError
-from noetherform.groups import cyclic, dihedral8, symmetric3, trivial_group, xor_group
+from noetherform.groups import (cyclic, cyclic_data, dihedral8, product_data, symmetric3,
+                               trivial_group, xor_group)
 from noetherform.lattice import TableLattice
-from noetherform.slominski import SlominskiHom, as_form, close_homs, enumerate_homs
+from noetherform.slominski import (SlominskiHom, as_form, close_homs, enumerate_homs,
+                                   from_group)
 
 
 def endo_form(alg):
@@ -267,6 +271,29 @@ def test_identity_check_names_first_failing_morphism():
     report = axiom_suite(FakeIdentity(form.objects.values(), mors, name="E8"))
     (check,) = [c for c in report.checks if c.name == "I"]
     assert (check.passed, check.witness) == (False, want)
+
+
+def test_ax4_names_the_first_morphism_its_factorization_misses():
+    # the embedding part is followed by an automorphism a of Z4 x Z2, so the
+    # factorization of f composes to a.f; AX4 compares it with f without
+    # building composites, and must agree with core.compose
+    from noetherform.core import compose
+
+    alg = from_group(*product_data(cyclic_data(4), cyclic_data(2)), name="Z4xZ2")
+    form = as_form([alg], _named_homs(alg), name=alg.name)
+    mors = list(form.morphisms)
+    a = next(m for m in mors if len(set(m.element_map)) == alg.n
+             and m.element_map != tuple(range(alg.n)))
+    factorize = form.factorize
+
+    def twisted(f):
+        fac = factorize(f)
+        return dataclasses.replace(fac, m=compose(a, fac.m))
+
+    form.factorize = twisted
+    f = next(m for m in mors if compose(a, m) != m)
+    (check,) = [c for c in axiom_suite(form).checks if c.name == "AX4"]
+    assert (check.passed, check.witness) == (False, f"factorize({f.name}): composite differs")
 
 
 # ---------------------------------------------------------------------------

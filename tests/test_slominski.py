@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -486,37 +487,84 @@ def reversing(n):
     return list(reversed(range(n)))
 
 
-@pytest.mark.parametrize("alg", LE16 + [T3, T4, U4], ids=lambda a: a.name)
-def test_derived_lattices_against_enumeration(alg):
+def check_derived_objects(alg):
+    """Returns the number of subalgebras of alg that are not normal."""
     # subalgebra_masks enumerates alg's own lattice; quotient_object reads
     # G/N's off the interval [N, G] and subobject_object reads S's off the
     # interval [0, S].  Each must give the keys, in the order, that the
-    # reference enumerator gives.
+    # reference enumerator gives, and the image tables that element_morphism
+    # gives.  Normality and the quotient's classes are compared with
+    # generate_congruence, which closes B x {0} under p and d, independently
+    # of the one-candidate test that is_normal_subalgebra and quotient use.
     form = SlominskiForm()
     obj = form.object_of(alg)
     assert obj.lattice.keys == enumerated_keys(alg)
+    non_normal = 0
     for key in obj.lattice.keys:
+        cong = generate_congruence(alg, [(b, alg.zero) for b in key])
+        normal = cong.zero_class == key
+        assert is_normal_subalgebra(alg, key) == normal, key
+        non_normal += not normal
+        if normal:
+            table = quotient(alg, key)[1].table
+            classes = tuple(tuple(x for x in range(alg.n) if table[x] == c)
+                            for c in range(max(table) + 1))
+            assert classes == cong.classes, key
         S = Subobject(obj, key)
         for perm in (None, reversing):
             sub, incl = form.subobject_object(S, perm)
             assert sub.lattice.keys == enumerated_keys(sub.algebra), (key, perm)
             assert incl.d[-1] == obj.lattice.index[key]
-            if is_normal_subalgebra(alg, key):
+            ref = element_morphism(sub, obj, incl.element_map)
+            assert (incl.d, incl.i) == (ref.d, ref.i), (key, perm)
+            if normal:
                 q, proj = form.quotient_object(S, perm)
                 assert q.lattice.keys == enumerated_keys(q.algebra), (key, perm)
                 assert proj.i[0] == obj.lattice.index[key]
+                ref = element_morphism(obj, q, proj.element_map)
+                assert (proj.d, proj.i) == (ref.d, ref.i), (key, perm)
+    return non_normal
 
 
-def test_normal_keys_and_quotients_generate_one_congruence_each(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("alg", LE16 + [T3, T4, U4], ids=lambda a: a.name)
+def test_derived_lattices_against_enumeration(alg):
+    check_derived_objects(alg)
 
-    def counting(alg, pairs):
-        pairs = list(pairs)
-        calls.append((alg.name, tuple(sorted(b for b, _ in pairs))))
+
+def random_permutation_algebra(seed):
+    """A seeded Slominski algebra of order 3 to 8 built by from_permutations;
+    in general not a group and not associative."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 8)
+    sigmas = []
+    for y in range(n):
+        rest = [v for v in range(n) if v != y]
+        rng.shuffle(rest)
+        sigmas.append((y, *rest))
+    return from_permutations(f"R{seed}", sigmas)
+
+
+def test_derived_objects_of_random_algebras():
+    # 455 subalgebras, 54 of them not normal
+    assert sum(check_derived_objects(random_permutation_algebra(seed))
+               for seed in range(200)) == 54
+
+
+def test_normal_keys_and_quotients_decide_each_pair_once(monkeypatch):
+    calls, generated = [], []
+
+    def counting(alg, belems):
+        calls.append((alg.name, belems))
+        return candidate_classes(alg, belems)
+
+    def generating(alg, pairs):
+        generated.append(alg.name)
         return generate_congruence(alg, pairs)
 
-    monkeypatch.setattr(slominski, "generate_congruence", counting)
-    # a name of its own, so no congruence of it is cached yet
+    candidate_classes = slominski._candidate_classes
+    monkeypatch.setattr(slominski, "_candidate_classes", counting)
+    monkeypatch.setattr(slominski, "generate_congruence", generating)
+    # a name of its own, so no decision on it is cached yet
     alg = from_group(*dihedral_data(4), name="D8 counted")
     lab = InstanceLab(0)
     normals = lab.normal_keys(alg)
@@ -525,3 +573,4 @@ def test_normal_keys_and_quotients_generate_one_congruence_each(monkeypatch):
         lab.proj(lab.obj(alg), key)
     assert len(normals) == 6
     assert sorted(calls) == sorted((alg.name, k) for k in subalgebras(alg))
+    assert generated == []
