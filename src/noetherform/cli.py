@@ -5,6 +5,10 @@ Exit codes: 0 all checks pass, 1 a verified failure or refutation,
 2 input error (unreadable or undecodable file, parse failure, unknown names,
 shape mismatch).
 Output ordering is deterministic (sorted names).
+
+Each subcommand imports only its own layers when it runs (check-axioms the
+axiom suite, chase the zigzags, induce and pyramid the pyramids, verify and
+snake the lemmas), so a call loads no engine module it does not use.
 """
 
 from __future__ import annotations
@@ -12,13 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .axioms import axiom_suite
 from .core import render_key
 from .errors import FormError, ParseError
-from .lemmas import ALIASES, LEMMAS, snake, verify
 from .parser import merge, parse_file
-from .pyramid import build_pyramid, decide_induction
-from .zigzag import chase_backward, chase_forward
 
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
 
@@ -40,6 +40,8 @@ def _resolve_subobject(obj, spec: str):
 
 
 def cmd_check_axioms(args) -> int:
+    from .axioms import axiom_suite
+
     ws = _load(args.files)
     forms = ws.forms()
     if args.form:
@@ -59,6 +61,8 @@ def cmd_check_axioms(args) -> int:
 
 
 def cmd_chase(args) -> int:
+    from .zigzag import chase_backward, chase_forward
+
     ws = _load(args.files)
     z = ws.zigzag(args.zigzag)
     src = z.start if args.direction == "forward" else z.end
@@ -75,6 +79,8 @@ def cmd_chase(args) -> int:
 
 
 def cmd_induce(args) -> int:
+    from .pyramid import decide_induction
+
     ws = _load(args.files)
     z = ws.zigzag(args.zigzag)
     verdict = decide_induction(z, name=args.zigzag)
@@ -95,6 +101,8 @@ def cmd_induce(args) -> int:
 
 
 def cmd_pyramid(args) -> int:
+    from .pyramid import build_pyramid
+
     ws = _load(args.files)
     z = ws.zigzag(args.zigzag)
     p = build_pyramid(z)
@@ -112,6 +120,8 @@ def cmd_pyramid(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .lemmas import verify
+
     ws = _load(args.files)
     report, _ = verify(ws.diagram(args.diagram), args.lemma, args.part)
     print(report.render())
@@ -119,6 +129,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_snake(args) -> int:
+    from .lemmas import snake
+
     ws = _load(args.files)
     d = ws.diagram(args.diagram)
     result = snake(d)
@@ -128,6 +140,21 @@ def cmd_snake(args) -> int:
         print(f"orders {orders}")
     print(result.report.render())
     return EXIT_PASS if result.report.passed else EXIT_FAIL
+
+
+class _VerifyHelp(argparse.HelpFormatter):
+    """verify's help, with the lemma registry's names filled in: the registry
+    is imported only when that help is printed."""
+
+    def _get_help_string(self, action):
+        from .lemmas import ALIASES, LEMMAS
+
+        return action.help.format(
+            lemmas=", ".join(LEMMAS),
+            aliases=", ".join(f"{a} for {n}" for a, n in ALIASES.items()),
+            parts="; ".join(f"{name} {'|'.join(spec.parts)}"
+                            for name, spec in LEMMAS.items() if None not in spec.parts),
+        )
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -163,14 +190,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", help="write DOT output to this file")
     p.set_defaults(fn=cmd_pyramid)
 
-    p = sub.add_parser("verify", help="verify a named lemma on a diagram")
+    p = sub.add_parser("verify", help="verify a named lemma on a diagram",
+                       formatter_class=_VerifyHelp)
     p.add_argument("files", nargs="+")
     p.add_argument("diagram")
-    aliases = ", ".join(f"{a} for {n}" for a, n in ALIASES.items())
-    parts = "; ".join(f"{name} {'|'.join(spec.parts)}"
-                      for name, spec in LEMMAS.items() if None not in spec.parts)
-    p.add_argument("--lemma", required=True, help=f"one of {', '.join(LEMMAS)} ({aliases})")
-    p.add_argument("--part", help=f"part of a lemma that has parts, the first by default: {parts}")
+    p.add_argument("--lemma", required=True, help="one of {lemmas} ({aliases})")
+    p.add_argument("--part", help="part of a lemma that has parts, the first by default: {parts}")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("snake", help="construct and check the snake sequence")

@@ -9,15 +9,18 @@ data-defined and checked as written.
 
 Zigzag lines accept the direction token on either side of the morphism
 name: `X > f Y` and `X f > Y` both mean f points rightward.
+
+The zigzag and diagram layers are imported only where zigzag lines,
+assertions, zigzags or diagrams are handled, so a file of forms and algebras
+loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .core import DataForm, Form, FormObject, Morphism
-from .diagram import Assertion, Diagram
 from .errors import ParseError
 from .lattice import TableLattice
 from .slominski import (
@@ -27,7 +30,10 @@ from .slominski import (
     close_homs,
     from_group,
 )
-from .zigzag import LEFT, RIGHT, Edge, Zigzag
+
+if TYPE_CHECKING:
+    from .diagram import Assertion, Diagram
+    from .zigzag import Zigzag
 
 
 @dataclass
@@ -119,6 +125,8 @@ class Workspace:
         return out
 
     def zigzag(self, name: str) -> Zigzag:
+        from .zigzag import Edge, Zigzag
+
         spec = self.zigzag_specs.get(name)
         if spec is None:
             raise ParseError(f"unknown zigzag {name!r}")
@@ -140,6 +148,8 @@ class Workspace:
             raise ParseError(f"zigzag {name}: {exc}", spec.line) from None
 
     def diagram(self, name: str) -> Diagram:
+        from .diagram import Diagram
+
         spec = self.diagram_specs.get(name)
         if spec is None:
             raise ParseError(f"unknown diagram {name!r}")
@@ -353,6 +363,8 @@ def _parse_form(ws, lines, i):
 
 
 def _parse_zigzag(ws, toks, i):
+    from .zigzag import LEFT, RIGHT
+
     _expect(len(toks) >= 4 and toks[2] == ":", "expected: zigzag <name> : <X0> ...", i)
     name = toks[1]
     _fresh(ws.zigzag_specs, name, "zigzag", i)
@@ -403,6 +415,8 @@ def _parse_diagram(ws, lines, i):
 
 
 def _parse_assert(args, j):
+    from .diagram import Assertion
+
     if not args:
         raise ParseError("empty assertion", j + 1)
     kind = args[0]
@@ -446,6 +460,8 @@ def merge(*spaces: Workspace) -> Workspace:
 
 
 def dump(ws: Workspace) -> str:
+    from .zigzag import RIGHT
+
     out = []
     for name in sorted(ws.algebras):
         alg = ws.algebras[name]
