@@ -14,17 +14,16 @@ Hom lists (enumerate_homs, extend_homs, the injective homs) come in
 lexicographic order of their tables, and generators pick from them by index
 with rng.choice, so a seeded corpus stays the same only as long as that order
 does.  The corpus draws its groups from a small fixed palette and so asks the
-same questions again and again: hom lists, extensions and normal keys are
-cached per process, as tuples that no caller can change, in the same order as
-when they are computed (hom lists lexicographic, normal keys in the order of
-subalgebras), so a draw from a cached answer is the draw a recomputed one
-would give.
+same questions again and again: extensions, injective homs and normal keys
+are memoized on their domain algebra, as tuples that no caller can change, in
+the same order as when they are computed (hom lists lexicographic, normal
+keys in lattice order), so a draw from a memoized answer is the draw a
+recomputed one would give.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .core import (FormObject, Morphism, Subobject, compose, direct_image, identity_morphism,
@@ -48,7 +47,6 @@ from .slominski import (
     enumerate_homs,
     hom_tables,
     is_normal_subalgebra,
-    subalgebras,
 )
 from .zigzag import LEFT, RIGHT, Edge, Zigzag
 
@@ -73,30 +71,19 @@ _DECORATIONS = {
 }
 
 
-def extend_homs(
-    A: SlominskiAlgebra, B: SlominskiAlgebra, forced: dict[int, int]
-) -> tuple[tuple[int, ...], ...]:
+def extend_homs(A: SlominskiAlgebra, B: SlominskiAlgebra,
+                forced: dict[int, int]) -> tuple[tuple[int, ...], ...]:
     """All hom tables A -> B agreeing with the forced partial map, in
     lexicographic order.  The list does not depend on the order in which
-    forced was filled, so it is cached on the sorted forced pairs."""
-    return _extensions(A, B, tuple(sorted(forced.items())))
+    forced was filled, so it is memoized on A under B and the sorted pairs."""
+    return A.memoized(("extend", B, tuple(sorted(forced.items()))),
+                      lambda: tuple(hom_tables(A, B, forced)))
 
 
-@lru_cache(maxsize=None)
-def _extensions(A: SlominskiAlgebra, B: SlominskiAlgebra,
-                forced: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(hom_tables(A, B, dict(forced)))
-
-
-@lru_cache(maxsize=None)
 def _injective_homs(A: SlominskiAlgebra, B: SlominskiAlgebra) -> tuple[SlominskiHom, ...]:
     """The injective homs A -> B, in the order of enumerate_homs."""
-    return tuple(h for h in enumerate_homs(A, B) if _is_injective_table(h.table))
-
-
-@lru_cache(maxsize=None)
-def _normal_keys(alg: SlominskiAlgebra) -> tuple[tuple[int, ...], ...]:
-    return tuple(k for k in subalgebras(alg) if is_normal_subalgebra(alg, k))
+    return A.memoized(("injective", B), lambda: tuple(
+        h for h in enumerate_homs(A, B) if _is_injective_table(h.table)))
 
 
 class InstanceLab:
@@ -120,8 +107,10 @@ class InstanceLab:
             return None
         return self.rng.choice(homs)
 
-    def normal_keys(self, alg) -> tuple[tuple[int, ...], ...]:
-        return _normal_keys(alg)
+    def normal_keys(self, obj: FormObject) -> tuple[tuple[int, ...], ...]:
+        """obj's normal keys in lattice order, memoized on its algebra."""
+        return obj.algebra.memoized("normal keys", lambda: tuple(
+            k for k in obj.lattice.keys if is_normal_subalgebra(obj.algebra, k)))
 
     def incl(self, obj: FormObject, key) -> tuple[FormObject, Morphism]:
         return self.universe.subobject_object(Subobject(obj, key))
@@ -277,8 +266,8 @@ def five_instance(lab: InstanceLab, part: str) -> Diagram:
 # grid-shaped instances from a group with two normal subalgebras
 
 
-def _normal_pair(lab: InstanceLab, alg) -> tuple:
-    normals = lab.normal_keys(alg)
+def _normal_pair(lab: InstanceLab, obj: FormObject) -> tuple:
+    normals = lab.normal_keys(obj)
     return lab.rng.choice(normals), lab.rng.choice(normals)
 
 
@@ -286,7 +275,7 @@ def threebythree_instance(lab: InstanceLab) -> Diagram:
     """Grid with all rows and columns short exact, built from (G, U, X')."""
     uni = lab.universe
     Bp = lab.obj(lab.rng.choice(GRID_PALETTE()))
-    U, Xp = _normal_pair(lab, Bp.algebra)
+    U, Xp = _normal_pair(lab, Bp)
     lat = Bp.lattice
     B, t = lab.incl(Bp, U)
     Bpp, j = lab.proj(Bp, U)
@@ -314,7 +303,7 @@ def short_five_instance(lab: InstanceLab, part: str) -> Diagram:
     for _ in range(200):
         G = lab.obj(rng.choice(GRID_PALETTE()))
         Gp = lab.obj(rng.choice(GRID_PALETTE())) if part not in ("iii",) else G
-        N = rng.choice(lab.normal_keys(G.algebra))
+        N = rng.choice(lab.normal_keys(G))
         if part == "iii":
             cands = [h for h in enumerate_homs(G.algebra, Gp.algebra)
                      if _is_bijective_table(h.table, Gp.algebra.n)
@@ -327,7 +316,7 @@ def short_five_instance(lab: InstanceLab, part: str) -> Diagram:
         phi_h = rng.choice(cands)
         if Np is None:
             base = {phi_h.table[x] for x in N}
-            Np = rng.choice([k for k in lab.normal_keys(Gp.algebra) if base <= set(k)])
+            Np = rng.choice([k for k in lab.normal_keys(Gp) if base <= set(k)])
         A, fm = lab.incl(G, N)
         C, gm = lab.proj(G, N)
         Apo, xm = lab.incl(Gp, Np)
@@ -348,7 +337,7 @@ def spider_instance(lab: InstanceLab) -> Diagram:
     rng = lab.rng
     X = lab.obj(rng.choice(GRID_PALETTE()))
     lat = X.lattice
-    normals = lab.normal_keys(X.algebra)
+    normals = lab.normal_keys(X)
     # (bottom, top) is always among the pairs
     pairs = [
         (P, Q)
@@ -369,7 +358,7 @@ def incomplete_snail_instance(lab: InstanceLab) -> Diagram:
     uni = lab.universe
     rng = lab.rng
     X = lab.obj(rng.choice(GRID_PALETTE()))
-    K, M = _normal_pair(lab, X.algebra)
+    K, M = _normal_pair(lab, X)
     Y1, a = lab.incl(X, K)
     W2, b = lab.proj(X, K)
     W1, g = lab.incl(X, M)
@@ -386,7 +375,7 @@ def square_exact_instance(lab: InstanceLab, part: str) -> Diagram:
     rng = lab.rng
     B = lab.obj(rng.choice(GRID_PALETTE()))
     lat = B.lattice
-    normals = lab.normal_keys(B.algebra)
+    normals = lab.normal_keys(B)
     if part == "i":
         pairs = [(N, K) for N in normals for K in normals if lat.leq(N, K)]
         N, K = rng.choice(pairs)
@@ -401,7 +390,7 @@ def square_exact_instance(lab: InstanceLab, part: str) -> Diagram:
     # part ii: bottom exact, y an inclusion of a subalgebra containing K'
     Bp = B
     Kp = rng.choice(normals)
-    supers = [S for S in subalgebras(Bp.algebra) if set(Kp) <= set(S)]
+    supers = [S for S in Bp.lattice.keys if set(Kp) <= set(S)]
     S = rng.choice(supers)
     Ap, mm = lab.incl(Bp, Kp)
     Cp, nn = lab.proj(Bp, Kp)
@@ -421,7 +410,7 @@ def snake_instance(lab: InstanceLab) -> Diagram:
     uni = lab.universe
     rng = lab.rng
     B = lab.obj(xor_group(rng.randrange(1, 4)))
-    Kg = rng.choice(subalgebras(B.algebra))
+    Kg = rng.choice(B.lattice.keys)
     C, g = lab.proj(B, Kg)
     Ksub, incl_k = lab.incl(B, Kg)
     # rank(A) >= rank(Ksub), so A maps onto Ksub
@@ -433,7 +422,7 @@ def snake_instance(lab: InstanceLab) -> Diagram:
     beta_h = lab.random_hom(B.algebra, Bp.algebra)
     beta = lab.table_mor(B, Bp, beta_h.table, "beta")
     base = direct_image(beta, Subobject(B, Kg)).key
-    supers = [k for k in subalgebras(Bp.algebra) if set(base) <= set(k)]
+    supers = [k for k in Bp.lattice.keys if set(base) <= set(k)]
     Ip = rng.choice(supers)
     Apo, fp = lab.incl(Bp, Ip)
     Cpo, gp = lab.proj(Bp, Ip)
@@ -518,11 +507,11 @@ def recipe_zigzag(lab: InstanceLab, max_len: int = 6) -> Zigzag:
         cur = nodes[-1]
         kind = rng.random()
         if kind < 0.45:
-            N = rng.choice(lab.normal_keys(cur.algebra))
+            N = rng.choice(lab.normal_keys(cur))
             nxt, p = lab.proj(cur, N)
             edges.append(Edge(p, RIGHT))
         elif kind < 0.9:
-            S = rng.choice(subalgebras(cur.algebra))
+            S = rng.choice(cur.lattice.keys)
             nxt, i = lab.incl(cur, S)
             edges.append(Edge(i, LEFT))
         else:

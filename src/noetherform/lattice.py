@@ -67,6 +67,7 @@ class MaskLattice:
         if any(m & ~ms[-1] for m in ms):
             raise LatticeError("no top element among the given masks")
         self.bottom, self.top = self.keys[0], self.keys[-1]
+        self.image_tables: dict = {}  # element_morphism's, by (codomain lattice, table)
 
     @cached_property
     def up(self) -> tuple[int, ...]:

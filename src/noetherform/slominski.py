@@ -20,12 +20,12 @@ Costs the module avoids:
   taken) and enumerated by cyclic extension (subalgebra_masks).
 - Normality checks one candidate partition instead of generating a
   congruence, and stops at the first translation that breaks it; the
-  answer is cached per algebra and subalgebra, so normality and the
-  quotient share it.
-- The image tables of element_morphism are cached per pair of lattices and
-  element table, so a map built again (the corpus generators draw from a
-  small palette of groups) costs one lookup.  An algebra hashes its tables
-  once, when it is built.
+  answer is memoized on the algebra, so normality and the quotient share it.
+- The image tables of element_morphism are memoized on the domain's lattice,
+  so a map built again (the corpus generators draw from a small palette of
+  groups) costs one lookup.  An algebra hashes its tables once, when built.
+- A memo lives on the value it is a function of, exactly as long as that
+  value; only enumerate_homs and subalgebra_lattice are cached per process.
 - Only an algebra's own lattice is enumerated.  The lattice of a quotient
   G/N is the image of the interval [N, G] (by AX2, f^-1 f A = A v Ker f, so
   the projection's images of the A >= N are all of G/N's subalgebras), and
@@ -37,6 +37,7 @@ Costs the module avoids:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -55,12 +56,20 @@ class SlominskiAlgebra:
     d: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        # hashed once: the caches keyed on algebras would otherwise hash the
-        # whole p and d tables on every lookup
+        # hashed once, for memo keys and the caches keyed on algebras; _memo
+        # holds the answers that are functions of this algebra (see memoized)
         object.__setattr__(self, "_hash", hash((self.name, self.zero, self.p, self.d)))
+        object.__setattr__(self, "_memo", {})
 
     def __hash__(self):
         return self._hash
+
+    def memoized(self, key, compute):
+        """The answer stored under key, or compute()'s, stored first; an
+        exception stores nothing."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def n(self) -> int:
@@ -182,7 +191,6 @@ def _close_over(alg: SlominskiAlgebra, closed: int, mask: int) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
 def subalgebra_masks(alg: SlominskiAlgebra) -> tuple[int, ...]:
     """All subalgebra masks, in ascending order of the mask.
 
@@ -269,15 +277,15 @@ def generate_congruence(alg: SlominskiAlgebra, pairs: Iterable[tuple[int, int]])
 
 
 def is_subalgebra(alg: SlominskiAlgebra, elems: Iterable[int]) -> bool:
-    m = mask_of(elems)
+    elems = set(elems)
+    m = mask_of(elems) if elems <= set(range(alg.n)) else 0  # 0: no subalgebra
     return close_mask(alg, m) == m and (m >> alg.zero) & 1
 
 
-@lru_cache(maxsize=None)
 def _kernel_classes(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """_candidate_classes, cached, so deciding normality and building the
-    quotient decide once per algebra and subalgebra."""
-    return _candidate_classes(alg, belems)
+    """_candidate_classes, memoized on alg, so normality and the quotient
+    decide once per subalgebra; a B that is no subalgebra stores nothing."""
+    return alg.memoized(("kernel", belems), lambda: _candidate_classes(alg, belems))
 
 
 def _candidate_classes(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -528,22 +536,26 @@ class SlominskiForm(Form):
         self.objects: dict[str, FormObject] = {}
         self._by_algebra: dict[SlominskiAlgebra, FormObject] = {}
         self._ids_taken: set[str] = set()
+        self._fresh = itertools.count()
         self.morphisms: tuple[Morphism, ...] = ()
-        self._sub_cache: dict[tuple, tuple[FormObject, Morphism]] = {}
-        self._quot_cache: dict[tuple, tuple[FormObject, Morphism]] = {}
+        self._derived: dict[tuple, tuple[FormObject, Morphism]] = {}
 
     # objects and morphisms --------------------------------------------
 
     def object_of(
         self, alg: SlominskiAlgebra, name: Optional[str] = None, declare: bool = False
     ) -> FormObject:
-        """Form object for an algebra.  Only declared objects enter
-        self.objects; derived ones (quotients, subalgebra copies) are kept in
-        a side registry so the axiom suite sees the declared form only."""
+        """Form object for an algebra, registered so it is built once.  Only
+        declared objects enter self.objects, so the axiom suite sees the
+        declared form only; derived ones (quotients, subalgebras) do not."""
         return self._object(alg, lambda: subalgebra_lattice(alg), name, declare)
 
-    def _object(self, alg, make_lattice, name=None, declare=False) -> FormObject:
-        """object_of, with make_lattice() building a new object's lattice."""
+    def _object(self, alg, make_lattice, name=None, declare=False, keep=True) -> FormObject:
+        """object_of, with make_lattice() building a new object's lattice.
+        Unless keep, the object is new, takes a fresh id and is not
+        registered, so only its users hold it."""
+        if not keep:
+            return FormObject(f"{alg.name}#{next(self._fresh)}", make_lattice(), algebra=alg)
         got = self._by_algebra.get(alg)
         if got is not None:
             if declare:
@@ -612,9 +624,9 @@ class SlominskiForm(Form):
         inverse image of an A of the owner is the meet A ^ S, the
         intersection of their masks.
         """
-        ck = (S.owner.id, S.key)
-        if perm is None and ck in self._sub_cache:
-            return self._sub_cache[ck]
+        keep, ck = self._keeps(S, perm), ("sub", S.owner.id, S.key)
+        if keep and ck in self._derived:
+            return self._derived[ck]
         sub, incl = subalgebra_algebra(S.owner.algebra, S.key)
         if perm is not None:
             p = tuple(perm(sub.n))
@@ -625,12 +637,12 @@ class SlominskiForm(Form):
             incl = SlominskiHom(sub, incl.cod, tuple(incl.table[inv[i]] for i in range(sub.n)))
         lat, top = S.owner.lattice, S.owner.lattice.mask(S.key)
         below = [a for a, m in enumerate(lat.masks) if not m & ~top]
-        obj, d, at = self._interval_object(sub, lat, below, incl.table)
+        obj, d, at = self._interval_object(sub, lat, below, incl.table, keep)
         i = [at[lat.position_of_mask(m & top)] for m in lat.masks]
         mor = Morphism(obj, S.owner, d, i, name=f"iota_{S.owner.id}{list(S.key)}",
                        element_map=incl.table)
-        if perm is None:
-            self._sub_cache[ck] = (obj, mor)
+        if keep:
+            self._derived[ck] = (obj, mor)
         return obj, mor
 
     def quotient_object(self, S: Subobject, perm=None) -> tuple[FormObject, Morphism]:
@@ -647,9 +659,9 @@ class SlominskiForm(Form):
         π(A v N).  The join A v N is the least key above both, and keys are
         sorted by size, so its position is the lowest bit of up[A] & up[N].
         """
-        ck = (S.owner.id, S.key)
-        if perm is None and ck in self._quot_cache:
-            return self._quot_cache[ck]
+        keep, ck = self._keeps(S, perm), ("quot", S.owner.id, S.key)
+        if keep and ck in self._derived:
+            return self._derived[ck]
         try:
             q, proj = quotient(S.owner.algebra, S.key)
         except UnsupportedSubobjectError as exc:
@@ -663,26 +675,33 @@ class SlominskiForm(Form):
             reps[c] = x
         lat = S.owner.lattice
         above = lat.up[lat.index[S.key]]
-        obj, i, at = self._interval_object(q, lat, elements_of(above), reps)
+        obj, i, at = self._interval_object(q, lat, elements_of(above), reps, keep)
         joins = [u & above for u in lat.up]
         d = [at[(j & -j).bit_length() - 1] for j in joins]
         mor = Morphism(S.owner, obj, d, i, name=f"pi_{S.owner.id}/{list(S.key)}",
                        element_map=proj.table)
-        if perm is None:
-            self._quot_cache[ck] = (obj, mor)
+        if keep:
+            self._derived[ck] = (obj, mor)
         return obj, mor
 
+    def _keeps(self, S: Subobject, perm) -> bool:
+        """Objects derived from S are registered and remembered only when
+        not relabelled and derived from an object this form registered."""
+        return perm is None and self._by_algebra.get(S.owner.algebra) is S.owner
+
     def _interval_object(self, alg: SlominskiAlgebra, lat: MaskLattice, positions: Sequence[int],
-                         source: Sequence[int]) -> tuple[FormObject, list[int], dict[int, int]]:
-        """alg's object, whose subalgebras are lat's at positions (an
-        interval) read along source: element j of alg lies in the subalgebra
-        of mask m when source[j] is in m.  Also returns the map between the
-        two numberings both ways: a list over alg's positions and a dict
-        over the given ones.  MaskLattice sorts the masks, so the keys come
-        in the order that subalgebra_lattice(alg) gives."""
+                         source: Sequence[int], keep: bool
+                         ) -> tuple[FormObject, list[int], dict[int, int]]:
+        """alg's object (registered if keep), whose subalgebras are lat's at
+        positions (an interval) read along source: element j of alg lies in
+        the subalgebra of mask m when source[j] is in m.  Also returns the
+        map between the two numberings both ways: a list over alg's positions
+        and a dict over the given ones.  MaskLattice sorts the masks, so the
+        keys come in the order that subalgebra_lattice(alg) gives."""
         local = [sum(1 << j for j, x in enumerate(source) if (lat.masks[a] >> x) & 1)
                  for a in positions]
-        obj = self._object(alg, lambda: MaskLattice(alg.n, local, lambda m: close_mask(alg, m)))
+        obj = self._object(alg, lambda: MaskLattice(alg.n, local, lambda m: close_mask(alg, m)),
+                           keep=keep)
         at = dict(zip(positions, map(obj.lattice.position_of_mask, local)))
         outer = [0] * len(local)
         for a, b in at.items():
@@ -699,29 +718,20 @@ class SlominskiForm(Form):
 
 
 def element_morphism(dom: FormObject, cod: FormObject, table: Sequence[int], name: str = "") -> Morphism:
-    """Build a Morphism from a carrier-level map; image maps are elementwise
-    (see _image_tables)."""
+    """Build a Morphism from a carrier-level map, with its direct and inverse
+    image tables (Morphism.d and .i), memoized on dom's lattice by cod's
+    lattice (hashed by identity) and the table.  Raises LatticeError, and
+    stores nothing, when an image is not a subalgebra: table is not a hom."""
     table = tuple(table)
-    d, i = _image_tables(dom.lattice, cod.lattice, table, dom.algebra.n)
-    return Morphism(dom, cod, d, i, name=name, element_map=table)
-
-
-@lru_cache(maxsize=None)
-def _image_tables(dl: MaskLattice, cl: MaskLattice, table: tuple[int, ...],
-                  n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The direct and inverse image tables (Morphism.d and .i) of the carrier
-    map table, from dl's carrier of size n to cl's.
-
-    Raises LatticeError when an image is not a subalgebra, i.e. table is not
-    a hom; lru_cache keeps no exception, so every such call raises.  A
-    MaskLattice hashes by identity, and the cache holds the lattices it is
-    keyed on, so no key can be taken by another lattice.
-    """
-    d = tuple([cl.position_of_mask(mask_of([table[x] for x in key])) for key in dl.keys])
-    carrier = range(n)
-    i = tuple([dl.position_of_mask(mask_of([x for x in carrier if (want >> table[x]) & 1]))
-               for want in cl.masks])
-    return d, i
+    dl, cl = dom.lattice, cod.lattice
+    got = dl.image_tables.get((cl, table))
+    if got is None:
+        d = tuple([cl.position_of_mask(mask_of([table[x] for x in key])) for key in dl.keys])
+        carrier = range(dom.algebra.n)
+        i = tuple([dl.position_of_mask(mask_of([x for x in carrier if (want >> table[x]) & 1]))
+                   for want in cl.masks])
+        got = dl.image_tables[(cl, table)] = (d, i)
+    return Morphism(dom, cod, *got, name=name, element_map=table)
 
 
 def as_form(

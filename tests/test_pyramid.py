@@ -1,6 +1,8 @@
 """Pyramids, homomorphism induction, induced isomorphisms."""
 
+import gc
 import re
+import weakref
 
 import pytest
 
@@ -19,7 +21,7 @@ from noetherform import (
 from noetherform.errors import ValidationError
 from noetherform.gen import InstanceLab, random_zigzag, recipe_zigzag
 from noetherform.groups import D8_V, cyclic, dihedral8
-from noetherform.slominski import element_morphism
+from noetherform.slominski import SlominskiAlgebra, element_morphism
 from noetherform.zigzag import (
     LEFT,
     RIGHT,
@@ -208,22 +210,25 @@ def test_induced_duality():
             assert v2.morphism.iimg == v1.morphism.dimg
 
 
+def _dual_zigzags(lab, count=60):
+    """The dual of lab's universe and count seeded zigzags, each with its
+    dual zigzag."""
+    from noetherform.core import dualize
+    from noetherform.zigzag import dual_zigzag
+
+    dual = dualize(lab.universe)
+    zs = [recipe_zigzag(lab, max_len=4) if i % 2 else random_zigzag(lab, max_len=4)
+          for i in range(count)]
+    return dual, [(z, dual_zigzag(z, dual)) for z in zs]
+
+
 @pytest.fixture(scope="module")
 def dual_builds():
     """One dual form and 60 seeded zigzags, each with its dual zigzag and
     the dual pyramids built left to right and right to left, relabelled."""
-    from noetherform.core import dualize
-    from noetherform.zigzag import dual_zigzag
-
-    lab = InstanceLab(seed=202)
-    dual = dualize(lab.universe)
-    builds = []
-    for i in range(60):
-        z = recipe_zigzag(lab, max_len=4) if i % 2 else random_zigzag(lab, max_len=4)
-        zd = dual_zigzag(z, dual)
-        builds.append((z, zd, build_pyramid(zd, order="ltr"),
-                       build_pyramid(zd, order="rtl", scramble=i)))
-    return dual, builds
+    dual, pairs = _dual_zigzags(InstanceLab(seed=202))
+    return dual, [(z, zd, build_pyramid(zd, order="ltr"),
+                   build_pyramid(zd, order="rtl", scramble=i)) for i, (z, zd) in enumerate(pairs)]
 
 
 def test_dual_pyramids_build_and_keep_the_induction_verdict(dual_builds):
@@ -264,6 +269,40 @@ def test_dual_form_holds_no_undeclared_morphism(dual_builds):
             assert id(x) in objects, x
         elif isinstance(x, (dict, list, tuple, set, frozenset)):
             todo.extend(gc.get_referents(x))
+
+
+def _live_algebras():
+    gc.collect()
+    return sum(isinstance(o, SlominskiAlgebra) for o in gc.get_objects())
+
+
+def test_scrambled_dual_builds_leave_nothing_behind():
+    # a relabelled object is neither registered nor memoized on anything
+    # that outlives its pyramid, so rebuilding the scrambled pyramids grows
+    # neither the form nor the process
+    lab = InstanceLab(seed=202)
+    zigzags = [zd for _, zd in _dual_zigzags(lab)[1]]
+    for zd in zigzags:
+        build_pyramid(zd, order="ltr")
+    settled = (len(lab.universe._by_algebra), _live_algebras())
+    for r in range(3):
+        for i, zd in enumerate(zigzags):
+            build_pyramid(zd, order="rtl", scramble=1000 * r + i)
+        assert (len(lab.universe._by_algebra), _live_algebras()) == settled, r
+
+
+def test_relabelled_algebras_die_with_their_pyramid():
+    lab = InstanceLab(seed=202)
+    pyramids = [build_pyramid(zd, order="rtl", scramble=i)
+                for i, (_, zd) in enumerate(_dual_zigzags(lab, 10)[1])]
+    # the nodes of a dual pyramid are dual objects; their primal carries
+    # the relabelled algebra, named with a trailing ~
+    refs = [weakref.ref(o.dual.algebra) for p in pyramids for o in p.node.values()
+            if o.dual.algebra.name.endswith("~")]
+    assert len(refs) >= 10
+    del pyramids
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 def _zero_like(m):

@@ -42,6 +42,7 @@ from noetherform.slominski import (
     hom_tables,
     is_hom_table,
     is_normal_subalgebra,
+    is_subalgebra,
     quotient,
     subalgebra_algebra,
     subalgebra_masks,
@@ -551,26 +552,54 @@ def test_derived_objects_of_random_algebras():
 
 
 def test_normal_keys_and_quotients_decide_each_pair_once(monkeypatch):
-    calls, generated = [], []
+    # deciding whether B is normal checks first that B is a subalgebra, once
+    # per decision; the answer is memoized on the algebra, so the normal
+    # keys and every quotient by one of them share it
+    decided, generated = [], []
 
-    def counting(alg, belems):
-        calls.append((alg.name, belems))
-        return candidate_classes(alg, belems)
+    def counting(alg, elems):
+        decided.append((alg.name, tuple(elems)))
+        return is_subalgebra(alg, elems)
 
     def generating(alg, pairs):
         generated.append(alg.name)
         return generate_congruence(alg, pairs)
 
-    candidate_classes = slominski._candidate_classes
-    monkeypatch.setattr(slominski, "_candidate_classes", counting)
+    monkeypatch.setattr(slominski, "is_subalgebra", counting)
     monkeypatch.setattr(slominski, "generate_congruence", generating)
-    # a name of its own, so no decision on it is cached yet
-    alg = from_group(*dihedral_data(4), name="D8 counted")
     lab = InstanceLab(0)
-    normals = lab.normal_keys(alg)
-    assert lab.normal_keys(alg) == normals
+    d8 = lab.obj(from_group(*dihedral_data(4), name="D8"))
+    normals = lab.normal_keys(d8)
+    assert lab.normal_keys(d8) == normals
     for key in normals:
-        lab.proj(lab.obj(alg), key)
+        lab.proj(d8, key)
     assert len(normals) == 6
-    assert sorted(calls) == sorted((alg.name, k) for k in subalgebras(alg))
+    assert sorted(decided) == sorted(("D8", k) for k in d8.lattice.keys)
     assert generated == []
+
+
+def test_elements_outside_the_carrier_raise_a_located_error():
+    z4 = cyclic(4)
+    assert not is_subalgebra(z4, [0, 9]) and not is_subalgebra(z4, [0, -1])
+    assert is_subalgebra(z4, [0, 2])
+    # raised again on the second call: no answer is memoized for bad input
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=r"\(0, 9\) is not a subalgebra of Z4"):
+            is_normal_subalgebra(z4, [0, 9])
+        with pytest.raises(ValidationError, match=r"\(0, 9\) is not a subalgebra of Z4"):
+            quotient(z4, [9, 0])
+        with pytest.raises(ValidationError, match=r"\(-1, 0\) is not a subalgebra of Z4"):
+            subalgebra_algebra(z4, [0, -1])
+
+
+def test_objects_derived_from_another_forms_owner_are_its_own():
+    # a form remembers derived objects by owner id only for the owners it
+    # registered; an owner of another form with the same id gets its own
+    mine = SlominskiForm("b")
+    ours = mine.object_of(cyclic(4), name="G")
+    theirs = SlominskiForm("a").object_of(xor_group(2), name="G")
+    for owner, alg in ((ours, cyclic(4)), (theirs, xor_group(2)), (ours, cyclic(4))):
+        q = mine.quotient_object(Subobject(owner, (0,)))[0]
+        assert q.algebra.p == quotient(alg, (0,))[0].p
+        s = mine.subobject_object(Subobject(owner, (0, 2)))[0]
+        assert s.algebra.p == subalgebra_algebra(alg, (0, 2))[0].p
