@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from typing import Callable, Iterable
+from weakref import WeakKeyDictionary
 
 from .errors import LatticeError
 
@@ -67,7 +68,10 @@ class MaskLattice:
         if any(m & ~ms[-1] for m in ms):
             raise LatticeError("no top element among the given masks")
         self.bottom, self.top = self.keys[0], self.keys[-1]
-        self.image_tables: dict = {}  # element_morphism's, by (codomain lattice, table)
+
+    @cached_property
+    def image_tables(self) -> WeakKeyDictionary:  # element_morphism's: codomain lattice, table
+        return WeakKeyDictionary()
 
     @cached_property
     def up(self) -> tuple[int, ...]:

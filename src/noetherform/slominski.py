@@ -16,11 +16,12 @@ in the engine: it is the independent oracle the tests check normality
 against.
 
 Costs the module avoids:
-- Subalgebras are closed semi-naively (only pairs with a new element are
-  taken) and enumerated by cyclic extension (subalgebra_masks).
-- Normality checks one candidate partition instead of generating a
-  congruence, and stops at the first translation that breaks it; the
-  answer is memoized on the algebra, so normality and the quotient share it.
+- d alone decides subalgebras and homs (p(-, y) is the inverse of d(-, y)).
+  Subalgebras are closed under d semi-naively and enumerated by cyclic
+  extension, each found once (subalgebra_masks).
+- Normality checks one candidate partition, a gathered row per translation,
+  and stops at the first row that breaks it; the answer is memoized on the
+  algebra, so normality and the quotient share it.
 - The image tables of element_morphism are memoized on the domain's lattice,
   so a map built again (the corpus generators draw from a small palette of
   groups) costs one lookup.  An algebra hashes its tables once, when built.
@@ -40,10 +41,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import (Form, FormObject, Morphism, Subobject, composite_element_key, element_key,
-                   first_uncomposed, identity_morphism, image)
+                   first_uncomposed, gather, identity_morphism, image)
 from .errors import ClosureError, UnsupportedSubobjectError, ValidationError
 from .lattice import MaskLattice, elements_of, mask_of
 
@@ -106,26 +108,20 @@ class SlominskiHom:
             raise ValidationError(f"hom {self.name or '?'}: table does not match carriers")
 
     def validate(self) -> None:
+        """Raise ValidationError unless the table preserves 0 and d, which is
+        enough: on a finite carrier d(-, y) has the inverse p(-, y), so f(x) =
+        d(f(p(x, y)), f(y)), and p(-, f(y)) gives f(p(x, y)) = p(f(x), f(y))."""
         f, A, B = self.table, self.dom, self.cod
         if f[A.zero] != B.zero:
             raise ValidationError(f"hom {self.name or '?'}: does not preserve 0")
         for x in range(A.n):
+            Adx, Bdx = A.d[x], B.d[f[x]]
             for y in range(A.n):
-                if f[A.p[x][y]] != B.p[f[x]][f[y]] or f[A.d[x][y]] != B.d[f[x]][f[y]]:
+                if f[Adx[y]] != Bdx[f[y]]:
                     raise ValidationError(f"hom {self.name or '?'}: not compatible at ({x},{y})")
 
     def __call__(self, x: int) -> int:
         return self.table[x]
-
-
-def is_hom_table(A: SlominskiAlgebra, B: SlominskiAlgebra, table: Sequence[int]) -> bool:
-    for x in range(A.n):
-        fx = table[x]
-        for y in range(A.n):
-            fy = table[y]
-            if table[A.p[x][y]] != B.p[fx][fy] or table[A.d[x][y]] != B.d[fx][fy]:
-                return False
-    return True
 
 
 def from_group(
@@ -164,7 +160,7 @@ def from_group(
 
 def close_mask(alg: SlominskiAlgebra, mask: int) -> int:
     """Least subalgebra containing the given subset (as a bit mask), closed
-    semi-naively over the zero subalgebra (see _close_over)."""
+    by d alone over the zero subalgebra (see _close_over)."""
     zero = 1 << alg.zero
     return _close_over(alg, zero, mask | zero)
 
@@ -172,53 +168,62 @@ def close_mask(alg: SlominskiAlgebra, mask: int) -> int:
 def _close_over(alg: SlominskiAlgebra, closed: int, mask: int) -> int:
     """Least subalgebra containing mask, given a subalgebra closed <= mask.
 
+    Closing under d is enough.  Take S closed under d with y in S: d(-, y)
+    is injective (p(-, y) undoes it), so on the finite S it maps S onto S,
+    and its inverse p(-, y) maps S into S; S also holds 0 = d(y, y).
     Semi-naive: each round pairs, both ways, only the elements added in the
-    round before (at first, those of mask outside closed) with every element
-    so far.  Pairs inside closed give nothing new, and every other pair is
-    taken in the round after its later element arrived, and in no later one.
+    round before (at first, mask & ~closed) with every element so far, in a
+    list that only grows; pairs inside closed give nothing new, and every
+    other pair is taken once, in the round after its later element arrived.
     """
-    p, d = alg.p, alg.d
-    new = mask & ~closed
+    d = alg.d
+    elems = list(elements_of(mask))
+    new = elements_of(mask & ~closed)
     while new:
-        elems = elements_of(mask)
         add = 0
-        for x in elements_of(new):
-            px, dx = p[x], d[x]
+        for x in new:
+            dx = d[x]
             for y in elems:
-                add |= (1 << px[y]) | (1 << dx[y]) | (1 << p[y][x]) | (1 << d[y][x])
-        new = add & ~mask
-        mask |= new
+                add |= (1 << dx[y]) | (1 << d[y][x])
+        new = elements_of(add & ~mask)
+        mask |= add
+        elems += new
     return mask
 
 
 def subalgebra_masks(alg: SlominskiAlgebra) -> tuple[int, ...]:
     """All subalgebra masks, in ascending order of the mask.
 
-    Neubüser's cyclic extension: every subalgebra is the join of the
-    1-generated subalgebras below it, so extending each subalgebra found by
-    each 1-generated subalgebra not below it, starting from the zero
-    subalgebra, reaches them all.  The extension closes over the subalgebra
-    already found (_close_over), so only pairs with a new element are taken.
+    Neubüser's cyclic extension over the 1-generated subalgebras c_0 < c_1
+    < ... (sorted masks), with canonical augmentation (McKay 1998).  The
+    greedy generating sequence of t takes, from the zero subalgebra on, the
+    least c_i below t and not below the join so far; its indices rise.  The
+    frontier holds pairs (s, last index of s's sequence); t = s v c_j is
+    closed over s only for j > last, and kept only if no c_i with i < j lies
+    below t but not below s, which holds exactly when t's sequence is s's
+    followed by j.  By induction on its length every subalgebra is reached,
+    from its sequence's prefix alone: each is found once, `found` is a list.
     """
     bottom = 1 << alg.zero
-    cyclic = sorted({close_mask(alg, 1 << x) for x in range(alg.n)} - {bottom})
-    found = {bottom}
-    frontier = [bottom]
+    gen = [close_mask(alg, 1 << x) for x in range(alg.n)]
+    cyclic = sorted(set(gen) - {bottom})
+    # before[j]: 0 and each x with <x> = c_i, i < j: c_i <= t, c_i !<= s iff x in t & ~s
+    before = [mask_of(x for x, g in enumerate(gen) if g < c) for c in cyclic]
+    found, frontier = [bottom], [(bottom, -1)]
     while frontier:
-        s = frontier.pop()
-        for c in cyclic:
+        s, last = frontier.pop()
+        for j, c in enumerate(cyclic[last + 1:], last + 1):
             if c & ~s:
                 t = _close_over(alg, s, s | c)
-                if t not in found:
-                    found.add(t)
-                    frontier.append(t)
+                if not t & ~s & before[j]:
+                    found.append(t)
+                    frontier.append((t, j))
     return tuple(sorted(found))
 
 
 def subalgebras(alg: SlominskiAlgebra) -> tuple[tuple[int, ...], ...]:
     """Subalgebras as sorted element tuples, ordered by size then elements."""
-    lat = subalgebra_lattice(alg)
-    return lat.keys
+    return subalgebra_lattice(alg).keys
 
 
 @lru_cache(maxsize=None)
@@ -298,17 +303,18 @@ def _candidate_classes(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Option
     p(0, y) = y), so its classes are the cosets p(B, y).  They must not
     overlap, and every translation p(z, -), p(-, z) and d(z, -) must keep
     them: t does when cls(t(x)) = cls(t(r(x))) for each x and the least
-    element r(x) of its class.  Then d(-, z) keeps them too: each class has
-    |B| elements, so the bijection p(-, z) permutes them, and d(-, z) is its
+    element r(x) of its class: the row cls.t, gathered at once, equals its
+    own gather at r.  Then d(-, z) keeps them too: each class has |B|
+    elements, so the bijection p(-, z) permutes them, and d(-, z) is its
     inverse.  The overlap test only returns early: classes kept by the
     translations all have the size of the zero class Z, which lies in B,
     and the last coset placed keeps all |B| elements, so Z = B.
     """
     if not is_subalgebra(alg, belems):
         raise ValidationError(f"{belems} is not a subalgebra of {alg.name}")
-    cls = [-1] * alg.n
-    rep = [0] * alg.n
-    k = 0
+    if alg.n == 1:  # a one-position itemgetter returns a scalar
+        return (0,)
+    cls, rep, k = [-1] * alg.n, [0] * alg.n, 0
     columns = tuple(zip(*alg.p))  # columns[y][x] = p(x, y)
     for y, col in enumerate(columns):
         if cls[y] < 0:
@@ -318,10 +324,11 @@ def _candidate_classes(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Option
                     return None
                 cls[x], rep[x] = k, y
             k += 1
+    at_rep = itemgetter(*rep)
     for rows in (alg.p, columns, alg.d):
         for t in rows:
-            ct = [cls[v] for v in t]
-            if ct != [ct[r] for r in rep]:
+            ct = itemgetter(*t)(cls)
+            if ct != at_rep(ct):
                 return None
     return tuple(cls)
 
@@ -404,12 +411,11 @@ def hom_tables(
     it: the image of d(x, y) is then determined, and is assigned, or
     compared with the value already there (a clash cuts the branch).  So
     every pair is checked once per table (d(x, x) = 0 needs no check).
-    Checking d is enough: on a finite carrier p(-, y) is the inverse of
-    d(-, y), so a map that preserves d preserves p.  In a group the assigned
-    set is always a subgroup, since p(x, y) = d(x, d(0, y)).  Branching is
-    only on the least unassigned element, with its values in ascending
-    order, which puts the tables in lexicographic order: seeded generators
-    pick from this list by index.
+    Checking d is enough (see SlominskiHom.validate).  In a group the
+    assigned set is always a subgroup, since p(x, y) = d(x, d(0, y)).
+    Branching is only on the least unassigned element, with its values in
+    ascending order, which puts the tables in lexicographic order: seeded
+    generators pick from this list by index.
     """
     n, m = A.n, B.n
     Ad, Bd = A.d, B.d
@@ -480,17 +486,6 @@ def enumerate_homs(A: SlominskiAlgebra, B: SlominskiAlgebra) -> tuple[SlominskiH
     return tuple(SlominskiHom(A, B, t) for t in hom_tables(A, B))
 
 
-def identity_hom(A: SlominskiAlgebra) -> SlominskiHom:
-    return SlominskiHom(A, A, tuple(range(A.n)), name=f"id_{A.name}")
-
-
-def compose_homs(g: SlominskiHom, f: SlominskiHom) -> SlominskiHom:
-    if f.cod != g.dom:
-        raise ValidationError("hom composition endpoint mismatch")
-    name = f"{g.name}.{f.name}" if f.name and g.name else ""
-    return SlominskiHom(f.dom, g.cod, tuple(g.table[x] for x in f.table), name=name)
-
-
 def close_homs(
     algebras: Sequence[SlominskiAlgebra], homs: Sequence[SlominskiHom]
 ) -> tuple[SlominskiHom, ...]:
@@ -501,17 +496,18 @@ def close_homs(
         return (h.dom.name, h.cod.name, h.table)
 
     for a in algebras:
-        h = identity_hom(a)
+        h = SlominskiHom(a, a, tuple(range(a.n)), name=f"id_{a.name}")
         pool[key(h)] = h
     for h in homs:
         pool.setdefault(key(h), h)
     frontier = list(pool.values())
     while frontier:
         h = frontier.pop()
-        for g in list(pool.values()):
-            for comp in ((g, h), (h, g)):
-                if comp[1].cod == comp[0].dom:
-                    c = compose_homs(*comp)
+        for m in list(pool.values()):
+            for g, f in ((m, h), (h, m)):
+                if f.cod == g.dom:
+                    c = SlominskiHom(f.dom, g.cod, gather(g.table, f.table),
+                                     f"{g.name}.{f.name}" if f.name and g.name else "")
                     if key(c) not in pool:
                         pool[key(c)] = c
                         frontier.append(c)
@@ -720,17 +716,17 @@ class SlominskiForm(Form):
 def element_morphism(dom: FormObject, cod: FormObject, table: Sequence[int], name: str = "") -> Morphism:
     """Build a Morphism from a carrier-level map, with its direct and inverse
     image tables (Morphism.d and .i), memoized on dom's lattice by cod's
-    lattice (hashed by identity) and the table.  Raises LatticeError, and
-    stores nothing, when an image is not a subalgebra: table is not a hom."""
+    lattice (held weakly: a process-wide domain keeps no codomain alive) and
+    the table.  Raises LatticeError, and stores nothing, when a table is no hom."""
     table = tuple(table)
     dl, cl = dom.lattice, cod.lattice
-    got = dl.image_tables.get((cl, table))
+    got = dl.image_tables.get(cl, {}).get(table)
     if got is None:
         d = tuple([cl.position_of_mask(mask_of([table[x] for x in key])) for key in dl.keys])
         carrier = range(dom.algebra.n)
         i = tuple([dl.position_of_mask(mask_of([x for x in carrier if (want >> table[x]) & 1]))
                    for want in cl.masks])
-        got = dl.image_tables[(cl, table)] = (d, i)
+        got = dl.image_tables.setdefault(cl, {})[table] = (d, i)
     return Morphism(dom, cod, *got, name=name, element_map=table)
 
 

@@ -19,7 +19,7 @@ from noetherform import (
     quotient_iso,
 )
 from noetherform.errors import ValidationError
-from noetherform.gen import InstanceLab, random_zigzag, recipe_zigzag
+from noetherform.gen import InstanceLab, random_zigzag, recipe_zigzag, snake_instance
 from noetherform.groups import D8_V, cyclic, dihedral8
 from noetherform.slominski import SlominskiAlgebra, element_morphism
 from noetherform.zigzag import (
@@ -289,6 +289,22 @@ def test_scrambled_dual_builds_leave_nothing_behind():
         for i, zd in enumerate(zigzags):
             build_pyramid(zd, order="rtl", scramble=1000 * r + i)
         assert (len(lab.universe._by_algebra), _live_algebras()) == settled, r
+
+
+def test_dropped_labs_leave_no_codomain_on_the_palette_lattices():
+    # the palette groups' lattices are process-wide; the image tables
+    # element_morphism memoizes on them hold a lab's codomain lattices (and
+    # through their closures its algebras) only as long as the lab lives.
+    # A lab of the same seed rebuilds equal algebras, so whatever the
+    # process-wide caches keep of it is kept once.
+    counts = []
+    for _ in range(3):
+        lab = InstanceLab(seed=7)
+        for _ in range(3):
+            snake_instance(lab)
+        del lab
+        counts.append(_live_algebras())
+    assert counts[0] == counts[1] == counts[2], counts
 
 
 def test_relabelled_algebras_die_with_their_pyramid():

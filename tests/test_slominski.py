@@ -40,7 +40,6 @@ from noetherform.slominski import (
     from_group,
     generate_congruence,
     hom_tables,
-    is_hom_table,
     is_normal_subalgebra,
     is_subalgebra,
     quotient,
@@ -187,6 +186,17 @@ def test_form_names_the_subobject_it_cannot_quotient_by():
         assert err.value.subobject.owner is S.owner
 
 
+def is_hom_table(A, B, table):
+    # the oracle of brute_homs and of validate: p and d checked independently
+    for x in range(A.n):
+        fx = table[x]
+        for y in range(A.n):
+            fy = table[y]
+            if table[A.p[x][y]] != B.p[fx][fy] or table[A.d[x][y]] != B.d[fx][fy]:
+                return False
+    return True
+
+
 def brute_homs(A, B):
     # itertools.product runs through the tables in lexicographic order
     out = []
@@ -223,6 +233,9 @@ def from_permutations(name, sigmas):
 # two non-associative Slominski algebras, with homs between them
 T3 = from_permutations("T3", [(0, 1, 2), (1, 0, 2), (2, 1, 0)])
 T4 = from_permutations("T4", [(0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3), (3, 1, 2, 0)])
+# non-associative; extending its subalgebra {0, 2} by {0, 1} must take the
+# pair (2, 1), the old element first: p(2, 1) = d(2, 1) = 3
+U4 = from_permutations("U4", [(0, 1, 2, 3), (1, 0, 3, 2), (2, 1, 0, 3), (3, 1, 0, 2)])
 
 LE4 = [trivial_group(), cyclic(2), cyclic(3), cyclic(4), xor_group(2)]
 HOM_PAIRS = list(itertools.product(LE4, repeat=2)) + [
@@ -314,6 +327,32 @@ def test_hom_validate_rejects_non_hom():
     z4, z2 = cyclic(4), cyclic(2)
     with pytest.raises(ValidationError):
         SlominskiHom(z4, z2, (0, 1, 1, 0), name="bad").validate()
+
+
+def test_hom_validate_accepts_exactly_the_oracles_tables():
+    # validate checks 0 and d only; every table between these algebras,
+    # groups and non-associative ones, is judged as the oracle judges it
+    accepted = 0
+    for a, b in itertools.product(LE4 + [T3, T4, U4], repeat=2):
+        for table in itertools.product(range(b.n), repeat=a.n):
+            want = table[a.zero] == b.zero and is_hom_table(a, b, table)
+            try:
+                SlominskiHom(a, b, table).validate()
+            except ValidationError:
+                assert not want, (a.name, b.name, table)
+            else:
+                assert want, (a.name, b.name, table)
+                accepted += 1
+    assert accepted == sum(len(hom_tables(a, b))
+                           for a, b in itertools.product(LE4 + [T3, T4, U4], repeat=2))
+
+
+def test_the_one_subalgebra_of_a_one_element_algebra_is_normal():
+    for alg in (trivial_group(), from_permutations("P1", [(0,)])):
+        assert subalgebras(alg) == ((0,),)
+        assert is_normal_subalgebra(alg, (0,))
+        q, proj = quotient(alg, (0,))
+        assert (q.n, proj.table) == (1, (0,))
 
 
 def test_normality_iff_kernel_witness():
@@ -431,9 +470,6 @@ def groups_9_to_16():
 
 
 LE16 = list(all_groups_le8()) + groups_9_to_16()
-# non-associative; extending its subalgebra {0, 2} by {0, 1} must take the
-# pair (2, 1), the old element first: p(2, 1) = 3
-U4 = from_permutations("U4", [(0, 1, 2, 3), (1, 0, 3, 2), (2, 1, 0, 3), (3, 1, 0, 2)])
 
 
 def enumerated_masks(alg):
@@ -532,6 +568,16 @@ def test_derived_lattices_against_enumeration(alg):
     check_derived_objects(alg)
 
 
+E32 = xor_group(5)
+D32 = from_group(*dihedral_data(16), name="D32")
+Z64 = cyclic(64)
+
+
+@pytest.mark.parametrize("alg", [Z64, D32, E32], ids=lambda a: a.name)
+def test_subalgebra_masks_of_the_scale_groups_against_enumeration(alg):
+    assert subalgebra_masks(alg) == tuple(sorted(enumerated_masks(alg)))
+
+
 def random_permutation_algebra(seed):
     """A seeded Slominski algebra of order 3 to 8 built by from_permutations;
     in general not a group and not associative."""
@@ -549,6 +595,14 @@ def test_derived_objects_of_random_algebras():
     # 455 subalgebras, 54 of them not normal
     assert sum(check_derived_objects(random_permutation_algebra(seed))
                for seed in range(200)) == 54
+
+
+def test_subalgebra_masks_finds_each_subalgebra_once():
+    # canonical augmentation: the masks come out without duplicates before
+    # they are sorted, so a subalgebra reached twice shows here
+    for alg in LE16 + [T3, T4, U4, E32] + [random_permutation_algebra(s) for s in range(50)]:
+        masks = subalgebra_masks(alg)
+        assert len(set(masks)) == len(masks), alg.name
 
 
 def test_normal_keys_and_quotients_decide_each_pair_once(monkeypatch):
