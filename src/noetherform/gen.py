@@ -10,24 +10,27 @@ decorations that cannot be forced are obtained by bounded rejection with a
 guaranteed fallback.  Every instance binds its objects and arrows through
 the role names of its shape in lemmas.SHAPES, in the order listed there.
 
-Hom lists (enumerate_homs, extend_homs, the injective homs) come in
-lexicographic order of their tables, and generators pick from them by index
-with rng.choice, so a seeded corpus stays the same only as long as that order
-does.  The corpus draws its groups from a small fixed palette and so asks the
-same questions again and again: extensions, injective homs and normal keys
-are memoized on their domain algebra, as tuples that no caller can change, in
-the same order as when they are computed (hom lists lexicographic, normal
-keys in lattice order), so a draw from a memoized answer is the draw a
-recomputed one would give.
+Every hom a generator draws is a table from extend_homs(A, B, forced), the
+homs A -> B agreeing with a forced partial map (none, for all homs); since d
+alone decides homs, a commuting square or a map that must kill an image is a
+forced map.  The list is lexicographic and generators pick from it by index
+with rng.choice, so a seeded corpus stays the same only as long as that
+order does.  The corpus draws its groups from a small fixed palette and so
+asks the same questions again and again: extensions, injective homs and
+normal keys are memoized on their domain algebra, as tuples that no caller
+can change, in the order they are computed in (hom lists lexicographic,
+normal keys in lattice order), so a draw from a memoized answer is the draw
+a recomputed one would give.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .core import (FormObject, Morphism, Subobject, compose, direct_image, identity_morphism,
-                   image, inverse_image, is_injective, is_isomorphism, is_surjective, kernel)
+from .core import (FormObject, Morphism, Subobject, compose, direct_image, gather,
+                   identity_morphism, image, inverse_image, is_injective, is_isomorphism,
+                   is_surjective, kernel)
 from .diagram import Diagram
 from .groups import (
     all_groups_le8,
@@ -42,9 +45,7 @@ from .lemmas import SHAPES
 from .slominski import (
     SlominskiAlgebra,
     SlominskiForm,
-    SlominskiHom,
     element_morphism,
-    enumerate_homs,
     hom_tables,
     is_normal_subalgebra,
 )
@@ -80,10 +81,20 @@ def extend_homs(A: SlominskiAlgebra, B: SlominskiAlgebra,
                       lambda: tuple(hom_tables(A, B, forced)))
 
 
-def _injective_homs(A: SlominskiAlgebra, B: SlominskiAlgebra) -> tuple[SlominskiHom, ...]:
-    """The injective homs A -> B, in the order of enumerate_homs."""
+def _injective_homs(A: SlominskiAlgebra, B: SlominskiAlgebra) -> tuple[tuple[int, ...], ...]:
+    """The injective hom tables A -> B, in lexicographic order."""
     return A.memoized(("injective", B), lambda: tuple(
-        h for h in enumerate_homs(A, B) if _is_injective_table(h.table)))
+        t for t in extend_homs(A, B, {}) if _is_injective_table(t)))
+
+
+def _forced(pairs: Iterable[tuple[int, int]]) -> Optional[dict[int, int]]:
+    """The partial map sending each x to y for the pairs (x, y), or None
+    when some x is sent to two values (then no hom meets the constraint)."""
+    forced: dict[int, int] = {}
+    for x, y in pairs:
+        if forced.setdefault(x, y) != y:
+            return None
+    return forced
 
 
 class InstanceLab:
@@ -96,13 +107,10 @@ class InstanceLab:
     def obj(self, alg: SlominskiAlgebra) -> FormObject:
         return self.universe.object_of(alg)
 
-    def table_mor(self, A: FormObject, B: FormObject, table, name="") -> Morphism:
-        return element_morphism(A, B, table, name)
-
-    def random_hom(self, A, B, pred: Optional[Callable] = None) -> Optional[SlominskiHom]:
-        homs = enumerate_homs(A, B)
+    def random_hom(self, A, B, pred: Optional[Callable] = None) -> Optional[tuple[int, ...]]:
+        homs = extend_homs(A, B, {})
         if pred is not None:
-            homs = tuple(h for h in homs if pred(h.table))
+            homs = tuple(t for t in homs if pred(t))
         if not homs:
             return None
         return self.rng.choice(homs)
@@ -149,7 +157,7 @@ def random_exact_row(lab: InstanceLab, maps: int) -> tuple[list[FormObject], lis
             dim = rng.randrange(0, 4)
             nxt = lab.obj(xor_group(dim))
             hom = lab.random_hom(objs[-1].algebra, nxt.algebra)
-            f = lab.table_mor(objs[-1], nxt, hom.table, f"r{i}")
+            f = element_morphism(objs[-1], nxt, hom, f"r{i}")
         else:
             # quotient by the image of the previous map, then embed
             img = image(prev)
@@ -158,7 +166,7 @@ def random_exact_row(lab: InstanceLab, maps: int) -> tuple[list[FormObject], lis
             dim = min(3, qdim + rng.randrange(0, 2))
             nxt = lab.obj(xor_group(dim))
             memb = rng.choice(_injective_homs(q.algebra, nxt.algebra))
-            f = compose(lab.table_mor(q, nxt, memb.table), p)
+            f = compose(element_morphism(q, nxt, memb), p)
         objs.append(f.cod)
         mors.append(f)
         prev = f
@@ -183,18 +191,10 @@ def lift_ladder(
     bobjs, bmaps = bottom
     vs = [v0]
     for i in range(1, len(tobjs)):
-        f = tmaps[i - 1]
-        g = bmaps[i - 1]
-        forced: dict[int, int] = {}
-        ok = True
-        for x in range(tobjs[i - 1].algebra.n):
-            key = f.element_map[x]
-            val = g.element_map[vs[-1].element_map[x]]
-            if forced.get(key, val) != val:
-                ok = False
-                break
-            forced[key] = val
-        if not ok:
+        # the square commutes: v_i(f(x)) = g(v_i-1(x))
+        f, g = tmaps[i - 1].element_map, bmaps[i - 1].element_map
+        forced = _forced(zip(f, gather(g, vs[-1].element_map)))
+        if forced is None:
             return None
         options = extend_homs(tobjs[i].algebra, bobjs[i].algebra, forced)
         if not options:
@@ -202,7 +202,7 @@ def lift_ladder(
         pref = prefs.get(i)
         pool = [t for t in options if pref(t)] if pref is not None else options
         table = lab.rng.choice(pool or options)
-        vs.append(lab.table_mor(tobjs[i], bobjs[i], table, f"v{i}"))
+        vs.append(element_morphism(tobjs[i], bobjs[i], table, f"v{i}"))
     return vs
 
 
@@ -231,7 +231,7 @@ def _ladder_instance(lab, maps, prefs_spec, v0_pred):
         hom = lab.random_hom(top[0][0].algebra, b0.algebra, pred=v0_ok)
         if hom is None:
             continue
-        v0 = lab.table_mor(top[0][0], b0, hom.table, "v0")
+        v0 = element_morphism(top[0][0], b0, hom, "v0")
         prefs = {idx: (lambda t, ok=_DECORATIONS[prop], n=bottom[0][idx].algebra.n: ok(t, n))
                  for idx, prop in prefs_spec.items()}
         vs = lift_ladder(lab, top, bottom, v0, prefs)
@@ -304,24 +304,23 @@ def short_five_instance(lab: InstanceLab, part: str) -> Diagram:
         G = lab.obj(rng.choice(GRID_PALETTE()))
         Gp = lab.obj(rng.choice(GRID_PALETTE())) if part not in ("iii",) else G
         N = rng.choice(lab.normal_keys(G))
+        cands = extend_homs(G.algebra, Gp.algebra, {})
         if part == "iii":
-            cands = [h for h in enumerate_homs(G.algebra, Gp.algebra)
-                     if _is_bijective_table(h.table, Gp.algebra.n)
-                     and {h.table[x] for x in N} == set(N)]
+            cands = [t for t in cands
+                     if _is_bijective_table(t, Gp.algebra.n) and {t[x] for x in N} == set(N)]
             Np = N
         else:
-            cands = list(enumerate_homs(G.algebra, Gp.algebra))
             Np = None
         # the identity (part iii) and the top of Gp always qualify
-        phi_h = rng.choice(cands)
+        phi_t = rng.choice(cands)
         if Np is None:
-            base = {phi_h.table[x] for x in N}
+            base = {phi_t[x] for x in N}
             Np = rng.choice([k for k in lab.normal_keys(Gp) if base <= set(k)])
         A, fm = lab.incl(G, N)
         C, gm = lab.proj(G, N)
         Apo, xm = lab.incl(Gp, Np)
         Cpo, ym = lab.proj(Gp, Np)
-        phi = lab.table_mor(G, Gp, phi_h.table, "phi")
+        phi = element_morphism(G, Gp, phi_t, "phi")
         s = uni.mediating_embedding(compose(phi, fm), xm)
         u = uni.mediating_projection(compose(ym, phi), gm)
         d = _diagram(lab, "short-five", (A, G, C, Apo, Gp, Cpo), (fm, gm, xm, ym, s, phi, u))
@@ -417,10 +416,9 @@ def snake_instance(lab: InstanceLab) -> Diagram:
     adim = max(Ksub.algebra.n.bit_length() - 1, 0) + rng.randrange(0, 2)
     A = lab.obj(xor_group(min(3, adim)))
     sur = lab.random_hom(A.algebra, Ksub.algebra, pred=lambda t: _is_surjective_table(t, Ksub.algebra.n))
-    f = compose(incl_k, lab.table_mor(A, Ksub, sur.table))
+    f = compose(incl_k, element_morphism(A, Ksub, sur))
     Bp = lab.obj(xor_group(rng.randrange(0, 4)))
-    beta_h = lab.random_hom(B.algebra, Bp.algebra)
-    beta = lab.table_mor(B, Bp, beta_h.table, "beta")
+    beta = element_morphism(B, Bp, lab.random_hom(B.algebra, Bp.algebra), "beta")
     base = direct_image(beta, Subobject(B, Kg)).key
     supers = [k for k in Bp.lattice.keys if set(base) <= set(k)]
     Ip = rng.choice(supers)
@@ -457,7 +455,7 @@ def quotient_iso_triple(lab: InstanceLab):
         A = lab.obj(rng.choice(palette))
         Bo = lab.obj(rng.choice(palette))
         hom = lab.random_hom(A.algebra, Bo.algebra)
-    f = lab.table_mor(A, Bo, hom.table, "f")
+    f = element_morphism(A, Bo, hom, "f")
     kf = set(kernel(f).key)
     lat = A.lattice
     if injective_branch and rng.random() < 0.5:
@@ -489,10 +487,10 @@ def random_zigzag(lab: InstanceLab, max_len: int = 6) -> Zigzag:
         direction = rng.choice((RIGHT, LEFT))
         if direction == RIGHT:
             hom = lab.random_hom(nodes[-1].algebra, nxt.algebra)
-            edges.append(Edge(lab.table_mor(nodes[-1], nxt, hom.table), RIGHT))
+            edges.append(Edge(element_morphism(nodes[-1], nxt, hom), RIGHT))
         else:
             hom = lab.random_hom(nxt.algebra, nodes[-1].algebra)
-            edges.append(Edge(lab.table_mor(nxt, nodes[-1], hom.table), LEFT))
+            edges.append(Edge(element_morphism(nxt, nodes[-1], hom), LEFT))
         nodes.append(nxt)
     return Zigzag(tuple(nodes), tuple(edges), form=lab.universe)
 
@@ -517,7 +515,7 @@ def recipe_zigzag(lab: InstanceLab, max_len: int = 6) -> Zigzag:
         else:
             nxt = lab.obj(rng.choice(ZIGZAG_PALETTE()))
             hom = lab.random_hom(cur.algebra, nxt.algebra)
-            edges.append(Edge(lab.table_mor(cur, nxt, hom.table), RIGHT))
+            edges.append(Edge(element_morphism(cur, nxt, hom), RIGHT))
         nodes.append(nxt)
     return Zigzag(tuple(nodes), tuple(edges), form=lab.universe)
 
@@ -526,54 +524,37 @@ def recipe_zigzag(lab: InstanceLab, max_len: int = 6) -> Zigzag:
 # double complexes over elementary abelian 2-groups
 
 
-def _zero_table(A, B):
-    return (B.zero,) * A.n
-
-
 def _chain_complex(lab: InstanceLab, dims: list[int]) -> tuple[list, list]:
     """Algebras V0..Vk with maps d_r: V_r -> V_r+1, consecutive composites zero."""
-    rng = lab.rng
     algs = [xor_group(d) for d in dims]
     maps = []
     for r in range(len(algs) - 1):
-        cands = enumerate_homs(algs[r], algs[r + 1])
-        if r > 0:
-            prev = maps[-1]
-            cands = tuple(
-                h for h in cands
-                if all(h.table[prev[x]] == algs[r + 1].zero for x in range(algs[r - 1].n))
-            )
-        pick = rng.choice(cands).table if cands else _zero_table(algs[r], algs[r + 1])
-        maps.append(pick)
+        # d_r kills the image of d_r-1; the zero map always does, so there
+        # is always a candidate
+        kill = dict.fromkeys(maps[-1], algs[r + 1].zero) if maps else {}
+        maps.append(lab.rng.choice(extend_homs(algs[r], algs[r + 1], kill)))
     return algs, maps
 
 
 def _chain_map(lab, src, dst, vanish_on: Optional[list] = None) -> Optional[list]:
     """Chain map between complexes; optionally required to kill the image of
     a previous chain map (so horizontal composites vanish)."""
-    rng = lab.rng
     salgs, smaps = src
     dalgs, dmaps = dst
     out = []
     for r in range(len(salgs)):
-        cands = list(enumerate_homs(salgs[r], dalgs[r]))
-        if r > 0:
-            prev = out[-1]
-            cands = [
-                h for h in cands
-                if all(h.table[smaps[r - 1][y]] == dmaps[r - 1][prev[y]]
-                       for y in range(salgs[r - 1].n))
-            ]
+        zero = dalgs[r].zero
+        # the square with the previous degree commutes, and the image of the
+        # previous chain map is killed
+        pairs = list(zip(smaps[r - 1], gather(dmaps[r - 1], out[-1]))) if r else []
         if vanish_on is not None:
-            vt = vanish_on[r]
-            zero = dalgs[r].zero
-            cands = [h for h in cands
-                     if all(h.table[vt[x]] == zero for x in range(len(vt)))]
+            pairs += [(x, zero) for x in vanish_on[r]]
+        forced = _forced(pairs)
+        cands = extend_homs(salgs[r], dalgs[r], forced) if forced is not None else ()
         if not cands:
             return None
-        nonzero = [h for h in cands if any(v != dalgs[r].zero for v in h.table)]
-        pick = rng.choice(nonzero or cands)
-        out.append(pick.table)
+        nonzero = [t for t in cands if any(v != zero for v in t)]
+        out.append(lab.rng.choice(nonzero or cands))
     return out
 
 
@@ -583,25 +564,21 @@ def double_complex_window(lab: InstanceLab) -> Optional[Diagram]:
     rng = lab.rng
     dims = [[rng.randrange(0, 3) for _ in range(5)] for _ in range(4)]
     cols = [_chain_complex(lab, d) for d in dims]
-    h0 = _chain_map(lab, cols[0], cols[1])
-    if h0 is None:
-        return None
-    h1 = _chain_map(lab, cols[1], cols[2], vanish_on=h0)
-    if h1 is None:
-        return None
-    h2 = _chain_map(lab, cols[2], cols[3], vanish_on=h1)
-    if h2 is None:
-        return None
-    hs = [h0, h1, h2]
+    hs = []
+    for c in range(3):
+        h = _chain_map(lab, cols[c], cols[c + 1], vanish_on=hs[-1] if hs else None)
+        if h is None:
+            return None
+        hs.append(h)
 
     def cell(r, c):
         return lab.obj(cols[c][0][r])
 
     def vmap(r, c):
-        return lab.table_mor(cell(r, c), cell(r + 1, c), cols[c][1][r], f"dv{r}{c}")
+        return element_morphism(cell(r, c), cell(r + 1, c), cols[c][1][r], f"dv{r}{c}")
 
     def hmap(r, c):
-        return lab.table_mor(cell(r, c), cell(r, c + 1), hs[c][r], f"dh{r}{c}")
+        return element_morphism(cell(r, c), cell(r, c + 1), hs[c][r], f"dh{r}{c}")
 
     return _diagram(lab, "salamander",
                     (cell(1, 0), cell(0, 1), cell(1, 1), cell(1, 2), cell(2, 0), cell(2, 1),

@@ -59,11 +59,11 @@ class MaskLattice:
     def __init__(self, n: int, masks: Iterable[int], close: Callable[[int], int]):
         self.n = n
         self._close = close
-        ms = sorted(set(masks), key=lambda m: (bin(m).count("1"), elements_of(m)))
+        self._mask = {elements_of(m): m for m in set(masks)}
+        self.keys: tuple[Key, ...] = tuple(sorted(self._mask, key=lambda k: (len(k), k)))
+        ms = [self._mask[k] for k in self.keys]
         self.masks = tuple(ms)
-        self.keys: tuple[Key, ...] = tuple(elements_of(m) for m in ms)
         self.index = {k: i for i, k in enumerate(self.keys)}
-        self._mask = dict(zip(self.keys, ms))
         self._position = {m: i for i, m in enumerate(ms)}
         if any(m & ~ms[-1] for m in ms):
             raise LatticeError("no top element among the given masks")

@@ -98,6 +98,11 @@ class SlominskiAlgebra:
 
 @dataclass(frozen=True)
 class SlominskiHom:
+    """A hom with its element table: what as_form, declare and close_homs
+    take and a form file's hom lines give, and what enumerate_homs, quotient
+    and subalgebra_algebra return.  The generators and the form's own
+    constructions pass bare tables."""
+
     dom: SlominskiAlgebra
     cod: SlominskiAlgebra
     table: tuple[int, ...]
@@ -538,15 +543,13 @@ class SlominskiForm(Form):
 
     # objects and morphisms --------------------------------------------
 
-    def object_of(
-        self, alg: SlominskiAlgebra, name: Optional[str] = None, declare: bool = False
-    ) -> FormObject:
+    def object_of(self, alg: SlominskiAlgebra, declare: bool = False) -> FormObject:
         """Form object for an algebra, registered so it is built once.  Only
         declared objects enter self.objects, so the axiom suite sees the
         declared form only; derived ones (quotients, subalgebras) do not."""
-        return self._object(alg, lambda: subalgebra_lattice(alg), name, declare)
+        return self._object(alg, lambda: subalgebra_lattice(alg), declare)
 
-    def _object(self, alg, make_lattice, name=None, declare=False, keep=True) -> FormObject:
+    def _object(self, alg, make_lattice, declare=False, keep=True) -> FormObject:
         """object_of, with make_lattice() building a new object's lattice.
         Unless keep, the object is new, takes a fresh id and is not
         registered, so only its users hold it."""
@@ -557,7 +560,7 @@ class SlominskiForm(Form):
             if declare:
                 self.objects.setdefault(got.id, got)
             return got
-        oid = name or alg.name
+        oid = alg.name
         if oid in self._ids_taken:
             oid = f"{oid}#{len(self._ids_taken)}"
         obj = FormObject(oid, make_lattice(), algebra=alg)
@@ -624,19 +627,17 @@ class SlominskiForm(Form):
         if keep and ck in self._derived:
             return self._derived[ck]
         sub, incl = subalgebra_algebra(S.owner.algebra, S.key)
+        table = incl.table
         if perm is not None:
             p = tuple(perm(sub.n))
-            inv = [0] * sub.n
-            for i, v in enumerate(p):
-                inv[v] = i
             sub = permuted(sub, p, name=sub.name + "~")
-            incl = SlominskiHom(sub, incl.cod, tuple(incl.table[inv[i]] for i in range(sub.n)))
+            table = gather(table, sorted(range(sub.n), key=p.__getitem__))  # p's inverse
         lat, top = S.owner.lattice, S.owner.lattice.mask(S.key)
         below = [a for a, m in enumerate(lat.masks) if not m & ~top]
-        obj, d, at = self._interval_object(sub, lat, below, incl.table, keep)
+        obj, d, at = self._interval_object(sub, lat, below, table, keep)
         i = [at[lat.position_of_mask(m & top)] for m in lat.masks]
         mor = Morphism(obj, S.owner, d, i, name=f"iota_{S.owner.id}{list(S.key)}",
-                       element_map=incl.table)
+                       element_map=table)
         if keep:
             self._derived[ck] = (obj, mor)
         return obj, mor
@@ -662,12 +663,13 @@ class SlominskiForm(Form):
             q, proj = quotient(S.owner.algebra, S.key)
         except UnsupportedSubobjectError as exc:
             raise UnsupportedSubobjectError(str(exc), subobject=S) from None
+        table = proj.table
         if perm is not None:
             p = tuple(perm(q.n))
             q = permuted(q, p, name=q.name + "~")
-            proj = SlominskiHom(proj.dom, q, tuple(p[v] for v in proj.table))
+            table = gather(p, table)
         reps = [0] * q.n
-        for x, c in enumerate(proj.table):
+        for x, c in enumerate(table):
             reps[c] = x
         lat = S.owner.lattice
         above = lat.up[lat.index[S.key]]
@@ -675,7 +677,7 @@ class SlominskiForm(Form):
         joins = [u & above for u in lat.up]
         d = [at[(j & -j).bit_length() - 1] for j in joins]
         mor = Morphism(S.owner, obj, d, i, name=f"pi_{S.owner.id}/{list(S.key)}",
-                       element_map=proj.table)
+                       element_map=table)
         if keep:
             self._derived[ck] = (obj, mor)
         return obj, mor

@@ -42,6 +42,7 @@ from noetherform.slominski import (
     hom_tables,
     is_normal_subalgebra,
     is_subalgebra,
+    permuted,
     quotient,
     subalgebra_algebra,
     subalgebra_masks,
@@ -649,10 +650,13 @@ def test_elements_outside_the_carrier_raise_a_located_error():
 def test_objects_derived_from_another_forms_owner_are_its_own():
     # a form remembers derived objects by owner id only for the owners it
     # registered; an owner of another form with the same id gets its own
+    # (the two algebras share the name Z4, which is the id)
+    e4 = permuted(xor_group(2), (0, 1, 2, 3), name="Z4")
     mine = SlominskiForm("b")
-    ours = mine.object_of(cyclic(4), name="G")
-    theirs = SlominskiForm("a").object_of(xor_group(2), name="G")
-    for owner, alg in ((ours, cyclic(4)), (theirs, xor_group(2)), (ours, cyclic(4))):
+    ours = mine.object_of(cyclic(4))
+    theirs = SlominskiForm("a").object_of(e4)
+    assert ours.id == theirs.id
+    for owner, alg in ((ours, cyclic(4)), (theirs, e4), (ours, cyclic(4))):
         q = mine.quotient_object(Subobject(owner, (0,)))[0]
         assert q.algebra.p == quotient(alg, (0,))[0].p
         s = mine.subobject_object(Subobject(owner, (0, 2)))[0]
