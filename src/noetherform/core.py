@@ -34,6 +34,7 @@ them, and dualize(dualize(f)) returns the original form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable
 
@@ -214,7 +215,9 @@ def gather(table, positions):
     """table read at each of positions: the tables of a composite g . f are
     gather(g.d, f.d), gather(f.i, g.i) and gather(g.element_map,
     f.element_map)."""
-    return tuple([table[x] for x in positions])
+    if len(positions) < 2:  # itemgetter() raises; of one position it gives a scalar
+        return tuple([table[x] for x in positions])
+    return itemgetter(*positions)(table)
 
 
 def element_key(m: Morphism):

@@ -16,7 +16,8 @@ derives them from its masks on first use; a dual lattice swaps its base's.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 from typing import Callable, Iterable
 from weakref import WeakKeyDictionary
 
@@ -75,8 +76,15 @@ class MaskLattice:
 
     @cached_property
     def up(self) -> tuple[int, ...]:
-        ms = self.masks
-        return tuple(sum(1 << q for q, b in enumerate(ms) if not a & ~b) for a in ms)
+        """By element columns: holds[x] is the set of positions whose key
+        holds x, and keys[p] <= keys[q] iff q is in holds[x] for every x in
+        keys[p]."""
+        holds = [0] * self.n
+        for q, key in enumerate(self.keys):
+            for x in key:
+                holds[x] |= 1 << q
+        everything = (1 << len(self.keys)) - 1
+        return tuple(reduce(and_, map(holds.__getitem__, key), everything) for key in self.keys)
 
     @cached_property
     def down(self) -> tuple[int, ...]:

@@ -19,9 +19,14 @@ Costs the module avoids:
 - d alone decides subalgebras and homs (p(-, y) is the inverse of d(-, y)).
   Subalgebras are closed under d semi-naively and enumerated by cyclic
   extension, each found once (subalgebra_masks).
+- A closure stops once its answer is known: an extension as soon as it
+  meets a smaller cyclic subalgebra's generator that makes it no canonical
+  augmentation, and a cyclic <x> as soon as it reaches an earlier y whose
+  <y> holds x, when <x> = <y> (subalgebra_masks).
 - Normality checks one candidate partition, a gathered row per translation,
   and stops at the first row that breaks it; the answer is memoized on the
-  algebra, so normality and the quotient share it.
+  algebra, so normality and the quotient share it.  The translations'
+  getters are built once per algebra and memoized on it (_translations).
 - The image tables of element_morphism are memoized on the domain's lattice,
   so a map built again (the corpus generators draw from a small palette of
   groups) costs one lookup.  An algebra hashes its tables once, when built.
@@ -170,8 +175,10 @@ def close_mask(alg: SlominskiAlgebra, mask: int) -> int:
     return _close_over(alg, zero, mask | zero)
 
 
-def _close_over(alg: SlominskiAlgebra, closed: int, mask: int) -> int:
-    """Least subalgebra containing mask, given a subalgebra closed <= mask.
+def _close_over(alg: SlominskiAlgebra, closed: int, mask: int, stop: int = 0) -> int:
+    """Least subalgebra containing mask, given a subalgebra closed <= mask;
+    or, once a round's mask meets stop, that mask, when the caller needs to
+    know no more than that the closure meets stop.
 
     Closing under d is enough.  Take S closed under d with y in S: d(-, y)
     is injective (p(-, y) undoes it), so on the finite S it maps S onto S,
@@ -184,7 +191,7 @@ def _close_over(alg: SlominskiAlgebra, closed: int, mask: int) -> int:
     d = alg.d
     elems = list(elements_of(mask))
     new = elements_of(mask & ~closed)
-    while new:
+    while new and not mask & stop:
         add = 0
         for x in new:
             dx = d[x]
@@ -208,9 +215,27 @@ def subalgebra_masks(alg: SlominskiAlgebra) -> tuple[int, ...]:
     below t but not below s, which holds exactly when t's sequence is s's
     followed by j.  By induction on its length every subalgebra is reached,
     from its sequence's prefix alone: each is found once, `found` is a list.
+
+    Neither closure runs further than its answer needs.  t is rejected as
+    soon as its closure meets stop = before[j] & ~s, the generators of the
+    c_i (i < j) not below s; a closure that stops early has met stop, so it
+    fails the test exactly as the full t would, and t is not closed at all
+    when c_j itself meets stop.  <x> is closed with stop = holders[x], the
+    earlier y whose <y> holds x: once the closure reaches such a y, each of
+    <x> and <y> holds the other's generator, so <x> = <y>, read off gen[y].
     """
     bottom = 1 << alg.zero
-    gen = [close_mask(alg, 1 << x) for x in range(alg.n)]
+    gen: list[int] = []
+    holders = [0] * alg.n  # holders[x]: each y < x whose <y>, new at y, holds x
+    for x in range(alg.n):
+        g = _close_over(alg, bottom, bottom | 1 << x, holders[x])
+        hit = g & holders[x]
+        if hit:
+            g = gen[(hit & -hit).bit_length() - 1]
+        else:
+            for z in elements_of(g):
+                holders[z] |= 1 << x
+        gen.append(g)
     cyclic = sorted(set(gen) - {bottom})
     # before[j]: 0 and each x with <x> = c_i, i < j: c_i <= t, c_i !<= s iff x in t & ~s
     before = [mask_of(x for x, g in enumerate(gen) if g < c) for c in cyclic]
@@ -218,9 +243,10 @@ def subalgebra_masks(alg: SlominskiAlgebra) -> tuple[int, ...]:
     while frontier:
         s, last = frontier.pop()
         for j, c in enumerate(cyclic[last + 1:], last + 1):
-            if c & ~s:
-                t = _close_over(alg, s, s | c)
-                if not t & ~s & before[j]:
+            stop = before[j] & ~s
+            if c & ~s and not c & stop:
+                t = _close_over(alg, s, s | c, stop)
+                if not t & stop:
                     found.append(t)
                     frontier.append((t, j))
     return tuple(sorted(found))
@@ -289,7 +315,7 @@ def generate_congruence(alg: SlominskiAlgebra, pairs: Iterable[tuple[int, int]])
 def is_subalgebra(alg: SlominskiAlgebra, elems: Iterable[int]) -> bool:
     elems = set(elems)
     m = mask_of(elems) if elems <= set(range(alg.n)) else 0  # 0: no subalgebra
-    return close_mask(alg, m) == m and (m >> alg.zero) & 1
+    return m >> alg.zero & 1 == 1 and close_mask(alg, m) == m
 
 
 def _kernel_classes(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -320,7 +346,7 @@ def _candidate_classes(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Option
     if alg.n == 1:  # a one-position itemgetter returns a scalar
         return (0,)
     cls, rep, k = [-1] * alg.n, [0] * alg.n, 0
-    columns = tuple(zip(*alg.p))  # columns[y][x] = p(x, y)
+    columns, translations = _translations(alg)
     for y, col in enumerate(columns):
         if cls[y] < 0:
             for b in belems:
@@ -330,12 +356,23 @@ def _candidate_classes(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Option
                 cls[x], rep[x] = k, y
             k += 1
     at_rep = itemgetter(*rep)
-    for rows in (alg.p, columns, alg.d):
-        for t in rows:
-            ct = itemgetter(*t)(cls)
-            if ct != at_rep(ct):
-                return None
+    for t in translations:
+        ct = t(cls)
+        if ct != at_rep(ct):
+            return None
     return tuple(cls)
+
+
+def _translations(
+    alg: SlominskiAlgebra
+) -> tuple[tuple[tuple[int, ...], ...], tuple[itemgetter, ...]]:
+    """The columns of p (columns[y][x] = p(x, y)) and a getter for each
+    translation p(z, -), p(-, z) and d(z, -), built once per algebra of
+    more than one element: every normality test of alg reads them."""
+    def build():
+        columns = tuple(zip(*alg.p))
+        return columns, tuple(itemgetter(*t) for rows in (alg.p, columns, alg.d) for t in rows)
+    return alg.memoized("translations", build)
 
 
 def is_normal_subalgebra(alg: SlominskiAlgebra, B: Iterable[int]) -> bool:
@@ -361,9 +398,12 @@ def quotient(
     for x, c in enumerate(cls):
         if c == len(reps):
             reps.append(x)
-    k = len(reps)
-    p = tuple(tuple(cls[alg.p[reps[i]][reps[j]]] for j in range(k)) for i in range(k))
-    d = tuple(tuple(cls[alg.d[reps[i]][reps[j]]] for j in range(k)) for i in range(k))
+    if len(reps) == 1:  # a one-position itemgetter returns a scalar
+        p = d = ((0,),)
+    else:
+        at_reps = itemgetter(*reps)
+        p = tuple(gather(cls, at_reps(alg.p[r])) for r in reps)
+        d = tuple(gather(cls, at_reps(alg.d[r])) for r in reps)
     qname = name or f"{alg.name}/{{{','.join(map(str, belems))}}}"
     q = SlominskiAlgebra(qname, cls[alg.zero], p, d)
     q.validate()
@@ -674,8 +714,8 @@ class SlominskiForm(Form):
         lat = S.owner.lattice
         above = lat.up[lat.index[S.key]]
         obj, i, at = self._interval_object(q, lat, elements_of(above), reps, keep)
-        joins = [u & above for u in lat.up]
-        d = [at[(j & -j).bit_length() - 1] for j in joins]
+        at_bit = {1 << a: b for a, b in at.items()}
+        d = [at_bit[j & -j] for j in [u & above for u in lat.up]]
         mor = Morphism(S.owner, obj, d, i, name=f"pi_{S.owner.id}/{list(S.key)}",
                        element_map=table)
         if keep:
@@ -696,8 +736,10 @@ class SlominskiForm(Form):
         map between the two numberings both ways: a list over alg's positions
         and a dict over the given ones.  MaskLattice sorts the masks, so the
         keys come in the order that subalgebra_lattice(alg) gives."""
-        local = [sum(1 << j for j, x in enumerate(source) if (lat.masks[a] >> x) & 1)
-                 for a in positions]
+        bit = [0] * lat.n  # bit[source[j]] = 1 << j; source is one-to-one
+        for j, x in enumerate(source):
+            bit[x] = 1 << j
+        local = [sum(map(bit.__getitem__, lat.keys[a])) for a in positions]
         obj = self._object(alg, lambda: MaskLattice(alg.n, local, lambda m: close_mask(alg, m)),
                            keep=keep)
         at = dict(zip(positions, map(obj.lattice.position_of_mask, local)))

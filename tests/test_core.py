@@ -27,6 +27,7 @@ from noetherform import (
     restricted_modular_law_check,
     top,
 )
+from noetherform.core import gather
 from noetherform.errors import CompositionError, OwnershipError
 from noetherform.groups import D8_B, D8_V, cyclic, dihedral8
 from noetherform.slominski import element_morphism, enumerate_homs, subalgebras
@@ -387,3 +388,13 @@ def test_first_uncomposed_on_end_e8_takes_few_composites():
         compose_key, calls = _counted(key)
         assert first_uncomposed(mors, key, compose_key) is None
         assert calls[0] <= 40_000, (key.__name__, calls[0])
+
+
+def test_gather_reads_a_table_at_no_one_or_several_positions():
+    # several positions go through one itemgetter; none and one, for which
+    # itemgetter raises or gives a scalar, through a list
+    for table in ((10, 11, 12, 13), [10, 11, 12, 13]):
+        assert gather(table, ()) == ()
+        assert gather(table, (2,)) == (12,)
+        assert gather(table, [3, 0, 0]) == (13, 10, 10)
+        assert gather(table, (1, 2, 3, 0)) == (11, 12, 13, 10)
