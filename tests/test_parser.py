@@ -166,3 +166,102 @@ assert zero m.m
 def test_unknown_keyword_is_parse_error():
     with pytest.raises(ParseError):
         parse("banana split\n")
+
+
+# Every parse error of every block, with its exact text and line.  Blank and
+# comment lines come before each failing line, so the line numbers count them.
+HEAD = "# pinned errors\n\n"  # lines 1-2
+ALG = HEAD + "algebra A size 2 zero 0\n\np 0 1 / 1 0\n# d next\nd 0 1 / 1 0\n"  # lines 1-7
+GRP = HEAD + "group G size 2 id 0\n\ntable 0 1 / 1 0\n"  # lines 1-5
+FORM = HEAD + "form F\n\nobject T subobjects bot top\n"  # lines 1-5
+DIAG = ALG + "\ndiagram d over main\n# body\n"  # lines 1-10
+
+PINNED_ERRORS = [
+    # algebra and group headers
+    (HEAD + "algebra A size 2\n", "line 3: expected: algebra <name> size <n> zero <i>"),
+    (HEAD + "algebra A size 2 id 0\n", "line 3: expected: algebra <name> size <n> zero <i>"),
+    (HEAD + "algebra A size two zero 0\n", "line 3: size must be an integer, not 'two'"),
+    (HEAD + "algebra A size 2 zero z\n", "line 3: zero must be an integer, not 'z'"),
+    (ALG + "\nalgebra A size x zero 0\n", "line 9: duplicate algebra name 'A'"),
+    (HEAD + "group G size 2 zero 0\n", "line 3: expected: group <name> size <n> id <i>"),
+    (HEAD + "group G size 2 id e\n", "line 3: id must be an integer, not 'e'"),
+    (HEAD + "group G size 2.0 id 0\n", "line 3: size must be an integer, not '2.0'"),
+    (ALG + "# again\ngroup A size y id 0\n", "line 9: duplicate algebra name 'A'"),
+    (GRP + "\ngroup G size 1 id 0\ntable 0\n", "line 7: duplicate algebra name 'G'"),
+    # algebra and group bodies
+    (HEAD + "algebra A size 2 zero 0\n\np 0 x / 1 0\n", "line 5: table entries must be integers"),
+    (HEAD + "algebra A size 2 zero 0\n\np 0 1 / 1 0\n#\nd 0 1 / 1\n",
+     "line 7: expected 2 rows of 2 entries"),
+    (HEAD + "algebra A size 2 zero 0\n\np 0 1 1 / 1 0\n", "line 5: expected 2 rows of 2 entries"),
+    (HEAD + "algebra A size 2 zero 0\n# only p\np 0 1 / 1 0\n",
+     "line 3: algebra A: missing p or d table"),
+    (HEAD + "algebra A size 2 zero 0\np 0 1 / 1 0\n\np 0 1 / 1 0\nd 0 1 / 1 0\n",
+     "line 3: algebra A: missing p or d table"),
+    (ALG + "\np 0 1 / 1 0\n", "line 9: unexpected keyword 'p'"),
+    (HEAD + "algebra A size 2 zero 0\n\nhom f A -> A map 0 1\n",
+     "line 3: algebra A: missing p or d table"),
+    (HEAD + "algebra A size 2 zero 0\np 0 1 / 1 0\nd 1 1 / 1 1\n", "line 3: A: d(0,0) != 0"),
+    (HEAD + "group G size 2 id 0\n\ntable 0 1 / 1\n", "line 5: expected 2 rows of 2 entries"),
+    (HEAD + "group G size 2 id 0\n# rows\ntable 0 1 / 1 z\n", "line 5: table entries must be integers"),
+    (HEAD + "group G size 2 id 0\n\n# no table\nhom f G -> G map 0 0\n",
+     "line 3: group G: missing Cayley table"),
+    (HEAD + "group G size 2 id 0\n", "line 3: group G: missing Cayley table"),
+    (GRP + "\ntable 0 1 / 1 0\n", "line 7: unexpected keyword 'table'"),
+    (HEAD + "group G size 2 id 0\n\ntable 0 1 / 1 1\n", "line 5: group G: element 1 has no inverse"),
+    (HEAD + "group G size 3 id 0\n\ntable 0 1 2 / 1 0 2 / 2 2 0\n",
+     "line 3: G: multiplication is not associative"),
+    # hom
+    (GRP + "# bad\nhom f G G map 0 1\n", "line 7: expected: hom <f> <A> -> <B> map <i0> ..."),
+    (GRP + "hom f G -> G\n", "line 6: expected: hom <f> <A> -> <B> map <i0> ..."),
+    (GRP + "\nhom f G -> H map 0 1\n", "line 7: hom f: unknown algebra 'H'"),
+    (GRP + "\nhom f H -> G map 0 1\n", "line 7: hom f: unknown algebra 'H'"),
+    (GRP + "hom f G -> G map 0 1\n\nhom f G -> G map 0 1\n", "line 8: duplicate hom name 'f'"),
+    (GRP + "\n# not a hom\nhom f G -> G map 1 1\n", "line 8: hom f: does not preserve 0"),
+    (GRP + "\nhom f G -> G map 0\n", "line 7: hom f: table does not match carriers"),
+    (GRP + "\nhom f G -> G map 0 7\n", "line 7: hom f: table does not match carriers"),
+    (GRP + "\nhom f G -> G map 0 x\n", "line 7: invalid literal for int() with base 10: 'x'"),
+    # form
+    (HEAD + "form\n", "line 3: expected: form <name>"),
+    (HEAD + "form F G\n", "line 3: expected: form <name>"),
+    (FORM + "\nform F\n", "line 7: duplicate form name 'F'"),
+    (FORM + "# next\nobject U bot top\n", "line 7: expected: object <name> subobjects <k1> ..."),
+    (FORM + "\nobject U subobjects\n", "line 7: expected: object <name> subobjects <k1> ..."),
+    (FORM + "\norder T bot top\n", "line 7: expected: order <obj> <ki> <= <kj>"),
+    (FORM + "\norder T bot <= top extra\n", "line 7: expected: order <obj> <ki> <= <kj>"),
+    (FORM + "\nmorphism m T T\n", "line 7: expected: morphism <f> <dom> -> <cod>"),
+    (FORM + "morphism m T -> T\n\n  dimg bot bot\n", "line 8: expected: dimg <k> -> <k>"),
+    (FORM + "morphism m T -> T\n#\n  iimg bot -> bot top\n", "line 8: expected: iimg <k> -> <k>"),
+    (FORM + "\ndimg bot -> bot\n", "line 7: dimg outside a morphism block"),
+    (FORM + "morphism m T -> T\n  dimg bot -> bot\norder T bot <= top\n\niimg bot -> bot\n",
+     "line 10: iimg outside a morphism block"),
+    (FORM + "morphism m T -> T\n  dimg bot -> bot\nobject U subobjects u\n\ndimg u -> u\n",
+     "line 10: dimg outside a morphism block"),
+    # zigzag
+    (ALG + "\nzigzag z A > f A\n", "line 9: expected: zigzag <name> : <X0> ..."),
+    (ALG + "\nzigzag z :\n", "line 9: expected: zigzag <name> : <X0> ..."),
+    (ALG + "\nzigzag z : A > f\n", "line 9: zigzag needs node (dir name | name dir) node ..."),
+    (ALG + "#\nzigzag z : A f g A\n", "line 9: zigzag z: expected a direction near 'f'"),
+    (ALG + "zigzag z : A\n\nzigzag z : A\n", "line 10: duplicate zigzag name 'z'"),
+    # diagram
+    (ALG + "\ndiagram d main\n", "line 9: expected: diagram <name> over <form>"),
+    (DIAG + "\ndiagram d over main\n", "line 12: duplicate diagram name 'd'"),
+    (DIAG + "use A X\n", "line 11: expected: use <entity> as <role>"),
+    (DIAG + "use A as X\n\ncommute f g\n", "line 13: expected: commute <p1> = <p2>"),
+    (DIAG + "\nassert\n", "line 12: empty assertion"),
+    (DIAG + "\nassert mono f\n", "line 12: unknown assertion kind 'mono'"),
+    (DIAG + "\nassert commute f = g\n", "line 12: unknown assertion kind 'commute'"),
+    (DIAG + "\nassert exact f\n", "line 12: assertion exact takes 2 argument(s)"),
+    (DIAG + "\nassert zero f g\n", "line 12: assertion zero takes 1 argument(s)"),
+    (DIAG + "\nassert short-exact f g h\n", "line 12: assertion short-exact takes 2 argument(s)"),
+    # top level
+    (HEAD + "banana split\n", "line 3: unexpected keyword 'banana'"),
+    (DIAG + "use A as X\n\ndimg a -> a\n", "line 13: unexpected keyword 'dimg'"),
+    (FORM + "\nuse T as X\n", "line 7: unexpected keyword 'use'"),
+]
+
+
+@pytest.mark.parametrize("text, message", PINNED_ERRORS)
+def test_parse_errors_are_pinned(text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
