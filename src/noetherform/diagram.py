@@ -41,9 +41,15 @@ def is_short_exact(f: Morphism, g: Morphism) -> bool:
     return is_injective(f) and is_surjective(g) and is_exact_at(f, g)
 
 
+# The kinds a diagram may assert, with their arities.  Every argument is an
+# arrow role, except that zero takes one dot-separated path.
+ASSERTION_ARITY = {"exact": 2, "short-exact": 2, "injective": 1, "surjective": 1,
+                   "iso": 1, "zero": 1}
+
+
 @dataclass(frozen=True)
 class Assertion:
-    kind: str  # exact | short-exact | injective | surjective | iso | zero | commute
+    kind: str  # a kind of ASSERTION_ARITY, or commute
     args: tuple
 
     def label(self) -> str:
@@ -135,8 +141,8 @@ class Diagram:
 
     def validate(self) -> None:
         for a in self.assertions:
-            for arg in a.args:
-                if a.kind in ("exact", "short-exact", "injective", "surjective", "iso"):
+            if a.kind in ASSERTION_ARITY and a.kind != "zero":
+                for arg in a.args:
                     if arg not in self.arrows:
                         raise ShapeError(f"{self.name}: assertion uses unknown arrow {arg!r}")
 

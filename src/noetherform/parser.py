@@ -1,11 +1,28 @@
 """Line-oriented workspace files: algebras, groups, homs, abstract forms,
 zigzags and diagrams.
 
-'#' starts a comment.  Blocks (algebra, group, form, morphism, diagram) end
-at the next top-level keyword.  The Slominski form over the declared
-algebras is assembled on demand with identities and composition closure
-added, so fixture files stay small; abstract forms declared with `form` are
-data-defined and checked as written.
+'#' starts a comment.  parse splits the text once into its non-blank lines
+and reads them by BLOCKS, which gives each top-level keyword its reader and
+the keywords of the body lines that follow it:
+
+    algebra <name> size <n> zero <i>     p and d, once each
+    group <name> size <n> id <i>         table, once
+    hom <f> <A> -> <B> map <i0> ...      none
+    form <name>                          object, order, morphism, dimg and
+                                         iimg, repeating
+    zigzag <name> : <X0> ...             none
+    diagram <name> over <form>           use, commute and assert, repeating
+
+A body ends at the first line its block does not own, which starts the
+next block; so a second p, d or table line is an unexpected keyword.  A
+dimg or iimg line belongs to the nearest morphism line above it, with no
+object or order line between.
+
+The Slominski form `main` over the declared algebras is assembled on demand
+with identities and composition closure added, so fixture files stay small;
+abstract forms declared with `form` are data-defined and checked as written.
+A diagram is resolved over the data form it names, or over `main` when no
+form of that name is declared.
 
 Zigzag lines accept the direction token on either side of the morphism
 name: `X > f Y` and `X f > Y` both mean f points rightward.
@@ -17,6 +34,7 @@ loads neither.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -58,8 +76,9 @@ class DiagramSpec:
 class FormSpec:
     name: str
     objects: dict[str, list[str]] = field(default_factory=dict)
-    orders: list[tuple[str, str, str]] = field(default_factory=list)
-    morphisms: list = field(default_factory=list)  # (name, dom, cod, dimg, iimg, line)
+    orders: list[tuple[str, str, str, int]] = field(default_factory=list)  # (obj, a, b, line)
+    # (name, dom, cod, dimg, iimg, line); dimg and iimg map a key to (key, line)
+    morphisms: list = field(default_factory=list)
 
 
 class Workspace:
@@ -76,11 +95,13 @@ class Workspace:
 
     # resolution ---------------------------------------------------------
 
-    def slominski_form(self, name: str = "main") -> SlominskiForm:
+    def slominski_form(self) -> SlominskiForm:
+        """The form `main` over the declared algebras and the closure of the
+        declared homs, built once."""
         if self._slform is None:
             algs = list(self.algebras.values())
             homs = close_homs(algs, list(self.homs.values()))
-            form = SlominskiForm(name)
+            form = SlominskiForm("main")
             form.declare(algs, homs)
             self._slform = form
         return self._slform
@@ -91,11 +112,9 @@ class Workspace:
         spec = self.form_specs[name]
         objects = []
         for oname, keys in spec.objects.items():
-            pairs = [(a, b) for (on, a, b) in spec.orders if on == oname]
-            try:
+            pairs = [(a, b) for (on, a, b, _) in spec.orders if on == oname]
+            with _located(None, f"form {name}, object {oname}: "):
                 lattice = TableLattice(keys, pairs)
-            except Exception as exc:
-                raise ParseError(f"form {name}, object {oname}: {exc}") from None
             objects.append(FormObject(oname, lattice))
         by_id = {o.id: o for o in objects}
         morphisms = []
@@ -103,17 +122,24 @@ class Workspace:
             if dom not in by_id or cod not in by_id:
                 raise ParseError(f"morphism {mname} uses unknown object", line)
             do, co = by_id[dom], by_id[cod]
-            for k in do.lattice.keys:
-                if k not in dimg:
-                    raise ParseError(f"morphism {mname}: dimg missing for key {k}", line)
-            for k in co.lattice.keys:
-                if k not in iimg:
-                    raise ParseError(f"morphism {mname}: iimg missing for key {k}", line)
-            bad = [v for v in dimg.values() if v not in co.lattice.index]
-            bad += [v for v in iimg.values() if v not in do.lattice.index]
+            for kind, img, src in (("dimg", dimg, do), ("iimg", iimg, co)):
+                for k in src.lattice.keys:
+                    _expect(k in img, f"morphism {mname}: {kind} missing for key {k}", line)
+            bad = [v for v, _ in dimg.values() if v not in co.lattice.index]
+            bad += [v for v, _ in iimg.values() if v not in do.lattice.index]
             if bad:
                 raise ParseError(f"morphism {mname}: image keys {bad} unknown", line)
-            morphisms.append(Morphism.from_maps(do, co, dimg, iimg, name=mname))
+            dmap = {k: v for k, (v, _) in dimg.items()}
+            imap = {k: v for k, (v, _) in iimg.items()}
+            morphisms.append(Morphism.from_maps(do, co, dmap, imap, name=mname))
+        # lines that name what the form lacks, checked once the rest resolves
+        for on, _, _, line in spec.orders:
+            _expect(on in by_id, f"form {name}: order on unknown object {on!r}", line)
+        for m, (mname, _, _, dimg, iimg, _) in zip(morphisms, spec.morphisms):
+            for kind, img, src in (("dimg", dimg, m.dom), ("iimg", iimg, m.cod)):
+                for k, (_, ln) in img.items():
+                    _expect(k in src.lattice.index,
+                            f"morphism {mname}: {kind} {k!r} is not a subobject of {src.id}", ln)
         form = DataForm(objects, morphisms, name=name)
         self._forms[name] = form
         return form
@@ -137,15 +163,13 @@ class Workspace:
                 raise ParseError(f"zigzag {name}: unknown algebra {n!r}", spec.line)
             nodes.append(form.object_of(self.algebras[n]))
         edges = []
-        for i, (mname, direction) in enumerate(spec.edges):
+        for mname, direction in spec.edges:
             if mname not in self.homs:
                 raise ParseError(f"zigzag {name}: unknown hom {mname!r}", spec.line)
             mor = form.morphism(self.homs[mname], name=mname)
             edges.append(Edge(mor, direction))
-        try:
+        with _located(spec.line, f"zigzag {name}: "):
             return Zigzag(tuple(nodes), tuple(edges), form=form)
-        except Exception as exc:
-            raise ParseError(f"zigzag {name}: {exc}", spec.line) from None
 
     def diagram(self, name: str) -> Diagram:
         from .diagram import Diagram
@@ -170,7 +194,7 @@ class Workspace:
                     f"diagram {name}: form {spec.over!r} not declared and no algebras loaded",
                     spec.line,
                 )
-            form = self.slominski_form(spec.over)
+            form = self.slominski_form()
             d = Diagram(form, name=name)
             for ent, role in spec.uses:
                 if ent in self.algebras:
@@ -184,249 +208,189 @@ class Workspace:
         return d
 
 
-def _tokens(line: str) -> list[str]:
-    code = line.split("#", 1)[0].strip()
-    return code.split() if code else []
-
-
-def _rows(parts: list[str], n: int, lineno: int) -> tuple[tuple[int, ...], ...]:
+def _rows(parts: list[str], n: int, line: int) -> tuple[tuple[int, ...], ...]:
     text = " ".join(parts)
     rows = [r.split() for r in text.split("/")]
     try:
         table = tuple(tuple(int(v) for v in row) for row in rows)
     except ValueError:
-        raise ParseError("table entries must be integers", lineno) from None
+        raise ParseError("table entries must be integers", line) from None
     if len(table) != n or any(len(r) != n for r in table):
-        raise ParseError(f"expected {n} rows of {n} entries", lineno)
+        raise ParseError(f"expected {n} rows of {n} entries", line)
     return table
 
 
-def parse(text: str) -> Workspace:
-    ws = Workspace()
-    lines = text.splitlines()
-    i = 0
-
-    def error(msg, ln):
-        raise ParseError(msg, ln + 1)
-
-    while i < len(lines):
-        toks = _tokens(lines[i])
-        if not toks:
-            i += 1
-            continue
-        kw = toks[0]
-        if kw == "algebra":
-            i = _parse_algebra(ws, lines, i)
-        elif kw == "group":
-            i = _parse_group(ws, lines, i)
-        elif kw == "hom":
-            i = _parse_hom(ws, toks, i)
-        elif kw == "form":
-            i = _parse_form(ws, lines, i)
-        elif kw == "zigzag":
-            i = _parse_zigzag(ws, toks, i)
-        elif kw == "diagram":
-            i = _parse_diagram(ws, lines, i)
-        else:
-            error(f"unexpected keyword {kw!r}", i)
-    return ws
-
-
-def _expect(cond, msg, ln):
+def _expect(cond, msg, line):
     if not cond:
-        raise ParseError(msg, ln + 1)
+        raise ParseError(msg, line)
 
 
-def _int(tok, what, ln):
+def _int(tok, what, line):
     try:
         return int(tok)
     except ValueError:
-        raise ParseError(f"{what} must be an integer, not {tok!r}", ln + 1) from None
+        raise ParseError(f"{what} must be an integer, not {tok!r}", line) from None
 
 
-def _fresh(table, name, kind, ln):
+def _fresh(table, name, kind, line):
     if name in table:
-        raise ParseError(f"duplicate {kind} name {name!r}", ln + 1)
+        raise ParseError(f"duplicate {kind} name {name!r}", line)
 
 
-def _parse_algebra(ws, lines, i):
-    toks = _tokens(lines[i])
-    _expect(len(toks) == 6 and toks[2] == "size" and toks[4] == "zero",
-            "expected: algebra <name> size <n> zero <i>", i)
-    name = toks[1]
-    _fresh(ws.algebras, name, "algebra", i)
-    n, zero = _int(toks[3], "size", i), _int(toks[5], "zero", i)
-    tables = {}
-    j = i + 1
-    while j < len(lines):
-        t = _tokens(lines[j])
-        if not t:
-            j += 1
-            continue
-        if t[0] in ("p", "d") and t[0] not in tables:
-            tables[t[0]] = _rows(t[1:], n, j + 1)
-            j += 1
-            if len(tables) == 2:
-                break
-        else:
-            break
-    _expect("p" in tables and "d" in tables, f"algebra {name}: missing p or d table", i)
-    alg = SlominskiAlgebra(name, zero, tables["p"], tables["d"])
+@contextmanager
+def _located(line, prefix=""):
+    """Report any error raised inside as a ParseError at line."""
     try:
-        alg.validate()
+        yield
     except Exception as exc:
-        raise ParseError(str(exc), i + 1) from None
+        raise ParseError(f"{prefix}{exc}", line) from None
+
+
+def _sized(ws, line, toks, base):
+    """The header `<kw> <name> size <n> <base> <i>` of an algebra or a group:
+    its name, checked fresh before its integers are read, n and i."""
+    _expect(len(toks) == 6 and toks[2] == "size" and toks[4] == base,
+            f"expected: {toks[0]} <name> size <n> {base} <i>", line)
+    _fresh(ws.algebras, toks[1], "algebra", line)
+    return toks[1], _int(toks[3], "size", line), _int(toks[5], base, line)
+
+
+def _read_algebra(ws, line, toks, body):
+    name, n, zero = _sized(ws, line, toks, "zero")
+    tables = {t[0]: _rows(t[1:], n, ln) for ln, t in body}
+    _expect(len(tables) == 2, f"algebra {name}: missing p or d table", line)
+    alg = SlominskiAlgebra(name, zero, tables["p"], tables["d"])
+    with _located(line):
+        alg.validate()
     ws.algebras[name] = alg
-    return j
 
 
-def _parse_group(ws, lines, i):
-    toks = _tokens(lines[i])
-    _expect(len(toks) == 6 and toks[2] == "size" and toks[4] == "id",
-            "expected: group <name> size <n> id <i>", i)
-    name = toks[1]
-    _fresh(ws.algebras, name, "algebra", i)
-    n, ident = _int(toks[3], "size", i), _int(toks[5], "id", i)
-    j = i + 1
-    while j < len(lines) and not _tokens(lines[j]):
-        j += 1
-    t = _tokens(lines[j]) if j < len(lines) else []
-    _expect(t and t[0] == "table", f"group {name}: missing Cayley table", i)
-    table = _rows(t[1:], n, j + 1)
+def _read_group(ws, line, toks, body):
+    name, n, ident = _sized(ws, line, toks, "id")
+    _expect(body, f"group {name}: missing Cayley table", line)
+    [(ln, t)] = body
+    table = _rows(t[1:], n, ln)
     inverse = []
     for x in range(n):
         inv = next((y for y in range(n) if table[x][y] == ident), None)
-        _expect(inv is not None, f"group {name}: element {x} has no inverse", j)
+        _expect(inv is not None, f"group {name}: element {x} has no inverse", ln)
         inverse.append(inv)
-    try:
-        alg = from_group(table, tuple(inverse), ident, name=name)
-    except Exception as exc:
-        raise ParseError(str(exc), i + 1) from None
-    ws.algebras[name] = alg
-    return j + 1
+    with _located(line):
+        ws.algebras[name] = from_group(table, tuple(inverse), ident, name=name)
 
 
-def _parse_hom(ws, toks, i):
+def _read_hom(ws, line, toks, body):
     _expect(len(toks) >= 6 and toks[3] == "->" and toks[5] == "map",
-            "expected: hom <f> <A> -> <B> map <i0> ...", i)
+            "expected: hom <f> <A> -> <B> map <i0> ...", line)
     name, dom, cod = toks[1], toks[2], toks[4]
-    _fresh(ws.homs, name, "hom", i)
-    _expect(dom in ws.algebras, f"hom {name}: unknown algebra {dom!r}", i)
-    _expect(cod in ws.algebras, f"hom {name}: unknown algebra {cod!r}", i)
-    try:
-        table = tuple(int(v) for v in toks[6:])
+    _fresh(ws.homs, name, "hom", line)
+    _expect(dom in ws.algebras, f"hom {name}: unknown algebra {dom!r}", line)
+    _expect(cod in ws.algebras, f"hom {name}: unknown algebra {cod!r}", line)
+    table = tuple(_int(v, "map entry", line) for v in toks[6:])
+    with _located(line):
         hom = SlominskiHom(ws.algebras[dom], ws.algebras[cod], table, name=name)
         hom.validate()
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(str(exc), i + 1) from None
     ws.homs[name] = hom
-    return i + 1
 
 
-def _parse_form(ws, lines, i):
-    toks = _tokens(lines[i])
-    _expect(len(toks) == 2, "expected: form <name>", i)
-    _fresh(ws.form_specs, toks[1], "form", i)
-    spec = FormSpec(toks[1])
-    ws.form_specs[spec.name] = spec
-    j = i + 1
-    current_mor = None
-    while j < len(lines):
-        t = _tokens(lines[j])
-        if not t:
-            j += 1
-            continue
+def _read_form(ws, line, toks, body):
+    _expect(len(toks) == 2, "expected: form <name>", line)
+    _fresh(ws.form_specs, toks[1], "form", line)
+    spec = ws.form_specs[toks[1]] = FormSpec(toks[1])
+    mor = None
+    for ln, t in body:
         if t[0] == "object":
             _expect(len(t) >= 4 and t[2] == "subobjects",
-                    "expected: object <name> subobjects <k1> ...", j)
+                    "expected: object <name> subobjects <k1> ...", ln)
+            _fresh(spec.objects, t[1], "object", ln)
             spec.objects[t[1]] = t[3:]
-            current_mor = None
+            mor = None
         elif t[0] == "order":
-            _expect(len(t) == 5 and t[3] == "<=", "expected: order <obj> <ki> <= <kj>", j)
-            spec.orders.append((t[1], t[2], t[4]))
-            current_mor = None
+            _expect(len(t) == 5 and t[3] == "<=", "expected: order <obj> <ki> <= <kj>", ln)
+            spec.orders.append((t[1], t[2], t[4], ln))
+            mor = None
         elif t[0] == "morphism":
-            _expect(len(t) == 5 and t[3] == "->", "expected: morphism <f> <dom> -> <cod>", j)
-            current_mor = (t[1], t[2], t[4], {}, {}, j + 1)
-            spec.morphisms.append(current_mor)
-        elif t[0] in ("dimg", "iimg"):
-            _expect(current_mor is not None, f"{t[0]} outside a morphism block", j)
-            _expect(len(t) == 4 and t[2] == "->", f"expected: {t[0]} <k> -> <k>", j)
-            target = current_mor[3] if t[0] == "dimg" else current_mor[4]
-            target[t[1]] = t[3]
+            _expect(len(t) == 5 and t[3] == "->", "expected: morphism <f> <dom> -> <cod>", ln)
+            mor = (t[1], t[2], t[4], {}, {}, ln)
+            spec.morphisms.append(mor)
         else:
-            break
-        j += 1
-    return j
+            _expect(mor is not None, f"{t[0]} outside a morphism block", ln)
+            _expect(len(t) == 4 and t[2] == "->", f"expected: {t[0]} <k> -> <k>", ln)
+            mor[3 if t[0] == "dimg" else 4][t[1]] = (t[3], ln)
 
 
-def _parse_zigzag(ws, toks, i):
+def _read_zigzag(ws, line, toks, body):
     from .zigzag import LEFT, RIGHT
 
-    _expect(len(toks) >= 4 and toks[2] == ":", "expected: zigzag <name> : <X0> ...", i)
+    _expect(len(toks) >= 4 and toks[2] == ":", "expected: zigzag <name> : <X0> ...", line)
     name = toks[1]
-    _fresh(ws.zigzag_specs, name, "zigzag", i)
+    _fresh(ws.zigzag_specs, name, "zigzag", line)
     rest = toks[3:]
-    _expect(len(rest) % 3 == 1, "zigzag needs node (dir name | name dir) node ...", i)
+    _expect(len(rest) % 3 == 1, "zigzag needs node (dir name | name dir) node ...", line)
     nodes = [rest[0]]
     edges = []
-    k = 1
-    while k < len(rest):
-        a, b = rest[k], rest[k + 1]
+    for a, b, node in zip(rest[1::3], rest[2::3], rest[3::3]):
         if a in ("<", ">"):
             direction, mname = a, b
         elif b in ("<", ">"):
             direction, mname = b, a
         else:
-            raise ParseError(f"zigzag {name}: expected a direction near {a!r}", i + 1)
+            raise ParseError(f"zigzag {name}: expected a direction near {a!r}", line)
         edges.append((mname, RIGHT if direction == ">" else LEFT))
-        nodes.append(rest[k + 2])
-        k += 3
-    ws.zigzag_specs[name] = ZigzagSpec(name, nodes, edges, i + 1)
-    return i + 1
+        nodes.append(node)
+    ws.zigzag_specs[name] = ZigzagSpec(name, nodes, edges, line)
 
 
-def _parse_diagram(ws, lines, i):
-    toks = _tokens(lines[i])
-    _expect(len(toks) == 4 and toks[2] == "over", "expected: diagram <name> over <form>", i)
-    _fresh(ws.diagram_specs, toks[1], "diagram", i)
-    spec = DiagramSpec(toks[1], toks[3], [], [], [], i + 1)
-    ws.diagram_specs[spec.name] = spec
-    j = i + 1
-    while j < len(lines):
-        t = _tokens(lines[j])
-        if not t:
-            j += 1
-            continue
+def _read_diagram(ws, line, toks, body):
+    _expect(len(toks) == 4 and toks[2] == "over", "expected: diagram <name> over <form>", line)
+    _fresh(ws.diagram_specs, toks[1], "diagram", line)
+    spec = ws.diagram_specs[toks[1]] = DiagramSpec(toks[1], toks[3], [], [], [], line)
+    for ln, t in body:
         if t[0] == "use":
-            _expect(len(t) == 4 and t[2] == "as", "expected: use <entity> as <role>", j)
+            _expect(len(t) == 4 and t[2] == "as", "expected: use <entity> as <role>", ln)
             spec.uses.append((t[1], t[3]))
         elif t[0] == "commute":
-            _expect(len(t) == 4 and t[2] == "=", "expected: commute <p1> = <p2>", j)
+            _expect(len(t) == 4 and t[2] == "=", "expected: commute <p1> = <p2>", ln)
             spec.commutes.append((t[1], t[3]))
-        elif t[0] == "assert":
-            spec.asserts.append(_parse_assert(t[1:], j))
         else:
-            break
-        j += 1
-    return j
+            from .diagram import ASSERTION_ARITY, Assertion
+
+            _expect(len(t) > 1, "empty assertion", ln)
+            kind, args = t[1], tuple(t[2:])
+            _expect(kind in ASSERTION_ARITY, f"unknown assertion kind {kind!r}", ln)
+            arity = ASSERTION_ARITY[kind]
+            _expect(len(args) == arity, f"assertion {kind} takes {arity} argument(s)", ln)
+            spec.asserts.append(Assertion(kind, args))
 
 
-def _parse_assert(args, j):
-    from .diagram import Assertion
+# Each top-level keyword: its reader, the keywords of the body lines it owns,
+# and whether those may repeat (if not, each is owned once).
+BLOCKS = {
+    "algebra": (_read_algebra, {"p", "d"}, False),
+    "group": (_read_group, {"table"}, False),
+    "hom": (_read_hom, set(), False),
+    "form": (_read_form, {"object", "order", "morphism", "dimg", "iimg"}, True),
+    "zigzag": (_read_zigzag, set(), False),
+    "diagram": (_read_diagram, {"use", "commute", "assert"}, True),
+}
 
-    if not args:
-        raise ParseError("empty assertion", j + 1)
-    kind = args[0]
-    arity = {"exact": 2, "short-exact": 2, "injective": 1, "surjective": 1,
-             "iso": 1, "zero": 1}
-    if kind not in arity:
-        raise ParseError(f"unknown assertion kind {kind!r}", j + 1)
-    if len(args) - 1 != arity[kind]:
-        raise ParseError(f"assertion {kind} takes {arity[kind]} argument(s)", j + 1)
-    return Assertion(kind, tuple(args[1:]))
+
+def parse(text: str) -> Workspace:
+    ws = Workspace()
+    lines = [(n, toks) for n, raw in enumerate(text.splitlines(), 1)
+             if (toks := raw.split("#", 1)[0].split())]
+    k = 0
+    while k < len(lines):
+        line, toks = lines[k]
+        _expect(toks[0] in BLOCKS, f"unexpected keyword {toks[0]!r}", line)
+        read, owned, repeat = BLOCKS[toks[0]]
+        start = k = k + 1
+        while k < len(lines) and lines[k][1][0] in owned:
+            if not repeat:
+                owned = owned - {lines[k][1][0]}
+            k += 1
+        read(ws, line, toks, lines[start:k])
+    return ws
 
 
 def parse_file(path: str) -> Workspace:
@@ -460,8 +424,11 @@ def merge(*spaces: Workspace) -> Workspace:
 
 
 def dump(ws: Workspace) -> str:
+    """The workspace as file text; each hom endpoint is written as the key
+    under which the workspace holds that algebra."""
     from .zigzag import RIGHT
 
+    key = {id(alg): name for name, alg in ws.algebras.items()}
     out = []
     for name in sorted(ws.algebras):
         alg = ws.algebras[name]
@@ -471,20 +438,20 @@ def dump(ws: Workspace) -> str:
     for name in sorted(ws.homs):
         h = ws.homs[name]
         out.append(
-            f"hom {name} {h.dom.name} -> {h.cod.name} map " + " ".join(map(str, h.table))
+            f"hom {name} {key[id(h.dom)]} -> {key[id(h.cod)]} map " + " ".join(map(str, h.table))
         )
     for fname in sorted(ws.form_specs):
         spec = ws.form_specs[fname]
         out.append(f"form {fname}")
         for oname, keys in spec.objects.items():
             out.append(f"object {oname} subobjects " + " ".join(keys))
-        for on, a, b in spec.orders:
+        for on, a, b, _ in spec.orders:
             out.append(f"order {on} {a} <= {b}")
         for mname, dom, cod, dimg, iimg, _ in spec.morphisms:
             out.append(f"morphism {mname} {dom} -> {cod}")
-            for k, v in dimg.items():
+            for k, (v, _) in dimg.items():
                 out.append(f"  dimg {k} -> {v}")
-            for k, v in iimg.items():
+            for k, (v, _) in iimg.items():
                 out.append(f"  iimg {k} -> {v}")
     for zname in sorted(ws.zigzag_specs):
         spec = ws.zigzag_specs[zname]

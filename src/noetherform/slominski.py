@@ -761,7 +761,9 @@ def element_morphism(dom: FormObject, cod: FormObject, table: Sequence[int], nam
     """Build a Morphism from a carrier-level map, with its direct and inverse
     image tables (Morphism.d and .i), memoized on dom's lattice by cod's
     lattice (held weakly: a process-wide domain keeps no codomain alive) and
-    the table.  Raises LatticeError, and stores nothing, when a table is no hom."""
+    the table.  Callers must pass hom tables, validated or drawn from
+    hom_tables: a table that is no hom is not detected (on Z5, (0, 2, 1, 3, 4)
+    gives a morphism)."""
     table = tuple(table)
     dl, cl = dom.lattice, cod.lattice
     got = dl.image_tables.get(cl, {}).get(table)

@@ -105,6 +105,17 @@ def test_subcommand_loads_only_its_layers(argv, code, unused):
     assert sorted(unused & set(loaded)) == []
 
 
+def test_parsing_loads_the_diagram_layer_only_for_assert_lines():
+    # d8_snake.nf declares a zigzag and a diagram without assert lines
+    got = python("""
+import json, sys
+from noetherform.parser import parse_file
+parse_file(sys.argv[1])
+print(json.dumps(sorted(m[12:] for m in sys.modules if m.startswith("noetherform."))))
+""", str(FIXTURES / "d8_snake.nf"))
+    assert got == ["core", "errors", "lattice", "parser", "slominski", "zigzag"]
+
+
 # As printed at 80 columns before the lemma lists were filled in lazily.
 TOP_HELP = """\
 usage: noetherform [-h] {check-axioms,chase,induce,pyramid,verify,snake} ...

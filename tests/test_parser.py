@@ -5,7 +5,9 @@ import importlib.resources as resources
 import pytest
 
 from noetherform.errors import ParseError
-from noetherform.parser import dump, merge, parse
+from noetherform.groups import cyclic
+from noetherform.parser import Workspace, dump, merge, parse
+from noetherform.slominski import SlominskiHom
 
 FIXTURES = resources.files("noetherform") / "fixtures"
 
@@ -219,7 +221,7 @@ PINNED_ERRORS = [
     (GRP + "\n# not a hom\nhom f G -> G map 1 1\n", "line 8: hom f: does not preserve 0"),
     (GRP + "\nhom f G -> G map 0\n", "line 7: hom f: table does not match carriers"),
     (GRP + "\nhom f G -> G map 0 7\n", "line 7: hom f: table does not match carriers"),
-    (GRP + "\nhom f G -> G map 0 x\n", "line 7: invalid literal for int() with base 10: 'x'"),
+    (GRP + "\nhom f G -> G map 0 x\n", "line 7: map entry must be an integer, not 'x'"),
     # form
     (HEAD + "form\n", "line 3: expected: form <name>"),
     (HEAD + "form F G\n", "line 3: expected: form <name>"),
@@ -260,8 +262,55 @@ PINNED_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("text, message", PINNED_ERRORS)
+@pytest.mark.parametrize("text, message", PINNED_ERRORS, ids=[m for _, m in PINNED_ERRORS])
 def test_parse_errors_are_pinned(text, message):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert str(info.value) == message
+
+
+# Input that parsed or resolved silently before, now located errors.  An
+# order line may come before its object line, so the order and image-key
+# checks run where the form resolves.
+LOCATED = [
+    (FORM + "\norder U bot <= top\n", "F", "line 7: form F: order on unknown object 'U'"),
+    (FORM + "morphism m T -> T\n  dimg bot -> bot\n  dimg top -> top\n  dimg mid -> top\n"
+     "  iimg bot -> bot\n  iimg top -> top\n", "F", "line 9: morphism m: dimg 'mid' is not a subobject of T"),
+    (FORM + "object U subobjects u\nmorphism m T -> U\n  dimg bot -> u\n  dimg top -> u\n"
+     "\n  iimg u -> top\n  iimg bot -> bot\n", "F", "line 12: morphism m: iimg 'bot' is not a subobject of U"),
+    (FORM + "order T bot <= top\n\nobject T subobjects top\n", None, "line 8: duplicate object name 'T'"),
+    (GRP + "\nhom f G -> G map 0 1.5\n", None, "line 7: map entry must be an integer, not '1.5'"),
+]
+
+
+@pytest.mark.parametrize("text, form, message", LOCATED, ids=[m for _, _, m in LOCATED])
+def test_input_dropped_before_raises_a_located_error(text, form, message):
+    with pytest.raises(ParseError) as info:
+        parse(text).data_form(form)
+    assert str(info.value) == message
+
+
+def test_order_line_may_precede_its_object():
+    ws = parse("form F\norder T bot <= top\nobject T subobjects bot top\n")
+    assert ws.data_form("F").objects["T"].lattice.leq("bot", "top")
+
+
+def test_dump_writes_workspace_names():
+    ws = Workspace()
+    ws.algebras["A0"], ws.algebras["A1"] = cyclic(4), cyclic(2)
+    ws.homs["q"] = SlominskiHom(ws.algebras["A0"], ws.algebras["A1"], (0, 1, 0, 1), name="q")
+    text = dump(ws)
+    assert "hom q A0 -> A1 map 0 1 0 1" in text
+    back = parse(text)
+    assert {n: (a.zero, a.p, a.d) for n, a in back.algebras.items()} == {
+        n: (a.zero, a.p, a.d) for n, a in ws.algebras.items()
+    }
+    q = back.homs["q"]
+    assert (q.dom, q.cod, q.table) == (back.algebras["A0"], back.algebras["A1"], (0, 1, 0, 1))
+
+
+def test_slominski_form_is_main_whatever_a_diagram_names():
+    ws = parse(ALGEBRA_SRC + "diagram d over X\nuse A as O\n")
+    form = ws.diagram("d").form
+    assert form.name == "main"
+    assert ws.slominski_form() is form and ws.forms()["main"] is form
