@@ -10,8 +10,18 @@ key to its position there.  Morphisms store their image maps over these
 positions (see core.Morphism).  Every lattice also holds its order once, as
 two tuples of bitsets over positions: bit q of up[p], and bit p of down[q],
 is set when keys[p] <= keys[q].  A table lattice builds them from its
-declared order and answers leq, join and meet from them; a mask lattice
-derives them from its masks on first use; a dual lattice swaps its base's.
+declared order and answers leq, join and meet from them; a dual lattice
+swaps its base's.
+
+A mask lattice derives both from its element columns on first use, where
+holds[x] is the set of positions whose key holds x: keys[p] <= keys[q] iff
+q lies in holds[x] for every x in keys[p] (up), iff p lacks every x outside
+keys[q] (down).  It also keeps a spine: for each position a > 0 a lower
+cover s of a and an x in keys[a] outside keys[s], so a = s v <x>, where <x>,
+the least key holding x, is the lowest bit of holds[x].  The join column of
+q, the position of a v q for every a, then takes one list lookup per
+position, (s v q) v <x>, from the join columns of the cyclic keys <x>, each
+built once (join_column; the quotient projections read it).
 """
 
 from __future__ import annotations
@@ -75,20 +85,61 @@ class MaskLattice:
         return WeakKeyDictionary()
 
     @cached_property
-    def up(self) -> tuple[int, ...]:
-        """By element columns: holds[x] is the set of positions whose key
-        holds x, and keys[p] <= keys[q] iff q is in holds[x] for every x in
-        keys[p]."""
+    def _holds(self) -> list[int]:
+        """The element columns: holds[x] is the set of positions whose key
+        holds x; its lowest bit is <x>, the least key holding x."""
         holds = [0] * self.n
         for q, key in enumerate(self.keys):
             for x in key:
                 holds[x] |= 1 << q
+        return holds
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """keys[p] <= keys[q] iff q is in holds[x] for every x in keys[p]."""
+        holds = self._holds
         everything = (1 << len(self.keys)) - 1
         return tuple(reduce(and_, map(holds.__getitem__, key), everything) for key in self.keys)
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        return _converse(self.up)
+        """keys[p] <= keys[q] iff p lacks every x outside keys[q]."""
+        everything = (1 << len(self.keys)) - 1
+        lacks = [everything ^ h for h in self._holds]
+        top = self.masks[-1]
+        return tuple(reduce(and_, map(lacks.__getitem__, elements_of(top & ~m)), everything)
+                     for m in self.masks)
+
+    @cached_property
+    def _spine(self) -> tuple[tuple[int, list[int]], ...]:
+        """For each position a > 0, (s, the join column of <x>): s, the
+        highest position in down[a] other than a, is a lower cover of a
+        (keys are sorted by size), and x is the least element of keys[a]
+        outside keys[s], so a = s v <x>.  The join column of each cyclic key
+        c is built once: at p, the lowest bit of up[p] & up[c], taken from
+        one list of the positions, so the columns share their ints."""
+        up, down, ms, holds = self.up, self.down, self.masks, self._holds
+        at = list(range(len(ms)))
+        cyclic: dict[int, list[int]] = {}
+        spine = []
+        for a in range(1, len(ms)):
+            s = (down[a] ^ 1 << a).bit_length() - 1
+            rest = ms[a] & ~ms[s]
+            h = holds[(rest & -rest).bit_length() - 1]
+            c = (h & -h).bit_length() - 1
+            if c not in cyclic:
+                uc = up[c]
+                cyclic[c] = [at[((j := u & uc) & -j).bit_length() - 1] for u in up]
+            spine.append((s, cyclic[c]))
+        return tuple(spine)
+
+    def join_column(self, q: int) -> list[int]:
+        """The position of keys[a] v keys[q] for every position a, along the
+        spine: a v q = (s v q) v <x>."""
+        col = [q]
+        for s, cx in self._spine:
+            col.append(cx[col[s]])
+        return col
 
     def mask(self, key: Key) -> int:
         try:

@@ -16,7 +16,7 @@ the keywords of the body lines that follow it:
 A body ends at the first line its block does not own, which starts the
 next block; so a second p, d or table line is an unexpected keyword.  A
 dimg or iimg line belongs to the nearest morphism line above it, with no
-object or order line between.
+object or order line between, and gives the image of a key once.
 
 The Slominski form `main` over the declared algebras is assembled on demand
 with identities and composition closure added, so fixture files stay small;
@@ -66,7 +66,7 @@ class ZigzagSpec:
 class DiagramSpec:
     name: str
     over: str
-    uses: list[tuple[str, str]]  # (entity, role)
+    uses: list[tuple[str, str, int]]  # (entity, role, line)
     commutes: list[tuple[str, str]]
     asserts: list[Assertion]
     line: int
@@ -112,7 +112,13 @@ class Workspace:
         spec = self.form_specs[name]
         objects = []
         for oname, keys in spec.objects.items():
-            pairs = [(a, b) for (on, a, b, _) in spec.orders if on == oname]
+            pairs = []
+            for on, a, b, line in spec.orders:
+                if on == oname:
+                    for k in (a, b):
+                        _expect(k in keys,
+                                f"form {name}: order {k!r} is not a subobject of {oname}", line)
+                    pairs.append((a, b))
             with _located(None, f"form {name}, object {oname}: "):
                 lattice = TableLattice(keys, pairs)
             objects.append(FormObject(oname, lattice))
@@ -180,13 +186,13 @@ class Workspace:
         if spec.over in self.form_specs:
             form: Form = self.data_form(spec.over)
             d = Diagram(form, name=name)
-            for ent, role in spec.uses:
+            for ent, role, line in spec.uses:
                 if ent in form.objects:
                     d.add_object(role, form.objects[ent])
                 else:
                     mor = next((m for m in form.morphisms if m.name == ent), None)
                     if mor is None:
-                        raise ParseError(f"diagram {name}: unknown entity {ent!r}", spec.line)
+                        raise ParseError(f"diagram {name}: unknown entity {ent!r}", line)
                     d.add_arrow(role, mor)
         else:
             if not self.algebras:
@@ -196,13 +202,13 @@ class Workspace:
                 )
             form = self.slominski_form()
             d = Diagram(form, name=name)
-            for ent, role in spec.uses:
+            for ent, role, line in spec.uses:
                 if ent in self.algebras:
                     d.add_object(role, form.object_of(self.algebras[ent]))
                 elif ent in self.homs:
                     d.add_arrow(role, form.morphism(self.homs[ent], name=ent))
                 else:
-                    raise ParseError(f"diagram {name}: unknown entity {ent!r}", spec.line)
+                    raise ParseError(f"diagram {name}: unknown entity {ent!r}", line)
         d.commutes = list(spec.commutes)
         d.assertions = list(spec.asserts)
         return d
@@ -316,7 +322,9 @@ def _read_form(ws, line, toks, body):
         else:
             _expect(mor is not None, f"{t[0]} outside a morphism block", ln)
             _expect(len(t) == 4 and t[2] == "->", f"expected: {t[0]} <k> -> <k>", ln)
-            mor[3 if t[0] == "dimg" else 4][t[1]] = (t[3], ln)
+            img = mor[3 if t[0] == "dimg" else 4]
+            _expect(t[1] not in img, f"morphism {mor[0]}: second {t[0]} line for {t[1]!r}", ln)
+            img[t[1]] = (t[3], ln)
 
 
 def _read_zigzag(ws, line, toks, body):
@@ -348,7 +356,7 @@ def _read_diagram(ws, line, toks, body):
     for ln, t in body:
         if t[0] == "use":
             _expect(len(t) == 4 and t[2] == "as", "expected: use <entity> as <role>", ln)
-            spec.uses.append((t[1], t[3]))
+            spec.uses.append((t[1], t[3], ln))
         elif t[0] == "commute":
             _expect(len(t) == 4 and t[2] == "=", "expected: commute <p1> = <p2>", ln)
             spec.commutes.append((t[1], t[3]))
@@ -462,7 +470,7 @@ def dump(ws: Workspace) -> str:
     for dname in sorted(ws.diagram_specs):
         spec = ws.diagram_specs[dname]
         out.append(f"diagram {dname} over {spec.over}")
-        for ent, role in spec.uses:
+        for ent, role, _ in spec.uses:
             out.append(f"use {ent} as {role}")
         for p1, p2 in spec.commutes:
             out.append(f"commute {p1} = {p2}")

@@ -23,10 +23,12 @@ Costs the module avoids:
   meets a smaller cyclic subalgebra's generator that makes it no canonical
   augmentation, and a cyclic <x> as soon as it reaches an earlier y whose
   <y> holds x, when <x> = <y> (subalgebra_masks).
-- Normality checks one candidate partition, a gathered row per translation,
-  and stops at the first row that breaks it; the answer is memoized on the
-  algebra, so normality and the quotient share it.  The translations'
-  getters are built once per algebra and memoized on it (_translations).
+- Normality checks one candidate partition, a gathered row per distinct
+  translation (equal rows are one test, so an abelian group's p(z, -) and
+  p(-, z) count once), and stops at the first row that breaks it; the
+  answer is memoized on the algebra, so normality and the quotient share
+  it.  The translations' getters are built once per algebra and memoized
+  on it (_translations).
 - The image tables of element_morphism are memoized on the domain's lattice,
   so a map built again (the corpus generators draw from a small palette of
   groups) costs one lookup.  An algebra hashes its tables once, when built.
@@ -38,7 +40,9 @@ Costs the module avoids:
   that of a subalgebra S is the interval [0, S], relabelled
   (SlominskiForm.quotient_object and subobject_object).  The image tables
   of the projection and the inclusion are read off the same interval, by
-  position, instead of taking images element by element.
+  position, instead of taking images element by element; the projection's
+  direct images are the lattice's join column of N (MaskLattice.join_column),
+  one list lookup per position.
 """
 
 from __future__ import annotations
@@ -367,11 +371,15 @@ def _translations(
     alg: SlominskiAlgebra
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[itemgetter, ...]]:
     """The columns of p (columns[y][x] = p(x, y)) and a getter for each
-    translation p(z, -), p(-, z) and d(z, -), built once per algebra of
-    more than one element: every normality test of alg reads them."""
+    distinct translation among p(z, -), p(-, z) and d(z, -), built once per
+    algebra of more than one element: every normality test of alg reads
+    them.  Equal rows are the same test, so each is kept once (in an abelian
+    group p(z, -) = p(-, z), and in an elementary abelian 2-group d = p
+    as well)."""
     def build():
         columns = tuple(zip(*alg.p))
-        return columns, tuple(itemgetter(*t) for rows in (alg.p, columns, alg.d) for t in rows)
+        rows = dict.fromkeys(itertools.chain(alg.p, columns, alg.d))
+        return columns, tuple(itemgetter(*t) for t in rows)
     return alg.memoized("translations", build)
 
 
@@ -693,8 +701,7 @@ class SlominskiForm(Form):
         each class, and G/N's lattice is read off G's instead of enumerated.
         The projection's tables are read off the interval [N, G] too: the
         inverse image of π(A) is A, and the direct image of any A is
-        π(A v N).  The join A v N is the least key above both, and keys are
-        sorted by size, so its position is the lowest bit of up[A] & up[N].
+        π(A v N), whose positions the lattice's join column of N gives.
         """
         keep, ck = self._keeps(S, perm), ("quot", S.owner.id, S.key)
         if keep and ck in self._derived:
@@ -712,10 +719,9 @@ class SlominskiForm(Form):
         for x, c in enumerate(table):
             reps[c] = x
         lat = S.owner.lattice
-        above = lat.up[lat.index[S.key]]
-        obj, i, at = self._interval_object(q, lat, elements_of(above), reps, keep)
-        at_bit = {1 << a: b for a, b in at.items()}
-        d = [at_bit[j & -j] for j in [u & above for u in lat.up]]
+        n = lat.index[S.key]
+        obj, i, at = self._interval_object(q, lat, elements_of(lat.up[n]), reps, keep)
+        d = tuple(map(at.__getitem__, lat.join_column(n)))
         mor = Morphism(S.owner, obj, d, i, name=f"pi_{S.owner.id}/{list(S.key)}",
                        element_map=table)
         if keep:

@@ -127,9 +127,10 @@ def test_fixture_roundtrip(name):
     assert {n: (s.nodes, s.edges) for n, s in ws1.zigzag_specs.items()} == {
         n: (s.nodes, s.edges) for n, s in ws2.zigzag_specs.items()
     }
-    assert {n: (s.over, s.uses, s.commutes, s.asserts)
+    # a use keeps its line, which the dump moves
+    assert {n: (s.over, [u[:2] for u in s.uses], s.commutes, s.asserts)
             for n, s in ws1.diagram_specs.items()} == {
-        n: (s.over, s.uses, s.commutes, s.asserts)
+        n: (s.over, [u[:2] for u in s.uses], s.commutes, s.asserts)
         for n, s in ws2.diagram_specs.items()
     }
 
@@ -238,6 +239,10 @@ PINNED_ERRORS = [
      "line 10: iimg outside a morphism block"),
     (FORM + "morphism m T -> T\n  dimg bot -> bot\nobject U subobjects u\n\ndimg u -> u\n",
      "line 10: dimg outside a morphism block"),
+    (FORM + "morphism m T -> T\n  dimg bot -> bot\n\n  dimg bot -> top\n",
+     "line 9: morphism m: second dimg line for 'bot'"),
+    (FORM + "morphism m T -> T\n  iimg top -> top\n#\n  iimg top -> bot\n",
+     "line 9: morphism m: second iimg line for 'top'"),
     # zigzag
     (ALG + "\nzigzag z A > f A\n", "line 9: expected: zigzag <name> : <X0> ..."),
     (ALG + "\nzigzag z :\n", "line 9: expected: zigzag <name> : <X0> ..."),
@@ -274,6 +279,9 @@ def test_parse_errors_are_pinned(text, message):
 # checks run where the form resolves.
 LOCATED = [
     (FORM + "\norder U bot <= top\n", "F", "line 7: form F: order on unknown object 'U'"),
+    (FORM + "\norder T bot <= mid\n", "F", "line 7: form F: order 'mid' is not a subobject of T"),
+    (FORM + "order T top <= top\n#\norder T low <= top\n", "F",
+     "line 8: form F: order 'low' is not a subobject of T"),
     (FORM + "morphism m T -> T\n  dimg bot -> bot\n  dimg top -> top\n  dimg mid -> top\n"
      "  iimg bot -> bot\n  iimg top -> top\n", "F", "line 9: morphism m: dimg 'mid' is not a subobject of T"),
     (FORM + "object U subobjects u\nmorphism m T -> U\n  dimg bot -> u\n  dimg top -> u\n"
@@ -287,6 +295,22 @@ LOCATED = [
 def test_input_dropped_before_raises_a_located_error(text, form, message):
     with pytest.raises(ParseError) as info:
         parse(text).data_form(form)
+    assert str(info.value) == message
+
+
+# An unknown entity is reported at its use line, over a data form and over
+# the Slominski form main.
+UNKNOWN_USES = [
+    (FORM + "\ndiagram d over F\nuse T as X\n\nuse nope as f\n",
+     "line 10: diagram d: unknown entity 'nope'"),
+    (DIAG + "use A as X\n\n\nuse nope as f\n", "line 14: diagram d: unknown entity 'nope'"),
+]
+
+
+@pytest.mark.parametrize("text, message", UNKNOWN_USES, ids=["data form", "main"])
+def test_unknown_entity_is_reported_at_its_use_line(text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text).diagram("d")
     assert str(info.value) == message
 
 

@@ -28,7 +28,7 @@ from noetherform.groups import (
     trivial_group,
     xor_group,
 )
-from noetherform.lattice import elements_of
+from noetherform.lattice import _converse, elements_of
 from noetherform.slominski import (
     SlominskiAlgebra,
     SlominskiForm,
@@ -626,7 +626,7 @@ def test_closures_stop_once_their_answer_is_known(monkeypatch):
 
 
 def test_lattice_order_bitsets_against_pairwise_inclusion():
-    # MaskLattice.up is built from element columns, down is its converse
+    # MaskLattice.up and down are both built from element columns
     for alg in LE16 + [E32, D32, Z64] + [random_permutation_algebra(s) for s in range(200)]:
         lat = subalgebra_lattice(alg)
         ms = lat.masks
@@ -634,6 +634,68 @@ def test_lattice_order_bitsets_against_pairwise_inclusion():
             sum(1 << q for q, b in enumerate(ms) if a & b == a) for a in ms), alg.name
         assert lat.down == tuple(
             sum(1 << p for p, a in enumerate(ms) if a & b == a) for b in ms), alg.name
+
+
+def join_columns_by_formula(lat):
+    # keys are sorted by size, so the position of keys[p] v keys[q], the
+    # least key above both, is the lowest bit of up[p] & up[q]
+    up = lat.up
+    return [[((j := u & v) & -j).bit_length() - 1 for u in up] for v in up]
+
+
+def lattice_and_intervals(alg):
+    """alg's lattice, then the interval lattices of its subobjects and
+    quotients, as subobject_object and quotient_object build them."""
+    form = SlominskiForm()
+    obj = form.object_of(alg)
+    yield obj.lattice
+    for key in obj.lattice.keys:
+        S = Subobject(obj, key)
+        yield form.subobject_object(S)[0].lattice
+        if is_normal_subalgebra(alg, key):
+            yield form.quotient_object(S)[0].lattice
+
+
+@pytest.mark.parametrize("alg", LE16 + [T3, T4, U4, E32, D32, Z64], ids=lambda a: a.name)
+def test_join_columns_and_down_against_the_bitset_formulas(alg):
+    # join_column walks the spine, down is ANDed from element columns; both
+    # must give what the formulas on up give, on every lattice and interval
+    for lat in lattice_and_intervals(alg):
+        assert lat.down == _converse(lat.up)
+        assert [lat.join_column(q) for q in range(len(lat.keys))] == join_columns_by_formula(lat)
+
+
+def test_normality_reads_each_distinct_translation_once():
+    # of the 3n rows p(z, -), p(-, z) and d(z, -), equal ones are one test:
+    # E32 is abelian with d = p, Z64 and Z4xE4 are abelian, and D32's two
+    # central elements give p(z, -) = p(-, z)
+    z2 = cyclic_data(2)
+    z4e4 = from_group(*product_data(cyclic_data(4), product_data(z2, z2)), name="Z4xE4")
+    for alg, rows, distinct in ((E32, 96, 32), (Z64, 192, 128), (z4e4, 48, 32), (D32, 96, 94)):
+        assert 3 * alg.n == rows
+        assert len(slominski._translations(alg)[1]) == distinct, alg.name
+
+
+E64 = xor_group(6)
+
+
+def test_e64_subgroups_are_normal_and_sampled_quotients_exact():
+    # E64 = (Z2)^6 has 2,825 subgroups, the subspaces of F_2^6, all normal;
+    # eight of its quotients, drawn by a fixed seed, are checked against
+    # generate_congruence and their projections against element_morphism
+    lat = subalgebra_lattice(E64)
+    assert len(lat.keys) == 2825
+    assert all(is_normal_subalgebra(E64, key) for key in lat.keys)
+    form = SlominskiForm()
+    obj = form.object_of(E64)
+    for key in random.Random(64).sample(lat.keys, 8):
+        q, proj = form.quotient_object(Subobject(obj, key))
+        cong = generate_congruence(E64, [(b, E64.zero) for b in key])
+        table = proj.element_map
+        assert tuple(tuple(x for x in range(E64.n) if table[x] == c)
+                     for c in range(q.algebra.n)) == cong.classes, key
+        ref = element_morphism(obj, q, table)
+        assert (proj.d, proj.i) == (ref.d, ref.i), key
 
 
 def test_normal_keys_and_quotients_decide_each_pair_once(monkeypatch):
