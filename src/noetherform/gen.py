@@ -10,13 +10,20 @@ decorations that cannot be forced are obtained by bounded rejection with a
 guaranteed fallback.  Every instance binds its objects and arrows through
 the role names of its shape in lemmas.SHAPES, in the order listed there.
 
+Most ladder attempts are rejected, so an attempt is decided on carrier
+tables alone: the rows are drawn as element tables, the kernels the first
+column must respect are read off them, and the columns are lifted as tables.
+Morphisms, with their image tables, are built for the accepted attempt only
+(rows first, each opening with r0, then the columns v0..vn).
+
 Every hom a generator draws is a table from extend_homs(A, B, forced), the
 homs A -> B agreeing with a forced partial map (none, for all homs); since d
 alone decides homs, a commuting square or a map that must kill an image is a
 forced map.  The list is lexicographic and generators pick from it by index
 with rng.choice, so a seeded corpus stays the same only as long as that
 order does.  The corpus draws its groups from a small fixed palette and so
-asks the same questions again and again: extensions, injective homs and
+asks the same questions again and again: extensions, their filtered lists
+(injective, surjective, decorated ladder columns, first ladder columns) and
 normal keys are memoized on their domain algebra, as tuples that no caller
 can change, in the order they are computed in (hom lists lexicographic,
 normal keys in lattice order), so a draw from a memoized answer is the draw
@@ -64,6 +71,10 @@ def _is_bijective_table(t: Sequence[int], cod_n: int) -> bool:
     return len(t) == cod_n and _is_injective_table(t)
 
 
+def _any_table(t: Sequence[int], cod_n: int) -> bool:
+    return True
+
+
 # ladder decorations: name -> predicate on (table, codomain size)
 _DECORATIONS = {
     "inj": lambda t, n: _is_injective_table(t),
@@ -81,10 +92,33 @@ def extend_homs(A: SlominskiAlgebra, B: SlominskiAlgebra,
                       lambda: tuple(hom_tables(A, B, forced)))
 
 
+def _decorated_homs(A: SlominskiAlgebra, B: SlominskiAlgebra, forced: dict[int, int],
+                    decoration: str) -> tuple[tuple[int, ...], ...]:
+    """The tables of extend_homs(A, B, forced) with the named decoration (see
+    _DECORATIONS), in lexicographic order."""
+    ok = _DECORATIONS[decoration]
+    return A.memoized(("decorated", B, tuple(sorted(forced.items())), decoration), lambda: tuple(
+        t for t in extend_homs(A, B, forced) if ok(t, B.n)))
+
+
 def _injective_homs(A: SlominskiAlgebra, B: SlominskiAlgebra) -> tuple[tuple[int, ...], ...]:
     """The injective hom tables A -> B, in lexicographic order."""
-    return A.memoized(("injective", B), lambda: tuple(
-        t for t in extend_homs(A, B, {}) if _is_injective_table(t)))
+    return _decorated_homs(A, B, {}, "inj")
+
+
+def _surjective_homs(A: SlominskiAlgebra, B: SlominskiAlgebra) -> tuple[tuple[int, ...], ...]:
+    """The surjective hom tables A -> B, in lexicographic order."""
+    return _decorated_homs(A, B, {}, "surj")
+
+
+def _v0_homs(A: SlominskiAlgebra, B: SlominskiAlgebra, v0_pred: Callable,
+             kt: tuple[int, ...], kb: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The hom tables A -> B that satisfy v0_pred and send the kernel key kt
+    into kb, in lexicographic order.  v0_pred is part of the memo key, so it
+    must be a module-level predicate, not a per-call one."""
+    kbset = set(kb)
+    return A.memoized(("v0", B, v0_pred, kt, kb), lambda: tuple(
+        t for t in extend_homs(A, B, {}) if v0_pred(t, B.n) and all(t[x] in kbset for x in kt)))
 
 
 def _forced(pairs: Iterable[tuple[int, int]]) -> Optional[dict[int, int]]:
@@ -107,10 +141,8 @@ class InstanceLab:
     def obj(self, alg: SlominskiAlgebra) -> FormObject:
         return self.universe.object_of(alg)
 
-    def random_hom(self, A, B, pred: Optional[Callable] = None) -> Optional[tuple[int, ...]]:
+    def random_hom(self, A, B) -> Optional[tuple[int, ...]]:
         homs = extend_homs(A, B, {})
-        if pred is not None:
-            homs = tuple(t for t in homs if pred(t))
         if not homs:
             return None
         return self.rng.choice(homs)
@@ -145,70 +177,101 @@ GRID_PALETTE = lambda: (
 # exact rows and ladders over elementary abelian 2-groups
 
 
-def random_exact_row(lab: InstanceLab, maps: int) -> tuple[list[FormObject], list[Morphism]]:
-    """Objects X0..Xn (xor groups) with morphisms exact at every interior node."""
+# a row drawn by random_exact_row: objects, map tables and quotient steps
+Row = tuple[list[FormObject], list[tuple[int, ...]], list]
+
+
+def random_exact_row(lab: InstanceLab, maps: int) -> Row:
+    """Objects X0..Xn (xor groups) and the element tables of maps exact at
+    every interior node, drawn without building a morphism.
+
+    Returns (objs, tables, steps).  tables[i] is the table of the map
+    Xi -> Xi+1; steps holds, for each i > 0, the (q, p, memb) that map is
+    built from: the projection p onto the quotient q of Xi by the image of
+    the previous map, and the injective table memb: q -> Xi+1, so that
+    tables[i] is gather(memb, p.element_map).  _row_morphisms builds the
+    morphisms.
+    """
     rng = lab.rng
     dims = [rng.randrange(0, 3)]
     objs = [lab.obj(xor_group(dims[0]))]
-    mors: list[Morphism] = []
-    prev: Optional[Morphism] = None
+    tables: list[tuple[int, ...]] = []
+    steps: list[tuple[FormObject, Morphism, tuple[int, ...]]] = []
     for i in range(maps):
-        if prev is None:
+        if i == 0:
             dim = rng.randrange(0, 4)
             nxt = lab.obj(xor_group(dim))
-            hom = lab.random_hom(objs[-1].algebra, nxt.algebra)
-            f = element_morphism(objs[-1], nxt, hom, f"r{i}")
+            table = lab.random_hom(objs[-1].algebra, nxt.algebra)
         else:
             # quotient by the image of the previous map, then embed
-            img = image(prev)
-            q, p = lab.proj(objs[-1], img.key)
+            q, p = lab.proj(objs[-1], tuple(sorted(set(tables[-1]))))
             qdim = q.algebra.n.bit_length() - 1
             dim = min(3, qdim + rng.randrange(0, 2))
             nxt = lab.obj(xor_group(dim))
             memb = rng.choice(_injective_homs(q.algebra, nxt.algebra))
-            f = compose(element_morphism(q, nxt, memb), p)
-        objs.append(f.cod)
-        mors.append(f)
-        prev = f
-    return objs, mors
+            steps.append((q, p, memb))
+            table = gather(memb, p.element_map)
+        objs.append(nxt)
+        tables.append(table)
+    return objs, tables, steps
+
+
+def _row_morphisms(row: Row) -> list[Morphism]:
+    """The morphisms of a row drawn by random_exact_row: the first map is
+    named r0, each later one is the composite of its embedding after its
+    projection."""
+    objs, tables, steps = row
+    mors = [element_morphism(objs[0], objs[1], tables[0], "r0")]
+    for (q, p, memb), nxt in zip(steps, objs[2:]):
+        mors.append(compose(element_morphism(q, nxt, memb), p))
+    return mors
 
 
 def lift_ladder(
     lab: InstanceLab,
-    top: tuple[list[FormObject], list[Morphism]],
-    bottom: tuple[list[FormObject], list[Morphism]],
-    v0: Morphism,
-    prefs: dict[int, Callable],
-) -> Optional[list[Morphism]]:
-    """Column maps making every square commute, lifting degree by degree.
+    top: Row,
+    bottom: Row,
+    v0: tuple[int, ...],
+    prefs: dict[int, str],
+) -> Optional[list[tuple[int, ...]]]:
+    """Column tables making every square commute, lifting degree by degree.
 
-    prefs maps column index to a table predicate tried first when extending;
-    returns None when a prescribed partial map is inconsistent.  Each column
-    map is picked by index from its extensions in lexicographic order (see
-    extend_homs), which keeps seeded ladders reproducible.
+    top and bottom are rows from random_exact_row and v0 is the first
+    column's table.  prefs maps a column index to the name of a decoration
+    (see _DECORATIONS) that its table is drawn with whenever some extension
+    has it.  Returns the column tables v0..vn, or None when a prescribed
+    partial map is inconsistent.  Each column table is picked by index from
+    its extensions in lexicographic order (see extend_homs), which keeps
+    seeded ladders reproducible.
     """
-    tobjs, tmaps = top
-    bobjs, bmaps = bottom
+    tobjs, ttables, _ = top
+    bobjs, btables, _ = bottom
     vs = [v0]
     for i in range(1, len(tobjs)):
         # the square commutes: v_i(f(x)) = g(v_i-1(x))
-        f, g = tmaps[i - 1].element_map, bmaps[i - 1].element_map
-        forced = _forced(zip(f, gather(g, vs[-1].element_map)))
+        forced = _forced(zip(ttables[i - 1], gather(btables[i - 1], vs[-1])))
         if forced is None:
             return None
-        options = extend_homs(tobjs[i].algebra, bobjs[i].algebra, forced)
+        A, B = tobjs[i].algebra, bobjs[i].algebra
+        options = extend_homs(A, B, forced)
         if not options:
             return None
         pref = prefs.get(i)
-        pool = [t for t in options if pref(t)] if pref is not None else options
-        table = lab.rng.choice(pool or options)
-        vs.append(element_morphism(tobjs[i], bobjs[i], table, f"v{i}"))
+        pool = _decorated_homs(A, B, forced, pref) if pref is not None else options
+        vs.append(lab.rng.choice(pool or options))
     return vs
 
 
+def _zeros(table: Sequence[int], zero: int) -> tuple[int, ...]:
+    """The kernel key of a hom table: the elements it sends to zero."""
+    return tuple([x for x, y in enumerate(table) if y == zero])
+
+
 def _ladder_instance(lab, maps, prefs_spec, v0_pred):
-    """Generic ladder generator; prefs_spec maps column -> property name.
-    Falls back to identity columns after 400 rejected attempts."""
+    """Generic ladder generator; prefs_spec maps column -> decoration name.
+    Needs maps >= 1.  Each attempt is decided on element tables; morphisms
+    are built for the accepted one only.  Falls back to identity columns
+    after 400 rejected attempts."""
     wants_iso = any(p == "iso" for p in prefs_spec.values())
     for _ in range(400):
         top = random_exact_row(lab, maps)
@@ -218,30 +281,24 @@ def _ladder_instance(lab, maps, prefs_spec, v0_pred):
             bottom = top
         else:
             bottom = random_exact_row(lab, maps)
-        b0 = bottom[0][0]
-        kt = kernel(top[1][0]).key if maps else None
-        kb = kernel(bottom[1][0]).key if maps else None
-
-        def v0_ok(table):
-            if not v0_pred(table, b0.algebra.n):
-                return False
-            kbset = set(kb)
-            return all(table[x] in kbset for x in kt)
-
-        hom = lab.random_hom(top[0][0].algebra, b0.algebra, pred=v0_ok)
-        if hom is None:
+        tobjs, bobjs = top[0], bottom[0]
+        kt = _zeros(top[1][0], tobjs[1].algebra.zero)
+        kb = _zeros(bottom[1][0], bobjs[1].algebra.zero)
+        homs = _v0_homs(tobjs[0].algebra, bobjs[0].algebra, v0_pred, kt, kb)
+        if not homs:
             continue
-        v0 = element_morphism(top[0][0], b0, hom, "v0")
-        prefs = {idx: (lambda t, ok=_DECORATIONS[prop], n=bottom[0][idx].algebra.n: ok(t, n))
-                 for idx, prop in prefs_spec.items()}
-        vs = lift_ladder(lab, top, bottom, v0, prefs)
+        vs = lift_ladder(lab, top, bottom, lab.rng.choice(homs), prefs_spec)
         # the preferred decorations must actually have come out
-        if vs is not None and all(ok(vs[idx].element_map) for idx, ok in prefs.items()):
-            return top, bottom, vs
+        if vs is not None and all(_DECORATIONS[prop](vs[idx], bobjs[idx].algebra.n)
+                                  for idx, prop in prefs_spec.items()):
+            tmors = _row_morphisms(top)
+            bmors = tmors if bottom is top else _row_morphisms(bottom)
+            cols = [element_morphism(tobjs[i], bobjs[i], t, f"v{i}") for i, t in enumerate(vs)]
+            return (tobjs, tmors), (bobjs, bmors), cols
     # fallback: identical rows with identity columns (hypotheses guaranteed)
     top = random_exact_row(lab, maps)
-    vs = [identity_morphism(o) for o in top[0]]
-    return top, top, vs
+    row = (top[0], _row_morphisms(top))
+    return row, row, [identity_morphism(o) for o in top[0]]
 
 
 def four_instance(lab: InstanceLab) -> Diagram:
@@ -257,7 +314,7 @@ def five_instance(lab: InstanceLab, part: str) -> Diagram:
         "ii": {1: "surj", 3: "surj", 4: "inj"},
         "full": {1: "iso", 3: "iso", 4: "inj"},
     }[part]
-    v0_pred = _is_surjective_table if part in ("i", "full") else (lambda t, n: True)
+    v0_pred = _is_surjective_table if part in ("i", "full") else _any_table
     top, bottom, vs = _ladder_instance(lab, 4, prefs_spec=prefs, v0_pred=v0_pred)
     return _diagram(lab, "five", (*top[0], *bottom[0]), (*top[1], *bottom[1], *vs))
 
@@ -415,7 +472,7 @@ def snake_instance(lab: InstanceLab) -> Diagram:
     # rank(A) >= rank(Ksub), so A maps onto Ksub
     adim = max(Ksub.algebra.n.bit_length() - 1, 0) + rng.randrange(0, 2)
     A = lab.obj(xor_group(min(3, adim)))
-    sur = lab.random_hom(A.algebra, Ksub.algebra, pred=lambda t: _is_surjective_table(t, Ksub.algebra.n))
+    sur = rng.choice(_surjective_homs(A.algebra, Ksub.algebra))
     f = compose(incl_k, element_morphism(A, Ksub, sur))
     Bp = lab.obj(xor_group(rng.randrange(0, 4)))
     beta = element_morphism(B, Bp, lab.random_hom(B.algebra, Bp.algebra), "beta")

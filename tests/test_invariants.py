@@ -17,6 +17,7 @@ from noetherform import (
     kernel,
     leq,
 )
+from noetherform import gen
 from noetherform.core import Subobject
 from noetherform.errors import UnsupportedFormError
 from noetherform.gen import (
@@ -35,7 +36,7 @@ from noetherform.gen import (
     threebythree_instance,
 )
 from noetherform.groups import cyclic, dihedral8, quaternion8, symmetric3, xor_group
-from noetherform.slominski import as_form, enumerate_homs
+from noetherform.slominski import as_form, element_morphism, enumerate_homs
 from noetherform.zigzag import LEFT, RIGHT, chase_backward, is_collapsible, is_subquotient, path
 
 ALGS = [cyclic(4), cyclic(8), xor_group(2), symmetric3(), dihedral8(), quaternion8()]
@@ -256,3 +257,54 @@ def test_grid_and_salamander_draws_are_pinned():
         d = double_complex_window(lab)
         rows.append(None if d is None else _arrow_rows(d))
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == GRID_DRAWS_DIGEST
+
+
+LADDER_DRAWS = (four_instance, lambda lab: five_instance(lab, "i"),
+                lambda lab: five_instance(lab, "full"))
+
+
+def test_ladder_arrows_are_the_morphisms_of_their_tables():
+    # A ladder attempt is decided on element tables and the accepted one is
+    # built afterwards: each row arrow is what element_morphism gives for its
+    # composite table, and the arrows keep their names (r0 for a row's first
+    # map, none for the composites, v0.. for the columns).
+    lab = InstanceLab(seed=303)
+    for make in LADDER_DRAWS:
+        for _ in range(5):
+            d = make(lab)
+            rows = ("f", "g", "h", "x", "y", "z") if d.name == "four" else (
+                "f", "g", "h", "m", "x", "y", "z", "n")
+            half = len(rows) // 2
+            for k, role in enumerate(rows):
+                m = d.arrows[role]
+                ref = element_morphism(m.dom, m.cod, m.element_map)
+                assert (m.d, m.i, m.element_map) == (ref.d, ref.i, ref.element_map), role
+                assert m.name == ("r0" if k % half == 0 else ""), role
+            cols = [m for role, m in d.arrows.items() if role not in rows]
+            assert [m.name for m in cols] == [f"v{i}" for i in range(half + 1)]
+
+
+def test_a_ladder_draw_builds_only_the_morphisms_it_returns(monkeypatch):
+    # Rejected attempts build no morphism: one element_morphism call per
+    # distinct arrow of the diagram a draw returns (a five (full) ladder may
+    # share one row between top and bottom), however many attempts it took.
+    built, lifts = [], []
+
+    def counted(log, fn):
+        def wrapper(*args, **kwargs):
+            log.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gen, "element_morphism", counted(built, gen.element_morphism))
+    monkeypatch.setattr(gen, "lift_ladder", counted(lifts, gen.lift_ladder))
+    lab = InstanceLab(seed=303)
+    attempts = []
+    for make in LADDER_DRAWS:
+        for _ in range(5):
+            built.clear()
+            lifts.clear()
+            d = make(lab)
+            assert len(built) == len({id(m) for m in d.arrows.values()})
+            attempts.append(len(lifts))
+    assert max(attempts) > 1
