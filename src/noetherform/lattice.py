@@ -16,19 +16,23 @@ swaps its base's.
 A mask lattice derives both from its element columns on first use, where
 holds[x] is the set of positions whose key holds x: keys[p] <= keys[q] iff
 q lies in holds[x] for every x in keys[p] (up), iff p lacks every x outside
-keys[q] (down).  It also keeps a spine: for each position a > 0 a lower
-cover s of a and an x in keys[a] outside keys[s], so a = s v <x>, where <x>,
-the least key holding x, is the lowest bit of holds[x].  The join column of
-q, the position of a v q for every a, then takes one list lookup per
-position, (s v q) v <x>, from the join columns of the cyclic keys <x>, each
-built once (join_column; the quotient projections read it).
+keys[q] (down).  It also keeps one spine: for each position a > 0 a lower
+cover s of a and the least x in keys[a] outside keys[s], so a = s v <x>,
+where <x>, the least key holding x, is the lowest bit of holds[x].  The
+spine serves two kinds of column, each one list lookup per position in the
+join columns of the cyclic keys, built once per lattice:
+- the join column of q, the position of a v q for every a, is
+  (s v q) v <x> (join_column; the quotient projections read it);
+- the image column of a hom f into another mask lattice, the position of
+  f(a) for every a, is f(s) v <f(x)> in the codomain (image_column;
+  element_morphism reads it).
 """
 
 from __future__ import annotations
 
 from functools import cached_property, reduce
 from operator import and_
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 from weakref import WeakKeyDictionary
 
 from .errors import LatticeError
@@ -111,34 +115,60 @@ class MaskLattice:
                      for m in self.masks)
 
     @cached_property
-    def _spine(self) -> tuple[tuple[int, list[int]], ...]:
-        """For each position a > 0, (s, the join column of <x>): s, the
-        highest position in down[a] other than a, is a lower cover of a
-        (keys are sorted by size), and x is the least element of keys[a]
-        outside keys[s], so a = s v <x>.  The join column of each cyclic key
-        c is built once: at p, the lowest bit of up[p] & up[c], taken from
-        one list of the positions, so the columns share their ints."""
-        up, down, ms, holds = self.up, self.down, self.masks, self._holds
-        at = list(range(len(ms)))
-        cyclic: dict[int, list[int]] = {}
-        spine = []
+    def spine(self) -> tuple[tuple[int, int], ...]:
+        """For each position a > 0, (s, x): s, the highest position in
+        down[a] other than a, is a lower cover of a (keys are sorted by
+        size), and x is the least element that keys[a] adds to keys[s], so
+        a = s v <x>."""
+        down, ms = self.down, self.masks
+        out = []
         for a in range(1, len(ms)):
             s = (down[a] ^ 1 << a).bit_length() - 1
             rest = ms[a] & ~ms[s]
-            h = holds[(rest & -rest).bit_length() - 1]
+            out.append((s, (rest & -rest).bit_length() - 1))
+        return tuple(out)
+
+    @cached_property
+    def _cyclic_joins(self) -> list[list[int]]:
+        """For each element y, the join column of <y>: at p, the lowest bit
+        of up[p] & up[<y>].  Each cyclic key's column is built once, from
+        one list of the positions, so the columns share their ints."""
+        up = self.up
+        at = list(range(len(up)))
+        columns: dict[int, list[int]] = {}
+        out = []
+        for h in self._holds:
             c = (h & -h).bit_length() - 1
-            if c not in cyclic:
+            if c not in columns:
                 uc = up[c]
-                cyclic[c] = [at[((j := u & uc) & -j).bit_length() - 1] for u in up]
-            spine.append((s, cyclic[c]))
-        return tuple(spine)
+                columns[c] = [at[((j := u & uc) & -j).bit_length() - 1] for u in up]
+            out.append(columns[c])
+        return out
+
+    @cached_property
+    def _join_steps(self) -> tuple[tuple[int, list[int]], ...]:
+        """The spine with the join column of <x> in place of x."""
+        joins = self._cyclic_joins
+        return tuple((s, joins[x]) for s, x in self.spine)
 
     def join_column(self, q: int) -> list[int]:
         """The position of keys[a] v keys[q] for every position a, along the
         spine: a v q = (s v q) v <x>."""
         col = [q]
-        for s, cx in self._spine:
+        for s, cx in self._join_steps:
             col.append(cx[col[s]])
+        return col
+
+    def image_column(self, table: Sequence[int], cod: MaskLattice) -> list[int]:
+        """The position in cod of the direct image of every key under the
+        hom table, along the spine: f(s v <x>) = f(s) v <f(x)>, read off
+        cod's join column of <f(x)> at f(s); the bottom goes to cod's.  No
+        image is looked up as a mask, so a table that is no hom is not
+        detected."""
+        joins = cod._cyclic_joins
+        col = [0]
+        for s, x in self.spine:
+            col.append(joins[table[x]][col[s]])
         return col
 
     def mask(self, key: Key) -> int:

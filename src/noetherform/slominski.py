@@ -29,9 +29,14 @@ Costs the module avoids:
   answer is memoized on the algebra, so normality and the quotient share
   it.  The translations' getters are built once per algebra and memoized
   on it (_translations).
-- The image tables of element_morphism are memoized on the domain's lattice,
-  so a map built again (the corpus generators draw from a small palette of
-  groups) costs one lookup.  An algebra hashes its tables once, when built.
+- The image tables of element_morphism take no closure and no element
+  set: direct images go along the domain lattice's spine, f(s v <x>) =
+  f(s) v <f(x)>, one lookup in a join column of the codomain per position
+  (MaskLattice.image_column), and the inverse image of a key is the union
+  of its elements' fibres, looked up as a mask.  They are memoized on the
+  domain's lattice, so a map built again (the corpus generators draw from a
+  small palette of groups) costs one lookup.  An algebra hashes its tables
+  once, when built.
 - A memo lives on the value it is a function of, exactly as long as that
   value; only enumerate_homs and subalgebra_lattice are cached per process.
 - Only an algebra's own lattice is enumerated.  The lattice of a quotient
@@ -118,8 +123,7 @@ class SlominskiHom:
     name: str = ""
 
     def __post_init__(self):
-        if len(self.table) != self.dom.n or any(not 0 <= v < self.cod.n for v in self.table):
-            raise ValidationError(f"hom {self.name or '?'}: table does not match carriers")
+        _check_carriers(self.table, self.dom, self.cod, self.name)
 
     def validate(self) -> None:
         """Raise ValidationError unless the table preserves 0 and d, which is
@@ -136,6 +140,13 @@ class SlominskiHom:
 
     def __call__(self, x: int) -> int:
         return self.table[x]
+
+
+def _check_carriers(table: Sequence[int], dom: SlominskiAlgebra, cod: SlominskiAlgebra,
+                    name: str) -> None:
+    """Raise ValidationError unless table maps dom's carrier into cod's."""
+    if len(table) != dom.n or min(table) < 0 or max(table) >= cod.n:
+        raise ValidationError(f"hom {name or '?'}: table does not match carriers")
 
 
 def from_group(
@@ -767,18 +778,28 @@ def element_morphism(dom: FormObject, cod: FormObject, table: Sequence[int], nam
     """Build a Morphism from a carrier-level map, with its direct and inverse
     image tables (Morphism.d and .i), memoized on dom's lattice by cod's
     lattice (held weakly: a process-wide domain keeps no codomain alive) and
-    the table.  Callers must pass hom tables, validated or drawn from
-    hom_tables: a table that is no hom is not detected (on Z5, (0, 2, 1, 3, 4)
-    gives a morphism)."""
+    the table.
+
+    Both tables are read off the lattices' bitsets, with no closure.  The
+    direct images go along dom's spine, f(s v <x>) = f(s) v <f(x)>
+    (MaskLattice.image_column).  The inverse image of a key of cod is the
+    union of the fibres of its elements, fib[y] = {x : f(x) = y}, looked up
+    as a mask of dom.  Callers must pass hom tables, validated or drawn
+    from hom_tables: for a table that is no hom, d is not checked (on Z5,
+    (0, 2, 1, 3, 4) gives a morphism), and i raises LatticeError when an
+    inverse image is no subalgebra.  A table that does not map dom's
+    carrier into cod's raises ValidationError."""
     table = tuple(table)
     dl, cl = dom.lattice, cod.lattice
     got = dl.image_tables.get(cl, {}).get(table)
     if got is None:
-        d = tuple([cl.position_of_mask(mask_of([table[x] for x in key])) for key in dl.keys])
-        carrier = range(dom.algebra.n)
-        i = tuple([dl.position_of_mask(mask_of([x for x in carrier if (want >> table[x]) & 1]))
-                   for want in cl.masks])
-        got = dl.image_tables.setdefault(cl, {})[table] = (d, i)
+        _check_carriers(table, dom.algebra, cod.algebra, name)
+        fib = [0] * cod.algebra.n
+        for x, y in enumerate(table):
+            fib[y] |= 1 << x
+        fibre = fib.__getitem__
+        i = tuple(map(dl.position_of_mask, [sum(map(fibre, key)) for key in cl.keys]))
+        got = dl.image_tables.setdefault(cl, {})[table] = (tuple(dl.image_column(table, cl)), i)
     return Morphism(dom, cod, *got, name=name, element_map=table)
 
 

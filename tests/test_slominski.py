@@ -3,11 +3,14 @@
 import dataclasses
 import itertools
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noetherform.lattice as lattice
 import noetherform.slominski as slominski
 from noetherform.core import Subobject, dualize
 from noetherform.errors import (ClosureError, LatticeError, UnsupportedSubobjectError,
@@ -296,6 +299,73 @@ def test_element_morphism_shares_image_tables_but_not_names():
     for _ in range(2):
         with pytest.raises(LatticeError):
             element_morphism(z4, z2, (0, 1, 1, 0), "bad")
+
+
+def test_element_morphism_rejects_a_table_off_the_carriers():
+    # a negative value would otherwise read a fibre from the end of the list
+    uni = SlominskiForm()
+    z4, z2 = uni.object_of(cyclic(4)), uni.object_of(cyclic(2))
+    for table in ((0, -1, 0, -1), (0, 2, 0, 2), (0, 1, 0), (0, 1, 0, 1, 0)):
+        with pytest.raises(ValidationError, match="bad: table does not match carriers"):
+            element_morphism(z4, z2, table, "bad")
+
+
+def image_tables_by_elements(A, B, f):
+    """Morphism.d and .i of the table f from element sets alone: the
+    position of the set of images of each key of A, and of the set of
+    elements of A sent into each key of B."""
+    d = tuple(B.lattice.index[tuple(sorted({f[x] for x in key}))] for key in A.lattice.keys)
+    i = tuple(A.lattice.index[tuple(x for x in range(A.algebra.n) if f[x] in key)]
+              for key in B.lattice.keys)
+    return d, i
+
+
+def test_image_tables_against_element_sets():
+    # every hom table among the groups of order <= 8 and the sub and
+    # quotient objects of D8, Q8 and E8 (one of each algebra), |A| |B| <= 64
+    form = SlominskiForm()
+    groups = [form.object_of(g) for g in all_groups_le8()]
+    derived = {}
+    for G in groups:
+        if G.id in ("D8", "Q8", "E8"):
+            for key in G.lattice.keys:
+                S = Subobject(G, key)
+                made = [form.subobject_object(S)[0]]
+                if is_normal_subalgebra(G.algebra, key):
+                    made.append(form.quotient_object(S)[0])
+                for obj in made:
+                    alg = obj.algebra
+                    derived.setdefault((alg.zero, alg.p, alg.d), obj)
+    objs = groups + list(derived.values())
+    checked = 0
+    for A, B in itertools.product(objs, repeat=2):
+        if A.algebra.n * B.algebra.n <= 64:
+            for f in hom_tables(A.algebra, B.algebra):
+                m = element_morphism(A, B, f)
+                assert (m.d, m.i) == image_tables_by_elements(A, B, f), (A.id, B.id, f)
+                checked += 1
+    assert (len(groups), len(derived), checked) == (14, 8, 6075)
+
+
+def test_as_form_takes_no_image_by_mask_of(monkeypatch):
+    # End(E8) of a fresh copy: 512 homs, each with 16 direct and 16 inverse
+    # images, none looked up through mask_of; the lattice is built first,
+    # since enumerating subalgebras does use masks
+    e8 = permuted(xor_group(3), (0, 5, 3, 6, 1, 4, 2, 7), name="E8 relabelled")
+    homs = enumerate_homs(e8, e8)
+    lat = subalgebra_lattice(e8)
+    assert not lat.image_tables
+    calls, real = [], lattice.mask_of
+
+    def counting(elements):
+        calls.append(elements)
+        return real(elements)
+
+    monkeypatch.setattr(lattice, "mask_of", counting)
+    monkeypatch.setattr(slominski, "mask_of", counting)
+    form = as_form([e8], homs)
+    assert len(form.morphisms) == len(lat.image_tables[lat]) == 512
+    assert calls == []
 
 
 def test_algebra_hash_matches_fieldwise_equality():
@@ -663,6 +733,23 @@ def test_join_columns_and_down_against_the_bitset_formulas(alg):
     for lat in lattice_and_intervals(alg):
         assert lat.down == _converse(lat.up)
         assert [lat.join_column(q) for q in range(len(lat.keys))] == join_columns_by_formula(lat)
+
+
+@pytest.mark.parametrize("alg", LE16 + [T3, T4, U4, E32, D32, Z64], ids=lambda a: a.name)
+def test_spine_steps_join_a_lower_cover_with_a_cyclic_key(alg):
+    # for each a > 0, (s, x): keys[s] < keys[a] with nothing strictly
+    # between (keys are sorted by size, so only positions between s and a
+    # can be), x is the least element keys[a] adds, and keys[s] v <x> is
+    # keys[a], where <x> is the meet of every key holding x
+    for lat in lattice_and_intervals(alg):
+        ms = lat.masks
+        assert len(lat.spine) == len(ms) - 1
+        for a, (s, x) in enumerate(lat.spine, 1):
+            assert s < a and ms[s] & ~ms[a] == 0
+            assert not any(ms[s] & ~m == 0 and m & ~ms[a] == 0 for m in ms[s + 1:a])
+            assert x == min(set(lat.keys[a]) - set(lat.keys[s]))
+            generated = lat.key_of_mask(reduce(and_, (m for m in ms if m >> x & 1)))
+            assert lat.join(lat.keys[s], generated) == lat.keys[a]
 
 
 def test_normality_reads_each_distinct_translation_once():
