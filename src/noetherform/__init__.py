@@ -34,9 +34,9 @@ _EXPORTS = {
         "decide_induction", "decide_isomorphism", "quotient_iso",
     ),
     "slominski": (
-        "Congruence", "SlominskiAlgebra", "SlominskiForm", "SlominskiHom", "as_form",
-        "close_homs", "enumerate_homs", "from_group", "generate_congruence",
-        "is_normal_subalgebra", "quotient", "subalgebras",
+        "Congruence", "SlominskiAlgebra", "SlominskiForm", "as_form", "close_homs",
+        "enumerate_homs", "from_group", "generate_congruence", "is_normal_subalgebra",
+        "quotient", "subalgebras",
     ),
     "zigzag": (
         "Edge", "Zigzag", "chase_backward", "chase_forward", "collapse",

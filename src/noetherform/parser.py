@@ -18,8 +18,11 @@ next block; so a second p, d or table line is an unexpected keyword.  A
 dimg or iimg line belongs to the nearest morphism line above it, with no
 object or order line between, and gives the image of a key once.
 
-The Slominski form `main` over the declared algebras is assembled on demand
-with identities and composition closure added, so fixture files stay small;
+Workspace.homs maps each hom name to (dom, cod, table): its two algebras
+and its element table, which slominski.check_hom checks at the hom line and
+nothing checks again.  The Slominski form `main` over the declared algebras
+is assembled on demand from them, with identities and composition closure
+added, so fixture files stay small;
 abstract forms declared with `form` are data-defined and checked as written.
 A diagram is resolved over the data form it names, or over `main` when no
 form of that name is declared.
@@ -41,13 +44,7 @@ from typing import TYPE_CHECKING, Optional
 from .core import DataForm, Form, FormObject, Morphism
 from .errors import ParseError
 from .lattice import TableLattice
-from .slominski import (
-    SlominskiAlgebra,
-    SlominskiForm,
-    SlominskiHom,
-    close_homs,
-    from_group,
-)
+from .slominski import SlominskiAlgebra, SlominskiForm, check_hom, close_homs, from_group
 
 if TYPE_CHECKING:
     from .diagram import Assertion, Diagram
@@ -86,7 +83,7 @@ class Workspace:
 
     def __init__(self):
         self.algebras: dict[str, SlominskiAlgebra] = {}
-        self.homs: dict[str, SlominskiHom] = {}
+        self.homs: dict[str, tuple[SlominskiAlgebra, SlominskiAlgebra, tuple[int, ...]]] = {}
         self.form_specs: dict[str, FormSpec] = {}
         self.zigzag_specs: dict[str, ZigzagSpec] = {}
         self.diagram_specs: dict[str, DiagramSpec] = {}
@@ -100,9 +97,9 @@ class Workspace:
         declared homs, built once."""
         if self._slform is None:
             algs = list(self.algebras.values())
-            homs = close_homs(algs, list(self.homs.values()))
             form = SlominskiForm("main")
-            form.declare(algs, homs)
+            named = [form.morphism(*h, name=n) for n, h in self.homs.items()]
+            form.declare(algs, close_homs(form, algs, named))
             self._slform = form
         return self._slform
 
@@ -172,7 +169,7 @@ class Workspace:
         for mname, direction in spec.edges:
             if mname not in self.homs:
                 raise ParseError(f"zigzag {name}: unknown hom {mname!r}", spec.line)
-            mor = form.morphism(self.homs[mname], name=mname)
+            mor = form.morphism(*self.homs[mname], name=mname)
             edges.append(Edge(mor, direction))
         with _located(spec.line, f"zigzag {name}: "):
             return Zigzag(tuple(nodes), tuple(edges), form=form)
@@ -206,7 +203,7 @@ class Workspace:
                 if ent in self.algebras:
                     d.add_object(role, form.object_of(self.algebras[ent]))
                 elif ent in self.homs:
-                    d.add_arrow(role, form.morphism(self.homs[ent], name=ent))
+                    d.add_arrow(role, form.morphism(*self.homs[ent], name=ent))
                 else:
                     raise ParseError(f"diagram {name}: unknown entity {ent!r}", line)
         d.commutes = list(spec.commutes)
@@ -293,9 +290,9 @@ def _read_hom(ws, line, toks, body):
     _expect(dom in ws.algebras, f"hom {name}: unknown algebra {dom!r}", line)
     _expect(cod in ws.algebras, f"hom {name}: unknown algebra {cod!r}", line)
     table = tuple(_int(v, "map entry", line) for v in toks[6:])
+    hom = ws.algebras[dom], ws.algebras[cod], table
     with _located(line):
-        hom = SlominskiHom(ws.algebras[dom], ws.algebras[cod], table, name=name)
-        hom.validate()
+        check_hom(*hom, name=name)
     ws.homs[name] = hom
 
 
@@ -444,10 +441,8 @@ def dump(ws: Workspace) -> str:
         out.append("p " + " / ".join(" ".join(map(str, row)) for row in alg.p))
         out.append("d " + " / ".join(" ".join(map(str, row)) for row in alg.d))
     for name in sorted(ws.homs):
-        h = ws.homs[name]
-        out.append(
-            f"hom {name} {key[id(h.dom)]} -> {key[id(h.cod)]} map " + " ".join(map(str, h.table))
-        )
+        dom, cod, table = ws.homs[name]
+        out.append(f"hom {name} {key[id(dom)]} -> {key[id(cod)]} map " + " ".join(map(str, table)))
     for fname in sorted(ws.form_specs):
         spec = ws.form_specs[fname]
         out.append(f"form {fname}")

@@ -15,6 +15,15 @@ which also fills in their element maps.  generate_congruence has no caller
 in the engine: it is the independent oracle the tests check normality
 against.
 
+A hom has one encoding per level.  Between algebras it is an element table
+with its two algebras, as hom_tables, enumerate_homs, quotient and
+subalgebra_algebra give it; in a form it is a core.Morphism, whose direct
+and inverse image tables are the paper's morphism and whose element_map is
+the table.  A table is checked once, by check_hom, where it enters the
+program: at a form file's hom line and in as_form.  Tables the engine
+builds (hom_tables, projections, inclusions, composites) are homs by
+construction and are not checked again.
+
 Costs the module avoids:
 - d alone decides subalgebras and homs (p(-, y) is the inverse of d(-, y)).
   Subalgebras are closed under d semi-naively and enumerated by cyclic
@@ -58,8 +67,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .core import (Form, FormObject, Morphism, Subobject, composite_element_key, element_key,
-                   first_uncomposed, gather, identity_morphism, image)
+from .core import (Form, FormObject, Morphism, Subobject, compose, composite_element_key,
+                   element_key, first_uncomposed, gather, identity_morphism, image)
 from .errors import ClosureError, UnsupportedSubobjectError, ValidationError
 from .lattice import MaskLattice, elements_of, mask_of
 
@@ -110,36 +119,20 @@ class SlominskiAlgebra:
         return f"SlominskiAlgebra({self.name}, n={self.n})"
 
 
-@dataclass(frozen=True)
-class SlominskiHom:
-    """A hom with its element table: what as_form, declare and close_homs
-    take and a form file's hom lines give, and what enumerate_homs, quotient
-    and subalgebra_algebra return.  The generators and the form's own
-    constructions pass bare tables."""
-
-    dom: SlominskiAlgebra
-    cod: SlominskiAlgebra
-    table: tuple[int, ...]
-    name: str = ""
-
-    def __post_init__(self):
-        _check_carriers(self.table, self.dom, self.cod, self.name)
-
-    def validate(self) -> None:
-        """Raise ValidationError unless the table preserves 0 and d, which is
-        enough: on a finite carrier d(-, y) has the inverse p(-, y), so f(x) =
-        d(f(p(x, y)), f(y)), and p(-, f(y)) gives f(p(x, y)) = p(f(x), f(y))."""
-        f, A, B = self.table, self.dom, self.cod
-        if f[A.zero] != B.zero:
-            raise ValidationError(f"hom {self.name or '?'}: does not preserve 0")
-        for x in range(A.n):
-            Adx, Bdx = A.d[x], B.d[f[x]]
-            for y in range(A.n):
-                if f[Adx[y]] != Bdx[f[y]]:
-                    raise ValidationError(f"hom {self.name or '?'}: not compatible at ({x},{y})")
-
-    def __call__(self, x: int) -> int:
-        return self.table[x]
+def check_hom(dom: SlominskiAlgebra, cod: SlominskiAlgebra, table: Sequence[int],
+              name: str = "") -> None:
+    """Raise ValidationError unless table is a hom dom -> cod: it maps dom's
+    carrier into cod's and preserves 0 and d, which is enough: on a finite
+    carrier d(-, y) has the inverse p(-, y), so f(x) = d(f(p(x, y)), f(y)),
+    and p(-, f(y)) gives f(p(x, y)) = p(f(x), f(y))."""
+    _check_carriers(table, dom, cod, name)
+    if table[dom.zero] != cod.zero:
+        raise ValidationError(f"hom {name or '?'}: does not preserve 0")
+    for x in range(dom.n):
+        Adx, Bdx = dom.d[x], cod.d[table[x]]
+        for y in range(dom.n):
+            if table[Adx[y]] != Bdx[table[y]]:
+                raise ValidationError(f"hom {name or '?'}: not compatible at ({x},{y})")
 
 
 def _check_carriers(table: Sequence[int], dom: SlominskiAlgebra, cod: SlominskiAlgebra,
@@ -402,11 +395,12 @@ def is_normal_subalgebra(alg: SlominskiAlgebra, B: Iterable[int]) -> bool:
 
 def quotient(
     alg: SlominskiAlgebra, B: Iterable[int], name: Optional[str] = None
-) -> tuple[SlominskiAlgebra, SlominskiHom]:
-    """Quotient by a normal subalgebra, with the projection hom.
+) -> tuple[SlominskiAlgebra, tuple[int, ...]]:
+    """Quotient by a normal subalgebra, with the projection's table.
 
     Classes are indexed in order of their minimal element, so tables are
-    reproducible.
+    reproducible.  Neither is validated: both are read off the classes of
+    a congruence just decided.
     """
     belems = tuple(sorted(set(B)))
     cls = _kernel_classes(alg, belems)
@@ -424,16 +418,13 @@ def quotient(
         p = tuple(gather(cls, at_reps(alg.p[r])) for r in reps)
         d = tuple(gather(cls, at_reps(alg.d[r])) for r in reps)
     qname = name or f"{alg.name}/{{{','.join(map(str, belems))}}}"
-    q = SlominskiAlgebra(qname, cls[alg.zero], p, d)
-    q.validate()
-    proj = SlominskiHom(alg, q, cls, name=f"pi_{qname}")
-    return q, proj
+    return SlominskiAlgebra(qname, cls[alg.zero], p, d), cls
 
 
 def subalgebra_algebra(
     alg: SlominskiAlgebra, S: Iterable[int], name: Optional[str] = None
-) -> tuple[SlominskiAlgebra, SlominskiHom]:
-    """A subalgebra as an algebra in its own right, with the inclusion hom.
+) -> tuple[SlominskiAlgebra, tuple[int, ...]]:
+    """A subalgebra as an algebra in its own right, with the inclusion's table.
 
     Carrier indices follow the sorted parent elements.
     """
@@ -444,9 +435,7 @@ def subalgebra_algebra(
     p = tuple(tuple(idx[alg.p[x][y]] for y in elems) for x in elems)
     d = tuple(tuple(idx[alg.d[x][y]] for y in elems) for x in elems)
     sname = name or f"{alg.name}[{','.join(map(str, elems))}]"
-    sub = SlominskiAlgebra(sname, idx[alg.zero], p, d)
-    incl = SlominskiHom(sub, alg, elems, name=f"iota_{sname}")
-    return sub, incl
+    return SlominskiAlgebra(sname, idx[alg.zero], p, d), elems
 
 
 def permuted(alg: SlominskiAlgebra, perm: Sequence[int], name: Optional[str] = None) -> SlominskiAlgebra:
@@ -475,11 +464,11 @@ def hom_tables(
     it: the image of d(x, y) is then determined, and is assigned, or
     compared with the value already there (a clash cuts the branch).  So
     every pair is checked once per table (d(x, x) = 0 needs no check).
-    Checking d is enough (see SlominskiHom.validate).  In a group the
-    assigned set is always a subgroup, since p(x, y) = d(x, d(0, y)).
-    Branching is only on the least unassigned element, with its values in
-    ascending order, which puts the tables in lexicographic order: seeded
-    generators pick from this list by index.
+    Checking d is enough (see check_hom).  In a group the assigned set is
+    always a subgroup, since p(x, y) = d(x, d(0, y)).  Branching is only on
+    the least unassigned element, with its values in ascending order, which
+    puts the tables in lexicographic order: seeded generators pick from this
+    list by index.
     """
     n, m = A.n, B.n
     Ad, Bd = A.d, B.d
@@ -545,36 +534,37 @@ def hom_tables(
 
 
 @lru_cache(maxsize=None)
-def enumerate_homs(A: SlominskiAlgebra, B: SlominskiAlgebra) -> tuple[SlominskiHom, ...]:
-    """All homs A -> B, in lexicographic order of their tables (see hom_tables)."""
-    return tuple(SlominskiHom(A, B, t) for t in hom_tables(A, B))
+def enumerate_homs(
+    A: SlominskiAlgebra, B: SlominskiAlgebra
+) -> tuple[tuple[SlominskiAlgebra, SlominskiAlgebra, tuple[int, ...]], ...]:
+    """All homs A -> B as (A, B, table), what as_form takes, in lexicographic
+    order of their tables (see hom_tables)."""
+    return tuple((A, B, t) for t in hom_tables(A, B))
 
 
 def close_homs(
-    algebras: Sequence[SlominskiAlgebra], homs: Sequence[SlominskiHom]
-) -> tuple[SlominskiHom, ...]:
-    """Identities plus the composition closure of the given homs."""
-    pool: dict[tuple, SlominskiHom] = {}
-
-    def key(h):
-        return (h.dom.name, h.cod.name, h.table)
-
+    form: SlominskiForm, algebras: Sequence[SlominskiAlgebra], morphisms: Iterable[Morphism]
+) -> tuple[Morphism, ...]:
+    """The identities of the algebras' objects in form, then the given
+    morphisms of form and every composite of them (core.compose), each
+    element table between two objects once (element_key), in the order they
+    are found: what form.declare takes."""
+    pool: dict[tuple, Morphism] = {}
     for a in algebras:
-        h = SlominskiHom(a, a, tuple(range(a.n)), name=f"id_{a.name}")
-        pool[key(h)] = h
-    for h in homs:
-        pool.setdefault(key(h), h)
+        m = form.identity(form.object_of(a))
+        pool[element_key(m)] = m
+    for m in morphisms:
+        pool.setdefault(element_key(m), m)
     frontier = list(pool.values())
     while frontier:
         h = frontier.pop()
         for m in list(pool.values()):
             for g, f in ((m, h), (h, m)):
-                if f.cod == g.dom:
-                    c = SlominskiHom(f.dom, g.cod, gather(g.table, f.table),
-                                     f"{g.name}.{f.name}" if f.name and g.name else "")
-                    if key(c) not in pool:
-                        pool[key(c)] = c
-                        frontier.append(c)
+                if f.cod is g.dom:
+                    key = composite_element_key(g, f)
+                    if key not in pool:
+                        pool[key] = compose(g, f)
+                        frontier.append(pool[key])
     return tuple(pool.values())
 
 
@@ -629,26 +619,28 @@ class SlominskiForm(Form):
         self._by_algebra[alg] = obj
         return obj
 
-    def morphism(self, hom: SlominskiHom, name: Optional[str] = None) -> Morphism:
-        dom = self.object_of(hom.dom)
-        cod = self.object_of(hom.cod)
-        return element_morphism(dom, cod, hom.table, name or hom.name)
+    def morphism(self, dom: SlominskiAlgebra, cod: SlominskiAlgebra, table: Sequence[int],
+                 name: str = "") -> Morphism:
+        """The morphism of this form with the element table; the table is
+        not checked here (see check_hom)."""
+        return element_morphism(self.object_of(dom), self.object_of(cod), table, name)
 
-    def declare(self, algebras: Sequence[SlominskiAlgebra], homs: Sequence[SlominskiHom]) -> None:
-        """Declare the algebras and homs as this form's objects and morphisms.
+    def declare(self, algebras: Sequence[SlominskiAlgebra], morphisms: Iterable[Morphism]) -> None:
+        """Declare the algebras and this form's morphisms (built by morphism
+        or close_homs) as its objects and morphisms; the morphisms are not
+        checked again.
 
-        Raises ClosureError when a hom uses an undeclared algebra, an
+        Raises ClosureError when a morphism uses an undeclared algebra, an
         identity is missing, or the element tables are not closed under
         composition; closure is decided from generators (first_uncomposed),
         and the error names the first missing composite in g-major order.
         """
         objs = [self.object_of(a, declare=True) for a in algebras]
         mors = []
-        for h in homs:
-            h.validate()
-            if h.dom not in self._by_algebra or h.cod not in self._by_algebra:
-                raise ClosureError(f"hom {h.name or h.table} uses an undeclared algebra")
-            mors.append(self.morphism(h))
+        for m in morphisms:
+            if self.objects.get(m.dom.id) is not m.dom or self.objects.get(m.cod.id) is not m.cod:
+                raise ClosureError(f"hom {m.name or m.element_map} uses an undeclared algebra")
+            mors.append(m)
         self.morphisms = tuple(mors)
         tables = {element_key(m) for m in mors}
         for o in objs:
@@ -685,8 +677,7 @@ class SlominskiForm(Form):
         keep, ck = self._keeps(S, perm), ("sub", S.owner.id, S.key)
         if keep and ck in self._derived:
             return self._derived[ck]
-        sub, incl = subalgebra_algebra(S.owner.algebra, S.key)
-        table = incl.table
+        sub, table = subalgebra_algebra(S.owner.algebra, S.key)
         if perm is not None:
             p = tuple(perm(sub.n))
             sub = permuted(sub, p, name=sub.name + "~")
@@ -718,10 +709,9 @@ class SlominskiForm(Form):
         if keep and ck in self._derived:
             return self._derived[ck]
         try:
-            q, proj = quotient(S.owner.algebra, S.key)
+            q, table = quotient(S.owner.algebra, S.key)
         except UnsupportedSubobjectError as exc:
             raise UnsupportedSubobjectError(str(exc), subobject=S) from None
-        table = proj.table
         if perm is not None:
             p = tuple(perm(q.n))
             q = permuted(q, p, name=q.name + "~")
@@ -784,10 +774,10 @@ def element_morphism(dom: FormObject, cod: FormObject, table: Sequence[int], nam
     direct images go along dom's spine, f(s v <x>) = f(s) v <f(x)>
     (MaskLattice.image_column).  The inverse image of a key of cod is the
     union of the fibres of its elements, fib[y] = {x : f(x) = y}, looked up
-    as a mask of dom.  Callers must pass hom tables, validated or drawn
-    from hom_tables: for a table that is no hom, d is not checked (on Z5,
-    (0, 2, 1, 3, 4) gives a morphism), and i raises LatticeError when an
-    inverse image is no subalgebra.  A table that does not map dom's
+    as a mask of dom.  Callers must pass hom tables, checked by check_hom
+    or drawn from hom_tables: for a table that is no hom, d is not checked
+    (on Z5, (0, 2, 1, 3, 4) gives a morphism), and i raises LatticeError
+    when an inverse image is no subalgebra.  A table that does not map dom's
     carrier into cod's raises ValidationError."""
     table = tuple(table)
     dl, cl = dom.lattice, cod.lattice
@@ -805,15 +795,25 @@ def element_morphism(dom: FormObject, cod: FormObject, table: Sequence[int], nam
 
 def as_form(
     algebras: Sequence[SlominskiAlgebra],
-    homs: Sequence[SlominskiHom],
+    homs: Iterable[tuple[SlominskiAlgebra, SlominskiAlgebra, Sequence[int]]],
     name: str = "slominski",
 ) -> SlominskiForm:
-    """Declared Slominski form.
+    """Declared Slominski form with an unnamed morphism for each (dom, cod,
+    table) of homs, as enumerate_homs gives them.
 
-    The hom set must contain the identities and be closed under composition;
-    violations raise ClosureError naming the offending pair (see
-    SlominskiForm.declare).
+    Each table is checked (check_hom) as it enters, so a table that is no
+    hom raises ValidationError.  The hom set must contain the identities
+    and be closed under composition; violations raise ClosureError naming
+    the offending pair (see SlominskiForm.declare).
     """
     form = SlominskiForm(name)
-    form.declare(algebras, homs)
+
+    def morphisms():
+        # declare takes the objects first, so ids follow the algebras' order,
+        # then checks each table and its endpoints in turn
+        for dom, cod, table in homs:
+            check_hom(dom, cod, table)
+            yield form.morphism(dom, cod, table)
+
+    form.declare(algebras, morphisms())
     return form

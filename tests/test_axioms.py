@@ -10,7 +10,7 @@ from noetherform.errors import ClosureError
 from noetherform.groups import (cyclic, cyclic_data, dihedral8, product_data, symmetric3,
                                trivial_group, xor_group)
 from noetherform.lattice import TableLattice
-from noetherform.slominski import (SlominskiHom, as_form, close_homs, enumerate_homs,
+from noetherform.slominski import (SlominskiForm, as_form, close_homs, enumerate_homs,
                                    from_group)
 
 
@@ -33,15 +33,15 @@ def test_axiom_suite_passes_on_dual(capsys):
 
 def test_axiom_suite_single_identity_form():
     z3 = cyclic(3)
-    form = as_form([z3], [SlominskiHom(z3, z3, (0, 1, 2), name="id")])
+    form = as_form([z3], [(z3, z3, (0, 1, 2))])
     assert axiom_suite(form, include_axiom6=True).passed
 
 
 def test_axiom_suite_multi_object_form():
     z4, z2 = cyclic(4), cyclic(2)
-    homs = close_homs([z4, z2], [SlominskiHom(z4, z2, (0, 1, 0, 1), name="q"),
-                                 SlominskiHom(z2, z4, (0, 2), name="m")])
-    form = as_form([z4, z2], homs)
+    form = SlominskiForm()
+    named = [form.morphism(z4, z2, (0, 1, 0, 1), "q"), form.morphism(z2, z4, (0, 2), "m")]
+    form.declare([z4, z2], close_homs(form, [z4, z2], named))
     report = axiom_suite(form, include_axiom6=True)
     assert report.passed, report.render()
 
@@ -53,7 +53,8 @@ def test_axiom_suite_all_homs_between_a_pair():
     z4, e4 = cyclic(4), klein4()
     everything = (list(enumerate_homs(z4, z4)) + list(enumerate_homs(e4, e4))
                   + list(enumerate_homs(z4, e4)) + list(enumerate_homs(e4, z4)))
-    form = as_form([z4, e4], close_homs([z4, e4], everything))
+    form = SlominskiForm()
+    form.declare([z4, e4], close_homs(form, [z4, e4], [form.morphism(*h) for h in everything]))
     report = axiom_suite(form, include_axiom6=True)
     assert report.passed, report.render()
 
@@ -124,7 +125,7 @@ def test_f2_fails_when_element_tables_are_not_closed():
     # without the identity, End(Z3) is closed by image maps (check A) but
     # the element table of (x -> 2x)^2 is missing
     z3 = cyclic(3)
-    form = as_form([z3], _named_homs(z3), name=z3.name)
+    form = named_end_form(z3)
     objs = list(form.objects.values())
     without_id = DataForm(objs, [m for m in form.morphisms if m.name != "h012"])
     checks = {c.name: c.render() for c in axiom_suite(without_id).checks}
@@ -168,8 +169,16 @@ def _swap_dimg(m):
 
 
 def _named_homs(alg):
-    return [SlominskiHom(alg, alg, h.table, name="h" + "".join(map(str, h.table)))
-            for h in enumerate_homs(alg, alg)]
+    """The endomorphisms of alg by name, "h" and the digits of the table."""
+    return {"h" + "".join(map(str, t)): t for _, _, t in enumerate_homs(alg, alg)}
+
+
+def named_end_form(alg, dropped=""):
+    """End(alg), each morphism named by _named_homs, without dropped."""
+    form = SlominskiForm(alg.name)
+    form.declare([alg], [form.morphism(alg, alg, t, name)
+                         for name, t in _named_homs(alg).items() if name != dropped])
+    return form
 
 
 def _broken_forms(form):
@@ -197,7 +206,7 @@ def axiom_report_texts():
 
     texts = []
     for alg in (trivial_group(), cyclic(2), cyclic(3), cyclic(4), klein4()):
-        form = as_form([alg], _named_homs(alg), name=alg.name)
+        form = named_end_form(alg)
         texts.append(axiom_suite(form, include_axiom6=True).render())
         texts.append(axiom_suite(dualize(form), include_axiom6=True).render())
         texts.extend(axiom_suite(f, include_axiom6=True).render() for f in _broken_forms(form))
@@ -226,7 +235,7 @@ AXIOM_REPORT_E8_DIGEST = "1f9880df274cd14b833cda052dc164cc21df28f9942fcd13db365a
 
 def test_axiom_report_text_unchanged_e8():
     alg = xor_group(3)
-    form = as_form([alg], _named_homs(alg), name=alg.name)
+    form = named_end_form(alg)
     texts = [axiom_suite(f, include_axiom6=True).render() for f in _broken_forms(form)]
     assert len(texts) == 2
     assert _digest(texts) == AXIOM_REPORT_E8_DIGEST, _digest(texts)
@@ -238,10 +247,9 @@ def test_axiom_report_text_unchanged_e8():
      "composite of (h00110011, h00002222) is not declared"),
 ], ids=["Z4", "E8"])
 def test_closure_error_text_unchanged(alg, dropped, message):
-    homs = _named_homs(alg)
-    assert dropped in [h.name for h in homs]
+    assert dropped in _named_homs(alg)
     with pytest.raises(ClosureError) as exc:
-        as_form([alg], [h for h in homs if h.name != dropped], name=alg.name)
+        named_end_form(alg, dropped)
     assert str(exc.value) == message
 
 
@@ -252,7 +260,7 @@ def test_identity_check_names_first_failing_morphism():
     from noetherform.core import compose
 
     e8 = xor_group(3)
-    form = as_form([e8], _named_homs(e8), name="E8")
+    form = named_end_form(e8)
     mors = list(form.morphisms)
     (fake,) = [m for m in mors if m.element_map == tuple(x & 3 for x in range(8))]
 
@@ -280,7 +288,7 @@ def test_ax4_names_the_first_morphism_its_factorization_misses():
     from noetherform.core import compose
 
     alg = from_group(*product_data(cyclic_data(4), cyclic_data(2)), name="Z4xZ2")
-    form = as_form([alg], _named_homs(alg), name=alg.name)
+    form = named_end_form(alg)
     mors = list(form.morphisms)
     a = next(m for m in mors if len(set(m.element_map)) == alg.n
              and m.element_map != tuple(range(alg.n)))
@@ -319,7 +327,7 @@ def _first_uncomposing_pair(mors):
 
 def test_f2_names_the_first_failing_pair_on_swapped_e8():
     alg = xor_group(3)
-    form = as_form([alg], _named_homs(alg), name=alg.name)
+    form = named_end_form(alg)
     swapped = list(_broken_forms(form))[-1]
     g, f = _first_uncomposing_pair(list(swapped.morphisms))
     (check,) = [c for c in axiom_suite(swapped).checks if c.name == "F2"]
@@ -328,7 +336,7 @@ def test_f2_names_the_first_failing_pair_on_swapped_e8():
 
 def test_f2_fails_on_a_twin_by_well_definedness():
     z4 = cyclic(4)
-    form = as_form([z4], _named_homs(z4), name=z4.name)
+    form = named_end_form(z4)
     mors = list(form.morphisms)
     (victim,) = [m for m in mors if m.name == "h0202"]
     twin = _swap_dimg(victim)
@@ -341,7 +349,7 @@ def test_f2_fails_on_a_twin_by_well_definedness():
 
 def test_every_check_says_how_it_decided_on_end_e8():
     alg = xor_group(3)
-    form = as_form([alg], _named_homs(alg), name=alg.name)
+    form = named_end_form(alg)
     got = {c.name: (c.mode, c.cases) for c in axiom_suite(form, include_axiom6=True).checks}
     # G: 512 morphisms x 16 x 16 subobject pairs; AX2: 512 x (16 + 16)
     # equations; A and F2: the composites with 7 generators, F2 also the

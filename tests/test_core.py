@@ -90,7 +90,7 @@ def test_image_maps_are_read_only(uni, z4, z2):
 def test_composite_equals_element_morphism_of_composed_table(uni, z4, z2, d8):
     incl = element_morphism(z2, z4, (0, 2), "incl")
     pairs = [(incl, mod2(uni, z4, z2))]
-    ends = [uni.morphism(h) for h in enumerate_homs(dihedral8(), dihedral8())]
+    ends = [uni.morphism(*h) for h in enumerate_homs(dihedral8(), dihedral8())]
     pairs += [(g, f) for g in ends[::7] for f in ends[::5]]
     for g, f in pairs:
         c = compose(g, f)
@@ -339,14 +339,16 @@ def _closure_cases():
     from itertools import combinations
 
     from noetherform.groups import cyclic, klein4, trivial_group
-    from noetherform.slominski import as_form, close_homs, enumerate_homs
+    from noetherform.slominski import SlominskiForm, as_form, close_homs, enumerate_homs
 
     z4, e4 = cyclic(4), klein4()
     forms = [as_form([a], enumerate_homs(a, a), name=a.name)
              for a in (trivial_group(), cyclic(2), cyclic(3), z4, e4)]
     pairs = [enumerate_homs(a, b) for a in (z4, e4) for b in (z4, e4)]
-    forms.append(as_form([z4, e4], close_homs([z4, e4], [h for p in pairs for h in p]),
-                         name="Z4+E4"))
+    both = SlominskiForm("Z4+E4")
+    named = [both.morphism(*h) for p in pairs for h in p]
+    both.declare([z4, e4], close_homs(both, [z4, e4], named))
+    forms.append(both)
     for form in forms:
         for side in (form, dualize(form)):
             mors = list(side.morphisms)

@@ -35,9 +35,9 @@ EXPORTS = {
     "pyramid": ["InductionVerdict", "IsoVerdict", "Pyramid", "QuotientIsoResult",
                 "build_pyramid", "decide_induction", "decide_isomorphism", "quotient_iso"],
     "slominski": [
-        "Congruence", "SlominskiAlgebra", "SlominskiForm", "SlominskiHom", "as_form",
-        "close_homs", "enumerate_homs", "from_group", "generate_congruence",
-        "is_normal_subalgebra", "quotient", "subalgebras",
+        "Congruence", "SlominskiAlgebra", "SlominskiForm", "as_form", "close_homs",
+        "enumerate_homs", "from_group", "generate_congruence", "is_normal_subalgebra",
+        "quotient", "subalgebras",
     ],
     "zigzag": ["Edge", "Zigzag", "chase_backward", "chase_forward", "collapse",
                "induced_relation", "is_collapsible", "is_subquotient"],
@@ -76,7 +76,7 @@ print(json.dumps({"loaded": loaded, "all": names, "dir": listed, "star": star,
                   "foreign": foreign, "unknown": unknown}))
 """, json.dumps(EXPORTS))
     every = sorted(n for names in EXPORTS.values() for n in names)
-    assert len(every) == 75
+    assert len(every) == 74
     assert got == {"loaded": [], "all": [n for names in EXPORTS.values() for n in names],
                    "dir": every, "star": every, "foreign": [],
                    "unknown": "module 'noetherform' has no attribute 'no_such_name'"}

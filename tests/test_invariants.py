@@ -53,7 +53,7 @@ def test_galois_adjunction_random_homs(alg, data):
     uni = SlominskiForm("adj")
     obj = uni.object_of(alg)
     homs = enumerate_homs(alg, alg)
-    f = uni.morphism(data.draw(st.sampled_from(homs)))
+    f = uni.morphism(*data.draw(st.sampled_from(homs)))
     A = data.draw(st.sampled_from(obj.lattice.keys))
     C = data.draw(st.sampled_from(obj.lattice.keys))
     lhs = obj.lattice.leq(f.dimg[A], C)

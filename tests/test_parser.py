@@ -4,10 +4,11 @@ import importlib.resources as resources
 
 import pytest
 
+import noetherform.parser as parser
+import noetherform.slominski as slominski
 from noetherform.errors import ParseError
 from noetherform.groups import cyclic
 from noetherform.parser import Workspace, dump, merge, parse
-from noetherform.slominski import SlominskiHom
 
 FIXTURES = resources.files("noetherform") / "fixtures"
 
@@ -28,7 +29,7 @@ def test_parse_algebra_and_hom():
     ws = parse(ALGEBRA_SRC)
     assert set(ws.algebras) == {"A"}
     assert ws.algebras["A"].p == ((0, 1), (1, 0))
-    assert ws.homs["idA"].table == (0, 1)
+    assert ws.homs["idA"] == (ws.algebras["A"], ws.algebras["A"], (0, 1))
 
 
 def test_parse_group_derives_subtraction():
@@ -114,15 +115,32 @@ def test_workspace_closure_is_automatic():
     assert {"f", "i", "g", "j", "h"} <= names
 
 
+@pytest.mark.parametrize("name", ["d8_snake.nf", "z4_stack.nf"])
+def test_main_checks_no_table_its_hom_lines_checked(monkeypatch, name):
+    # each table is checked once, at its hom line; main's identities and
+    # composites are homs by construction
+    calls, real = [], slominski.check_hom
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(slominski, "check_hom", counting)
+    monkeypatch.setattr(parser, "check_hom", counting)
+    text = fixture_text(name)
+    ws = parse(text)
+    assert len(calls) == len(ws.homs) == sum(ln.startswith("hom ") for ln in text.splitlines())
+    form = ws.slominski_form()
+    assert len(calls) == len(ws.homs) < len(form.morphisms)
+
+
 @pytest.mark.parametrize("name", ["d8_snake.nf", "groups_le8.nf", "z4_stack.nf",
                                   "tiny_form.nf"])
 def test_fixture_roundtrip(name):
     ws1 = parse(fixture_text(name))
     ws2 = parse(dump(ws1))
     assert ws1.algebras == ws2.algebras
-    assert {n: h.table for n, h in ws1.homs.items()} == {
-        n: h.table for n, h in ws2.homs.items()
-    }
+    assert ws1.homs == ws2.homs
     assert set(ws1.form_specs) == set(ws2.form_specs)
     assert {n: (s.nodes, s.edges) for n, s in ws1.zigzag_specs.items()} == {
         n: (s.nodes, s.edges) for n, s in ws2.zigzag_specs.items()
@@ -322,15 +340,14 @@ def test_order_line_may_precede_its_object():
 def test_dump_writes_workspace_names():
     ws = Workspace()
     ws.algebras["A0"], ws.algebras["A1"] = cyclic(4), cyclic(2)
-    ws.homs["q"] = SlominskiHom(ws.algebras["A0"], ws.algebras["A1"], (0, 1, 0, 1), name="q")
+    ws.homs["q"] = (ws.algebras["A0"], ws.algebras["A1"], (0, 1, 0, 1))
     text = dump(ws)
     assert "hom q A0 -> A1 map 0 1 0 1" in text
     back = parse(text)
     assert {n: (a.zero, a.p, a.d) for n, a in back.algebras.items()} == {
         n: (a.zero, a.p, a.d) for n, a in ws.algebras.items()
     }
-    q = back.homs["q"]
-    assert (q.dom, q.cod, q.table) == (back.algebras["A0"], back.algebras["A1"], (0, 1, 0, 1))
+    assert back.homs["q"] == (back.algebras["A0"], back.algebras["A1"], (0, 1, 0, 1))
 
 
 def test_slominski_form_is_main_whatever_a_diagram_names():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import noetherform.lattice as lattice
 import noetherform.slominski as slominski
-from noetherform.core import Subobject, dualize
+from noetherform.core import Subobject, dualize, element_key
 from noetherform.errors import (ClosureError, LatticeError, UnsupportedSubobjectError,
                                 ValidationError)
 from noetherform.gen import InstanceLab, extend_homs
@@ -35,8 +35,8 @@ from noetherform.lattice import _converse, elements_of
 from noetherform.slominski import (
     SlominskiAlgebra,
     SlominskiForm,
-    SlominskiHom,
     as_form,
+    check_hom,
     close_homs,
     element_morphism,
     enumerate_homs,
@@ -148,7 +148,7 @@ def test_is_normal_subalgebra_d8():
     assert is_normal_subalgebra(d8, D8_V)
     assert is_normal_subalgebra(d8, (0,))
     v, incl = subalgebra_algebra(d8, D8_V)
-    b_in_v = tuple(i for i, e in enumerate(incl.table) if e in D8_B)
+    b_in_v = tuple(i for i, e in enumerate(incl) if e in D8_B)
     assert is_normal_subalgebra(v, b_in_v)
 
 
@@ -161,11 +161,11 @@ def test_quotient_z4_and_trivial():
     z4 = cyclic(4)
     q, proj = quotient(z4, (0, 2))
     assert q.n == 2
-    assert proj.table == (0, 1, 0, 1)
+    assert proj == (0, 1, 0, 1)
     # kernel of the projection is exactly the subalgebra
-    assert tuple(x for x in range(4) if proj.table[x] == q.zero) == (0, 2)
+    assert tuple(x for x in range(4) if proj[x] == q.zero) == (0, 2)
     q0, proj0 = quotient(z4, (0,))
-    assert q0.n == 4 and sorted(proj0.table) == [0, 1, 2, 3]
+    assert q0.n == 4 and sorted(proj0) == [0, 1, 2, 3]
 
 
 def test_quotient_d8_by_v():
@@ -220,7 +220,7 @@ def brute_homs(A, B):
     ids=lambda g: g.name,
 )
 def test_enumerate_homs_against_bruteforce(a, b):
-    assert [h.table for h in enumerate_homs(a, b)] == brute_homs(a, b)
+    assert [t for _, _, t in enumerate_homs(a, b)] == brute_homs(a, b)
 
 
 def from_permutations(name, sigmas):
@@ -398,18 +398,18 @@ def test_enumerate_homs_counts():
 def test_hom_validate_rejects_non_hom():
     z4, z2 = cyclic(4), cyclic(2)
     with pytest.raises(ValidationError):
-        SlominskiHom(z4, z2, (0, 1, 1, 0), name="bad").validate()
+        check_hom(z4, z2, (0, 1, 1, 0), name="bad")
 
 
 def test_hom_validate_accepts_exactly_the_oracles_tables():
-    # validate checks 0 and d only; every table between these algebras,
+    # check_hom checks 0 and d only; every table between these algebras,
     # groups and non-associative ones, is judged as the oracle judges it
     accepted = 0
     for a, b in itertools.product(LE4 + [T3, T4, U4], repeat=2):
         for table in itertools.product(range(b.n), repeat=a.n):
             want = table[a.zero] == b.zero and is_hom_table(a, b, table)
             try:
-                SlominskiHom(a, b, table).validate()
+                check_hom(a, b, table)
             except ValidationError:
                 assert not want, (a.name, b.name, table)
             else:
@@ -424,7 +424,7 @@ def test_the_one_subalgebra_of_a_one_element_algebra_is_normal():
         assert subalgebras(alg) == ((0,),)
         assert is_normal_subalgebra(alg, (0,))
         q, proj = quotient(alg, (0,))
-        assert (q.n, proj.table) == (1, (0,))
+        assert (q.n, proj) == (1, (0,))
 
 
 def test_normality_iff_kernel_witness():
@@ -438,8 +438,8 @@ def test_normality_iff_kernel_witness():
         ]
         kernels = set()
         for q in quotients:
-            for h in enumerate_homs(alg, q):
-                kernels.add(tuple(x for x in range(alg.n) if h.table[x] == q.zero))
+            for _, _, table in enumerate_homs(alg, q):
+                kernels.add(tuple(x for x in range(alg.n) if table[x] == q.zero))
         for sub in subalgebras(alg):
             assert (sub in kernels) == is_normal_subalgebra(alg, sub)
 
@@ -451,32 +451,64 @@ def test_normal_stable_under_surjections():
     for sub in subalgebras(d8):
         if not is_normal_subalgebra(d8, sub):
             continue
-        img = tuple(sorted({proj.table[x] for x in sub}))
+        img = tuple(sorted({proj[x] for x in sub}))
         assert is_normal_subalgebra(q, img)
 
 
 def test_as_form_requires_identities_and_closure():
     z4, z2 = cyclic(4), cyclic(2)
-    q = SlominskiHom(z4, z2, (0, 1, 0, 1), name="q")
+    q = (z4, z2, (0, 1, 0, 1))
     with pytest.raises(ClosureError):
         as_form([z4, z2], [q])
-    homs = close_homs([z4, z2], [q])
-    form = as_form([z4, z2], homs)
+    form = SlominskiForm()
+    form.declare([z4, z2], close_homs(form, [z4, z2], [form.morphism(*q, name="q")]))
     assert len(form.objects) == 2
-    m = SlominskiHom(z2, z4, (0, 2), name="m")
+    form = SlominskiForm()
+    homs = close_homs(form, [z4, z2], [form.morphism(*q, name="q")])
     with pytest.raises(ClosureError):
         # q.m is the zero endo of Z2 which is not declared
-        as_form([z4, z2], list(homs) + [m])
+        form.declare([z4, z2], [*homs, form.morphism(z2, z4, (0, 2), name="m")])
 
 
 def test_close_homs_idempotent():
     z4, z2 = cyclic(4), cyclic(2)
-    q = SlominskiHom(z4, z2, (0, 1, 0, 1), name="q")
-    once = close_homs([z4, z2], [q])
-    twice = close_homs([z4, z2], list(once))
-    assert {(h.dom.name, h.cod.name, h.table) for h in once} == {
-        (h.dom.name, h.cod.name, h.table) for h in twice
-    }
+    form = SlominskiForm()
+    once = close_homs(form, [z4, z2], [form.morphism(z4, z2, (0, 1, 0, 1), name="q")])
+    twice = close_homs(form, [z4, z2], once)
+    assert [element_key(m) for m in once] == [element_key(m) for m in twice]
+
+
+@pytest.mark.parametrize("alg, perm", [(cyclic(4), (0, 2, 1, 3)), (xor_group(2), (1, 0, 2, 3))],
+                         ids=["Z4", "E4"])
+def test_algebras_that_share_a_name_are_two_objects(alg, perm):
+    # the closure keys a table by object ids, which a form keeps distinct,
+    # so each algebra keeps its identity
+    twin = permuted(alg, perm, name=alg.name)
+    form = SlominskiForm()
+    form.declare([alg, twin], close_homs(form, [alg, twin], []))
+    assert list(form.objects) == [alg.name, f"{alg.name}#1"]
+    assert [element_key(m) for m in form.morphisms] == [
+        (alg.name, alg.name, (0, 1, 2, 3)), (f"{alg.name}#1", f"{alg.name}#1", (0, 1, 2, 3))]
+
+
+@pytest.mark.parametrize("table, message", [
+    ((0, 1, 0), "hom ?: table does not match carriers"),
+    ((1, 0, 1, 0), "hom ?: does not preserve 0"),
+    ((0, 1, 1, 0), "hom ?: not compatible at (0,1)"),
+], ids=["carriers", "zero", "d"])
+def test_as_form_checks_each_table_it_is_given(table, message):
+    z4, z2 = cyclic(4), cyclic(2)
+    identities = [(z4, z4, (0, 1, 2, 3)), (z2, z2, (0, 1))]
+    with pytest.raises(ValidationError) as err:
+        as_form([z4, z2], [*identities, (z4, z2, table)])
+    assert str(err.value) == message
+
+
+def test_as_form_names_a_hom_on_an_undeclared_algebra_by_its_table():
+    z4, z2 = cyclic(4), cyclic(2)
+    with pytest.raises(ClosureError) as err:
+        as_form([z4], [(z4, z4, (0, 1, 2, 3)), (z4, z2, (0, 1, 0, 1))])
+    assert str(err.value) == "hom (0, 1, 0, 1) uses an undeclared algebra"
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +647,10 @@ def check_derived_objects(alg):
         assert is_normal_subalgebra(alg, key) == normal, key
         non_normal += not normal
         if normal:
-            table = quotient(alg, key)[1].table
+            # quotient validates neither the algebra nor the projection
+            q, table = quotient(alg, key)
+            q.validate()
+            check_hom(alg, q, table)
             classes = tuple(tuple(x for x in range(alg.n) if table[x] == c)
                             for c in range(max(table) + 1))
             assert classes == cong.classes, key
@@ -628,6 +663,8 @@ def check_derived_objects(alg):
             assert (incl.d, incl.i) == (ref.d, ref.i), (key, perm)
             if normal:
                 q, proj = form.quotient_object(S, perm)
+                q.algebra.validate()
+                check_hom(alg, q.algebra, proj.element_map)
                 assert q.lattice.keys == enumerated_keys(q.algebra), (key, perm)
                 assert proj.i[0] == obj.lattice.index[key]
                 ref = element_morphism(obj, q, proj.element_map)
