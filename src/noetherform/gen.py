@@ -22,12 +22,24 @@ alone decides homs, a commuting square or a map that must kill an image is a
 forced map.  The list is lexicographic and generators pick from it by index
 with rng.choice, so a seeded corpus stays the same only as long as that
 order does.  The corpus draws its groups from a small fixed palette and so
-asks the same questions again and again: extensions, their filtered lists
-(injective, surjective, decorated ladder columns, first ladder columns) and
-normal keys are memoized on their domain algebra, as tuples that no caller
-can change, in the order they are computed in (hom lists lexicographic,
-normal keys in lattice order), so a draw from a memoized answer is the draw
-a recomputed one would give.
+asks the same questions again and again.  Each answer is stored on the value
+that owns it, in the order it is computed in (hom lists lexicographic,
+normal keys in lattice order), so a draw from a stored answer is the draw a
+recomputed one would give, and an attempt makes its rng calls plus one
+lookup per step.  On the domain algebra, as tuples that no caller can
+change (algebras are shared by every lab, so these hold no lab object):
+
+- extensions, keyed by B and the forced map as a table (see _forced);
+- lift pools (see _decorated_homs), under the same forced key: the
+  decorated extensions, or all of them when none is decorated; the
+  injective and surjective hom lists are the pools of the empty map;
+- first ladder columns, by B and both kernel keys (_v0_homs);
+- a row's first maps, each with its image key (_first_maps);
+- normal keys; spider's complementary normal pairs; short five (iii)'s
+  automorphisms keeping N.
+
+On the InstanceLab, since they hold its objects: its xor objects by rank,
+and random_exact_row's quotient steps (see InstanceLab.row_step).
 """
 
 from __future__ import annotations
@@ -83,32 +95,71 @@ _DECORATIONS = {
 }
 
 
+def _forced(n: int, pairs: Iterable[tuple[int, int]]) -> Optional[tuple[Optional[int], ...]]:
+    """The partial map on range(n) sending each x to y for the pairs (x, y),
+    as a table with None where nothing is forced, or None when some x is
+    sent to two values (then no hom meets the constraint).  The table does
+    not depend on the order of the pairs; it is the forced key of the
+    extension memos."""
+    forced: list[Optional[int]] = [None] * n
+    for x, y in pairs:
+        got = forced[x]
+        if got is None:
+            forced[x] = y
+        elif got != y:
+            return None
+    return tuple(forced)
+
+
+def _extensions(A: SlominskiAlgebra, B: SlominskiAlgebra,
+                forced: tuple[Optional[int], ...]) -> tuple[tuple[int, ...], ...]:
+    """extend_homs for a forced key (see _forced), memoized on A under B and
+    the key."""
+    return A.memoized(("extend", B, forced), lambda: tuple(hom_tables(
+        A, B, {x: y for x, y in enumerate(forced) if y is not None})))
+
+
 def extend_homs(A: SlominskiAlgebra, B: SlominskiAlgebra,
                 forced: dict[int, int]) -> tuple[tuple[int, ...], ...]:
     """All hom tables A -> B agreeing with the forced partial map, in
     lexicographic order.  The list does not depend on the order in which
-    forced was filled, so it is memoized on A under B and the sorted pairs."""
-    return A.memoized(("extend", B, tuple(sorted(forced.items()))),
-                      lambda: tuple(hom_tables(A, B, forced)))
+    forced was filled, so it is memoized under its forced key."""
+    return _extensions(A, B, _forced(A.n, forced.items()))
 
 
-def _decorated_homs(A: SlominskiAlgebra, B: SlominskiAlgebra, forced: dict[int, int],
+def _decorated_homs(A: SlominskiAlgebra, B: SlominskiAlgebra, forced: tuple[Optional[int], ...],
                     decoration: str) -> tuple[tuple[int, ...], ...]:
-    """The tables of extend_homs(A, B, forced) with the named decoration (see
-    _DECORATIONS), in lexicographic order."""
+    """The tables of _extensions(A, B, forced) with the named decoration (see
+    _DECORATIONS), in lexicographic order, or all of them when none has it:
+    the pool a ladder column with that decoration is drawn from.  Memoized
+    under the same forced key as the extensions, which it shares when it
+    falls back to them."""
     ok = _DECORATIONS[decoration]
-    return A.memoized(("decorated", B, tuple(sorted(forced.items())), decoration), lambda: tuple(
-        t for t in extend_homs(A, B, forced) if ok(t, B.n)))
+
+    def pool():
+        homs = _extensions(A, B, forced)
+        return tuple(t for t in homs if ok(t, B.n)) or homs
+    return A.memoized(("decorated", B, forced, decoration), pool)
 
 
 def _injective_homs(A: SlominskiAlgebra, B: SlominskiAlgebra) -> tuple[tuple[int, ...], ...]:
-    """The injective hom tables A -> B, in lexicographic order."""
-    return _decorated_homs(A, B, {}, "inj")
+    """The injective hom tables A -> B, in lexicographic order; every caller
+    asks only where one exists (else _decorated_homs gives all homs)."""
+    return _decorated_homs(A, B, (None,) * A.n, "inj")
 
 
 def _surjective_homs(A: SlominskiAlgebra, B: SlominskiAlgebra) -> tuple[tuple[int, ...], ...]:
-    """The surjective hom tables A -> B, in lexicographic order."""
-    return _decorated_homs(A, B, {}, "surj")
+    """The surjective hom tables A -> B, in lexicographic order; every caller
+    asks only where one exists (else _decorated_homs gives all homs)."""
+    return _decorated_homs(A, B, (None,) * A.n, "surj")
+
+
+def _first_maps(A: SlominskiAlgebra, B: SlominskiAlgebra
+                ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(table, image key) for each table of extend_homs(A, B, {}), in its
+    order, so rng.choice over it draws what InstanceLab.random_hom draws."""
+    return A.memoized(("first maps", B), lambda: tuple(
+        (t, tuple(sorted(set(t)))) for t in extend_homs(A, B, {})))
 
 
 def _v0_homs(A: SlominskiAlgebra, B: SlominskiAlgebra, v0_pred: Callable,
@@ -116,30 +167,55 @@ def _v0_homs(A: SlominskiAlgebra, B: SlominskiAlgebra, v0_pred: Callable,
     """The hom tables A -> B that satisfy v0_pred and send the kernel key kt
     into kb, in lexicographic order.  v0_pred is part of the memo key, so it
     must be a module-level predicate, not a per-call one."""
-    kbset = set(kb)
-    return A.memoized(("v0", B, v0_pred, kt, kb), lambda: tuple(
-        t for t in extend_homs(A, B, {}) if v0_pred(t, B.n) and all(t[x] in kbset for x in kt)))
-
-
-def _forced(pairs: Iterable[tuple[int, int]]) -> Optional[dict[int, int]]:
-    """The partial map sending each x to y for the pairs (x, y), or None
-    when some x is sent to two values (then no hom meets the constraint)."""
-    forced: dict[int, int] = {}
-    for x, y in pairs:
-        if forced.setdefault(x, y) != y:
-            return None
-    return forced
+    def homs():
+        kbset = set(kb)
+        return tuple(t for t in extend_homs(A, B, {})
+                     if v0_pred(t, B.n) and all(t[x] in kbset for x in kt))
+    return A.memoized(("v0", B, v0_pred, kt, kb), homs)
 
 
 class InstanceLab:
-    """Shared universe, RNG and small helpers for building instances."""
+    """Shared universe, RNG and small helpers for building instances.
+
+    The lab also keeps what random_exact_row asks again and again and what
+    holds this lab's objects, so it cannot be memoized on an algebra: its
+    xor objects by rank and its row steps (see row_step)."""
 
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
         self.universe = SlominskiForm("lab")
+        self._xors: list[Optional[FormObject]] = [None] * 4
+        self._row_steps: dict = {}
 
     def obj(self, alg: SlominskiAlgebra) -> FormObject:
         return self.universe.object_of(alg)
+
+    def xor(self, dim: int) -> FormObject:
+        """The object of xor_group(dim), for 0 <= dim <= 3, registered on
+        first use."""
+        got = self._xors[dim]
+        if got is None:
+            got = self._xors[dim] = self.obj(xor_group(dim))
+        return got
+
+    def row_step(self, obj: FormObject, key: tuple[int, ...], r: int) -> tuple:
+        """A quotient step of random_exact_row from obj, whose previous map
+        has image key, when the next rank exceeds the quotient's by r (0 or 1,
+        capped at 3): (q, p, nxt, options), with p the projection onto the
+        quotient q of obj by key, nxt the next xor object and options the
+        (memb, table, image key) of each table memb of _injective_homs(q, nxt),
+        in that order, where table = gather(memb, p.element_map).  Built on
+        first use, so each object is registered when the step first needs it."""
+        step = self._row_steps.get((obj, key, r))
+        if step is None:
+            q, p = self.proj(obj, key)
+            nxt = self.xor(min(3, q.algebra.n.bit_length() - 1 + r))
+            options = []
+            for memb in _injective_homs(q.algebra, nxt.algebra):
+                table = gather(memb, p.element_map)
+                options.append((memb, table, tuple(sorted(set(table)))))
+            step = self._row_steps[obj, key, r] = (q, p, nxt, tuple(options))
+        return step
 
     def random_hom(self, A, B) -> Optional[tuple[int, ...]]:
         homs = extend_homs(A, B, {})
@@ -191,26 +267,25 @@ def random_exact_row(lab: InstanceLab, maps: int) -> Row:
     the previous map, and the injective table memb: q -> Xi+1, so that
     tables[i] is gather(memb, p.element_map).  _row_morphisms builds the
     morphisms.
+
+    Every answer a row needs besides its rng draws is looked up: the first
+    map is drawn with its image key from _first_maps, and each later one
+    from the options of lab.row_step under the previous object, image key
+    and rank draw, so a step is one randrange, one choice and one lookup.
     """
     rng = lab.rng
-    dims = [rng.randrange(0, 3)]
-    objs = [lab.obj(xor_group(dims[0]))]
+    objs = [lab.xor(rng.randrange(0, 3))]
     tables: list[tuple[int, ...]] = []
     steps: list[tuple[FormObject, Morphism, tuple[int, ...]]] = []
     for i in range(maps):
         if i == 0:
-            dim = rng.randrange(0, 4)
-            nxt = lab.obj(xor_group(dim))
-            table = lab.random_hom(objs[-1].algebra, nxt.algebra)
+            nxt = lab.xor(rng.randrange(0, 4))
+            table, key = rng.choice(_first_maps(objs[-1].algebra, nxt.algebra))
         else:
             # quotient by the image of the previous map, then embed
-            q, p = lab.proj(objs[-1], tuple(sorted(set(tables[-1]))))
-            qdim = q.algebra.n.bit_length() - 1
-            dim = min(3, qdim + rng.randrange(0, 2))
-            nxt = lab.obj(xor_group(dim))
-            memb = rng.choice(_injective_homs(q.algebra, nxt.algebra))
+            q, p, nxt, options = lab.row_step(objs[-1], key, rng.randrange(0, 2))
+            memb, table, key = rng.choice(options)
             steps.append((q, p, memb))
-            table = gather(memb, p.element_map)
         objs.append(nxt)
         tables.append(table)
     return objs, tables, steps
@@ -243,22 +318,27 @@ def lift_ladder(
     partial map is inconsistent.  Each column table is picked by index from
     its extensions in lexicographic order (see extend_homs), which keeps
     seeded ladders reproducible.
+
+    A column builds its forced map in one pass, as a table indexed by
+    element (see _forced), and makes one memo lookup under it: its lift
+    pool, the decorated extensions, or all of them when none is decorated
+    (see _decorated_homs), or, with no decoration asked, all extensions.
+    An empty pool means no extension, so None.
     """
     tobjs, ttables, _ = top
     bobjs, btables, _ = bottom
     vs = [v0]
     for i in range(1, len(tobjs)):
+        A, B = tobjs[i].algebra, bobjs[i].algebra
         # the square commutes: v_i(f(x)) = g(v_i-1(x))
-        forced = _forced(zip(ttables[i - 1], gather(btables[i - 1], vs[-1])))
+        forced = _forced(A.n, zip(ttables[i - 1], gather(btables[i - 1], vs[-1])))
         if forced is None:
             return None
-        A, B = tobjs[i].algebra, bobjs[i].algebra
-        options = extend_homs(A, B, forced)
-        if not options:
-            return None
         pref = prefs.get(i)
-        pool = _decorated_homs(A, B, forced, pref) if pref is not None else options
-        vs.append(lab.rng.choice(pool or options))
+        pool = _extensions(A, B, forced) if pref is None else _decorated_homs(A, B, forced, pref)
+        if not pool:
+            return None
+        vs.append(lab.rng.choice(pool))
     return vs
 
 
@@ -361,12 +441,14 @@ def short_five_instance(lab: InstanceLab, part: str) -> Diagram:
         G = lab.obj(rng.choice(GRID_PALETTE()))
         Gp = lab.obj(rng.choice(GRID_PALETTE())) if part not in ("iii",) else G
         N = rng.choice(lab.normal_keys(G))
-        cands = extend_homs(G.algebra, Gp.algebra, {})
         if part == "iii":
-            cands = [t for t in cands
-                     if _is_bijective_table(t, Gp.algebra.n) and {t[x] for x in N} == set(N)]
+            # the automorphisms of G that map N onto itself
+            cands = G.algebra.memoized(("automorphisms keeping", N), lambda: tuple(
+                t for t in extend_homs(G.algebra, G.algebra, {})
+                if _is_bijective_table(t, G.algebra.n) and {t[x] for x in N} == set(N)))
             Np = N
         else:
+            cands = extend_homs(G.algebra, Gp.algebra, {})
             Np = None
         # the identity (part iii) and the top of Gp always qualify
         phi_t = rng.choice(cands)
@@ -395,12 +477,12 @@ def spider_instance(lab: InstanceLab) -> Diagram:
     lat = X.lattice
     normals = lab.normal_keys(X)
     # (bottom, top) is always among the pairs
-    pairs = [
+    pairs = X.algebra.memoized("complementary normal pairs", lambda: tuple(
         (P, Q)
         for P in normals
         for Q in normals
         if lat.meet(P, Q) == lat.bottom and lat.join(P, Q) == lat.top
-    ]
+    ))
     P, Q = rng.choice(pairs)
     V, g = lab.incl(X, P)
     Z, i = lab.proj(X, P)
@@ -465,16 +547,16 @@ def snake_instance(lab: InstanceLab) -> Diagram:
     """2x3 with exact rows, g surjective, f' injective, over xor groups."""
     uni = lab.universe
     rng = lab.rng
-    B = lab.obj(xor_group(rng.randrange(1, 4)))
+    B = lab.xor(rng.randrange(1, 4))
     Kg = rng.choice(B.lattice.keys)
     C, g = lab.proj(B, Kg)
     Ksub, incl_k = lab.incl(B, Kg)
     # rank(A) >= rank(Ksub), so A maps onto Ksub
     adim = max(Ksub.algebra.n.bit_length() - 1, 0) + rng.randrange(0, 2)
-    A = lab.obj(xor_group(min(3, adim)))
+    A = lab.xor(min(3, adim))
     sur = rng.choice(_surjective_homs(A.algebra, Ksub.algebra))
     f = compose(incl_k, element_morphism(A, Ksub, sur))
-    Bp = lab.obj(xor_group(rng.randrange(0, 4)))
+    Bp = lab.xor(rng.randrange(0, 4))
     beta = element_morphism(B, Bp, lab.random_hom(B.algebra, Bp.algebra), "beta")
     base = direct_image(beta, Subobject(B, Kg)).key
     supers = [k for k in Bp.lattice.keys if set(base) <= set(k)]
@@ -606,8 +688,8 @@ def _chain_map(lab, src, dst, vanish_on: Optional[list] = None) -> Optional[list
         pairs = list(zip(smaps[r - 1], gather(dmaps[r - 1], out[-1]))) if r else []
         if vanish_on is not None:
             pairs += [(x, zero) for x in vanish_on[r]]
-        forced = _forced(pairs)
-        cands = extend_homs(salgs[r], dalgs[r], forced) if forced is not None else ()
+        forced = _forced(salgs[r].n, pairs)
+        cands = _extensions(salgs[r], dalgs[r], forced) if forced is not None else ()
         if not cands:
             return None
         nonzero = [t for t in cands if any(v != zero for v in t)]

@@ -1,6 +1,7 @@
 """Cross-cutting invariants from the framework's basic lemmas."""
 
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -18,13 +19,14 @@ from noetherform import (
     leq,
 )
 from noetherform import gen
-from noetherform.core import Subobject
+from noetherform.core import FormObject, Morphism, Subobject
 from noetherform.errors import UnsupportedFormError
 from noetherform.gen import (
     InstanceLab,
     double_complex_window,
     five_instance,
     four_instance,
+    goursat_instance,
     incomplete_snail_instance,
     quotient_iso_triple,
     random_zigzag,
@@ -35,7 +37,8 @@ from noetherform.gen import (
     square_exact_instance,
     threebythree_instance,
 )
-from noetherform.groups import cyclic, dihedral8, quaternion8, symmetric3, xor_group
+from noetherform.groups import (all_groups_le8, cyclic, dihedral8, quaternion8, symmetric3,
+                                xor_group)
 from noetherform.slominski import as_form, element_morphism, enumerate_homs
 from noetherform.zigzag import LEFT, RIGHT, chase_backward, is_collapsible, is_subquotient, path
 
@@ -308,3 +311,143 @@ def test_a_ladder_draw_builds_only_the_morphisms_it_returns(monkeypatch):
             assert len(built) == len({id(m) for m in d.arrows.values()})
             attempts.append(len(lifts))
     assert max(attempts) > 1
+
+
+# sha256 of repr(lab.rng.getstate()) after each sequence of ten draws in
+# test_ladder_draws_consume_pinned_rng_values
+LADDER_RNG_STATES = (
+    "d6ee0285109b3e26cbaf0267b76394db8738e882b05a58f4fb73134ea62c1b80",
+    "65472b90f6e6ab2a8d11f1288588d5a8eeca499e22e57c85619b0ed1833ef46d",
+    "2f64deec5105694177f7576f19569bb6bbed2bd4e84797d475529240098f595b",
+    "9cc2568a32edeeb554e8cccdaaf5ac346d87e4a61fe3d9109c7da86c0fe6c60f",
+)
+
+
+def test_ladder_draws_consume_pinned_rng_values():
+    # A ladder attempt makes only its rng calls and reads every other answer
+    # from a memo; the generator's state after each sequence of draws moves
+    # if a step draws one value more or one fewer, even where the returned
+    # diagrams would not show it.
+    lab = InstanceLab(seed=303)
+    makes = (four_instance, lambda lab: five_instance(lab, "i"),
+             lambda lab: five_instance(lab, "ii"), lambda lab: five_instance(lab, "full"))
+    states = []
+    for make in makes:
+        for _ in range(10):
+            make(lab)
+        states.append(hashlib.sha256(repr(lab.rng.getstate()).encode()).hexdigest())
+    assert tuple(states) == LADDER_RNG_STATES
+
+
+def _palette_algebras():
+    return {*gen.GRID_PALETTE(), *gen.ZIGZAG_PALETTE(), *all_groups_le8(),
+            *(xor_group(k) for k in range(4))}
+
+
+def _lab_algebras(lab):
+    return set(lab.universe._by_algebra)  # every object the lab registered
+
+
+def _memo_atoms(value):
+    """The values nested in value's tuples."""
+    if isinstance(value, tuple):
+        for v in value:
+            yield from _memo_atoms(v)
+    else:
+        yield value
+
+
+def test_row_steps_live_on_their_lab_and_no_algebra_memo_holds_a_lab_value():
+    # A row step holds lab objects, so it lives on its lab and is the lab's
+    # own projection; algebras are shared by every lab (the palette), so no
+    # algebra memo may hold an object or a morphism of any lab.
+    labs = [InstanceLab(seed=303), InstanceLab(seed=343)]
+    for lab in labs:
+        for _ in range(30):
+            gen.random_exact_row(lab, 4)
+        for _ in range(3):
+            five_instance(lab, "full")
+            spider_instance(lab)
+            short_five_instance(lab, "iii")
+        assert lab._row_steps
+        for (obj, key, r), (q, p, nxt, options) in lab._row_steps.items():
+            got_q, got_p = lab.proj(obj, key)
+            assert got_q is q and got_p is p
+            assert lab.obj(q.algebra) is q and lab.obj(nxt.algebra) is nxt
+            assert lab.obj(obj.algebra) is obj
+            assert nxt.algebra.n == 1 << min(3, q.algebra.n.bit_length() - 1 + r)
+            assert [m for m, _, _ in options] == list(gen._injective_homs(q.algebra, nxt.algebra))
+    algebras = _palette_algebras().union(*map(_lab_algebras, labs))
+    for alg in algebras:
+        for atom in _memo_atoms(tuple(alg._memo.items())):
+            assert not isinstance(atom, (FormObject, Morphism)), (alg.name, atom)
+
+
+def test_memoized_values_are_tuples_or_none():
+    # A memo answer is shared by every caller that asks again, so none may
+    # be a list or a set that one caller could change under the others.
+    lab = InstanceLab(seed=77)
+    for _ in range(3):
+        four_instance(lab)
+        for part in ("i", "ii", "full"):
+            five_instance(lab, part)
+        threebythree_instance(lab)
+        for part in ("i", "ii", "iii"):
+            short_five_instance(lab, part)
+        spider_instance(lab)
+        incomplete_snail_instance(lab)
+        for part in ("i", "ii"):
+            square_exact_instance(lab, part)
+        snake_instance(lab)
+        goursat_instance(lab)
+        quotient_iso_triple(lab)
+        random_zigzag(lab, max_len=4)
+        recipe_zigzag(lab, max_len=4)
+        double_complex_window(lab)
+    for alg in _palette_algebras() | _lab_algebras(lab):
+        for key, value in alg._memo.items():
+            assert value is None or type(value) is tuple, (alg.name, key, type(value))
+
+
+def _xor_homs(A, B):
+    """Every hom table between xor groups, as the GF(2)-linear maps: one per
+    choice of images for the basis 1, 2, 4, ..., in lexicographic order."""
+    basis = [1 << j for j in range(A.n.bit_length() - 1)]
+    tables = []
+    for imgs in itertools.product(range(B.n), repeat=len(basis)):
+        t = [0] * A.n
+        for x in range(A.n):
+            for j, img in enumerate(imgs):
+                if x >> j & 1:
+                    t[x] ^= img
+        tables.append(tuple(t))
+    return sorted(tables)
+
+
+def test_lift_pools_match_a_brute_force_list():
+    # Every pool a real ladder draw looked up, under the forced map of its
+    # column: the homs that agree with the forced map, with the column's
+    # decoration, or all of them when none has it.
+    lab = InstanceLab(seed=313)
+    for part in ("i", "ii", "full"):
+        for _ in range(5):
+            five_instance(lab, part)
+    decorations = {"inj": lambda t, n: len(set(t)) == len(t),
+                   "surj": lambda t, n: len(set(t)) == n,
+                   "iso": lambda t, n: len(t) == n and len(set(t)) == n}
+    seen = {"extend": 0, "decorated": 0, "fallback": 0}
+    xors = [xor_group(k) for k in range(4)]
+    for A in xors:
+        for key, pool in A._memo.items():
+            if key[0] not in ("extend", "decorated") or key[1] not in xors:
+                continue
+            B, forced = key[1], key[2]
+            agree = [t for t in _xor_homs(A, B)
+                     if all(y is None or t[x] == y for x, y in enumerate(forced))]
+            want = agree
+            if key[0] == "decorated":
+                want = [t for t in agree if decorations[key[3]](t, B.n)] or agree
+                seen["fallback"] += want is agree and bool(agree)
+            assert list(pool) == want, (A.name, key)
+            seen[key[0]] += 1
+    assert all(seen.values()), seen
