@@ -15,6 +15,12 @@ compared, the rest following from them), and how many instances it compared.
   composition, decided from generators on the combined key.  Without
   element tables composites are identified by their image tables, so the
   closure of check A is F2.
+- When every morphism carries an element table, one walk over the combined
+  key (element table and image tables) serves both.  F2 reads it, and A
+  passes from it when it closes, since a morphism's image key and that of
+  a composite are projections of its combined key and of the composite's.
+  When it finds a gap, A walks the image keys itself, so A's verdict and
+  witness never depend on F2's.
 - Every other check is exhaustive.  The order checks (P1-P3, BL, G) read
   the up-set and down-set bitsets that every lattice holds (lattice.py);
   AX2 compares each morphism's gathered image tables with rows of joins and
@@ -109,11 +115,12 @@ def axiom_suite(form: Form, include_axiom6: bool = False) -> AxiomReport:
     check("BL", _bl_failures(objs))
     check("G", _galois_failures(mors))
     check("I", _identity_failures(form, objs, mors))
-    check("A", _closure_failures(mors), "derived")
+    walk = _combined_walk(mors)
+    check("A", _closure_failures(mors, walk), "derived")
     check("F1", (None if ident.d[p] == p and ident.i[p] == p else f"id_{o.id} moves {k!r}"
                  for o in objs for ident in [_safe_identity(form, o)] if ident is not None
                  for p, k in enumerate(o.lattice.keys)))
-    check("F2", _functor_failures(mors), "derived")
+    check("F2", _functor_failures(mors, walk), "derived")
     check("AX2", _ax2_failures(mors))
     check("AX3", _ax3_failures(form, objs))
     check("AX4", _ax4_failures(form, mors))
@@ -287,10 +294,23 @@ def _pair_name(pair):
     return f"({g.name or repr(g)}).({f.name or repr(f)})"
 
 
-def _closure_failures(mors):
+def _combined_walk(mors):
+    """_uncomposed on the combined key, or None when there are no morphisms
+    or some morphism has no element table."""
+    if not mors or any(m.element_map is None for m in mors):
+        return None
+    return _uncomposed(mors, _functor_key, _composite_functor_key)
+
+
+def _closure_failures(mors, walk):
     # closure under composition, decided from generators: the composite's
     # image tables must be those of a declared morphism (Morphism.__eq__);
-    # associativity needs no check, as composites are gathers of tables
+    # associativity needs no check, as composites are gathers of tables.
+    # A closed combined walk decides it too: every composite's combined key
+    # is declared, and so is its projection, the composite's image key.
+    if walk is not None and walk[0] is None:
+        yield walk[1]
+        return
     pair, taken = _uncomposed(mors, _image_key, _composite_image_key)
     if pair is None:
         yield taken
@@ -299,20 +319,21 @@ def _closure_failures(mors):
     yield f"composite {_pair_name(pair)} not in the form"
 
 
-def _functor_failures(mors):
+def _functor_failures(mors, walk):
     # F2 has independent content only for element-realized morphisms: there
     # the declared composite is identified by its element table and must
     # carry the composed image maps.  Elsewhere composites are identified
-    # extensionally, so the closure check already covers F2.  The element
-    # tables must be closed first, as check A decides closure by image maps.
-    if not mors or any(m.element_map is None for m in mors):
+    # extensionally, so the closure check already covers F2, and walk, the
+    # suite's combined walk (_combined_walk), is None.  The element tables
+    # must be closed first, as check A decides closure by image maps.
+    if walk is None:
         return
     # With closed element tables and a well-defined phi, phi(g . f) =
     # phi(g) . phi(f) for every pair exactly when the combined key of every
     # composite is declared.  A declared combined key declares its element
     # table, so the element-table pass, whose failure is named first, runs
     # only when the combined pass fails.
-    combined, taken = _uncomposed(mors, _functor_key, _composite_functor_key)
+    combined, taken = walk
     if combined is not None:
         pair, more = _uncomposed(mors, element_key, composite_element_key)
         taken += more

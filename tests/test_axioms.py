@@ -352,16 +352,47 @@ def test_every_check_says_how_it_decided_on_end_e8():
     form = named_end_form(alg)
     got = {c.name: (c.mode, c.cases) for c in axiom_suite(form, include_axiom6=True).checks}
     # G: 512 morphisms x 16 x 16 subobject pairs; AX2: 512 x (16 + 16)
-    # equations; A and F2: the composites with 7 generators, F2 also the
-    # 512 element tables of its well-definedness step
+    # equations; A and F2: one combined walk, 3 generators x 512 composites
+    # = 1,536, and F2 adds the 512 element tables of its well-definedness
+    # step
     assert got == {
         "P1": ("exhaustive", 16), "P2": ("exhaustive", 66), "P3": ("exhaustive", 16),
         "BL": ("exhaustive", 256), "G": ("exhaustive", 131_072),
-        "I": ("exhaustive", 1_025), "A": ("derived", 3_584), "F1": ("exhaustive", 16),
-        "F2": ("derived", 4_096), "AX2": ("exhaustive", 16_384),
+        "I": ("exhaustive", 1_025), "A": ("derived", 1_536), "F1": ("exhaustive", 16),
+        "F2": ("derived", 2_048), "AX2": ("exhaustive", 16_384),
         "AX3": ("exhaustive", 16), "AX4": ("exhaustive", 512),
         "AX5": ("exhaustive", 512), "AX6": ("exhaustive", 2),
     }
+
+
+def test_checks_a_and_f2_share_one_closure_walk(monkeypatch):
+    # with element tables on every morphism, A and F2 read one combined walk;
+    # without them (the dual) A walks alone; a combined walk with a gap
+    # leaves A to walk the image keys and F2 the element tables
+    from noetherform import axioms
+
+    calls = []
+    walk = axioms.first_uncomposed
+
+    def counted(items, key, compose_key):
+        calls.append(key.__name__)
+        return walk(items, key, compose_key)
+
+    monkeypatch.setattr(axioms, "first_uncomposed", counted)
+    form = named_end_form(xor_group(3))
+    assert axiom_suite(form).passed
+    assert calls == ["_functor_key"]
+    calls.clear()
+    assert axiom_suite(dualize(form)).passed
+    assert calls == ["_image_key"]
+    calls.clear()
+    z3 = named_end_form(cyclic(3))
+    without_id = DataForm(list(z3.objects.values()),
+                          [m for m in z3.morphisms if m.name != "h012"])
+    checks = {c.name: c.render() for c in axiom_suite(without_id).checks}
+    assert calls == ["_functor_key", "_image_key", "element_key"]
+    assert checks["A"] == "PASS A"
+    assert checks["F2"] == "FAIL F2 [element table of (h021).(h021) is not declared]"
 
 
 # ---------------------------------------------------------------------------

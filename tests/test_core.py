@@ -379,17 +379,70 @@ def test_first_uncomposed_names_the_first_pair_of_the_ordered_scan():
 
 
 def test_first_uncomposed_on_end_e8_takes_few_composites():
+    # GL(3,2) has two generators, and one non-injective map reaches the rest
+    # of End(E8): 3 generators x 512 products, whatever the carrier's labels
     from noetherform.core import first_uncomposed
     from noetherform.groups import xor_group
-    from noetherform.slominski import as_form, enumerate_homs
+    from noetherform.slominski import as_form, enumerate_homs, permuted
 
-    alg = xor_group(3)
-    mors = as_form([alg], enumerate_homs(alg, alg)).morphisms
-    assert len(mors) == 512
-    for key in (_image_key, _element_key):
-        compose_key, calls = _counted(key)
-        assert first_uncomposed(mors, key, compose_key) is None
-        assert calls[0] <= 40_000, (key.__name__, calls[0])
+    e8 = xor_group(3)
+    for alg in (e8, permuted(e8, (0, 5, 3, 6, 1, 4, 2, 7)),
+                permuted(e8, (3, 7, 0, 1, 6, 2, 5, 4)), permuted(e8, (6, 0, 4, 2, 7, 1, 3, 5))):
+        mors = as_form([alg], enumerate_homs(alg, alg)).morphisms
+        assert len(mors) == 512
+        for key in (_image_key, _element_key):
+            compose_key, calls = _counted(key)
+            assert first_uncomposed(mors, key, compose_key) is None
+            assert calls[0] == 1_536, (alg.zero, key.__name__, calls[0])
+
+
+def test_first_uncomposed_on_multi_object_forms_beats_rank_alone():
+    # only automorphisms trade places by the subobjects they fix, so maps
+    # between two objects keep their declared places; the walks by image key,
+    # by element key and by image key in the dual, each against the count
+    # when items were tried by rank alone (E4' is E4 relabelled, so two
+    # objects with isomorphisms between them)
+    from noetherform.core import first_uncomposed
+    from noetherform.groups import klein4
+    from noetherform.slominski import close_homs, permuted
+
+    z2, z4, e4 = cyclic(2), cyclic(4), klein4()
+    by_rank_alone = {"Z4+E4": (121, 132, 121), "Z4+E4+Z2": (204, 218, 204),
+                     "E4+E4'": (224, 224, 224), "Z2+E4+Z4+Z2'": (194, 208, 194)}
+    got = {}
+    for algs in ([z4, e4], [z4, e4, z2], [e4, permuted(e4, (0, 2, 3, 1), name="E4'")],
+                 [z2, e4, z4, permuted(z2, (0, 1), name="Z2'")]):
+        form = SlominskiForm("+".join(a.name for a in algs))
+        named = [form.morphism(*h) for a in algs for b in algs for h in enumerate_homs(a, b)]
+        form.declare(algs, close_homs(form, algs, named))
+        counts = []
+        for side, key in ((form, _image_key), (form, _element_key), (dualize(form), _image_key)):
+            compose_key, calls = _counted(key)
+            assert first_uncomposed(side.morphisms, key, compose_key) is None
+            counts.append(calls[0])
+        got[form.name] = tuple(counts)
+    assert got == {"Z4+E4": (101, 112, 101), "Z4+E4+Z2": (172, 186, 172),
+                   "E4+E4'": (160, 160, 160), "Z2+E4+Z4+Z2'": (146, 160, 146)}
+    assert all(n <= m for name in got for n, m in zip(got[name], by_rank_alone[name]))
+
+
+def test_check_a_decides_the_same_from_the_combined_walk():
+    # where every morphism has an element table, check A passes from a closed
+    # combined walk and otherwise walks the image keys itself: the verdict
+    # and witness are those of A's own walk either way
+    from noetherform.axioms import _closure_failures, _combined_walk, _first_fail
+
+    cases = shortcuts = fallbacks = 0
+    for label, items, key in _closure_cases():
+        if key is not _image_key or not items or any(m.element_map is None for m in items):
+            continue
+        walk = _combined_walk(items)
+        own = _first_fail(_closure_failures(items, None))[0]
+        assert _first_fail(_closure_failures(items, walk))[0] == own, label
+        shortcuts += walk[0] is None
+        fallbacks += walk[0] is not None and own is None
+        cases += 1
+    assert (cases, shortcuts, fallbacks) == (566, 19, 5)
 
 
 def test_gather_reads_a_table_at_no_one_or_several_positions():
