@@ -31,7 +31,6 @@ compared, the rest following from them), and how many instances it compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
 
@@ -52,17 +51,18 @@ from .errors import FormError
 from .lattice import elements_of
 
 
-@dataclass
 class AxiomCheck:
     """One line of the report.  mode is "exhaustive" or "derived"; cases is
     the number of instances compared up to the verdict (for a derived check,
     the generating instances only)."""
 
-    name: str
-    passed: bool
-    witness: Optional[str] = None
-    mode: str = "exhaustive"
-    cases: int = 0
+    def __init__(self, name: str, passed: bool, witness: Optional[str] = None,
+                 mode: str = "exhaustive", cases: int = 0):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
+        self.mode = mode
+        self.cases = cases
 
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -70,10 +70,10 @@ class AxiomCheck:
         return f"{status} {self.name}{tail}"
 
 
-@dataclass
 class AxiomReport:
-    form: str
-    checks: list[AxiomCheck] = field(default_factory=list)
+    def __init__(self, form: str, checks: Optional[list] = None):
+        self.form = form
+        self.checks: list[AxiomCheck] = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

@@ -33,7 +33,6 @@ them, and dualize(dualize(f)) returns the original form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import eq, itemgetter
 from types import MappingProxyType
 from typing import Iterable
@@ -46,6 +45,18 @@ from .errors import (
     UnsupportedSubobjectError,
 )
 from .lattice import dual_lattice
+
+
+class Frozen:
+    """Base of the immutable records: no field can be set or deleted after __init__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class FormObject:
@@ -93,10 +104,10 @@ class FormObject:
         return f"FormObject({self.id})"
 
 
-@dataclass(frozen=True)
-class Subobject:
-    owner: FormObject
-    key: object
+class Subobject(Frozen):
+    def __init__(self, owner: FormObject, key: object):
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "key", key)
 
     def __eq__(self, other):
         if not isinstance(other, Subobject):
@@ -182,13 +193,13 @@ class Morphism:
         return f"{label}:{self.dom.id}->{self.cod.id}"
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Frozen):
     """f = m . h . e with e a projection, h an isomorphism, m an embedding."""
 
-    e: Morphism
-    h: Morphism
-    m: Morphism
+    def __init__(self, e: Morphism, h: Morphism, m: Morphism):
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "m", m)
 
     @property
     def composite(self) -> Morphism:
@@ -407,10 +418,10 @@ def is_zero_morphism(f: Morphism) -> bool:
     return image(f).key == f.cod.lattice.bottom
 
 
-@dataclass(frozen=True)
-class RMLResult:
-    holds: bool
-    hypotheses_met: bool
+class RMLResult(Frozen):
+    def __init__(self, holds: bool, hypotheses_met: bool):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "hypotheses_met", hypotheses_met)
 
     def __bool__(self):
         return self.holds

@@ -10,12 +10,12 @@ such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .core import (
     Form,
     FormObject,
+    Frozen,
     Morphism,
     compose,
     image,
@@ -47,10 +47,18 @@ ASSERTION_ARITY = {"exact": 2, "short-exact": 2, "injective": 1, "surjective": 1
                    "iso": 1, "zero": 1}
 
 
-@dataclass(frozen=True)
-class Assertion:
-    kind: str  # a kind of ASSERTION_ARITY, or commute
-    args: tuple
+class Assertion(Frozen):
+    def __init__(self, kind: str, args: tuple):
+        object.__setattr__(self, "kind", kind)  # a kind of ASSERTION_ARITY, or commute
+        object.__setattr__(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.args == other.args
+
+    def __hash__(self):
+        return hash((self.kind, self.args))
 
     def label(self) -> str:
         if self.kind == "commute":
@@ -82,14 +90,16 @@ def zero(path: str) -> Assertion:
     return Assertion("zero", (path,))
 
 
-@dataclass
 class Diagram:
-    form: Form
-    objects: dict[str, FormObject] = field(default_factory=dict)
-    arrows: dict[str, Morphism] = field(default_factory=dict)
-    commutes: list[tuple[str, str]] = field(default_factory=list)
-    assertions: list[Assertion] = field(default_factory=list)
-    name: str = "diagram"
+    def __init__(self, form: Form, objects: Optional[dict] = None,
+                 arrows: Optional[dict] = None, commutes: Optional[list] = None,
+                 assertions: Optional[list] = None, name: str = "diagram"):
+        self.form = form
+        self.objects: dict[str, FormObject] = {} if objects is None else objects
+        self.arrows: dict[str, Morphism] = {} if arrows is None else arrows
+        self.commutes: list[tuple[str, str]] = [] if commutes is None else commutes
+        self.assertions: list[Assertion] = [] if assertions is None else assertions
+        self.name = name
 
     def add_object(self, role: str, obj: FormObject) -> FormObject:
         self.objects[role] = obj
@@ -147,22 +157,23 @@ class Diagram:
                         raise ShapeError(f"{self.name}: assertion uses unknown arrow {arg!r}")
 
 
-@dataclass
 class CheckLine:
-    status: str
-    name: str
-    witness: Optional[str] = None
+    def __init__(self, status: str, name: str, witness: Optional[str] = None):
+        self.status = status
+        self.name = name
+        self.witness = witness
 
     def render(self) -> str:
         tail = f" [{self.witness}]" if self.witness else ""
         return f"{self.status} {self.name}{tail}"
 
 
-@dataclass
 class LemmaReport:
-    lemma: str
-    hypotheses: list[CheckLine] = field(default_factory=list)
-    conclusions: list[CheckLine] = field(default_factory=list)
+    def __init__(self, lemma: str, hypotheses: Optional[list] = None,
+                 conclusions: Optional[list] = None):
+        self.lemma = lemma
+        self.hypotheses: list[CheckLine] = [] if hypotheses is None else hypotheses
+        self.conclusions: list[CheckLine] = [] if conclusions is None else conclusions
 
     @property
     def hypotheses_hold(self) -> bool:

@@ -13,12 +13,12 @@ isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import (
     Form,
     FormObject,
+    Frozen,
     Morphism,
     Subobject,
     compose,
@@ -53,11 +53,12 @@ from .zigzag import LEFT, RIGHT, Zigzag, path
 # shape templates
 
 
-@dataclass(frozen=True)
-class Shape:
-    objects: tuple[str, ...]
-    arrows: dict[str, tuple[str, str]]
-    commutes: tuple[tuple[str, str], ...]
+class Shape(Frozen):
+    def __init__(self, objects: tuple[str, ...], arrows: dict[str, tuple[str, str]],
+                 commutes: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "commutes", commutes)
 
 
 SHAPES: dict[str, Shape] = {
@@ -252,11 +253,12 @@ def _kernels_cokernels(d: Diagram, roles):
 # constructions: exact sequences by homomorphism induction, Goursat
 
 
-@dataclass
 class SnakeResult:
-    objects: Optional[list[FormObject]]
-    morphisms: Optional[list[Morphism]]
-    report: LemmaReport
+    def __init__(self, objects: Optional[list[FormObject]],
+                 morphisms: Optional[list[Morphism]], report: LemmaReport):
+        self.objects = objects
+        self.morphisms = morphisms
+        self.report = report
 
 
 def exact_sequence_by_induction(report: LemmaReport, zigzags: Callable[[], list[Zigzag]],
@@ -365,21 +367,22 @@ def _goursat(d: Diagram, report: LemmaReport) -> Optional[Morphism]:
 # homology objects and the salamander
 
 
-@dataclass(frozen=True)
-class UndefinedMarker:
-    guard: str
+class UndefinedMarker(Frozen):
+    def __init__(self, guard: str):
+        object.__setattr__(self, "guard", guard)
 
     def render(self) -> str:
         return f"undefined ({self.guard})"
 
 
-@dataclass
 class HomologyObject:
-    object: FormObject
-    embedding: Morphism   # of the upper subobject
-    projection: Morphism  # by the pulled-back lower subobject
-    upper: Subobject
-    lower: Subobject
+    def __init__(self, object: FormObject, embedding: Morphism, projection: Morphism,
+                 upper: Subobject, lower: Subobject):
+        self.object = object
+        self.embedding = embedding    # of the upper subobject
+        self.projection = projection  # by the pulled-back lower subobject
+        self.upper = upper
+        self.lower = lower
 
 
 def homology_object(form: Form, kind: str, **arrows: Morphism):
@@ -451,8 +454,7 @@ def _salamander(d: Diagram, report: LemmaReport) -> SnakeResult:
 # the registry
 
 
-@dataclass(frozen=True)
-class LemmaSpec:
+class LemmaSpec(Frozen):
     """A lemma as data: its shape, its hypotheses, and per part the extra
     hypotheses and the conclusions.  The first part is the default; a lemma
     with one part has the single part None.  A conclusion is an Assertion
@@ -461,10 +463,12 @@ class LemmaSpec:
     own hypothesis and conclusion lines and returns the lemma's product.
     shape None stands for the diagram's own commute and assert lines."""
 
-    shape: Optional[str]
-    hyps: tuple[Assertion, ...] = ()
-    parts: dict = field(default_factory=lambda: {None: ((), ())})
-    construct: Optional[Callable] = None
+    def __init__(self, shape: Optional[str], hyps: tuple[Assertion, ...] = (),
+                 parts: Optional[dict] = None, construct: Optional[Callable] = None):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "hyps", hyps)
+        object.__setattr__(self, "parts", {None: ((), ())} if parts is None else parts)
+        object.__setattr__(self, "construct", construct)
 
 
 def _four_i(d: Diagram):

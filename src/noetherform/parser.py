@@ -38,7 +38,6 @@ loads neither.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .core import DataForm, Form, FormObject, Morphism
@@ -51,31 +50,33 @@ if TYPE_CHECKING:
     from .zigzag import Zigzag
 
 
-@dataclass
 class ZigzagSpec:
-    name: str
-    nodes: list[str]
-    edges: list[tuple[str, str]]  # (morphism name, direction)
-    line: int
+    def __init__(self, name: str, nodes: list[str], edges: list[tuple[str, str]], line: int):
+        self.name = name
+        self.nodes = nodes
+        self.edges = edges  # (morphism name, direction)
+        self.line = line
 
 
-@dataclass
 class DiagramSpec:
-    name: str
-    over: str
-    uses: list[tuple[str, str, int]]  # (entity, role, line)
-    commutes: list[tuple[str, str]]
-    asserts: list[Assertion]
-    line: int
+    def __init__(self, name: str, over: str, uses: list[tuple[str, str, int]],
+                 commutes: list[tuple[str, str]], asserts: list[Assertion], line: int):
+        self.name = name
+        self.over = over
+        self.uses = uses  # (entity, role, line)
+        self.commutes = commutes
+        self.asserts = asserts
+        self.line = line
 
 
-@dataclass
 class FormSpec:
-    name: str
-    objects: dict[str, list[str]] = field(default_factory=dict)
-    orders: list[tuple[str, str, str, int]] = field(default_factory=list)  # (obj, a, b, line)
-    # (name, dom, cod, dimg, iimg, line); dimg and iimg map a key to (key, line)
-    morphisms: list = field(default_factory=list)
+    def __init__(self, name: str, objects: Optional[dict] = None,
+                 orders: Optional[list] = None, morphisms: Optional[list] = None):
+        self.name = name
+        self.objects: dict[str, list[str]] = {} if objects is None else objects
+        self.orders: list[tuple] = [] if orders is None else orders  # (obj, a, b, line)
+        # (name, dom, cod, dimg, iimg, line); dimg and iimg map a key to (key, line)
+        self.morphisms: list = [] if morphisms is None else morphisms
 
 
 class Workspace:

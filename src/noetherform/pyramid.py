@@ -17,12 +17,12 @@ decide_isomorphism is that criterion on the zigzag and on its opposite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
     Form,
     FormObject,
+    Frozen,
     Morphism,
     Subobject,
     compose,
@@ -62,12 +62,13 @@ def _perm_fn(rng: Optional[random.Random]):
     return perm
 
 
-@dataclass
 class Pyramid:
-    base: Zigzag
-    form: Form
-    node: dict[Coord, FormObject]
-    arrow: dict[tuple[Coord, Coord], tuple[Morphism, bool]]  # (lower, upper) -> (m, points_up)
+    def __init__(self, base: Zigzag, form: Form, node: dict[Coord, FormObject],
+                 arrow: dict[tuple[Coord, Coord], tuple[Morphism, bool]]):
+        self.base = base
+        self.form = form
+        self.node = node
+        self.arrow = arrow  # (lower, upper) -> (m, points_up)
 
     @property
     def n(self) -> int:
@@ -224,21 +225,22 @@ def build_pyramid(
 # homomorphism induction
 
 
-@dataclass(frozen=True)
-class ChaseFailure:
-    condition: str  # "forward-bottom" or "backward-top"
-    node: str
-    subobject: object
+class ChaseFailure(Frozen):
+    def __init__(self, condition: str, node: str, subobject: object):
+        object.__setattr__(self, "condition", condition)  # "forward-bottom" or "backward-top"
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "subobject", subobject)
 
     def render(self) -> str:
         return f"{self.condition} first deviates at {self.node} with {render_key(self.subobject)}"
 
 
-@dataclass
 class InductionVerdict:
-    induces: bool
-    morphism: Optional[Morphism]
-    failures: list[ChaseFailure] = field(default_factory=list)
+    def __init__(self, induces: bool, morphism: Optional[Morphism],
+                 failures: Optional[list] = None):
+        self.induces = induces
+        self.morphism = morphism
+        self.failures: list[ChaseFailure] = [] if failures is None else failures
 
     def __bool__(self):
         return self.induces
@@ -262,12 +264,13 @@ def decide_induction(z: Zigzag, name: str = "") -> InductionVerdict:
     return InductionVerdict(True, chased_morphism(z, name=name))
 
 
-@dataclass
 class IsoVerdict:
-    holds: bool
-    forward: Optional[Morphism]
-    backward: Optional[Morphism]
-    failures: list[ChaseFailure] = field(default_factory=list)
+    def __init__(self, holds: bool, forward: Optional[Morphism], backward: Optional[Morphism],
+                 failures: Optional[list] = None):
+        self.holds = holds
+        self.forward = forward
+        self.backward = backward
+        self.failures: list[ChaseFailure] = [] if failures is None else failures
 
     def __bool__(self):
         return self.holds
@@ -293,12 +296,13 @@ def decide_isomorphism(z: Zigzag, name: str = "") -> IsoVerdict:
     return IsoVerdict(True, fwd.morphism, bwd.morphism)
 
 
-@dataclass
 class QuotientIsoResult:
-    w_normal_to_x: bool
-    fw_normal_to_fx: bool
-    iso: Optional[Morphism]
-    zigzag: Optional[Zigzag]
+    def __init__(self, w_normal_to_x: bool, fw_normal_to_fx: bool, iso: Optional[Morphism],
+                 zigzag: Optional[Zigzag]):
+        self.w_normal_to_x = w_normal_to_x
+        self.fw_normal_to_fx = fw_normal_to_fx
+        self.iso = iso
+        self.zigzag = zigzag
 
     @property
     def equivalent(self) -> bool:

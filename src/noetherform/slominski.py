@@ -62,29 +62,34 @@ Costs the module avoids:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .core import (Form, FormObject, Morphism, Subobject, compose, composite_element_key,
-                   element_key, first_uncomposed, gather, identity_morphism, image)
+from .core import (Form, FormObject, Frozen, Morphism, Subobject, compose,
+                   composite_element_key, element_key, first_uncomposed, gather,
+                   identity_morphism, image)
 from .errors import ClosureError, UnsupportedSubobjectError, ValidationError
 from .lattice import MaskLattice, elements_of, mask_of
 
 
-@dataclass(frozen=True)
-class SlominskiAlgebra:
-    name: str
-    zero: int
-    p: tuple[tuple[int, ...], ...]
-    d: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
+class SlominskiAlgebra(Frozen):
+    def __init__(self, name: str, zero: int, p: tuple[tuple[int, ...], ...],
+                 d: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "d", d)
         # hashed once, for memo keys and the caches keyed on algebras; _memo
         # holds the answers that are functions of this algebra (see memoized)
-        object.__setattr__(self, "_hash", hash((self.name, self.zero, self.p, self.d)))
+        object.__setattr__(self, "_hash", hash((name, zero, p, d)))
         object.__setattr__(self, "_memo", {})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and (self.name, self.zero, self.p, self.d) == (
+            other.name, other.zero, other.p, other.d)
 
     def __hash__(self):
         return self._hash
@@ -274,10 +279,10 @@ def subalgebra_lattice(alg: SlominskiAlgebra) -> MaskLattice:
 # congruences and quotients
 
 
-@dataclass(frozen=True)
-class Congruence:
-    algebra: SlominskiAlgebra
-    classes: tuple[tuple[int, ...], ...]
+class Congruence(Frozen):
+    def __init__(self, algebra: SlominskiAlgebra, classes: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "classes", classes)
 
     @property
     def zero_class(self) -> tuple[int, ...]:

@@ -10,12 +10,12 @@ graphs) provides an independent element-level oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 from .core import (
     FormObject,
+    Frozen,
     Morphism,
     Subobject,
     compose,
@@ -33,33 +33,30 @@ RIGHT = "right"
 LEFT = "left"
 
 
-@dataclass(frozen=True)
-class Edge:
-    morphism: Morphism
-    direction: str  # RIGHT: dom is the left node; LEFT: dom is the right node
+class Edge(Frozen):
+    # direction RIGHT: dom is the left node; LEFT: dom is the right node
+    def __init__(self, morphism: Morphism, direction: str):
+        if direction not in (RIGHT, LEFT):
+            raise ValidationError(f"bad edge direction {direction!r}")
+        object.__setattr__(self, "morphism", morphism)
+        object.__setattr__(self, "direction", direction)
 
-    def __post_init__(self):
-        if self.direction not in (RIGHT, LEFT):
-            raise ValidationError(f"bad edge direction {self.direction!r}")
 
-
-@dataclass(frozen=True)
-class Zigzag:
-    nodes: tuple[FormObject, ...]
-    edges: tuple[Edge, ...]
-    form: object = field(default=None, compare=False, hash=False)
-
-    def __post_init__(self):
-        if len(self.nodes) != len(self.edges) + 1 or not self.nodes:
+class Zigzag(Frozen):
+    def __init__(self, nodes: tuple[FormObject, ...], edges: tuple[Edge, ...], form=None):
+        if len(nodes) != len(edges) + 1 or not nodes:
             raise ValidationError("zigzag must have one more node than edges")
-        for i, e in enumerate(self.edges):
-            left, right = self.nodes[i], self.nodes[i + 1]
+        for i, e in enumerate(edges):
+            left, right = nodes[i], nodes[i + 1]
             dom, cod = (left, right) if e.direction == RIGHT else (right, left)
             if e.morphism.dom.id != dom.id or e.morphism.cod.id != cod.id:
                 raise ValidationError(
                     f"edge {i} ({e.morphism!r}, {e.direction}) does not connect "
                     f"{left.id} and {right.id}"
                 )
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "form", form)
 
     def __len__(self):
         return len(self.edges)

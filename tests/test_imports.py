@@ -116,6 +116,20 @@ print(json.dumps(sorted(m[12:] for m in sys.modules if m.startswith("noetherform
     assert got == ["core", "errors", "lattice", "parser", "slominski", "zigzag"]
 
 
+def test_engine_loads_neither_dataclasses_nor_inspect():
+    # the engine's records are plain classes: importing the generator, the
+    # axiom suite and the CLI and running snake loads neither module
+    got = python("""
+import json, sys
+before = set(sys.modules)
+import noetherform.gen, noetherform.axioms
+from noetherform.cli import main
+code = main(["snake", sys.argv[1], "snakefix"])
+print(json.dumps([code, sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))]))
+""", str(FIXTURES / "d8_snake.nf"))
+    assert got == [0, []]
+
+
 # As printed at 80 columns before the lemma lists were filled in lazily.
 TOP_HELP = """\
 usage: noetherform [-h] {check-axioms,chase,induce,pyramid,verify,snake} ...

@@ -1,6 +1,5 @@
 """Slominski algebras: identities, subalgebras, congruences, quotients, homs."""
 
-import dataclasses
 import itertools
 import random
 from functools import reduce
@@ -373,8 +372,8 @@ def test_algebra_hash_matches_fieldwise_equality():
     b = from_group(*dihedral_data(4), name="D8 twice")
     assert a is not b and a == b and hash(a) == hash(b)
     assert {a: "found"}[b] == "found"
-    assert a != dataclasses.replace(a, name="D8 renamed")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert a != SlominskiAlgebra("D8 renamed", a.zero, a.p, a.d)
+    with pytest.raises(AttributeError):
         a.zero = 1
 
 
