@@ -26,7 +26,13 @@ compared, the rest following from them), and how many instances it compared.
   AX2 compares each morphism's gathered image tables with rows of joins and
   meets by position, built once per lattice within the check.  A missing
   join or meet is a failure of BL, AX2 or AX5 with the lattice's message as
-  its witness, never an exception.
+  its witness, never an exception.  A mask lattice closes each distinct
+  union once (MaskLattice.join), so BL, AX2's join rows and AX5 share one
+  closure per union.
+- AX4 and the image predicates it calls (core.is_injective and the rest)
+  compare positions read off the image tables, never Subobjects: Ker f is
+  f.i at the codomain's bottom and Im f is f.d at the domain's top.  AX4
+  compares e's kernel and m's image with f's by owner id, then by key.
 """
 
 from __future__ import annotations
@@ -42,10 +48,12 @@ from .core import (
     first_uncomposed,
     gather,
     image,
+    image_position,
     is_injective,
     is_isomorphism,
     is_surjective,
     kernel,
+    kernel_position,
 )
 from .errors import FormError
 from .lattice import elements_of
@@ -430,19 +438,32 @@ def _ax4_failures(form, mors):
         except FormError as exc:
             yield f"factorize({f.name or repr(f)}): {exc}"
             return
+        e, m = fac.e, fac.m
         if not _is_composite(f, fac):
-            yield f"factorize({f.name or repr(f)}): composite differs"
-            return
-        if not is_isomorphism(fac.h):
-            yield f"factorize({f.name or repr(f)}): middle map is not an isomorphism"
-            return
-        if kernel(fac.e) != kernel(f) or not is_surjective(fac.e):
-            yield f"factorize({f.name or repr(f)}): projection part is wrong"
-            return
-        if image(fac.m) != image(f) or not is_injective(fac.m):
-            yield f"factorize({f.name or repr(f)}): embedding part is wrong"
-            return
-        yield None
+            why = "composite differs"
+        elif not is_isomorphism(fac.h):
+            why = "middle map is not an isomorphism"
+        elif not (_same_kernel(e, f) and is_surjective(e)):
+            why = "projection part is wrong"
+        elif not (_same_image(m, f) and is_injective(m)):
+            why = "embedding part is wrong"
+        else:
+            yield None
+            continue
+        yield f"factorize({f.name or repr(f)}): {why}"
+        return
+
+
+def _same_kernel(e, f):
+    """kernel(e) == kernel(f): one owner id, then one key, read by position."""
+    return (e.dom.id == f.dom.id
+            and e.dom.lattice.keys[kernel_position(e)] == f.dom.lattice.keys[kernel_position(f)])
+
+
+def _same_image(m, f):
+    """image(m) == image(f): one owner id, then one key, read by position."""
+    return (m.cod.id == f.cod.id
+            and m.cod.lattice.keys[image_position(m)] == f.cod.lattice.keys[image_position(f)])
 
 
 def _is_composite(f, fac):

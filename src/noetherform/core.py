@@ -369,14 +369,24 @@ def inverse_image(f: Morphism, B: Subobject) -> Subobject:
     return Subobject(f.dom, f.dom.lattice.keys[f.i[f.cod.lattice.index[B.key]]])
 
 
-def kernel(f: Morphism) -> Subobject:
+def kernel_position(f: Morphism) -> int:
+    """The position of Ker f in f.dom.lattice.keys: f.i at cod's bottom."""
     cl = f.cod.lattice
-    return Subobject(f.dom, f.dom.lattice.keys[f.i[cl.index[cl.bottom]]])
+    return f.i[cl.index[cl.bottom]]
+
+
+def image_position(f: Morphism) -> int:
+    """The position of Im f in f.cod.lattice.keys: f.d at dom's top."""
+    dl = f.dom.lattice
+    return f.d[dl.index[dl.top]]
+
+
+def kernel(f: Morphism) -> Subobject:
+    return Subobject(f.dom, f.dom.lattice.keys[kernel_position(f)])
 
 
 def image(f: Morphism) -> Subobject:
-    dl = f.dom.lattice
-    return Subobject(f.cod, f.cod.lattice.keys[f.d[dl.index[dl.top]]])
+    return Subobject(f.cod, f.cod.lattice.keys[image_position(f)])
 
 
 def join(S: Subobject, T: Subobject) -> Subobject:
@@ -402,12 +412,20 @@ def leq(S: Subobject, T: Subobject) -> bool:
     return S.owner.lattice.leq(S.key, T.key)
 
 
+# The image predicates compare positions within one lattice, where equal
+# positions are equal keys, so they build no Subobject.
+
+
 def is_injective(f: Morphism) -> bool:
-    return kernel(f).key == f.dom.lattice.bottom
+    """Ker f is the bottom of f.dom."""
+    dl = f.dom.lattice
+    return kernel_position(f) == dl.index[dl.bottom]
 
 
 def is_surjective(f: Morphism) -> bool:
-    return image(f).key == f.cod.lattice.top
+    """Im f is the top of f.cod."""
+    cl = f.cod.lattice
+    return image_position(f) == cl.index[cl.top]
 
 
 def is_isomorphism(f: Morphism) -> bool:
@@ -415,7 +433,9 @@ def is_isomorphism(f: Morphism) -> bool:
 
 
 def is_zero_morphism(f: Morphism) -> bool:
-    return image(f).key == f.cod.lattice.bottom
+    """Im f is the bottom of f.cod."""
+    cl = f.cod.lattice
+    return image_position(f) == cl.index[cl.bottom]
 
 
 class RMLResult(Frozen):
@@ -542,7 +562,8 @@ class Form:
             emap = [0] * n.cod.algebra.n
             for g, v in enumerate(n.element_map):
                 emap[v] = p.element_map[g]
-        return Morphism(n.cod, p.cod, d, i, name=f"med_{p.name or 'p'}", element_map=emap)
+        return self._declared(Morphism(n.cod, p.cod, d, i, name=f"med_{p.name or 'p'}",
+                                       element_map=emap))
 
     def mediating_embedding(self, i: Morphism, m: Morphism) -> Morphism:
         """The u with m . u = i: the morphism induced by the zigzag i, m^-1,
@@ -554,7 +575,13 @@ class Form:
         if i.element_map is not None and m.element_map is not None:
             lookup = {v: x for x, v in enumerate(m.element_map)}
             emap = [lookup[v] for v in i.element_map]
-        return Morphism(i.dom, m.dom, d, inv, name=f"med_{i.name or 'i'}", element_map=emap)
+        return self._declared(Morphism(i.dom, m.dom, d, inv, name=f"med_{i.name or 'i'}",
+                                       element_map=emap))
+
+    def _declared(self, m: Morphism) -> Morphism:
+        """The morphism of this form equal to the induced m: m itself,
+        except in a data form, which looks it up among its declared ones."""
+        return m
 
     def dual(self) -> "Form":
         return DualForm(self)
@@ -604,12 +631,6 @@ class DataForm(Form):
             f"no projection associated to {S!r} is declared", subobject=S
         )
 
-    def mediating_projection(self, p, n):
-        return self._declared(super().mediating_projection(p, n))
-
-    def mediating_embedding(self, i, m):
-        return self._declared(super().mediating_embedding(i, m))
-
     def _declared(self, m):
         got = declared_member(self, m)
         if got is None:
@@ -621,11 +642,15 @@ class DualForm(Form):
     """Stateless dual view: its objects and morphisms are the memoized duals
     of the primal's (FormObject.dual, Morphism.dual()), so each lattice is
     order-reversed and each morphism reversed with its image maps swapped.
-    Every method is the primal's with normal/conormal, subobjects/quotients
-    and the two mediators exchanged, read through the duals both ways; the
+    Every method is the primal's with normal/conormal and
+    subobjects/quotients exchanged, read through the duals both ways; the
     view keeps nothing it did not declare.  subobject_object and
     quotient_object pass perm on to the primal's quotient_object and
-    subobject_object, so a dual pyramid relabels when its primal does."""
+    subobject_object, so a dual pyramid relabels when its primal does.
+    The mediators are Form's induction on the dual tables, which are the
+    primal's swapped, so no primal element map is built for .dual() to
+    drop; only _declared reads the primal's through the duals (in a data
+    form, the declared member)."""
 
     def __init__(self, primal: Form):
         self.primal = primal
@@ -653,11 +678,8 @@ class DualForm(Form):
         m = self.primal.subobject_object(S.dual, perm)[1].dual()
         return m.cod, m
 
-    def mediating_projection(self, p, n):
-        return self.primal.mediating_embedding(p.dual(), n.dual()).dual()
-
-    def mediating_embedding(self, i, m):
-        return self.primal.mediating_projection(i.dual(), m.dual()).dual()
+    def _declared(self, m):
+        return self.primal._declared(m.dual()).dual()
 
 
 def dualize(form: Form) -> Form:

@@ -19,11 +19,13 @@ from .core import (
     Morphism,
     compose,
     image,
+    image_position,
     is_injective,
     is_isomorphism,
     is_surjective,
     is_zero_morphism,
     kernel,
+    kernel_position,
 )
 from .errors import ShapeError, ValidationError
 
@@ -31,10 +33,11 @@ PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 
 
 def is_exact_at(f: Morphism, g: Morphism) -> bool:
-    """Exactness at the shared node: Im f = Ker g."""
+    """Exactness at the shared node: Im f = Ker g, compared as keys read
+    off the image tables (Subobject equality once the node is shared)."""
     if f.cod.id != g.dom.id:
         raise ValidationError(f"{f!r} and {g!r} do not share a node")
-    return image(f) == kernel(g)
+    return f.cod.lattice.keys[image_position(f)] == g.dom.lattice.keys[kernel_position(g)]
 
 
 def is_short_exact(f: Morphism, g: Morphism) -> bool:

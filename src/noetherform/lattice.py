@@ -83,6 +83,7 @@ class MaskLattice:
         if any(m & ~ms[-1] for m in ms):
             raise LatticeError("no top element among the given masks")
         self.bottom, self.top = self.keys[0], self.keys[-1]
+        self._joins: dict[int, Key] = {}  # union mask -> key of its closure (join)
 
     @cached_property
     def image_tables(self) -> WeakKeyDictionary:  # element_morphism's: codomain lattice, table
@@ -190,7 +191,14 @@ class MaskLattice:
         return self.mask(a) & ~self.mask(b) == 0
 
     def join(self, a: Key, b: Key) -> Key:
-        return self.key_of_mask(self._close(self.mask(a) | self.mask(b)))
+        """The key of the closure of the union, closed once per distinct
+        union on this lattice; a union whose closure is no key raises each
+        time and is not remembered."""
+        union = self.mask(a) | self.mask(b)
+        got = self._joins.get(union)
+        if got is None:
+            got = self._joins[union] = self.key_of_mask(self._close(union))
+        return got
 
     def meet(self, a: Key, b: Key) -> Key:
         return self.key_of_mask(self.mask(a) & self.mask(b))

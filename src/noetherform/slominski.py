@@ -80,6 +80,7 @@ class SlominskiAlgebra(Frozen):
         object.__setattr__(self, "zero", zero)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", len(p))  # the carrier's size, read in every inner loop
         # hashed once, for memo keys and the caches keyed on algebras; _memo
         # holds the answers that are functions of this algebra (see memoized)
         object.__setattr__(self, "_hash", hash((name, zero, p, d)))
@@ -100,10 +101,6 @@ class SlominskiAlgebra(Frozen):
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
-
-    @property
-    def n(self) -> int:
-        return len(self.p)
 
     def validate(self) -> None:
         n = self.n

@@ -157,12 +157,14 @@ def test_report_rendering_shape():
 AXIOM_REPORT_DIGEST = "023f066873c6e7ee976afd37b662edd4d2cc3d92aa564d27613de643c53bda39"
 
 
-def _swap_dimg(m):
-    """m with the direct images of bottom and top exchanged."""
+def _swap_dimg(m, name=None):
+    """m with the direct images of bottom and top exchanged, named name, or
+    as m when name is None."""
     dl = m.dom.lattice
     dimg = dict(m.dimg)
     dimg[dl.bottom], dimg[dl.top] = dimg[dl.top], dimg[dl.bottom]
-    return Morphism.from_maps(m.dom, m.cod, dimg, m.iimg, name=m.name,
+    return Morphism.from_maps(m.dom, m.cod, dimg, m.iimg,
+                              name=m.name if name is None else name,
                               element_map=m.element_map)
 
 
@@ -302,6 +304,92 @@ def test_ax4_names_the_first_morphism_its_factorization_misses():
     assert (check.passed, check.witness) == (False, f"factorize({f.name}): composite differs")
 
 
+# Each AX4 witness, from a factorize twisted on the morphisms whose image
+# has at least `least` elements; the others keep the form's factorization
+# and pass, so the first failure is not the first declared morphism.  The
+# expected morphism is found from element tables, not from the predicates
+# that AX4 calls.
+
+
+def _ax4_line(form, least, twist):
+    """AX4's (passed, witness) on form with factorize replaced by twist on
+    each morphism whose table takes least values or more."""
+    factorize = form.factorize
+    form.factorize = lambda f: twist(f) if len(set(f.element_map)) >= least else factorize(f)
+    (check,) = [c for c in axiom_suite(form).checks if c.name == "AX4"]
+    return check.passed, check.witness
+
+
+def _first_twisted_non_bijection(form, least):
+    """The first declared endomorphism whose table takes least values or
+    more, but not every value."""
+    (alg,) = [o.algebra for o in form.objects.values()]
+    return next(m for m in form.morphisms if least <= len(set(m.element_map)) < alg.n)
+
+
+def test_ax4_names_the_first_morphism_whose_middle_map_is_no_isomorphism():
+    # f = id . f . id composes to f, but f is the middle map
+    from noetherform.core import Factorization
+
+    alg = from_group(*product_data(cyclic_data(4), cyclic_data(2)), name="Z4xZ2")
+    form = named_end_form(alg)
+    f = _first_twisted_non_bijection(form, 4)
+    got = _ax4_line(form, 4, lambda g: Factorization(form.identity(g.dom), g,
+                                                     form.identity(g.cod)))
+    assert got == (False, f"factorize({f.name}): middle map is not an isomorphism")
+
+
+def test_ax4_names_the_first_morphism_whose_projection_part_is_wrong():
+    # f = id . id . f composes to f and has f's kernel, but the projection
+    # part f is not surjective
+    from noetherform.core import Factorization
+
+    form = named_end_form(dihedral8())
+    f = _first_twisted_non_bijection(form, 4)
+    got = _ax4_line(form, 4, lambda g: Factorization(g, form.identity(g.cod),
+                                                     form.identity(g.cod)))
+    assert got == (False, f"factorize({f.name}): projection part is wrong")
+
+
+def test_ax4_names_the_first_morphism_whose_embedding_part_is_wrong():
+    # f = f . id . e, where e has the identity's tables except that it pulls
+    # the bottom back to Ker f.  With a genuine projection and isomorphism
+    # the composite's kernel would force the embedding part to be injective,
+    # so only a table that is no morphism passes the projection test here:
+    # e has f's kernel, is surjective, and f . e has f's tables, since no
+    # inverse image of f is the bottom unless f is injective.
+    from noetherform.core import Factorization, kernel
+
+    form = named_end_form(xor_group(3))
+    f = _first_twisted_non_bijection(form, 4)
+
+    def twist(g):
+        dl = g.dom.lattice
+        i = list(range(len(dl.keys)))
+        i[dl.index[dl.bottom]] = dl.index[kernel(g).key]
+        e = Morphism(g.dom, g.dom, range(len(dl.keys)), i, name="e")
+        return Factorization(e, form.identity(g.dom), g)
+
+    assert _ax4_line(form, 4, twist) == (False, f"factorize({f.name}): embedding part is wrong")
+
+
+def test_ax4_reports_the_error_of_the_first_morphism_factorize_cannot_split():
+    # the data form over End(Q8) declares no quotient objects, so it has a
+    # projection for a bottom kernel only: the first map with two values or
+    # more that is not injective raises the search's
+    # UnsupportedSubobjectError, and the zero map keeps Q8's factorization
+    from noetherform.groups import quaternion8
+
+    alg = quaternion8()
+    form = named_end_form(alg)
+    data = DataForm(list(form.objects.values()), form.morphisms, name=alg.name)
+    f = _first_twisted_non_bijection(form, 2)
+    ker = ",".join(str(x) for x, y in enumerate(f.element_map) if y == alg.zero)
+    got = _ax4_line(form, 2, data.factorize)
+    assert got == (False, f"factorize({f.name}): no projection associated to "
+                          f"{alg.name}:{{{ker}}} is declared")
+
+
 # ---------------------------------------------------------------------------
 # F2 without samples: the witness is the first failing pair in g-major order,
 # and a twin morphism (an element table carried with two sets of image maps)
@@ -337,8 +425,7 @@ def test_f2_fails_on_a_twin_by_well_definedness():
     form = named_end_form(z4)
     mors = list(form.morphisms)
     (victim,) = [m for m in mors if m.name == "h0202"]
-    twin = _swap_dimg(victim)
-    twin.name = "twin"
+    twin = _swap_dimg(victim, name="twin")
     report = axiom_suite(DataForm(list(form.objects.values()), mors + [twin]))
     (check,) = [c for c in report.checks if c.name == "F2"]
     assert check.render() == ("FAIL F2 [h0202 and twin have one element table "

@@ -4,6 +4,8 @@ Expected values below marked as derived were computed by elementwise
 enumeration over the Cayley tables before being frozen here.
 """
 
+import functools
+
 import pytest
 
 from noetherform import (
@@ -453,3 +455,50 @@ def test_gather_reads_a_table_at_no_one_or_several_positions():
         assert gather(table, (2,)) == (12,)
         assert gather(table, [3, 0, 0]) == (13, 10, 10)
         assert gather(table, (1, 2, 3, 0)) == (11, 12, 13, 10)
+
+
+# ---------------------------------------------------------------------------
+# the image predicates read positions off the image tables; on every
+# morphism of each form they must agree with their definitions by subobjects
+
+
+@functools.lru_cache(maxsize=None)
+def _predicate_form(name):
+    """End(E8), End(D8) or tiny_form.nf's data form, by name."""
+    from importlib import resources
+
+    from noetherform.groups import xor_group
+    from noetherform.parser import parse
+    from noetherform.slominski import as_form
+
+    if name == "tinyform":
+        path = resources.files("noetherform") / "fixtures" / "tiny_form.nf"
+        return parse(path.read_text(encoding="utf-8")).data_form(name)
+    alg = {"E8": xor_group(3), "D8": dihedral8()}[name]
+    return as_form([alg], enumerate_homs(alg, alg), name=name)
+
+
+@pytest.mark.parametrize("name", ["E8", "D8", "tinyform"])
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_position_predicates_agree_with_their_subobject_definitions(name, side):
+    from noetherform.diagram import is_exact_at
+
+    form = _predicate_form(name)
+    mors = (form if side == "primal" else dualize(form)).morphisms
+    for f in mors:
+        ker, im = kernel(f), image(f)
+        assert ker == inverse_image(f, f.cod.bottom)
+        assert im == direct_image(f, f.dom.top)
+        assert is_injective(f) == (ker == f.dom.bottom), f
+        assert is_surjective(f) == (im == f.cod.top), f
+        assert is_zero_morphism(f) == (im == f.cod.bottom), f
+        assert is_isomorphism(f) == (ker == f.dom.bottom and im == f.cod.top), f
+    # exactness reads Im f and Ker g only: every f against one g of each
+    # kernel, and one f of each image against every g
+    by_kernel = {kernel(g): g for g in mors}
+    by_image = {image(f): f for f in mors}
+    pairs = [(f, g) for f in mors for g in by_kernel.values()]
+    pairs += [(f, g) for f in by_image.values() for g in mors]
+    for f, g in pairs:
+        if f.cod.id == g.dom.id:
+            assert is_exact_at(f, g) == (image(f) == kernel(g)), (f, g)

@@ -164,3 +164,64 @@ def test_lattices_hold_their_order_as_bitsets(z4_lattice):
         sum(1 << q for q, n in enumerate(masks) if m & n == m) for m in masks)
     d = DualLattice(z4_lattice)
     assert d.up is z4_lattice.down and d.down is z4_lattice.up
+
+
+# ---------------------------------------------------------------------------
+# MaskLattice.join closes each distinct union once per lattice
+
+
+def _join_groups():
+    from noetherform.groups import dihedral8, quaternion8, xor_group
+
+    return [xor_group(3), dihedral8(), quaternion8()]
+
+
+def _counted_lattice(alg, close):
+    """A fresh lattice of alg's subalgebras whose closure counts its calls."""
+    from noetherform.slominski import subalgebra_masks
+
+    calls = []
+
+    def counted(mask):
+        calls.append(mask)
+        return close(mask)
+
+    return MaskLattice(alg.n, subalgebra_masks(alg), counted), calls
+
+
+@pytest.mark.parametrize("alg", _join_groups(), ids=lambda a: a.name)
+def test_join_closes_each_union_once_and_agrees_with_a_fresh_closure(alg):
+    from noetherform.slominski import close_mask
+
+    lat, calls = _counted_lattice(alg, lambda m: close_mask(alg, m))
+    unions = set()
+    for a in lat.keys:
+        for b in lat.keys:
+            union = lat.mask(a) | lat.mask(b)
+            unions.add(union)
+            want = lat.key_of_mask(close_mask(alg, union))
+            got = lat.join(a, b)
+            assert got == want and lat.join(a, b) is got, (a, b)
+    assert sorted(calls) == sorted(unions)
+    # a second lattice over the same masks keeps its own memo
+    other, other_calls = _counted_lattice(alg, lambda m: close_mask(alg, m))
+    top = other.keys[-1]
+    assert other.join(top, top) == top and other_calls == [other.mask(top)]
+
+
+@pytest.mark.parametrize("alg", _join_groups(), ids=lambda a: a.name)
+def test_join_remembers_no_error(alg):
+    from noetherform.slominski import close_mask
+
+    lat, calls = _counted_lattice(alg, lambda m: close_mask(alg, m))
+    a = lat.keys[1]
+    for _ in range(2):
+        with pytest.raises(LatticeError):
+            lat.join(a, ("no", "such", "key"))
+    assert calls == []
+    # a closure that is no subobject raises on every call, and is retried
+    broken, broken_calls = _counted_lattice(alg, lambda m: m | 1 << alg.n)
+    for _ in range(2):
+        with pytest.raises(LatticeError):
+            broken.join(a, a)
+    assert broken_calls == [broken.mask(a)] * 2
