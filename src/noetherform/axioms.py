@@ -21,10 +21,15 @@ compared, the rest following from them), and how many instances it compared.
   a composite are projections of its combined key and of the composite's.
   When it finds a gap, A walks the image keys itself, so A's verdict and
   witness never depend on F2's.
-- Every other check is exhaustive.  The order checks (P1-P3, BL, G) read
-  the up-set and down-set bitsets that every lattice holds (lattice.py);
-  AX2 compares each morphism's gathered image tables with rows of joins and
-  meets by position, built once per lattice within the check.  A missing
+- Every other check is exhaustive.  P1-P3 and BL read the up-set and
+  down-set bitsets that every lattice holds (lattice.py).  G compares two
+  relations per morphism, one byte per (A, C) pair, each built from the
+  down-sets by C-level calls (bytes.join, bytes.translate); a morphism
+  whose relations differ, or whose codomain has more than 256 subobjects,
+  is scanned row by row on the bitsets, which names the first failing
+  (A, C) in A-major order.  AX2 compares each morphism's gathered image
+  tables with rows of joins and meets by position, built once per lattice
+  within the check.  A missing
   join or meet is a failure of BL, AX2 or AX5 with the lattice's message as
   its witness, never an exception.  A mask lattice closes each distinct
   union once (MaskLattice.join), so BL, AX2's join rows and AX5 share one
@@ -219,26 +224,46 @@ def _bl_failures(objs):
 
 def _galois_failures(mors):
     # d is left adjoint to i when A <= i(C) iff d(A) <= C for every A and C.
-    # Row by row: the C with A <= i(C), gathered from the preimages of i
-    # under the up-set of A, must be the up-set of d(A); the lowest bit where
-    # they differ is the first failing C.
-    above = {}  # lattice -> the positions in each up-set
+    # Each side is one relation, a byte per (A, C) pair, C-major: column C of
+    # A <= i(C) is the down-set cells of i(C), and column C of d(A) <= C is
+    # d translated by the table y -> [y <= C].  Equal relations compared
+    # every pair.  Otherwise, or when the codomain has more than 256
+    # subobjects, the morphism is scanned row by row to name the first
+    # failing pair, A-major: the C with A <= i(C), gathered from the
+    # preimages of i under the up-set of A, must be the up-set of d(A); the
+    # lowest bit where they differ is the first failing C.
+    cells, below, above = {}, {}, {}  # lattice -> down-set cells, <= tables, up-sets
     for m in mors:
-        dl, d, i, cup = m.dom.lattice, m.d, m.i, m.cod.lattice.up
+        dl, cl, d, i = m.dom.lattice, m.cod.lattice, m.d, m.i
+        if len(cl.keys) <= 256:
+            if dl not in cells:
+                cells[dl] = [_cells(b, len(dl.keys)) for b in dl.down]
+            if cl not in below:
+                below[cl] = [_cells(b, len(cl.keys)).ljust(256, b"\0") for b in cl.down]
+            if (b"".join(map(cells[dl].__getitem__, i))
+                    == b"".join(map(bytes(d).translate, below[cl]))):
+                yield len(d) * len(i)
+                continue
         if dl not in above:
             above[dl] = [elements_of(u) for u in dl.up]
         preimage = [0] * len(dl.keys)  # disjoint bitsets, so sums are unions
         for q, x in enumerate(i):
             preimage[x] |= 1 << q
+        cup = cl.up
         for p, y in enumerate(d):
             wrong = sum(map(preimage.__getitem__, above[dl][p])) ^ cup[y]
             if wrong:
                 q = _lowest(wrong)
                 yield p * len(i) + q
                 yield (f"{m.name or repr(m)}: adjunction fails at "
-                       f"A={dl.keys[p]!r}, C={m.cod.lattice.keys[q]!r}")
+                       f"A={dl.keys[p]!r}, C={cl.keys[q]!r}")
                 return
         yield len(d) * len(i)
+
+
+def _cells(bits: int, n: int) -> bytes:
+    """One byte per position p < n: 1 when bit p of bits is set, else 0."""
+    return bytes(bits >> p & 1 for p in range(n))
 
 
 def _identity_failures(form, objs, mors):

@@ -26,6 +26,12 @@ join columns of the cyclic keys, built once per lattice:
 - the image column of a hom f into another mask lattice, the position of
   f(a) for every a, is f(s) v <f(x)> in the codomain (image_column;
   element_morphism reads it).
+element_morphism also keeps three memos on a mask lattice, each built on
+first use: image_tables (its answers, by codomain lattice and table),
+member_tables (for each key, the 256-byte table y -> [y in key], which
+translates a hom table into an inverse image's membership bytes) and
+_cell_positions (each key's membership bytes, to its position;
+positions_of_cells reads it).
 """
 
 from __future__ import annotations
@@ -55,6 +61,10 @@ def elements_of(mask: int) -> tuple[int, ...]:
         out.append(b.bit_length() - 1)
         x ^= b
     return tuple(out)
+
+
+def _no_subobject(mask: int) -> LatticeError:
+    return LatticeError(f"mask {bin(mask)} is not a subobject")
 
 
 def _converse(rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -88,6 +98,25 @@ class MaskLattice:
     @cached_property
     def image_tables(self) -> WeakKeyDictionary:  # element_morphism's: codomain lattice, table
         return WeakKeyDictionary()
+
+    @cached_property
+    def _cell_positions(self) -> dict[bytes, int]:
+        """The membership bytes of each key (byte x is 1 when the key holds
+        x, else 0), to its position; in key order."""
+        out = {}
+        for p, key in enumerate(self.keys):
+            cells = bytearray(self.n)
+            for x in key:
+                cells[x] = 1
+            out[bytes(cells)] = p
+        return out
+
+    @cached_property
+    def member_tables(self) -> tuple[bytes, ...]:
+        """For each position p, the 256-byte translation table y -> [y in
+        keys[p]], for an n of at most 256; element_morphism translates a
+        hom table by it to read an inverse image's membership bytes."""
+        return tuple(cells.ljust(256, b"\0") for cells in self._cell_positions)
 
     @cached_property
     def _holds(self) -> list[int]:
@@ -182,7 +211,16 @@ class MaskLattice:
         try:
             return self._position[mask]
         except KeyError:
-            raise LatticeError(f"mask {bin(mask)} is not a subobject") from None
+            raise _no_subobject(mask) from None
+
+    def positions_of_cells(self, cells: Iterable[bytes]) -> tuple[int, ...]:
+        """The position of each key given by its membership bytes (see
+        _cell_positions); the first that is no key raises as
+        position_of_mask does."""
+        try:
+            return tuple(map(self._cell_positions.__getitem__, cells))
+        except KeyError as exc:
+            raise _no_subobject(mask_of(x for x, c in enumerate(exc.args[0]) if c)) from None
 
     def key_of_mask(self, mask: int) -> Key:
         return self.keys[self.position_of_mask(mask)]

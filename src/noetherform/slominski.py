@@ -41,11 +41,16 @@ Costs the module avoids:
 - The image tables of element_morphism take no closure and no element
   set: direct images go along the domain lattice's spine, f(s v <x>) =
   f(s) v <f(x)>, one lookup in a join column of the codomain per position
-  (MaskLattice.image_column), and the inverse image of a key is the union
-  of its elements' fibres, looked up as a mask.  They are memoized on the
-  domain's lattice, so a map built again (the corpus generators draw from a
-  small palette of groups) costs one lookup.  An algebra hashes its tables
-  once, when built.
+  (MaskLattice.image_column), and the inverse image of a key C is the
+  table translated by C's membership table (y -> [y in C]), looked up by
+  its membership bytes (MaskLattice.member_tables, positions_of_cells);
+  a codomain of more than 256 elements unions the fibres of C's elements
+  as masks instead.  They are memoized on the domain's lattice, so a map
+  built again (the corpus generators draw from a small palette of groups)
+  costs one lookup.  An algebra hashes its tables once, when built.
+- check_hom compares both sides of f(d(x, y)) = d(f(x), f(y)) whole, as
+  bytes (_byte_tables, memoized on the algebra), and scans pairs only
+  when they differ, to name the first.
 - A memo lives on the value it is a function of, exactly as long as that
   value; only enumerate_homs and subalgebra_lattice are cached per process.
 - Only an algebra's own lattice is enumerated.  The lattice of a quotient
@@ -126,15 +131,36 @@ def check_hom(dom: SlominskiAlgebra, cod: SlominskiAlgebra, table: Sequence[int]
     """Raise ValidationError unless table is a hom dom -> cod: it maps dom's
     carrier into cod's and preserves 0 and d, which is enough: on a finite
     carrier d(-, y) has the inverse p(-, y), so f(x) = d(f(p(x, y)), f(y)),
-    and p(-, f(y)) gives f(p(x, y)) = p(f(x), f(y))."""
+    and p(-, f(y)) gives f(p(x, y)) = p(f(x), f(y)).
+
+    Both sides of f(d(x, y)) = d(f(x), f(y)) are compared whole, one byte
+    per (x, y), when both carriers have at most 256 elements: the left is
+    dom's d, x-major, translated by f, and row x of the right is f
+    translated by row f(x) of cod's d (_byte_tables).  Tables that differ,
+    and larger carriers, are scanned pair by pair, which names the first
+    (x, y) that fails."""
     _check_carriers(table, dom, cod, name)
     if table[dom.zero] != cod.zero:
         raise ValidationError(f"hom {name or '?'}: does not preserve 0")
+    if dom.n <= 256 and cod.n <= 256:
+        f = bytes(table)
+        rows = _byte_tables(cod)[1]
+        if _byte_tables(dom)[0].translate(f.ljust(256, b"\0")) == b"".join(
+                map(f.translate, map(rows.__getitem__, table))):
+            return
     for x in range(dom.n):
         Adx, Bdx = dom.d[x], cod.d[table[x]]
         for y in range(dom.n):
             if table[Adx[y]] != Bdx[table[y]]:
                 raise ValidationError(f"hom {name or '?'}: not compatible at ({x},{y})")
+
+
+def _byte_tables(alg: SlominskiAlgebra) -> tuple[bytes, tuple[bytes, ...]]:
+    """alg's d as bytes, x-major, and each row d(x, -) as a 256-byte
+    translation table, built once per algebra of at most 256 elements."""
+    return alg.memoized("byte tables", lambda: (
+        bytes(itertools.chain.from_iterable(alg.d)),
+        tuple(bytes(row).ljust(256, b"\0") for row in alg.d)))
 
 
 def _check_carriers(table: Sequence[int], dom: SlominskiAlgebra, cod: SlominskiAlgebra,
@@ -772,25 +798,33 @@ def element_morphism(dom: FormObject, cod: FormObject, table: Sequence[int], nam
     lattice (held weakly: a process-wide domain keeps no codomain alive) and
     the table.
 
-    Both tables are read off the lattices' bitsets, with no closure.  The
-    direct images go along dom's spine, f(s v <x>) = f(s) v <f(x)>
-    (MaskLattice.image_column).  The inverse image of a key of cod is the
-    union of the fibres of its elements, fib[y] = {x : f(x) = y}, looked up
-    as a mask of dom.  Callers must pass hom tables, checked by check_hom
-    or drawn from hom_tables: for a table that is no hom, d is not checked
-    (on Z5, (0, 2, 1, 3, 4) gives a morphism), and i raises LatticeError
-    when an inverse image is no subalgebra.  A table that does not map dom's
-    carrier into cod's raises ValidationError."""
+    Both tables are read off the lattices, with no closure.  The direct
+    images go along dom's spine, f(s v <x>) = f(s) v <f(x)>
+    (MaskLattice.image_column).  The inverse image of a key C of cod is
+    {x : f(x) in C}: the table translated by C's membership table, one byte
+    per element of dom (cod's member_tables), looked up by those bytes in
+    dom (positions_of_cells).  A cod of more than 256 elements, whose
+    elements do not fit in a byte, unions the fibres of C's elements,
+    fib[y] = {x : f(x) = y}, as a mask of dom instead.  Either way i is
+    read off the table element by element, never derived from d.  Callers
+    must pass hom tables, checked by check_hom or drawn from hom_tables: for
+    a table that is no hom, d is not checked (on Z5, (0, 2, 1, 3, 4) gives a
+    morphism), and i raises LatticeError when an inverse image is no
+    subalgebra.  A table that does not map dom's carrier into cod's raises
+    ValidationError."""
     table = tuple(table)
     dl, cl = dom.lattice, cod.lattice
     got = dl.image_tables.get(cl, {}).get(table)
     if got is None:
         _check_carriers(table, dom.algebra, cod.algebra, name)
-        fib = [0] * cod.algebra.n
-        for x, y in enumerate(table):
-            fib[y] |= 1 << x
-        fibre = fib.__getitem__
-        i = tuple(map(dl.position_of_mask, [sum(map(fibre, key)) for key in cl.keys]))
+        if cod.algebra.n <= 256:
+            i = dl.positions_of_cells(map(bytes(table).translate, cl.member_tables))
+        else:
+            fib = [0] * cod.algebra.n
+            for x, y in enumerate(table):
+                fib[y] |= 1 << x
+            fibre = fib.__getitem__
+            i = tuple(map(dl.position_of_mask, [sum(map(fibre, key)) for key in cl.keys]))
         got = dl.image_tables.setdefault(cl, {})[table] = (tuple(dl.image_column(table, cl)), i)
     return Morphism(dom, cod, *got, name=name, element_map=table)
 

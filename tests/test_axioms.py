@@ -1,6 +1,8 @@
 """Axiom harness: green runs on healthy forms, localized failures on
 corrupted ones."""
 
+import itertools
+
 import pytest
 
 from noetherform import DataForm, FormObject, Morphism, axiom_suite, dualize
@@ -521,3 +523,124 @@ def test_check_axioms_cli_fails_on_a_non_lattice(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "FAIL BL [X: join of 'a' and 'b' does not exist]" in out
     assert out[-1] == "FAIL axioms(X)"
+
+
+# ---------------------------------------------------------------------------
+# G against a key-level oracle: A <= i(C) iff d(A) <= C, read with lat.leq
+# on keys, A-major, on morphisms twisted at random.  The verdict, the
+# witness and the number of pairs compared must be _galois_failures'.
+
+
+def _galois_by_keys(mors):
+    """G's first witness and the pairs compared up to it, from keys and
+    lat.leq alone."""
+    cases = 0
+    for m in mors:
+        dl, cl = m.dom.lattice, m.cod.lattice
+        for A, y in zip(dl.keys, m.d):
+            for C, x in zip(cl.keys, m.i):
+                cases += 1
+                if dl.leq(A, dl.keys[x]) != cl.leq(cl.keys[y], C):
+                    return f"{m.name or repr(m)}: adjunction fails at A={A!r}, C={C!r}", cases
+    return None, cases
+
+
+def _galois_verdict(mors):
+    from noetherform.axioms import _first_fail, _galois_failures
+
+    return _first_fail(_galois_failures(mors))
+
+
+def _twisted(m, mors, rng):
+    """m with one entry of d or i moved, two entries swapped, or i taken
+    from another morphism with m's ends."""
+    d, i = list(m.d), list(m.i)
+    kind = rng.randrange(3)
+    if kind == 2:
+        i = list(rng.choice([f for f in mors if (f.dom, f.cod) == (m.dom, m.cod)]).i)
+    else:
+        t = rng.choice([d, i])
+        p, q = rng.randrange(len(t)), rng.randrange(len(t))
+        if kind == 0:
+            t[p] = rng.randrange(len((m.cod if t is d else m.dom).lattice.keys))
+        else:
+            t[p], t[q] = t[q], t[p]
+    return Morphism(m.dom, m.cod, d, i, name="twisted")
+
+
+def _x_data_form():
+    lat = TableLattice(NON_LATTICE_KEYS, [(s, t) for s in "ab" for t in "cd"])
+    X = FormObject("X", lat)
+    maps = [("id", lambda k: k, lambda k: k),
+            ("zero", lambda k: "bot", lambda k: "top"),
+            ("onto_a", lambda k: "bot" if k == "bot" else "a",
+             lambda k: "top" if k in ("a", "c", "d", "top") else "bot"),
+            ("bot_or_top", lambda k: "bot" if k == "bot" else "top",
+             lambda k: "top" if k == "top" else "bot")]
+    return DataForm([X], [Morphism.from_maps(X, X, {k: d(k) for k in lat.keys},
+                                             {k: i(k) for k in lat.keys}, name=name)
+                          for name, d, i in maps], name="X")
+
+
+@pytest.mark.parametrize("name", ["E8", "D8", "X"])
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_galois_agrees_with_a_key_level_oracle_on_twisted_morphisms(name, side):
+    import random
+
+    form = _x_data_form() if name == "X" else endo_form(
+        {"E8": xor_group(3), "D8": dihedral8()}[name])
+    mors = list((form if side == "primal" else dualize(form)).morphisms)
+    rng = random.Random(f"G {name} {side}")
+    failed = 0
+    for _ in range(150):
+        picked = rng.sample(mors, min(6, len(mors)))
+        at = rng.randrange(len(picked))
+        picked[at] = _twisted(picked[at], mors, rng)
+        want = _galois_by_keys(picked)
+        assert _galois_verdict(picked) == want, (name, side, picked[at].d, picked[at].i)
+        failed += want[0] is not None
+    assert 0 < failed < 150, failed  # both verdicts are exercised
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_galois_agrees_with_the_oracle_on_every_map_of_the_tiny_form(side):
+    # every pair of tables on tiny_form.nf's two keys, after its identity
+    form = _tiny_data_form()
+    (T,) = form.objects.values()
+    (ident,) = form.morphisms
+    got = set()
+    for d in itertools.product(range(2), repeat=2):
+        for i in itertools.product(range(2), repeat=2):
+            m = Morphism(T, T, d, i, name="m")
+            mors = [ident, m] if side == "primal" else [ident.dual(), m.dual()]
+            verdict = _galois_verdict(mors)
+            assert verdict == _galois_by_keys(mors), (d, i)
+            got.add(verdict[0] is None)
+    assert got == {True, False}
+
+
+def _chain(n):
+    keys = [f"k{j}" for j in range(n)]
+    return FormObject(f"C{n}", TableLattice(keys, zip(keys, keys[1:])))
+
+
+def test_galois_on_a_codomain_of_more_than_256_subobjects():
+    # a 257-key chain is too long for one byte per subobject, so these
+    # morphisms into it are scanned row by row; collapse has a small
+    # codomain and a long domain.  BL on such a chain is slow, so G is
+    # called alone.
+    X, P = _chain(257), _chain(2)
+    shift = Morphism(X, X, [max(a - 1, 0) for a in range(257)],
+                     [min(c + 1, 256) for c in range(257)], name="shift")
+    collapse = Morphism(X, P, [0] + [1] * 256, [0, 256], name="collapse")
+    ident = Morphism(X, X, range(257), range(257), name="id")
+    assert _galois_verdict([ident, shift, collapse]) == (None, 2 * 257 * 257 + 2 * 257)
+    i = list(shift.i)
+    i[100] = 100
+    twisted = Morphism(X, X, shift.d, i, name="twisted")
+    bad = Morphism(X, P, [0] * 200 + [1] * 57, [0, 256], name="bad")
+    for mors in ([collapse, twisted], [bad, shift], [ident, twisted, bad]):
+        assert _galois_verdict(mors) == _galois_by_keys(mors)
+    assert _galois_verdict([collapse, twisted]) == (
+        "twisted: adjunction fails at A='k101', C='k100'", 2 * 257 + 101 * 257 + 101)
+    assert _galois_verdict([bad]) == ("bad: adjunction fails at A='k1', C='k0'", 3)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import noetherform.lattice as lattice
 import noetherform.slominski as slominski
-from noetherform.core import Subobject, dualize, element_key
+from noetherform.core import FormObject, Subobject, dualize, element_key
 from noetherform.errors import (ClosureError, LatticeError, UnsupportedSubobjectError,
                                 ValidationError)
 from noetherform.gen import InstanceLab, extend_homs
@@ -296,8 +296,9 @@ def test_element_morphism_shares_image_tables_but_not_names():
     # not a hom: {0, 3}, the inverse image of {0}, is no subgroup of Z4;
     # the error is raised again, not remembered as an answer
     for _ in range(2):
-        with pytest.raises(LatticeError):
+        with pytest.raises(LatticeError) as err:
             element_morphism(z4, z2, (0, 1, 1, 0), "bad")
+        assert str(err.value) == "mask 0b1001 is not a subobject"
 
 
 def test_element_morphism_rejects_a_table_off_the_carriers():
@@ -344,6 +345,66 @@ def test_image_tables_against_element_sets():
                 assert (m.d, m.i) == image_tables_by_elements(A, B, f), (A.id, B.id, f)
                 checked += 1
     assert (len(groups), len(derived), checked) == (14, 8, 6075)
+
+
+def _inverse_images_by_fibres(A, B, f):
+    """Morphism.i of the table f as unions of fibres: the position of the
+    set of elements of A that f sends to some element of each key of B."""
+    fibres = [[] for _ in range(B.algebra.n)]
+    for x, y in enumerate(f):
+        fibres[y].append(x)
+    return tuple(A.lattice.index[tuple(sorted(itertools.chain.from_iterable(
+        map(fibres.__getitem__, key))))] for key in B.lattice.keys)
+
+
+def test_inverse_images_are_unions_of_fibres():
+    # every hom between these pairs, among them the interval lattices of
+    # the sub and quotient objects of D8 and E8
+    form = SlominskiForm()
+    d8, e8, q8 = (form.object_of(g) for g in (dihedral8(), xor_group(3), quaternion8()))
+    sub = form.subobject_object(Subobject(d8, D8_V))[0]
+    quot = form.quotient_object(Subobject(d8, D8_V))[0]
+    e4 = form.quotient_object(Subobject(e8, (0, 1)))[0]
+    pairs = [(e8, e8), (d8, d8), (q8, d8), (d8, quot), (quot, d8), (sub, d8), (d8, sub),
+             (e8, e4), (e4, e8), (sub, quot)]
+    checked = 0
+    for A, B in pairs:
+        for f in hom_tables(A.algebra, B.algebra):
+            want = _inverse_images_by_fibres(A, B, f)
+            assert element_morphism(A, B, f).i == want, (A.id, B.id, f)
+            checked += 1
+    assert checked == 512 + 36 + 28 + 4 + 6 + 28 + 16 + 64 + 64 + 4
+
+
+def _z257():
+    """Z257 built by hand: its two subgroups are the only keys of a
+    two-key MaskLattice, so nothing closes a 257-element carrier."""
+    n = 257
+    add = tuple(tuple((x + y) % n for y in range(n)) for x in range(n))
+    sub = tuple(tuple((x - y) % n for y in range(n)) for x in range(n))
+    alg = SlominskiAlgebra("Z257", 0, add, sub)
+    everything = (1 << n) - 1
+    lat = lattice.MaskLattice(n, (1, everything), lambda m: m if m == 1 else everything)
+    return FormObject("Z257", lat, algebra=alg)
+
+
+def test_inverse_images_of_a_codomain_of_more_than_256_elements():
+    # a codomain carrier of 257 elements is out of reach of one byte per
+    # element, so its inverse images are unions of fibres; into a small
+    # codomain they are read as membership bytes of a 257-element domain
+    z = _z257()
+    one, z2 = (SlominskiForm().object_of(g) for g in (trivial_group(), cyclic(2)))
+    for A, B, f, d in ((z, z, tuple(3 * x % 257 for x in range(257)), (0, 1)),
+                       (z, z, (0,) * 257, (0, 0)), (one, z, (0,), (0,)),
+                       (z, one, (0,) * 257, (0, 0))):
+        m = element_morphism(A, B, f)
+        assert (m.d, m.i) == (d, _inverse_images_by_fibres(A, B, f)), (A.id, B.id, f[:3])
+    # tables that are no homs, by either route: the inverse image of {0}
+    # is every element but 1
+    for B in (z, z2):
+        with pytest.raises(LatticeError) as err:
+            element_morphism(z, B, (0, 1) + (0,) * 255, "bad")
+        assert str(err.value) == f"mask {bin((1 << 257) - 1 - 2)} is not a subobject"
 
 
 def test_as_form_takes_no_image_by_mask_of(monkeypatch):
@@ -398,6 +459,59 @@ def test_hom_validate_rejects_non_hom():
     z4, z2 = cyclic(4), cyclic(2)
     with pytest.raises(ValidationError):
         check_hom(z4, z2, (0, 1, 1, 0), name="bad")
+
+
+def _with_d_entry(alg, x, y, value):
+    """alg with d(x, y) replaced by value, not validated."""
+    d = [list(row) for row in alg.d]
+    d[x][y] = value
+    return SlominskiAlgebra(alg.name + "'", alg.zero, alg.p, tuple(map(tuple, d)))
+
+
+def _first_incompatible(A, B, table):
+    """check_hom's message by the pairwise definition, x-major."""
+    for x in range(A.n):
+        for y in range(A.n):
+            if table[A.d[x][y]] != B.d[table[x]][table[y]]:
+                return f"hom bad: not compatible at ({x},{y})"
+    return None
+
+
+@pytest.mark.parametrize("alg, table, u, v, at", [
+    (dihedral8(), tuple(range(8)), 7, 6, "(7,6)"),
+    (dihedral8(), tuple(range(8)), 6, 7, "(6,7)"),
+    (dihedral8(), tuple(range(8)), 7, 0, "(7,0)"),
+    (xor_group(3), (0, 1, 2, 3, 0, 1, 2, 3), 3, 3, "(3,3)"),
+    (trivial_group(), (0,), 0, 0, "(0,0)"),
+], ids=["D8-late-row-late-column", "D8-late-column", "D8-late-row", "E8-folded",
+        "one-element-domain"])
+def test_hom_validate_names_the_first_incompatible_pair(alg, table, u, v, at):
+    # the codomain's d is corrupted at (u, v) only, so the rows before the
+    # first x with f(x) = u hold, and that row fails at the first y with
+    # f(y) = v; a one-element domain (into a corrupted Z2) compares one
+    # scalar a side
+    cod = cyclic(2) if alg.n == 1 else alg
+    bad = _with_d_entry(cod, u, v, (cod.d[u][v] + 1) % cod.n)
+    with pytest.raises(ValidationError) as err:
+        check_hom(alg, bad, table, name="bad")
+    assert str(err.value) == f"hom bad: not compatible at {at}" == _first_incompatible(
+        alg, bad, table)
+    check_hom(alg, cod, table)
+
+
+def test_hom_validate_on_carriers_of_more_than_256_elements():
+    # out of reach of one byte per element, so checked pair by pair
+    z = _z257().algebra
+    triple = tuple(3 * x % 257 for x in range(257))
+    check_hom(z, z, triple)
+    check_hom(trivial_group(), z, (0,))
+    check_hom(z, trivial_group(), (0,) * 257)
+    bad = _with_d_entry(z, 256, 255, 0)
+    with pytest.raises(ValidationError) as err:
+        check_hom(z, bad, triple, name="bad")
+    # 3 * 171 = 256 and 3 * 85 = 255 (mod 257)
+    assert str(err.value) == "hom bad: not compatible at (171,85)" == _first_incompatible(
+        z, bad, triple)
 
 
 def test_hom_validate_accepts_exactly_the_oracles_tables():
