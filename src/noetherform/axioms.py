@@ -34,10 +34,18 @@ compared, the rest following from them), and how many instances it compared.
   its witness, never an exception.  A mask lattice closes each distinct
   union once (MaskLattice.join), so BL, AX2's join rows and AX5 share one
   closure per union.
-- AX4 and the image predicates it calls (core.is_injective and the rest)
-  compare positions read off the image tables, never Subobjects: Ker f is
-  f.i at the codomain's bottom and Im f is f.d at the domain's top.  AX4
-  compares e's kernel and m's image with f's by owner id, then by key.
+- AX4 is decided on image tables.  For f = m . h . e, the form's
+  projection_of gives e once per kernel and its embedding_of gives m once
+  per image (per object and position), each with the verdict on its part.
+  h's tables come from Form._middle, the routine factorize builds on: four
+  gathers, x = f . e^-1 then h = m^-1 . x, each checked by the induction
+  criterion and passed to the form's _declared hook (a data form's lookup).
+  A Morphism is built only by a hook that needs one, never for h.  The
+  composite is compared with f as gathered tables, and the predicates
+  (core.is_injective and the rest) compare positions, never Subobjects:
+  Ker f is f.i at the codomain's bottom and Im f is f.d at the domain's
+  top.  e's kernel and m's image are compared with f's by owner id, then
+  by key.
 """
 
 from __future__ import annotations
@@ -55,7 +63,6 @@ from .core import (
     image,
     image_position,
     is_injective,
-    is_isomorphism,
     is_surjective,
     kernel,
     kernel_position,
@@ -457,20 +464,41 @@ def _ax3_failures(form, objs):
 
 
 def _ax4_failures(form, mors):
+    # e and m are looked up once per (object, position), with the verdict
+    # on their parts; h's tables come from form._middle.  The parts are
+    # judged after the composite and the middle map, where the image
+    # comparison is implied: with m . h . e = f on tables, h an isomorphism
+    # and e surjective, Im m = m h e(top) = Im f, and the composite's
+    # endpoints fix m's codomain, so it never fails first.  The kernel
+    # comparison is not implied there: Ker e = Ker f follows only when m is
+    # injective too, which is judged after it.
+    projections, embeddings = {}, {}  # (object, position) -> (e or m, its part holds)
     for f in mors:
+        dom, cod = f.dom, f.cod
+        k, n = kernel_position(f), image_position(f)
         try:
-            fac = form.factorize(f)
+            if (dom, k) not in projections:
+                e = form.projection_of(Subobject(dom, dom.lattice.keys[k]))
+                projections[dom, k] = e, _same_kernel(e, dom, k) and is_surjective(e)
+            e, e_holds = projections[dom, k]
+            if (cod, n) not in embeddings:
+                m = form.embedding_of(Subobject(cod, cod.lattice.keys[n]))
+                embeddings[cod, n] = m, _same_image(m, cod, n) and is_injective(m)
+            m, m_holds = embeddings[cod, n]
+            hd, hi = form._middle(f, e, m)[:2]
         except FormError as exc:
             yield f"factorize({f.name or repr(f)}): {exc}"
             return
-        e, m = fac.e, fac.m
-        if not _is_composite(f, fac):
+        q, r = e.cod.lattice, m.dom.lattice
+        if not ((dom.id, cod.id) == (e.dom.id, m.cod.id)
+                and f.d == gather(m.d, gather(hd, e.d)) and f.i == gather(e.i, gather(hi, m.i))):
             why = "composite differs"
-        elif not is_isomorphism(fac.h):
+        elif not (hi[r.index[r.bottom]] == q.index[q.bottom]
+                  and hd[q.index[q.top]] == r.index[r.top]):
             why = "middle map is not an isomorphism"
-        elif not (_same_kernel(e, f) and is_surjective(e)):
+        elif not e_holds:
             why = "projection part is wrong"
-        elif not (_same_image(m, f) and is_injective(m)):
+        elif not m_holds:
             why = "embedding part is wrong"
         else:
             yield None
@@ -479,26 +507,16 @@ def _ax4_failures(form, mors):
         return
 
 
-def _same_kernel(e, f):
-    """kernel(e) == kernel(f): one owner id, then one key, read by position."""
-    return (e.dom.id == f.dom.id
-            and e.dom.lattice.keys[kernel_position(e)] == f.dom.lattice.keys[kernel_position(f)])
+def _same_kernel(e, obj, k):
+    """kernel(e) is the subobject of obj at position k: one owner id, then
+    one key, read by position."""
+    return e.dom.id == obj.id and e.dom.lattice.keys[kernel_position(e)] == obj.lattice.keys[k]
 
 
-def _same_image(m, f):
-    """image(m) == image(f): one owner id, then one key, read by position."""
-    return (m.cod.id == f.cod.id
-            and m.cod.lattice.keys[image_position(m)] == f.cod.lattice.keys[image_position(f)])
-
-
-def _is_composite(f, fac):
-    """f == fac.composite by Morphism.__eq__ (endpoint ids and image
-    tables), with the composite's tables gathered instead of built."""
-    e, h, m = fac.e, fac.h, fac.m
-    return (e.cod.id == h.dom.id and h.cod.id == m.dom.id
-            and (f.dom.id, f.cod.id) == (e.dom.id, m.cod.id)
-            and f.d == gather(m.d, gather(h.d, e.d))
-            and f.i == gather(e.i, gather(h.i, m.i)))
+def _same_image(m, obj, n):
+    """image(m) is the subobject of obj at position n: one owner id, then
+    one key, read by position."""
+    return m.cod.id == obj.id and m.cod.lattice.keys[image_position(m)] == obj.lattice.keys[n]
 
 
 def _ax5_failures(form, objs):

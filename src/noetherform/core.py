@@ -20,10 +20,12 @@ embedding_of and projection_of are derived from the pair in Form.  The
 mediators and the factorization f = m . h . e are homomorphism induction on
 image tables, written once in Form: a mediator's tables are two gathers of
 its inputs', and it exists iff they send bottom to bottom and pull top back
-to top.  Two concrete families exist: data-defined forms (normality,
+to top.  The tables are decided before any Morphism is built: Form._middle
+gives the middle map h as tables, which the axiom suite reads without
+building it.  Two concrete families exist: data-defined forms (normality,
 embeddings and projections found by search over the declared morphism set,
-and each mediator looked up there, see DataForm) and Slominski-algebra forms
-(intrinsic constructions, see slominski.SlominskiForm).
+and each mediator looked up there, see DataForm) and Slominski-algebra
+forms (intrinsic constructions, see slominski.SlominskiForm).
 
 Duality is an involution memoized on the values: X.dual, S.dual and
 m.dual() read an object, subobject or morphism in the dual form, and
@@ -189,8 +191,12 @@ class Morphism:
         return hash((self.dom.id, self.cod.id, self.d, self.i))
 
     def __repr__(self):
-        label = self.name or "morphism"
-        return f"{label}:{self.dom.id}->{self.cod.id}"
+        return _label(self.name, self.dom, self.cod)
+
+
+def _label(name, dom, cod) -> str:
+    """The repr of a morphism named name from dom to cod, built or not."""
+    return f"{name or 'morphism'}:{dom.id}->{cod.id}"
 
 
 class Factorization(Frozen):
@@ -467,23 +473,40 @@ def restricted_modular_law_check(form, X: Subobject, Y: Subobject, Z: Subobject)
     return RMLResult(lhs == rhs, True)
 
 
-def declared_member(form, m: Morphism):
-    """The declared morphism of form extensionally equal to m, or None.
+def declared_member(form, dom: FormObject, cod: FormObject, d, i):
+    """The first declared morphism of form from dom to cod (by id) with image
+    tables d and i, or None.
 
     Induced morphisms are represented by their image maps and need not be
     members of a declared form; this is the membership lookup."""
     for candidate in form.morphisms:
-        if candidate == m:
+        if (candidate.d == d and candidate.i == i
+                and candidate.dom.id == dom.id and candidate.cod.id == cod.id):
             return candidate
     return None
 
 
-def _check_induced(dom: FormObject, cod: FormObject, d, i, f: Morphism, g: Morphism) -> None:
+def _check_induced(dom: FormObject, cod: FormObject, d, i, f, g) -> None:
     """The induction criterion on image tables dom -> cod: d sends bottom to
-    bottom and i pulls top back to top, or no morphism mediates f through g."""
+    bottom and i pulls top back to top, or no morphism mediates f through g
+    (each a Morphism, or the repr of one not built)."""
     dl, cl = dom.lattice, cod.lattice
     if d[dl.index[dl.bottom]] != cl.index[cl.bottom] or i[cl.index[cl.top]] != dl.index[dl.top]:
-        raise UnsupportedFormError(f"no morphism mediates {f!r} through {g!r}")
+        raise UnsupportedFormError(f"no morphism mediates {f} through {g}")
+
+
+def _projected_elements(p, n, size):
+    """The element map of p . n^-1 for a surjective n: x[n[g]] = p[g]."""
+    emap = [0] * size
+    for g, v in enumerate(n):
+        emap[v] = p[g]
+    return emap
+
+
+def _embedded_elements(i, m):
+    """The element map of m^-1 . i for an injective m: u[a] = m^-1[i[a]]."""
+    lookup = {v: x for x, v in enumerate(m)}
+    return [lookup[v] for v in i]
 
 
 def is_relatively_normal(form, B: Subobject, A: Subobject) -> bool:
@@ -539,49 +562,95 @@ class Form:
 
     def factorize(self, f: Morphism) -> Factorization:
         """f = m . h . e: e the projection of Ker f, m the embedding of Im f,
-        and h the mediator of the mediator of f through e, through m."""
+        and h the middle map that _middle computes on tables, built as a
+        Morphism (with its element map when f, e and m have theirs) unless
+        the form declares it."""
         e = self.projection_of(kernel(f))
         m = self.embedding_of(image(f))
-        return Factorization(e, self.mediating_embedding(self.mediating_projection(f, e), m), m)
+        return Factorization(e, self._middle_morphism(f, e, m), m)
 
     def epi_mono(self, f: Morphism, perm=None) -> tuple[Morphism, Morphism]:
         """Split f as (h . e, m) with e and h as in factorize and m the
         embedding of subobject_object(Im f, perm)."""
         e = self.projection_of(kernel(f))
         m = self.subobject_object(image(f), perm)[1]
-        return compose(self.mediating_embedding(self.mediating_projection(f, e), m), e), m
+        return compose(self._middle_morphism(f, e, m), e), m
 
     def mediating_projection(self, p: Morphism, n: Morphism) -> Morphism:
         """The x with x . n = p: the morphism induced by the zigzag n^-1, p,
         so x(B) = p(n^-1 B) and x^-1(C) = n(p^-1 C).  It exists iff Ker n <=
         Ker p and n is surjective; then x[n[g]] = p[g] on elements."""
-        d, i = gather(p.d, n.i), gather(n.d, p.i)
-        _check_induced(n.cod, p.cod, d, i, p, n)
+        d, i, name, got = self._through_projection(p, n)
+        if got is not None:
+            return got
         emap = None
         if p.element_map is not None and n.element_map is not None:
-            emap = [0] * n.cod.algebra.n
-            for g, v in enumerate(n.element_map):
-                emap[v] = p.element_map[g]
-        return self._declared(Morphism(n.cod, p.cod, d, i, name=f"med_{p.name or 'p'}",
-                                       element_map=emap))
+            emap = _projected_elements(p.element_map, n.element_map, n.cod.algebra.n)
+        return Morphism(n.cod, p.cod, d, i, name=name, element_map=emap)
 
     def mediating_embedding(self, i: Morphism, m: Morphism) -> Morphism:
         """The u with m . u = i: the morphism induced by the zigzag i, m^-1,
         so u(A) = m^-1(i A) and u^-1(B) = i^-1(m B).  It exists iff m is
         injective and Im i <= Im m; then u[a] = m^-1[i[a]] on elements."""
-        d, inv = gather(m.i, i.d), gather(i.i, m.d)
-        _check_induced(i.dom, m.dom, d, inv, i, m)
+        d, inv, name, got = self._through_embedding(i.dom, i.d, i.i, i.name, i, m)
+        if got is not None:
+            return got
         emap = None
         if i.element_map is not None and m.element_map is not None:
-            lookup = {v: x for x, v in enumerate(m.element_map)}
-            emap = [lookup[v] for v in i.element_map]
-        return self._declared(Morphism(i.dom, m.dom, d, inv, name=f"med_{i.name or 'i'}",
-                                       element_map=emap))
+            emap = _embedded_elements(i.element_map, m.element_map)
+        return Morphism(i.dom, m.dom, d, inv, name=name, element_map=emap)
 
-    def _declared(self, m: Morphism) -> Morphism:
-        """The morphism of this form equal to the induced m: m itself,
-        except in a data form, which looks it up among its declared ones."""
-        return m
+    # The mediators on image tables.  Each returns (d, i, name, declared):
+    # the induced tables, the name a built mediator takes, and the form's
+    # declared morphism with those tables, or None where the induced tables
+    # stand as they are.  Nothing here builds a Morphism.
+
+    def _through_projection(self, p: Morphism, n: Morphism):
+        """mediating_projection(p, n) on tables."""
+        name = f"med_{p.name or 'p'}"
+        d, i = gather(p.d, n.i), gather(n.d, p.i)
+        _check_induced(n.cod, p.cod, d, i, p, n)
+        return d, i, name, self._declared(n.cod, p.cod, d, i, name)
+
+    def _through_embedding(self, dom: FormObject, d, i, name, src, m: Morphism):
+        """mediating_embedding on tables, of the morphism src from dom to
+        m.cod with tables d and i, named name (src is that morphism, or its
+        repr when it is not built)."""
+        name = f"med_{name or 'i'}"
+        d, i = gather(m.i, d), gather(i, m.d)
+        _check_induced(dom, m.dom, d, i, src, m)
+        return d, i, name, self._declared(dom, m.dom, d, i, name)
+
+    def _middle(self, f: Morphism, e: Morphism, m: Morphism):
+        """The middle map h of f = m . h . e on image tables, as (d, i,
+        name, declared): x, the mediator of f through e, then h, that of x
+        through m, each checked by the induction criterion and passed to
+        _declared, x before h.  The factorization formula lives here alone:
+        factorize and epi_mono build h from it, and the axiom suite's AX4
+        reads its tables."""
+        d, i, name, x = self._through_projection(f, e)
+        if x is not None:
+            return self._through_embedding(e.cod, x.d, x.i, x.name, x, m)
+        return self._through_embedding(e.cod, d, i, name, _label(name, e.cod, f.cod), m)
+
+    def _middle_morphism(self, f: Morphism, e: Morphism, m: Morphism) -> Morphism:
+        """_middle's h as a Morphism: the declared one, or one built with
+        the element map of m^-1 . f . e^-1 when f, e and m have theirs."""
+        d, i, name, h = self._middle(f, e, m)
+        if h is not None:
+            return h
+        emap = None
+        if f.element_map is not None and e.element_map is not None and m.element_map is not None:
+            emap = _embedded_elements(
+                _projected_elements(f.element_map, e.element_map, e.cod.algebra.n), m.element_map)
+        return Morphism(e.cod, m.dom, d, i, name=name, element_map=emap)
+
+    def _declared(self, dom: FormObject, cod: FormObject, d, i, name: str):
+        """The morphism of this form from dom to cod with the induced image
+        tables d and i, named name when built: None, so the induced tables
+        stand as they are, except in a data form, which looks them up among
+        its declared morphisms."""
+        return None
 
     def dual(self) -> "Form":
         return DualForm(self)
@@ -631,10 +700,11 @@ class DataForm(Form):
             f"no projection associated to {S!r} is declared", subobject=S
         )
 
-    def _declared(self, m):
-        got = declared_member(self, m)
+    def _declared(self, dom, cod, d, i, name):
+        got = declared_member(self, dom, cod, d, i)
         if got is None:
-            raise UnsupportedFormError(f"{m!r} mediates, but no declared morphism equals it")
+            raise UnsupportedFormError(
+                f"{_label(name, dom, cod)} mediates, but no declared morphism equals it")
         return got
 
 
@@ -649,8 +719,8 @@ class DualForm(Form):
     subobject_object, so a dual pyramid relabels when its primal does.
     The mediators are Form's induction on the dual tables, which are the
     primal's swapped, so no primal element map is built for .dual() to
-    drop; only _declared reads the primal's through the duals (in a data
-    form, the declared member)."""
+    drop; only _declared asks the primal's, with the tables swapped, and
+    reads a declared member (a data form's) back through .dual()."""
 
     def __init__(self, primal: Form):
         self.primal = primal
@@ -678,8 +748,9 @@ class DualForm(Form):
         m = self.primal.subobject_object(S.dual, perm)[1].dual()
         return m.cod, m
 
-    def _declared(self, m):
-        return self.primal._declared(m.dual()).dual()
+    def _declared(self, dom, cod, d, i, name):
+        got = self.primal._declared(cod.dual, dom.dual, i, d, name)
+        return None if got is None else got.dual()
 
 
 def dualize(form: Form) -> Form:

@@ -283,41 +283,30 @@ def test_identity_check_names_first_failing_morphism():
     assert (check.passed, check.witness) == (False, want)
 
 
-def test_ax4_names_the_first_morphism_its_factorization_misses():
-    # the embedding part is followed by an automorphism a of Z4 x Z2, so the
-    # factorization of f composes to a.f; AX4 compares it with f without
-    # building composites, and must agree with core.compose
-    from noetherform.core import Factorization, compose
-
-    alg = from_group(*product_data(cyclic_data(4), cyclic_data(2)), name="Z4xZ2")
-    form = named_end_form(alg)
-    mors = list(form.morphisms)
-    a = next(m for m in mors if len(set(m.element_map)) == alg.n
-             and m.element_map != tuple(range(alg.n)))
-    factorize = form.factorize
-
-    def twisted(f):
-        fac = factorize(f)
-        return Factorization(fac.e, fac.h, compose(a, fac.m))
-
-    form.factorize = twisted
-    f = next(m for m in mors if compose(a, m) != m)
-    (check,) = [c for c in axiom_suite(form).checks if c.name == "AX4"]
-    assert (check.passed, check.witness) == (False, f"factorize({f.name}): composite differs")
+# Each AX4 witness, from the hooks AX4 reads twisted on the morphisms whose
+# table takes at least `least` values: e comes from form.projection_of at
+# Ker f and m from form.embedding_of at Im f, each asked once per kernel and
+# image, and h's tables from form._middle(f, e, m).  In a group form
+# |Ker f| |Im f| = |G|, so the kernels and images of those morphisms are
+# told apart by size.  The other morphisms keep the form's hooks and pass,
+# so the first failure is not the first declared morphism.  The expected
+# morphism is found from element tables, not from the predicates that AX4
+# calls.
 
 
-# Each AX4 witness, from a factorize twisted on the morphisms whose image
-# has at least `least` elements; the others keep the form's factorization
-# and pass, so the first failure is not the first declared morphism.  The
-# expected morphism is found from element tables, not from the predicates
-# that AX4 calls.
-
-
-def _ax4_line(form, least, twist):
-    """AX4's (passed, witness) on form with factorize replaced by twist on
-    each morphism whose table takes least values or more."""
-    factorize = form.factorize
-    form.factorize = lambda f: twist(f) if len(set(f.element_map)) >= least else factorize(f)
+def _ax4_line(form, least, projection=None, embedding=None, middle=None):
+    """AX4's (passed, witness) on form with projection(S), embedding(S) and
+    middle(f, e, m) in place of the form's hooks on the kernels, images and
+    morphisms of the morphisms whose table takes least values or more."""
+    (n,) = {o.order for o in form.objects.values()}
+    project, embed, mid = form.projection_of, form.embedding_of, form._middle
+    if projection is not None:
+        form.projection_of = lambda S: (projection if len(S.key) * least <= n else project)(S)
+    if embedding is not None:
+        form.embedding_of = lambda S: (embedding if len(S.key) >= least else embed)(S)
+    if middle is not None:
+        form._middle = lambda f, e, m: (middle if len(set(f.element_map)) >= least
+                                        else mid)(f, e, m)
     (check,) = [c for c in axiom_suite(form).checks if c.name == "AX4"]
     return check.passed, check.witness
 
@@ -329,27 +318,68 @@ def _first_twisted_non_bijection(form, least):
     return next(m for m in form.morphisms if least <= len(set(m.element_map)) < alg.n)
 
 
-def test_ax4_names_the_first_morphism_whose_middle_map_is_no_isomorphism():
-    # f = id . f . id composes to f, but f is the middle map
-    from noetherform.core import Factorization
+def _identity_middle_off_bijections(form):
+    """A middle hook that keeps the form's middle map for bijections and
+    gives the identity of e's codomain, as _middle gives it, otherwise."""
+    mid = form._middle
+    (n,) = {o.order for o in form.objects.values()}
+
+    def middle(f, e, m):
+        if len(set(f.element_map)) == n:
+            return mid(f, e, m)
+        h = form.identity(e.cod)
+        return h.d, h.i, h.name, h
+
+    return middle
+
+
+def _first_with(form, part, S):
+    """The first declared morphism whose part (kernel or image) is S."""
+    return next(g for g in form.morphisms if part(g) == S)
+
+
+def test_ax4_names_the_first_morphism_its_factorization_misses():
+    # the embedding part is followed by an automorphism a of Z4 x Z2, while
+    # the middle map is the form's, so the factorization of f composes to
+    # a.f; AX4 compares it with f without building composites, and must
+    # agree with core.compose
+    from noetherform.core import compose, image
 
     alg = from_group(*product_data(cyclic_data(4), cyclic_data(2)), name="Z4xZ2")
     form = named_end_form(alg)
+    mors = list(form.morphisms)
+    a = next(m for m in mors if len(set(m.element_map)) == alg.n
+             and m.element_map != tuple(range(alg.n)))
+    embed, mid = form.embedding_of, form._middle
+    got = _ax4_line(form, 1, embedding=lambda S: compose(a, embed(S)),
+                    middle=lambda f, e, m: mid(f, e, embed(image(f))))
+    f = next(m for m in mors if compose(a, m) != m)
+    assert got == (False, f"factorize({f.name}): composite differs")
+
+
+def test_ax4_names_the_first_morphism_whose_middle_map_is_no_isomorphism():
+    # e and m are identities, so the middle map the form induces is f itself
+    alg = from_group(*product_data(cyclic_data(4), cyclic_data(2)), name="Z4xZ2")
+    form = named_end_form(alg)
     f = _first_twisted_non_bijection(form, 4)
-    got = _ax4_line(form, 4, lambda g: Factorization(form.identity(g.dom), g,
-                                                     form.identity(g.cod)))
+    ident = lambda S: form.identity(S.owner)
+    got = _ax4_line(form, 4, projection=ident, embedding=ident)
     assert got == (False, f"factorize({f.name}): middle map is not an isomorphism")
 
 
 def test_ax4_names_the_first_morphism_whose_projection_part_is_wrong():
     # f = id . id . f composes to f and has f's kernel, but the projection
-    # part f is not surjective
-    from noetherform.core import Factorization
+    # part f is not surjective: e is the first declared morphism with the
+    # kernel, which is f at the first twisted non-bijection, and the
+    # middle map is the identity there (the form would induce none, as e
+    # is not surjective)
+    from noetherform.core import kernel
 
     form = named_end_form(dihedral8())
     f = _first_twisted_non_bijection(form, 4)
-    got = _ax4_line(form, 4, lambda g: Factorization(g, form.identity(g.cod),
-                                                     form.identity(g.cod)))
+    got = _ax4_line(form, 4, projection=lambda S: _first_with(form, kernel, S),
+                    embedding=lambda S: form.identity(S.owner),
+                    middle=_identity_middle_off_bijections(form))
     assert got == (False, f"factorize({f.name}): projection part is wrong")
 
 
@@ -359,27 +389,47 @@ def test_ax4_names_the_first_morphism_whose_embedding_part_is_wrong():
     # the composite's kernel would force the embedding part to be injective,
     # so only a table that is no morphism passes the projection test here:
     # e has f's kernel, is surjective, and f . e has f's tables, since no
-    # inverse image of f is the bottom unless f is injective.
-    from noetherform.core import Factorization, kernel
+    # inverse image of f is the bottom unless f is injective.  m is the
+    # first declared morphism with the image, which is f at the first
+    # twisted non-bijection, and the middle map is the identity there (the
+    # form would induce none, as m is not injective).
+    from noetherform.core import image
 
     form = named_end_form(xor_group(3))
     f = _first_twisted_non_bijection(form, 4)
 
-    def twist(g):
-        dl = g.dom.lattice
+    def projection(S):
+        dl = S.owner.lattice
         i = list(range(len(dl.keys)))
-        i[dl.index[dl.bottom]] = dl.index[kernel(g).key]
-        e = Morphism(g.dom, g.dom, range(len(dl.keys)), i, name="e")
-        return Factorization(e, form.identity(g.dom), g)
+        i[dl.index[dl.bottom]] = dl.index[S.key]
+        return Morphism(S.owner, S.owner, range(len(dl.keys)), i, name="e")
 
-    assert _ax4_line(form, 4, twist) == (False, f"factorize({f.name}): embedding part is wrong")
+    got = _ax4_line(form, 4, projection=projection,
+                    embedding=lambda S: _first_with(form, image, S),
+                    middle=_identity_middle_off_bijections(form))
+    assert got == (False, f"factorize({f.name}): embedding part is wrong")
+
+
+def test_ax4_compares_the_kernel_before_the_embedding_part():
+    # f = f . id . id composes to f with an isomorphism in the middle and a
+    # surjective projection part, but that part's kernel is the bottom, not
+    # Ker f: AX4 names the projection part, although the embedding part f
+    # is not injective either
+    from noetherform.core import image
+
+    form = named_end_form(xor_group(3))
+    f = _first_twisted_non_bijection(form, 4)
+    got = _ax4_line(form, 4, projection=lambda S: form.identity(S.owner),
+                    embedding=lambda S: _first_with(form, image, S),
+                    middle=_identity_middle_off_bijections(form))
+    assert got == (False, f"factorize({f.name}): projection part is wrong")
 
 
 def test_ax4_reports_the_error_of_the_first_morphism_factorize_cannot_split():
     # the data form over End(Q8) declares no quotient objects, so it has a
     # projection for a bottom kernel only: the first map with two values or
     # more that is not injective raises the search's
-    # UnsupportedSubobjectError, and the zero map keeps Q8's factorization
+    # UnsupportedSubobjectError, and the zero map keeps Q8's projection
     from noetherform.groups import quaternion8
 
     alg = quaternion8()
@@ -387,9 +437,122 @@ def test_ax4_reports_the_error_of_the_first_morphism_factorize_cannot_split():
     data = DataForm(list(form.objects.values()), form.morphisms, name=alg.name)
     f = _first_twisted_non_bijection(form, 2)
     ker = ",".join(str(x) for x, y in enumerate(f.element_map) if y == alg.zero)
-    got = _ax4_line(form, 2, data.factorize)
+    got = _ax4_line(form, 2, projection=data.projection_of)
     assert got == (False, f"factorize({f.name}): no projection associated to "
                           f"{alg.name}:{{{ker}}} is declared")
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_ax4_compares_both_tables_of_the_composite(side):
+    # e has the identity's tables except that it pulls Ker f back to the
+    # bottom.  f . e^-1 is then still induced, and e.d is the identity, so
+    # the composite has f's direct images; but it pulls the bottom back to
+    # e^-1(Ker f), the bottom, not Ker f, once f is not injective.  In the
+    # dual, e is the embedding part and only the direct images differ.
+    form = named_end_form(xor_group(3))
+    first = next(m for m in form.morphisms if len(set(m.element_map)) < 8)
+
+    def twisted(S, far):
+        lat = S.owner.lattice
+        t = list(range(len(lat.keys)))
+        t[lat.index[S.key]] = lat.index[far]
+        return t
+
+    if side == "primal":
+        form.projection_of = lambda S: Morphism(S.owner, S.owner, range(16),
+                                                twisted(S, S.owner.lattice.bottom))
+    else:
+        form = dualize(form)
+        form.embedding_of = lambda S: Morphism(S.owner, S.owner,
+                                               twisted(S, S.owner.lattice.top), range(16))
+    (check,) = [c for c in axiom_suite(form).checks if c.name == "AX4"]
+    assert (check.passed, check.witness) == (False, f"factorize({first.name}): composite differs")
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_ax4_needs_both_halves_of_an_isomorphism(side):
+    # with identities for e and m the middle map of f is f: the inclusion
+    # of Z2 in Z4 is injective and not surjective, its dual the other way
+    z4, z2 = cyclic(4), cyclic(2)
+    form = SlominskiForm()
+    f = form.morphism(z2, z4, (0, 2), "f")
+    form.declare([z4, z2], close_homs(form, [z4, z2], [f]))
+    if side == "dual":
+        form = dualize(form)
+    form.projection_of = form.embedding_of = lambda S: form.identity(S.owner)
+    (check,) = [c for c in axiom_suite(form).checks if c.name == "AX4"]
+    assert (check.passed, check.witness) == (
+        False, "factorize(f): middle map is not an isomorphism")
+
+
+def _ax4_by_factorize(form):
+    """AX4's (passed, witness, mode, cases), decided through form.factorize,
+    core.compose and the Subobject image predicates, one morphism at a time
+    in declared order."""
+    from noetherform.core import (compose, image, is_injective, is_isomorphism,
+                                  is_surjective, kernel)
+    from noetherform.errors import FormError
+
+    for cases, f in enumerate(form.morphisms, 1):
+        try:
+            fac = form.factorize(f)
+        except FormError as exc:
+            return False, f"factorize({f.name or repr(f)}): {exc}", "exhaustive", cases
+        if compose(fac.m, compose(fac.h, fac.e)) != f:
+            why = "composite differs"
+        elif not is_isomorphism(fac.h):
+            why = "middle map is not an isomorphism"
+        elif not (kernel(fac.e) == kernel(f) and is_surjective(fac.e)):
+            why = "projection part is wrong"
+        elif not (image(fac.m) == image(f) and is_injective(fac.m)):
+            why = "embedding part is wrong"
+        else:
+            continue
+        return False, f"factorize({f.name or repr(f)}): {why}", "exhaustive", cases
+    return True, None, "exhaustive", len(form.morphisms)
+
+
+def _ax4_forms():
+    """End(G) for every group of order <= 8, and the data form over End(Q8)
+    that declares no quotient objects."""
+    from noetherform.groups import all_groups_le8, quaternion8
+
+    for alg in all_groups_le8():
+        yield endo_form(alg)
+    q8 = named_end_form(quaternion8())
+    yield DataForm(list(q8.objects.values()), q8.morphisms, name="Q8 data")
+
+
+def test_ax4_agrees_with_factorize_on_small_forms_and_their_duals():
+    verdicts = set()
+    for primal in _ax4_forms():
+        for form in (primal, dualize(primal)):
+            (c,) = [c for c in axiom_suite(form).checks if c.name == "AX4"]
+            assert (c.passed, c.witness, c.mode, c.cases) == _ax4_by_factorize(form), form.name
+            verdicts.add(c.passed)
+    assert verdicts == {True, False}
+
+
+def test_a_second_ax4_pass_builds_no_morphism(monkeypatch):
+    # e and m are the form's own (memoized) projections and embeddings, and
+    # h is read as tables, so once they exist AX4 constructs nothing
+    from noetherform.axioms import _ax4_failures, _first_fail
+
+    form = endo_form(xor_group(3))
+    built = []
+    init = Morphism.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    for side in (form, dualize(form)):
+        mors = list(side.morphisms)
+        assert _first_fail(_ax4_failures(side, mors)) == (None, 512)
+        monkeypatch.setattr(Morphism, "__init__", counted)
+        assert _first_fail(_ax4_failures(side, mors)) == (None, 512)
+        monkeypatch.undo()
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,10 @@ def test_induced_morphism_membership_check(form):
     q = next(m for m in form.morphisms if m.name == "q")
     verdict = decide_induction(Zigzag((X, Q), (Edge(q, RIGHT),), form=form))
     assert verdict.induces
-    assert declared_member(form, verdict.morphism) is q
+    m = verdict.morphism
+    assert declared_member(form, m.dom, m.cod, m.d, m.i) is q
     # the span induces the identity on Q, which is declared too
     span = Zigzag((Q, X, Q), (Edge(q, LEFT), Edge(q, RIGHT)), form=form)
-    got = declared_member(form, decide_induction(span).morphism)
+    m = decide_induction(span).morphism
+    got = declared_member(form, m.dom, m.cod, m.d, m.i)
     assert got is form.identity(Q) or got == form.identity(Q)

@@ -118,7 +118,7 @@ def test_verify_generic_pass_and_skip(uni):
     d2.add_arrow("q", q)
     d2.assertions = [injective("q")]  # false
     report2 = verify_generic(d2, [exact("m", "q")], lemma="ses-demo")
-    assert report2.skipped
+    assert report2.skipped and not report2.passed
     assert all(l.status == "SKIP" for l in report2.conclusions)
     assert "SKIP" in report2.render()
 
@@ -131,7 +131,7 @@ def test_verify_generic_refutation_flag(uni):
     d.add_arrow("q", q)
     d.assertions = [surjective("q")]
     report = verify_generic(d, [injective("q")], lemma="bad-claim")
-    assert report.refuted
+    assert report.refuted and not report.passed
     assert "REFUTATION" in report.render()
 
 
@@ -182,6 +182,17 @@ def test_check_assertions_takes_labelled_checks(uni):
     assert report.render() == "\n".join([
         "lemma pair", "PASS iso id", "PASS order 2", "FAIL order 3 [order 2]",
         "REFUTATION: hypotheses hold but a conclusion fails"])
+    assert report.refuted and not report.passed
     skipped = LemmaReport("pair")
     check_assertions(d, skipped, [zero("id")], [("order 2", lambda d: (True, None))])
     assert [l.status for l in skipped.conclusions] == ["SKIP"]
+    assert skipped.skipped and not skipped.passed
+
+
+def test_an_assertion_on_an_unknown_arrow_is_a_shape_error(uni):
+    z2 = uni.object_of(cyclic(2))
+    d = Diagram(uni, name="typo")
+    d.add_arrow("id", identity_morphism(z2))
+    d.assertions = [iso("id"), injective("nope")]
+    with pytest.raises(ShapeError, match="typo: assertion uses unknown arrow 'nope'"):
+        verify_generic(d, [])

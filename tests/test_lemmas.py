@@ -64,6 +64,17 @@ def test_check_shape_names_bad_endpoints(lab):
         check_shape(d, "four")
 
 
+def test_check_shape_names_an_arrow_whose_domain_alone_is_wrong(lab):
+    # t . f runs A -> Bp: the codomain is t's, the domain is not
+    from noetherform.core import compose
+
+    d = four_instance(lab)
+    assert d.objects["A"].id != d.objects["B"].id
+    d.arrows["t"] = compose(d.arrows["t"], d.arrows["f"])
+    with pytest.raises(ShapeError, match=f"arrow 't' must run B -> Bp, got {d.objects['A'].id} "):
+        check_shape(d, "four")
+
+
 def _arrow_names(assertion):
     if assertion.kind in ("commute", "zero"):
         return [n for path in assertion.args for n in path.split(".")]
