@@ -199,19 +199,6 @@ def _label(name, dom, cod) -> str:
     return f"{name or 'morphism'}:{dom.id}->{cod.id}"
 
 
-class Factorization(Frozen):
-    """f = m . h . e with e a projection, h an isomorphism, m an embedding."""
-
-    def __init__(self, e: Morphism, h: Morphism, m: Morphism):
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "m", m)
-
-    @property
-    def composite(self) -> Morphism:
-        return compose(self.m, compose(self.h, self.e))
-
-
 # ---------------------------------------------------------------------------
 # free operations on morphisms and subobjects
 
@@ -405,14 +392,6 @@ def meet(S: Subobject, T: Subobject) -> Subobject:
     return Subobject(S.owner, S.owner.lattice.meet(S.key, T.key))
 
 
-def bottom(G: FormObject) -> Subobject:
-    return G.bottom
-
-
-def top(G: FormObject) -> Subobject:
-    return G.top
-
-
 def leq(S: Subobject, T: Subobject) -> bool:
     _own(T, S.owner, "owner of")
     return S.owner.lattice.leq(S.key, T.key)
@@ -442,35 +421,6 @@ def is_zero_morphism(f: Morphism) -> bool:
     """Im f is the bottom of f.cod."""
     cl = f.cod.lattice
     return image_position(f) == cl.index[cl.bottom]
-
-
-class RMLResult(Frozen):
-    def __init__(self, holds: bool, hypotheses_met: bool):
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "hypotheses_met", hypotheses_met)
-
-    def __bool__(self):
-        return self.holds
-
-
-def restricted_modular_law_check(form, X: Subobject, Y: Subobject, Z: Subobject) -> RMLResult:
-    """Check X v (Y ^ Z) = (X v Y) ^ Z under the restricted hypotheses.
-
-    Returns vacuous-true with hypotheses_met=False when the triple does not
-    satisfy X <= Z together with (Y normal and Z conormal) or (Y conormal
-    and X normal).
-    """
-    _own(Y, X.owner, "owner of")
-    _own(Z, X.owner, "owner of")
-    met = leq(X, Z) and (
-        (form.is_normal(Y) and form.is_conormal(Z))
-        or (form.is_conormal(Y) and form.is_normal(X))
-    )
-    if not met:
-        return RMLResult(True, False)
-    lhs = join(X, meet(Y, Z))
-    rhs = meet(join(X, Y), Z)
-    return RMLResult(lhs == rhs, True)
 
 
 def declared_member(form, dom: FormObject, cod: FormObject, d, i):
@@ -560,21 +510,22 @@ class Form:
     def projection_of(self, S: Subobject) -> Morphism:
         return self.quotient_object(S)[1]
 
-    def factorize(self, f: Morphism) -> Factorization:
-        """f = m . h . e: e the projection of Ker f, m the embedding of Im f,
-        and h the middle map that _middle computes on tables, built as a
-        Morphism (with its element map when f, e and m have theirs) unless
-        the form declares it."""
-        e = self.projection_of(kernel(f))
-        m = self.embedding_of(image(f))
-        return Factorization(e, self._middle_morphism(f, e, m), m)
-
     def epi_mono(self, f: Morphism, perm=None) -> tuple[Morphism, Morphism]:
-        """Split f as (h . e, m) with e and h as in factorize and m the
-        embedding of subobject_object(Im f, perm)."""
+        """Split f as (h . e, m) from its factorization f = m . h . e: e the
+        projection of Ker f, m the embedding of subobject_object(Im f, perm)
+        and h the middle map that _middle computes on tables, built as a
+        Morphism (with the element map of m^-1 . f . e^-1 when f, e and m
+        have theirs) unless the form declares it."""
         e = self.projection_of(kernel(f))
         m = self.subobject_object(image(f), perm)[1]
-        return compose(self._middle_morphism(f, e, m), e), m
+        d, i, name, h = self._middle(f, e, m)
+        if h is None:
+            emap = None
+            if f.element_map is not None and e.element_map is not None and m.element_map is not None:
+                emap = _embedded_elements(
+                    _projected_elements(f.element_map, e.element_map, e.cod.algebra.n), m.element_map)
+            h = Morphism(e.cod, m.dom, d, i, name=name, element_map=emap)
+        return compose(h, e), m
 
     def mediating_projection(self, p: Morphism, n: Morphism) -> Morphism:
         """The x with x . n = p: the morphism induced by the zigzag n^-1, p,
@@ -626,24 +577,12 @@ class Form:
         name, declared): x, the mediator of f through e, then h, that of x
         through m, each checked by the induction criterion and passed to
         _declared, x before h.  The factorization formula lives here alone:
-        factorize and epi_mono build h from it, and the axiom suite's AX4
-        reads its tables."""
+        epi_mono builds h from it, and the axiom suite's AX4 reads its
+        tables."""
         d, i, name, x = self._through_projection(f, e)
         if x is not None:
             return self._through_embedding(e.cod, x.d, x.i, x.name, x, m)
         return self._through_embedding(e.cod, d, i, name, _label(name, e.cod, f.cod), m)
-
-    def _middle_morphism(self, f: Morphism, e: Morphism, m: Morphism) -> Morphism:
-        """_middle's h as a Morphism: the declared one, or one built with
-        the element map of m^-1 . f . e^-1 when f, e and m have theirs."""
-        d, i, name, h = self._middle(f, e, m)
-        if h is not None:
-            return h
-        emap = None
-        if f.element_map is not None and e.element_map is not None and m.element_map is not None:
-            emap = _embedded_elements(
-                _projected_elements(f.element_map, e.element_map, e.cod.algebra.n), m.element_map)
-        return Morphism(e.cod, m.dom, d, i, name=name, element_map=emap)
 
     def _declared(self, dom: FormObject, cod: FormObject, d, i, name: str):
         """The morphism of this form from dom to cod with the induced image

@@ -651,25 +651,3 @@ def snake(d: Diagram) -> SnakeResult:
 
 def salamander(d: Diagram) -> LemmaReport:
     return verify(d, "salamander")[0]
-
-
-# ---------------------------------------------------------------------------
-# strongly short exact sequences
-
-
-def strongly_short_exact_check(d: Diagram) -> tuple[bool, LemmaReport]:
-    """Five-object sequence 0 -> A -> B -> C -> 0' with trivial ends: exact
-    at A, B, C forces the inner pair short exact."""
-    for role in ("O1", "A", "B", "C", "O2"):
-        if role not in d.objects:
-            raise ShapeError(f"strongly-short-exact: missing object role {role!r}")
-    for role in ("a", "f", "g", "b"):
-        if role not in d.arrows:
-            raise ShapeError(f"strongly-short-exact: missing arrow role {role!r}")
-    for role in ("O1", "O2"):
-        if len(d.objects[role].lattice.keys) != 1:
-            raise ValidationError(f"end object {d.objects[role].id} is not trivial")
-    report = LemmaReport("strongly-short-exact")
-    check_assertions(d, report, (exact("a", "f"), exact("f", "g"), exact("g", "b")),
-                     (short_exact("f", "g"),))
-    return report.passed, report

@@ -92,14 +92,6 @@ class Pyramid:
         coords = [(0, t) for t in range(n + 1)] + [(s, n) for s in range(1, n + 1)]
         return self._path_zigzag(coords)
 
-    def principal_vertical_left(self) -> Zigzag:
-        coords = [(0, t) for t in range(self.n + 1)]
-        return self._path_zigzag(coords)
-
-    def principal_vertical_right(self) -> Zigzag:
-        coords = [(s, self.n) for s in range(self.n, -1, -1)]
-        return self._path_zigzag(coords)
-
     def diamonds(self):
         """Yield (bottom, up_left, up_right, top) coordinate quadruples."""
         for h in range(2, self.n + 1):

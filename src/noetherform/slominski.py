@@ -10,8 +10,8 @@ hom enumeration, and SlominskiForm, which realizes the abstract form
 interface with intrinsic embeddings and projections (every subalgebra is
 conormal; a subalgebra B is normal when its cosets p(B, y) are the
 classes of a congruence, the only one that can have zero class B).  Its
-mediators and factorization are core.Form's induction on image tables,
-which also fills in their element maps.  generate_congruence has no caller
+mediators and epi_mono are core.Form's induction on image tables, which
+also fills in their element maps.  generate_congruence has no caller
 in the engine: it is the independent oracle the tests check normality
 against.
 
@@ -286,11 +286,6 @@ def subalgebra_masks(alg: SlominskiAlgebra) -> tuple[int, ...]:
                     found.append(t)
                     frontier.append((t, j))
     return tuple(sorted(found))
-
-
-def subalgebras(alg: SlominskiAlgebra) -> tuple[tuple[int, ...], ...]:
-    """Subalgebras as sorted element tuples, ordered by size then elements."""
-    return subalgebra_lattice(alg).keys
 
 
 @lru_cache(maxsize=None)

@@ -18,14 +18,10 @@ from .core import (
     Frozen,
     Morphism,
     Subobject,
-    compose,
     direct_image,
     gather,
-    identity_morphism,
     inverse_image,
-    is_injective,
     is_isomorphism,
-    is_surjective,
 )
 from .errors import OwnershipError, UnsupportedFormError, ValidationError
 
@@ -95,16 +91,6 @@ def path(form, *edges: tuple[Morphism, str]) -> Zigzag:
     return Zigzag(tuple(nodes), tuple(Edge(m, dr) for m, dr in edges), form=form)
 
 
-def dual_zigzag(z: Zigzag, dual_form) -> Zigzag:
-    """The same zigzag seen in the dual form: every arrow reverses, so each
-    direction flag flips and each morphism is replaced by its dual."""
-    nodes = tuple(n.dual for n in z.nodes)
-    edges = tuple(
-        Edge(e.morphism.dual(), LEFT if e.direction == RIGHT else RIGHT) for e in z.edges
-    )
-    return Zigzag(nodes, edges, form=dual_form)
-
-
 def chase_forward(z: Zigzag, S: Subobject, trace: bool = False):
     if S.owner.id != z.start.id:
         raise OwnershipError(f"{S!r} is not a subobject of the initial node {z.start.id}")
@@ -124,14 +110,6 @@ def chase_backward(z: Zigzag, T: Subobject, trace: bool = False):
 
 def is_collapsible(z: Zigzag) -> bool:
     return all(is_isomorphism(e.morphism) for e in z.edges if e.direction == LEFT)
-
-
-def is_subquotient(z: Zigzag) -> bool:
-    """Left edges embeddings, right edges projections."""
-    return all(
-        is_injective(e.morphism) if e.direction == LEFT else is_surjective(e.morphism)
-        for e in z.edges
-    )
 
 
 def chased_table(z: Zigzag) -> tuple[int, ...]:
@@ -154,29 +132,6 @@ def chased_morphism(z: Zigzag, name: str = "") -> Morphism:
     ):
         emap = relation_function(induced_relation(z), z.start.algebra.n)
     return Morphism(z.start, z.end, d, i, name=name, element_map=emap)
-
-
-def collapse(z: Zigzag) -> Morphism:
-    """Composite of a collapsible zigzag; left edges contribute the maps of
-    the inverse isomorphism."""
-    if not is_collapsible(z):
-        raise ValidationError("zigzag is not collapsible")
-    cur = identity_morphism(z.start)
-    for i, e in enumerate(z.edges):
-        m = e.morphism
-        if e.direction == RIGHT:
-            step = m
-        else:
-            # (GF): image maps of the inverse isomorphism are the swapped maps
-            emap = None
-            if m.element_map is not None:
-                emap = [0] * m.dom.algebra.n
-                for x, v in enumerate(m.element_map):
-                    emap[v] = x
-            step = Morphism(m.cod, m.dom, m.i, m.d,
-                            name=f"{m.name}^-1" if m.name else "", element_map=emap)
-        cur = compose(step, cur)
-    return cur
 
 
 def induced_relation(z: Zigzag) -> frozenset[tuple[int, int]]:

@@ -16,8 +16,9 @@ from noetherform import (
     is_collapsible,
     is_isomorphism,
     is_relatively_normal,
+    join,
+    meet,
     quotient_iso,
-    restricted_modular_law_check,
     verify_exercise,
     verify_five,
     verify_four,
@@ -46,7 +47,8 @@ from noetherform.slominski import (
     enumerate_homs,
     is_normal_subalgebra,
 )
-from noetherform.zigzag import collapse, induced_relation, relation_function
+from noetherform.zigzag import induced_relation, relation_function
+from oracles import collapse, dual_four, zigzag_function
 
 
 def report(name, detail=""):
@@ -95,13 +97,16 @@ def test_d8_snake_reproduction(capsys):
 
 def test_hit_equals_relation_oracle():
     """decide_induction agrees with the element-level relation on >= 200
-    random zigzags; induced image maps match the function elementwise."""
+    random zigzags; induced element and image maps match the function
+    elementwise.  The relation is the tests' own composite of the edge
+    graphs; the engine's induced_relation must agree with it too."""
     lab = InstanceLab(seed=101)
     successes = 0
     for i in range(200):
         z = recipe_zigzag(lab, max_len=6) if i % 2 else random_zigzag(lab, max_len=6)
         verdict = decide_induction(z)
-        fn = relation_function(induced_relation(z), z.start.algebra.n)
+        fn = zigzag_function(z)
+        assert relation_function(induced_relation(z), z.start.algebra.n) == fn, f"zigzag {i}"
         assert verdict.induces == (fn is not None), f"zigzag {i}: verdicts disagree"
         if verdict.induces:
             successes += 1
@@ -150,22 +155,6 @@ def test_pyramid_uniqueness_and_commutativity():
     report("pyramid-uniqueness", f"(50 zigzags, {inducing} induce)")
 
 
-def _dual_four(d):
-    from noetherform.diagram import Diagram
-
-    dual = dualize(d.form)
-    dd = Diagram(dual, name="four-dual")
-    objmap = {"A": "Dp", "B": "Cp", "C": "Bp", "D": "Ap",
-              "Ap": "D", "Bp": "C", "Cp": "B", "Dp": "A"}
-    mormap = {"f": "z", "g": "y", "h": "x", "x": "h", "y": "g", "z": "f",
-              "s": "v", "t": "u", "u": "t", "v": "s"}
-    for role, src in objmap.items():
-        dd.add_object(role, d.objects[src].dual)
-    for role, src in mormap.items():
-        dd.add_arrow(role, d.arrows[src].dual())
-    return dd
-
-
 def test_lemma_corpus():
     """>= 100 valid instances per lemma variant; hypotheses-pass implies
     conclusions-pass with zero refutations; four (ii) equals (i) on duals."""
@@ -178,7 +167,7 @@ def test_lemma_corpus():
             r = verify_four(d, part)
             assert r.passed and not r.refuted, f"four {part} #{i}\n{r.render()}"
         r2 = verify_four(d, "ii")
-        r1d = verify_four(_dual_four(d), "i")
+        r1d = verify_four(dual_four(d), "i")
         assert [l.status for l in r1d.conclusions] == [l.status for l in r2.conclusions]
 
     for part in ("i", "ii"):
@@ -281,8 +270,9 @@ def test_salamander_small_scale():
 
 
 def test_restricted_modular_law_exhaustive():
-    """The restricted modular law holds on every qualifying triple in every
-    order <= 8 group form, exhaustively."""
+    """The restricted modular law X v (Y ^ Z) = (X v Y) ^ Z holds on every
+    qualifying triple in every order <= 8 group form, exhaustively: X <= Z,
+    and Y normal with Z conormal or Y conormal with X normal."""
     uni = SlominskiForm()
     qualifying = 0
     for alg in all_groups_le8():
@@ -290,17 +280,17 @@ def test_restricted_modular_law_exhaustive():
         subs = obj.subobjects()
         normal = {s.key for s in subs if uni.is_normal(s)}
         lat = obj.lattice
+        # every subalgebra is conormal here, so the hypothesis reduces to
+        # Y or X being normal
+        assert all(uni.is_conormal(s) for s in subs), alg.name
         for X in subs:
             for Y in subs:
                 for Z in subs:
                     if not lat.leq(X.key, Z.key):
                         continue
-                    # every subalgebra is conormal here, so the hypothesis
-                    # reduces to Y or X being normal
                     if Y.key not in normal and X.key not in normal:
                         continue
-                    res = restricted_modular_law_check(uni, X, Y, Z)
-                    assert res.hypotheses_met
-                    assert res.holds, f"{alg.name}: RML fails at {X}, {Y}, {Z}"
+                    assert join(X, meet(Y, Z)) == meet(join(X, Y), Z), \
+                        f"{alg.name}: RML fails at {X}, {Y}, {Z}"
                     qualifying += 1
     report("restricted-modular-law", f"({qualifying} qualifying triples)")

@@ -6,6 +6,7 @@ from noetherform import axiom_suite, build_pyramid, compose, decide_induction
 from noetherform.errors import UnsupportedFormError, UnsupportedSubobjectError
 from noetherform.parser import parse
 from noetherform.zigzag import LEFT, RIGHT, Edge, Zigzag
+from oracles import factorize
 
 # Z4 with its mod-2 quotient, encoded purely as subobject lattices and
 # image maps: X has subobjects 1 <= K <= T, Q has 1q <= tq.
@@ -66,8 +67,9 @@ def test_data_form_providers(form):
     assert form.projection_of(X.sub("K")) == q
     with pytest.raises(UnsupportedSubobjectError):
         form.embedding_of(X.sub("K"))
-    fac = form.factorize(q)
-    assert fac.composite == q
+    e, h, m = factorize(form, q)
+    assert compose(m, compose(h, e)) == q
+    assert all(x in form.morphisms for x in (e, h, m))
 
 
 def test_data_form_mediators_are_declared_induced_morphisms(form):

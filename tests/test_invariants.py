@@ -40,7 +40,8 @@ from noetherform.gen import (
 from noetherform.groups import (all_groups_le8, cyclic, dihedral8, quaternion8, symmetric3,
                                 xor_group)
 from noetherform.slominski import as_form, element_morphism, enumerate_homs
-from noetherform.zigzag import LEFT, RIGHT, chase_backward, is_collapsible, is_subquotient, path
+from noetherform.zigzag import LEFT, RIGHT, chase_backward, is_collapsible, path
+from oracles import is_subquotient
 
 ALGS = [cyclic(4), cyclic(8), xor_group(2), symmetric3(), dihedral8(), quaternion8()]
 

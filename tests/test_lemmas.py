@@ -6,12 +6,10 @@ from noetherform import (
     Diagram,
     SlominskiForm,
     UndefinedMarker,
-    dualize,
     homology_object,
     identity_morphism,
     salamander,
     snake,
-    strongly_short_exact_check,
     verify_exercise,
     verify_five,
     verify_four,
@@ -35,6 +33,7 @@ from noetherform.groups import D8_B, cyclic, dihedral8, trivial_group, xor_group
 from noetherform.diagram import Assertion
 from noetherform.lemmas import ALIASES, LEMMAS, SHAPES, check_shape, verify
 from noetherform.slominski import element_morphism
+from oracles import dual_four, strongly_short_exact
 
 
 @pytest.fixture
@@ -117,25 +116,11 @@ def test_four_parts_on_instances(lab):
             assert r.hypotheses_hold and r.passed, r.render()
 
 
-def _dual_four(d):
-    dual = dualize(d.form)
-    dd = Diagram(dual, name="four-dual")
-    objmap = {"A": "Dp", "B": "Cp", "C": "Bp", "D": "Ap",
-              "Ap": "D", "Bp": "C", "Cp": "B", "Dp": "A"}
-    mormap = {"f": "z", "g": "y", "h": "x", "x": "h", "y": "g", "z": "f",
-              "s": "v", "t": "u", "u": "t", "v": "s"}
-    for role, src in objmap.items():
-        dd.add_object(role, d.objects[src].dual)
-    for role, src in mormap.items():
-        dd.add_arrow(role, d.arrows[src].dual())
-    return dd
-
-
 def test_four_part_ii_equals_part_i_on_dual(lab):
     for _ in range(10):
         d = four_instance(lab)
         r2 = verify_four(d, "ii")
-        r1d = verify_four(_dual_four(d), "i")
+        r1d = verify_four(dual_four(d), "i")
         assert r1d.hypotheses_hold == r2.hypotheses_hold
         assert [l.status for l in r1d.conclusions] == [l.status for l in r2.conclusions]
 
@@ -275,6 +260,35 @@ def test_snake_skips_on_unmet_hypotheses(uni):
     result = snake(d)
     assert result.report.skipped
     assert result.objects is None
+
+
+def test_a_snake_map_that_does_not_induce_skips_exactness_on_both_sides(lab, monkeypatch):
+    # delta fails to induce: its line FAILs with the chase witness, and the
+    # exactness lines at both of its ends are SKIPped, never checked on a
+    # missing map; the lines away from it keep their verdicts
+    from noetherform import lemmas
+    from noetherform.pyramid import ChaseFailure, InductionVerdict
+
+    real = lemmas.decide_induction
+    failure = ChaseFailure("forward-bottom", "K", (0,))
+
+    def decide(zz, name=""):
+        return InductionVerdict(False, None, [failure]) if name == "delta" else real(zz, name)
+
+    monkeypatch.setattr(lemmas, "decide_induction", decide)
+    result = snake(snake_instance(lab))
+    assert [l.render() for l in result.report.conclusions] == [
+        "PASS induce f-bar",
+        "PASS induce g-bar",
+        "FAIL induce delta [forward-bottom first deviates at K with {0}]",
+        "PASS induce f'-bar",
+        "PASS induce g'-bar",
+        "PASS exact at Ker beta",
+        "SKIP exact at Ker gamma",
+        "SKIP exact at Coker alpha",
+        "PASS exact at Coker beta",
+    ]
+    assert result.morphisms[2] is None and not result.report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +521,26 @@ def test_goursat_generated(lab):
         assert report.passed, report.render()
 
 
+def test_goursat_fails_when_the_quotient_iso_verdicts_disagree(lab, monkeypatch):
+    # an isomorphism alone does not pass the last conclusion: the two
+    # relative-normality verdicts must agree as well
+    from noetherform import lemmas
+    from noetherform.pyramid import QuotientIsoResult
+
+    real = lemmas.quotient_iso
+
+    def disagreeing(form, f, W, X):
+        result = real(form, f, W, X)
+        assert result.iso is not None
+        return QuotientIsoResult(True, False, result.iso, result.zigzag)
+
+    monkeypatch.setattr(lemmas, "quotient_iso", disagreeing)
+    report, iso_m = verify(goursat_instance(lab), "goursat")
+    assert report.conclusions[-1].render() == (
+        "FAIL quotient isomorphism [quotient_iso verdicts disagree]")
+    assert report.refuted and iso_m is not None
+
+
 # ---------------------------------------------------------------------------
 # homology objects and the salamander
 
@@ -599,11 +633,11 @@ def _ssec_diagram(uni, A, B, C, f, g):
 
 def test_strongly_short_exact_identity(uni):
     z2 = uni.object_of(cyclic(2))
-    ok, report = strongly_short_exact_check(
+    report = strongly_short_exact(
         _ssec_diagram(uni, z2, z2, uni.object_of(trivial_group()),
                       identity_morphism(z2), uni.zero_morphism(z2, uni.object_of(trivial_group())))
     )
-    assert ok, report.render()
+    assert report.passed, report.render()
 
 
 def test_strongly_short_exact_z4(uni):
@@ -611,8 +645,8 @@ def test_strongly_short_exact_z4(uni):
     z2 = uni.object_of(cyclic(2))
     m = element_morphism(z2, z4, (0, 2), "m")
     q = element_morphism(z4, z2, (0, 1, 0, 1), "q")
-    ok, report = strongly_short_exact_check(_ssec_diagram(uni, z2, z4, z2, m, q))
-    assert ok, report.render()
+    report = strongly_short_exact(_ssec_diagram(uni, z2, z4, z2, m, q))
+    assert report.passed, report.render()
 
 
 def test_strongly_short_exact_non_exact_middle(uni):
@@ -620,19 +654,20 @@ def test_strongly_short_exact_non_exact_middle(uni):
     z2 = uni.object_of(cyclic(2))
     f = uni.zero_morphism(z2, z4)
     q = element_morphism(z4, z2, (0, 1, 0, 1), "q")
-    ok, _ = strongly_short_exact_check(_ssec_diagram(uni, z2, z4, z2, f, q))
-    assert not ok
+    report = strongly_short_exact(_ssec_diagram(uni, z2, z4, z2, f, q))
+    assert not report.passed and not report.refuted
+    assert report.hypotheses[0].render() == "FAIL exact a f [Im a = Z2:{0} but Ker f = Z2:{0,1}]"
 
 
 def test_strongly_short_exact_requires_trivial_ends(uni):
-    from noetherform.errors import ValidationError
-
-    z4 = uni.object_of(cyclic(4))
+    # with Z2 for O1 and the identity for a, the sequence is exact at A, B
+    # and C, yet f is the zero map: without trivial ends exactness does not
+    # force (f, g) short exact
     z2 = uni.object_of(cyclic(2))
-    m = element_morphism(z2, z4, (0, 2), "m")
-    q = element_morphism(z4, z2, (0, 1, 0, 1), "q")
-    d = _ssec_diagram(uni, z2, z4, z2, m, q)
+    z4 = uni.object_of(cyclic(4))
+    d = _ssec_diagram(uni, z2, z4, z4, uni.zero_morphism(z2, z4), identity_morphism(z4))
     d.objects["O1"] = z2
-    d.arrows["a"] = uni.zero_morphism(z2, z2)
-    with pytest.raises(ValidationError):
-        strongly_short_exact_check(d)
+    d.arrows["a"] = identity_morphism(z2)
+    report = strongly_short_exact(d)
+    assert report.hypotheses_hold and report.refuted
+    assert [l.render() for l in report.conclusions] == ["FAIL short-exact f g [(f,g) is not short exact]"]

@@ -12,8 +12,6 @@ from noetherform.core import FormObject
 # Each record's constructor parameters in order; "=" marks an optional one.
 SIGNATURES = {
     "core.Subobject": "owner key",
-    "core.Factorization": "e h m",
-    "core.RMLResult": "holds hypotheses_met",
     "slominski.SlominskiAlgebra": "name zero p d",
     "slominski.Congruence": "algebra classes",
     "zigzag.Edge": "morphism direction",
@@ -81,8 +79,6 @@ X = FormObject("X", None)
 # One instance of each immutable record, by constructor arguments.
 FROZEN = {
     "core.Subobject": (X, 0),
-    "core.Factorization": (None, None, None),
-    "core.RMLResult": (True, True),
     "slominski.SlominskiAlgebra": ("Z1", 0, ((0,),), ((0,),)),
     "slominski.Congruence": (None, ((0,),)),
     "zigzag.Edge": (None, "right"),

@@ -6,12 +6,10 @@ from noetherform import (
     SlominskiForm,
     chase_backward,
     chase_forward,
-    collapse,
     compose,
     identity_morphism,
     induced_relation,
     is_collapsible,
-    is_subquotient,
 )
 from noetherform.errors import OwnershipError, UnsupportedFormError, ValidationError
 from noetherform.gen import InstanceLab, recipe_zigzag
@@ -25,6 +23,7 @@ from noetherform.zigzag import (
     chased_morphism,
     relation_function,
 )
+from oracles import collapse, dual_zigzag, is_subquotient
 
 
 @pytest.fixture
@@ -200,7 +199,6 @@ def test_duality_of_chases():
     # forward chasing along the reflected dual zigzag is backward chasing here
     from noetherform.core import Subobject, dualize
     from noetherform.gen import InstanceLab, random_zigzag
-    from noetherform.zigzag import dual_zigzag
 
     lab = InstanceLab(seed=11)
     dual = dualize(lab.universe)
