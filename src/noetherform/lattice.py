@@ -13,6 +13,12 @@ is set when keys[p] <= keys[q].  A table lattice builds them from its
 declared order and answers leq, join and meet from them; a dual lattice
 swaps its base's.
 
+A mask lattice numbers its keys in (size, key) order.  MaskLattice sorts
+the masks it is given into that order; MaskLattice.ordered takes keys and
+masks already in it (an interval of a parent lattice, which a quotient's or
+a subalgebra's lattice is read off: see slominski._interval_object) and
+sorts, checks and rebuilds nothing.
+
 A mask lattice derives both from its element columns on first use, where
 holds[x] is the set of positions whose key holds x: keys[p] <= keys[q] iff
 q lies in holds[x] for every x in keys[p] (up), iff p lacks every x outside
@@ -26,6 +32,9 @@ join columns of the cyclic keys, built once per lattice:
 - the image column of a hom f into another mask lattice, the position of
   f(a) for every a, is f(s) v <f(x)> in the codomain (image_column;
   element_morphism reads it).
+The meet column of q, the position of a ^ q for every a, needs no spine:
+it is the highest bit of down[a] & down[q] (meet_column; the subalgebra
+inclusions read it).
 element_morphism also keeps three memos on a mask lattice, each built on
 first use: image_tables (its answers, by codomain lattice and table),
 member_tables (for each key, the 256-byte table y -> [y in key], which
@@ -82,16 +91,34 @@ class MaskLattice:
     """
 
     def __init__(self, n: int, masks: Iterable[int], close: Callable[[int], int]):
-        self.n = n
-        self._close = close
-        self._mask = {elements_of(m): m for m in set(masks)}
-        self.keys: tuple[Key, ...] = tuple(sorted(self._mask, key=lambda k: (len(k), k)))
-        ms = [self._mask[k] for k in self.keys]
-        self.masks = tuple(ms)
-        self.index = {k: i for i, k in enumerate(self.keys)}
-        self._position = {m: i for i, m in enumerate(ms)}
+        by_key = {elements_of(m): m for m in set(masks)}
+        keys = sorted(by_key, key=lambda k: (len(k), k))
+        ms = list(map(by_key.__getitem__, keys))
         if any(m & ~ms[-1] for m in ms):
             raise LatticeError("no top element among the given masks")
+        self._adopt(n, keys, ms, close)
+
+    @classmethod
+    def ordered(cls, n: int, keys: Sequence[Key], masks: Sequence[int],
+                close: Callable[[int], int]) -> MaskLattice:
+        """The lattice whose position p holds keys[p], the elements of
+        masks[p], given already as __init__ would sort them: distinct, in
+        (size, key) order, closed under intersection, the top last.
+        Nothing is sorted, checked or rebuilt."""
+        lat = cls.__new__(cls)
+        lat._adopt(n, keys, masks, close)
+        return lat
+
+    def _adopt(self, n: int, keys: Sequence[Key], masks: Sequence[int],
+               close: Callable[[int], int]) -> None:
+        self.n = n
+        self._close = close
+        self.keys: tuple[Key, ...] = tuple(keys)
+        self.masks = tuple(masks)
+        at = range(len(self.keys))
+        self.index = dict(zip(self.keys, at))
+        self._mask = dict(zip(self.keys, self.masks))
+        self._position = dict(zip(self.masks, at))
         self.bottom, self.top = self.keys[0], self.keys[-1]
         self._joins: dict[int, Key] = {}  # union mask -> key of its closure (join)
 
@@ -188,6 +215,13 @@ class MaskLattice:
         for s, cx in self._join_steps:
             col.append(cx[col[s]])
         return col
+
+    def meet_column(self, q: int) -> list[int]:
+        """The position of keys[a] ^ keys[q] for every position a: the
+        greatest key below both, the highest bit of down[a] & down[q]
+        (keys are sorted by size)."""
+        dq = self.down[q]
+        return [(x & dq).bit_length() - 1 for x in self.down]
 
     def image_column(self, table: Sequence[int], cod: MaskLattice) -> list[int]:
         """The position in cod of the direct image of every key under the

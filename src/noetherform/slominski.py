@@ -37,7 +37,10 @@ Costs the module avoids:
   p(-, z) count once), and stops at the first row that breaks it; the
   answer is memoized on the algebra, so normality and the quotient share
   it.  The translations' getters are built once per algebra and memoized
-  on it (_translations).
+  on it (_translations).  The closure that decides whether B is a
+  subalgebra runs only when the partition is refused: one that passes is
+  a congruence with zero class B, which is therefore closed under d
+  (_candidate_classes).
 - The image tables of element_morphism take no closure and no element
   set: direct images go along the domain lattice's spine, f(s v <x>) =
   f(s) v <f(x)>, one lookup in a join column of the codomain per position
@@ -57,11 +60,16 @@ Costs the module avoids:
   G/N is the image of the interval [N, G] (by AX2, f^-1 f A = A v Ker f, so
   the projection's images of the A >= N are all of G/N's subalgebras), and
   that of a subalgebra S is the interval [0, S], relabelled
-  (SlominskiForm.quotient_object and subobject_object).  The image tables
-  of the projection and the inclusion are read off the same interval, by
-  position, instead of taking images element by element; the projection's
-  direct images are the lattice's join column of N (MaskLattice.join_column),
-  one list lookup per position.
+  (SlominskiForm.quotient_object and subobject_object).  Both relabellings
+  keep the (size, key) order, so, unless a carrier is relabelled too, the
+  interval is taken in the parent's order as the derived lattice's
+  (MaskLattice.ordered): nothing is sorted and no position is looked up by
+  mask (_interval_object).  Each derived position is then a rank in the
+  interval, and the image tables of the projection and the inclusion are
+  read off it instead of taking images element by element: the interval's
+  positions are the bits of up[N] or down[S], and the other table gathers
+  ranks from the lattice's join column of N or meet column of S
+  (MaskLattice.join_column, meet_column).
 """
 
 from __future__ import annotations
@@ -358,22 +366,42 @@ def _kernel_classes(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Optional[
 def _candidate_classes(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     """The class of each element under the congruence with zero class B (a
     subalgebra, sorted elements), numbered by least element; None when B is
-    not normal.
+    not normal.  Raises ValidationError when B is no subalgebra.
 
     Only x ~ y iff d(x, y) in B can have zero class B (x ~ y gives
     d(x, y) ~ d(y, y) = 0, and d(x, y) ~ 0 gives x = p(d(x, y), y) ~
-    p(0, y) = y), so its classes are the cosets p(B, y).  They must not
-    overlap, and every translation p(z, -), p(-, z) and d(z, -) must keep
-    them: t does when cls(t(x)) = cls(t(r(x))) for each x and the least
+    p(0, y) = y), so its classes are the cosets p(B, y) (_coset_classes).
+    Their test runs first, and the closure that decides whether B is a
+    subalgebra runs only when the test refuses: a passed test has shown B
+    the zero class of a congruence, which is closed under d (x ~ 0 and
+    y ~ 0 give d(x, y) ~ d(0, 0) = 0).  Elements outside the carrier, and a
+    B without 0, go straight to the closure, which refuses them.
+    """
+    if belems and 0 <= belems[0] and belems[-1] < alg.n and alg.zero in belems:
+        cls = _coset_classes(alg, belems)
+        if cls is not None:
+            return cls
+    if not is_subalgebra(alg, belems):
+        raise ValidationError(f"{belems} is not a subalgebra of {alg.name}")
+    return None
+
+
+def _coset_classes(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """The cosets p(B, y) as classes, numbered by least element, when they
+    do not overlap and every translation p(z, -), p(-, z) and d(z, -)
+    keeps them; else None.  B lies in the carrier and holds 0.
+
+    t keeps them when cls(t(x)) = cls(t(r(x))) for each x and the least
     element r(x) of its class: the row cls.t, gathered at once, equals its
     own gather at r.  Then d(-, z) keeps them too: each class has |B|
     elements, so the bijection p(-, z) permutes them, and d(-, z) is its
-    inverse.  The overlap test only returns early: classes kept by the
-    translations all have the size of the zero class Z, which lies in B,
-    and the last coset placed keeps all |B| elements, so Z = B.
+    inverse.  So a partition that passes is a congruence, and B is its
+    zero class Z: the coset placed at y holds p(0, y) = y, so it is y's
+    class p(Z, y), and p(-, y) is one-to-one.  The overlap test only
+    returns early: classes kept by the translations all have the size of
+    the zero class Z, which lies in B, and the last coset placed keeps all
+    |B| elements, so Z = B.
     """
-    if not is_subalgebra(alg, belems):
-        raise ValidationError(f"{belems} is not a subalgebra of {alg.name}")
     if alg.n == 1:  # a one-position itemgetter returns a scalar
         return (0,)
     cls, rep, k = [-1] * alg.n, [0] * alg.n, 0
@@ -692,10 +720,11 @@ class SlominskiForm(Form):
 
         The subalgebras of S are the interval [0, S] of its owner's lattice,
         so S's lattice is that interval, relabelled along the inclusion,
-        instead of enumerated, and the inclusion's tables are read off the
-        interval: the direct image of a subalgebra of S is itself, and the
-        inverse image of an A of the owner is the meet A ^ S, the
-        intersection of their masks.
+        instead of enumerated (_interval_object), and the inclusion's tables
+        are read off the interval by rank: the direct image of a subalgebra
+        of S is itself, so d lists the interval's positions (the bits of
+        down[S]), and the inverse image of an A of the owner is the meet
+        A ^ S, so i gathers each meet's rank in the interval.
         """
         keep, ck = self._keeps(S, perm), ("sub", S.owner.id, S.key)
         if keep and ck in self._derived:
@@ -705,10 +734,12 @@ class SlominskiForm(Form):
             p = tuple(perm(sub.n))
             sub = permuted(sub, p, name=sub.name + "~")
             table = gather(table, sorted(range(sub.n), key=p.__getitem__))  # p's inverse
-        lat, top = S.owner.lattice, S.owner.lattice.mask(S.key)
-        below = [a for a, m in enumerate(lat.masks) if not m & ~top]
-        obj, d, at = self._interval_object(sub, lat, below, table, keep)
-        i = [at[lat.position_of_mask(m & top)] for m in lat.masks]
+        lat = S.owner.lattice
+        label = dict(zip(table, range(sub.n)))  # an element of S -> its own in sub
+        s = lat.index[S.key]
+        obj, d, rank = self._interval_object(sub, lat, elements_of(lat.down[s]), label, keep,
+                                             perm is None)
+        i = gather(rank, lat.meet_column(s))
         mor = Morphism(obj, S.owner, d, i, name=f"iota_{S.owner.id}{list(S.key)}",
                        element_map=table)
         if keep:
@@ -722,11 +753,13 @@ class SlominskiForm(Form):
         By AX2 the projection π gives a correspondence: the subalgebras of
         G/N are the images π(A) of the subalgebras A >= N of G.  Each such A
         is a union of classes, since x = p(d(x, a), a) and d(x, a) lies in
-        N when x and a are in one class; so π(A) is read at one element of
-        each class, and G/N's lattice is read off G's instead of enumerated.
-        The projection's tables are read off the interval [N, G] too: the
-        inverse image of π(A) is A, and the direct image of any A is
-        π(A v N), whose positions the lattice's join column of N gives.
+        N when x and a are in one class; so π(A) is A's classes, and G/N's
+        lattice is read off G's instead of enumerated (_interval_object).
+        The projection's tables are read off the interval [N, G] by rank:
+        the inverse image of π(A) is A, so i lists the interval's positions
+        (the bits of up[N]), and the direct image of any A is π(A v N), so d
+        gathers the ranks of the lattice's join column of N
+        (MaskLattice.join_column), one list lookup per position.
         """
         keep, ck = self._keeps(S, perm), ("quot", S.owner.id, S.key)
         if keep and ck in self._derived:
@@ -739,13 +772,11 @@ class SlominskiForm(Form):
             p = tuple(perm(q.n))
             q = permuted(q, p, name=q.name + "~")
             table = gather(p, table)
-        reps = [0] * q.n
-        for x, c in enumerate(table):
-            reps[c] = x
         lat = S.owner.lattice
         n = lat.index[S.key]
-        obj, i, at = self._interval_object(q, lat, elements_of(lat.up[n]), reps, keep)
-        d = tuple(map(at.__getitem__, lat.join_column(n)))
+        obj, i, rank = self._interval_object(q, lat, elements_of(lat.up[n]), table, keep,
+                                             perm is None)
+        d = gather(rank, lat.join_column(n))
         mor = Morphism(S.owner, obj, d, i, name=f"pi_{S.owner.id}/{list(S.key)}",
                        element_map=table)
         if keep:
@@ -758,25 +789,55 @@ class SlominskiForm(Form):
         return perm is None and self._by_algebra.get(S.owner.algebra) is S.owner
 
     def _interval_object(self, alg: SlominskiAlgebra, lat: MaskLattice, positions: Sequence[int],
-                         source: Sequence[int], keep: bool
-                         ) -> tuple[FormObject, list[int], dict[int, int]]:
-        """alg's object (registered if keep), whose subalgebras are lat's at
-        positions (an interval) read along source: element j of alg lies in
-        the subalgebra of mask m when source[j] is in m.  Also returns the
-        map between the two numberings both ways: a list over alg's positions
-        and a dict over the given ones.  MaskLattice sorts the masks, so the
-        keys come in the order that subalgebra_lattice(alg) gives."""
-        bit = [0] * lat.n  # bit[source[j]] = 1 << j; source is one-to-one
-        for j, x in enumerate(source):
-            bit[x] = 1 << j
-        local = [sum(map(bit.__getitem__, lat.keys[a])) for a in positions]
-        obj = self._object(alg, lambda: MaskLattice(alg.n, local, lambda m: close_mask(alg, m)),
-                           keep=keep)
-        at = dict(zip(positions, map(obj.lattice.position_of_mask, local)))
-        outer = [0] * len(local)
-        for a, b in at.items():
-            outer[b] = a
-        return obj, outer, at
+                         label, keep: bool, ordered: bool
+                         ) -> tuple[FormObject, Sequence[int], list[int]]:
+        """alg's object (registered if keep), whose subalgebras are the
+        images of lat's at positions (an interval, ascending) under label,
+        which maps each element of the interval's top to one of alg: key
+        by key, the labels in order of first appearance.  Also returns the
+        map between the two numberings both ways: over alg's positions, the
+        one in lat, and over lat's, the one in alg's lattice (-1 outside the
+        interval).
+
+        When ordered, the image of the interval is taken in lat's order,
+        which is the order of (size, key) that subalgebra_lattice(alg)
+        gives, and is handed to MaskLattice.ordered as it is: the position
+        of each image is its rank in the interval, and nothing is sorted or
+        looked up.  Two labellings are ordered, as both keep size and key
+        order:
+        - the inclusion's, x -> its index among S's sorted elements, is
+          increasing, so it maps each key to a sorted key of the same size
+          and two keys compare as their images do;
+        - the projection's, x -> its class, numbers the classes by their
+          least elements.  A >= N is a union of classes, so the first
+          appearance of each of A's classes in A's sorted key is at its
+          least element, in class order: the image key is sorted, of size
+          |A|/|N|.  For A, B of one size, the lesser in key order is the
+          one that holds m, the least element in one of them only; the
+          elements in one only are a union of classes, so m is the least
+          element of its class, and it also decides π(A) against π(B).
+        Otherwise (a relabelled carrier) MaskLattice sorts the images and
+        each is looked up by its mask."""
+        bit = [1 << j for j in range(alg.n)]
+        keys = [tuple(dict.fromkeys(map(label.__getitem__, lat.keys[a]))) for a in positions]
+        masks = [sum(map(bit.__getitem__, k)) for k in keys]
+
+        def close(m):
+            return close_mask(alg, m)
+
+        rank = [-1] * len(lat.keys)
+        if ordered:
+            obj = self._object(alg, lambda: MaskLattice.ordered(alg.n, keys, masks, close),
+                               keep=keep)
+            for r, a in enumerate(positions):
+                rank[a] = r
+            return obj, positions, rank
+        obj = self._object(alg, lambda: MaskLattice(alg.n, masks, close), keep=keep)
+        outer = [0] * len(masks)
+        for a, m in zip(positions, masks):
+            rank[a] = r = obj.lattice.position_of_mask(m)
+            outer[r] = a
+        return obj, outer, rank
 
     def epi_mono(self, f: Morphism, perm=None) -> tuple[Morphism, Morphism]:
         """Corestriction onto the image algebra, then inclusion."""

@@ -819,6 +819,41 @@ def test_derived_objects_of_random_algebras():
                for seed in range(200)) == 54
 
 
+def test_normality_of_every_subset_against_generate_congruence(monkeypatch):
+    # is_normal_subalgebra runs its coset test before the closure that
+    # decides whether B is a subalgebra; on every subset of these small
+    # algebras it must raise exactly when B is no subalgebra, with the text
+    # the closure gives, and otherwise agree with generate_congruence.  A
+    # passed coset test shows B a subalgebra, so the test itself must
+    # refuse each of the 1,787 non-subalgebras that hold 0
+    small = ([a for a in LE16 if a.n <= 6] + [T3, T4, U4]
+             + [r for r in map(random_permutation_algebra, range(200)) if r.n <= 6])
+    coset_classes, refused = slominski._coset_classes, []
+
+    def recording(alg, belems):
+        cls = coset_classes(alg, belems)
+        refused.append(cls is None)
+        return cls
+
+    monkeypatch.setattr(slominski, "_coset_classes", recording)
+    tested = 0
+    for alg in small:
+        for size in range(alg.n + 1):
+            for sub in itertools.combinations(range(alg.n), size):
+                if is_subalgebra(alg, sub):
+                    cong = generate_congruence(alg, [(b, alg.zero) for b in sub])
+                    assert is_normal_subalgebra(alg, sub) == (cong.zero_class == sub), (
+                        alg.name, sub)
+                    continue
+                refused.clear()
+                with pytest.raises(ValidationError) as exc:
+                    is_normal_subalgebra(alg, sub)
+                assert str(exc.value) == f"{sub} is not a subalgebra of {alg.name}"
+                assert refused == ([True] if alg.zero in sub else []), (alg.name, sub)
+                tested += len(refused)
+    assert tested == 1787
+
+
 def test_subalgebra_masks_finds_each_subalgebra_once():
     # canonical augmentation: the masks come out without duplicates before
     # they are sorted, so a subalgebra reached twice shows here
@@ -902,6 +937,53 @@ def test_spine_steps_join_a_lower_cover_with_a_cyclic_key(alg):
             assert lat.join(lat.keys[s], generated) == lat.keys[a]
 
 
+@pytest.mark.parametrize("alg", [E32, D32, Z64], ids=lambda a: a.name)
+def test_derived_tables_are_ranks_in_the_parent_interval(alg):
+    # quotient_object and subobject_object number G/N's subalgebras and
+    # S's by rank in the intervals [N, G] and [0, S] of the parent; every
+    # table of every derived object must agree with the bitset formulas:
+    # the projection by N sends a to the rank in [N, G] of a v N, the
+    # lowest bit of up[a] & up[n], the inclusion of S sends a to the rank
+    # in [0, S] of a ^ S, the highest bit of down[a] & down[s], and the
+    # other two tables list the interval's positions.  Each derived lattice
+    # is in (size, key) order, and the element maps carry its keys to the
+    # parent's at those positions
+    form = SlominskiForm()
+    obj = form.object_of(alg)
+    lat = obj.lattice
+    up, down = lat.up, lat.down
+
+    def bits(interval):
+        return tuple(p for p in range(len(lat.keys)) if interval >> p & 1)
+
+    def in_order(derived):
+        keys = derived.lattice.keys
+        assert keys == tuple(sorted(keys, key=lambda k: (len(k), k)))
+        assert derived.lattice.masks == tuple(map(lattice.mask_of, keys))
+
+    for s, key in enumerate(lat.keys):
+        below = bits(down[s])
+        rank = {p: r for r, p in enumerate(below)}
+        sub, incl = form.subobject_object(Subobject(obj, key))
+        assert incl.d == below, key
+        assert incl.i == tuple(rank[(x & down[s]).bit_length() - 1] for x in down), key
+        in_order(sub)
+        table = incl.element_map
+        assert [tuple(sorted(table[x] for x in k)) for k in sub.lattice.keys] == [
+            lat.keys[p] for p in below], key
+        if not is_normal_subalgebra(alg, key):
+            continue
+        above = bits(up[s])
+        rank = {p: r for r, p in enumerate(above)}
+        q, proj = form.quotient_object(Subobject(obj, key))
+        assert proj.i == above, key
+        assert proj.d == tuple(rank[((j := u & up[s]) & -j).bit_length() - 1] for u in up), key
+        in_order(q)
+        table = proj.element_map
+        assert [tuple(x for x in range(alg.n) if table[x] in k) for k in q.lattice.keys] == [
+            lat.keys[p] for p in above], key
+
+
 def test_normality_reads_each_distinct_translation_once():
     # of the 3n rows p(z, -), p(-, z) and d(z, -), equal ones are one test:
     # E32 is abelian with d = p, Z64 and Z4xE4 are abelian, and D32's two
@@ -936,20 +1018,21 @@ def test_e64_subgroups_are_normal_and_sampled_quotients_exact():
 
 
 def test_normal_keys_and_quotients_decide_each_pair_once(monkeypatch):
-    # deciding whether B is normal checks first that B is a subalgebra, once
-    # per decision; the answer is memoized on the algebra, so the normal
-    # keys and every quotient by one of them share it
+    # each decision whether B is normal is one _candidate_classes call; the
+    # answer is memoized on the algebra, so the normal keys and every
+    # quotient by one of them share it
     decided, generated = [], []
+    candidate_classes = slominski._candidate_classes
 
     def counting(alg, elems):
         decided.append((alg.name, tuple(elems)))
-        return is_subalgebra(alg, elems)
+        return candidate_classes(alg, elems)
 
     def generating(alg, pairs):
         generated.append(alg.name)
         return generate_congruence(alg, pairs)
 
-    monkeypatch.setattr(slominski, "is_subalgebra", counting)
+    monkeypatch.setattr(slominski, "_candidate_classes", counting)
     monkeypatch.setattr(slominski, "generate_congruence", generating)
     lab = InstanceLab(0)
     d8 = lab.obj(from_group(*dihedral_data(4), name="D8"))
