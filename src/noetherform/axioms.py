@@ -31,9 +31,9 @@ compared, the rest following from them), and how many instances it compared.
   tables with rows of joins and meets by position, built once per lattice
   within the check.  A missing
   join or meet is a failure of BL, AX2 or AX5 with the lattice's message as
-  its witness, never an exception.  A mask lattice closes each distinct
-  union once (MaskLattice.join), so BL, AX2's join rows and AX5 share one
-  closure per union.
+  its witness, never an exception.  A mask lattice's join closes nothing:
+  it walks one chain of its own join columns (MaskLattice.join), and BL
+  judges its answers against up and down like any lattice's.
 - AX4 is decided on image tables.  For f = m . h . e, the form's
   projection_of gives e once per kernel and its embedding_of gives m once
   per image (per object and position), each with the verdict on its part.

@@ -45,7 +45,7 @@ and random_exact_row's quotient steps (see InstanceLab.row_step).
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (FormObject, Morphism, Subobject, compose, direct_image, gather,
                    identity_morphism, image, inverse_image, is_injective, is_isomorphism,
@@ -71,27 +71,11 @@ from .slominski import (
 from .zigzag import LEFT, RIGHT, Edge, Zigzag
 
 
-def _is_injective_table(t: Sequence[int]) -> bool:
-    return len(set(t)) == len(t)
-
-
-def _is_surjective_table(t: Sequence[int], cod_n: int) -> bool:
-    return len(set(t)) == cod_n
-
-
-def _is_bijective_table(t: Sequence[int], cod_n: int) -> bool:
-    return len(t) == cod_n and _is_injective_table(t)
-
-
-def _any_table(t: Sequence[int], cod_n: int) -> bool:
-    return True
-
-
 # ladder decorations: name -> predicate on (table, codomain size)
 _DECORATIONS = {
-    "inj": lambda t, n: _is_injective_table(t),
-    "surj": _is_surjective_table,
-    "iso": _is_bijective_table,
+    "inj": lambda t, n: len(set(t)) == len(t),
+    "surj": lambda t, n: len(set(t)) == n,
+    "iso": lambda t, n: len(t) == n == len(set(t)),
 }
 
 
@@ -162,16 +146,17 @@ def _first_maps(A: SlominskiAlgebra, B: SlominskiAlgebra
         (t, tuple(sorted(set(t)))) for t in extend_homs(A, B, {})))
 
 
-def _v0_homs(A: SlominskiAlgebra, B: SlominskiAlgebra, v0_pred: Callable,
+def _v0_homs(A: SlominskiAlgebra, B: SlominskiAlgebra, v0: Optional[str],
              kt: tuple[int, ...], kb: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The hom tables A -> B that satisfy v0_pred and send the kernel key kt
-    into kb, in lexicographic order.  v0_pred is part of the memo key, so it
-    must be a module-level predicate, not a per-call one."""
+    """The hom tables A -> B with the decoration named v0 (see _DECORATIONS;
+    any table when None) that send the kernel key kt into kb, in
+    lexicographic order."""
     def homs():
+        ok = _DECORATIONS[v0] if v0 else lambda t, n: True
         kbset = set(kb)
         return tuple(t for t in extend_homs(A, B, {})
-                     if v0_pred(t, B.n) and all(t[x] in kbset for x in kt))
-    return A.memoized(("v0", B, v0_pred, kt, kb), homs)
+                     if ok(t, B.n) and all(t[x] in kbset for x in kt))
+    return A.memoized(("v0", B, v0, kt, kb), homs)
 
 
 class InstanceLab:
@@ -347,8 +332,9 @@ def _zeros(table: Sequence[int], zero: int) -> tuple[int, ...]:
     return tuple([x for x, y in enumerate(table) if y == zero])
 
 
-def _ladder_instance(lab, maps, prefs_spec, v0_pred):
-    """Generic ladder generator; prefs_spec maps column -> decoration name.
+def _ladder_instance(lab, maps, prefs_spec, v0):
+    """Generic ladder generator; prefs_spec maps column -> decoration name,
+    and v0 names the first column's decoration (None for any).
     Needs maps >= 1.  Each attempt is decided on element tables; morphisms
     are built for the accepted one only.  Falls back to identity columns
     after 400 rejected attempts."""
@@ -364,7 +350,7 @@ def _ladder_instance(lab, maps, prefs_spec, v0_pred):
         tobjs, bobjs = top[0], bottom[0]
         kt = _zeros(top[1][0], tobjs[1].algebra.zero)
         kb = _zeros(bottom[1][0], bobjs[1].algebra.zero)
-        homs = _v0_homs(tobjs[0].algebra, bobjs[0].algebra, v0_pred, kt, kb)
+        homs = _v0_homs(tobjs[0].algebra, bobjs[0].algebra, v0, kt, kb)
         if not homs:
             continue
         vs = lift_ladder(lab, top, bottom, lab.rng.choice(homs), prefs_spec)
@@ -382,9 +368,7 @@ def _ladder_instance(lab, maps, prefs_spec, v0_pred):
 
 
 def four_instance(lab: InstanceLab) -> Diagram:
-    top, bottom, vs = _ladder_instance(
-        lab, 3, prefs_spec={3: "inj"}, v0_pred=_is_surjective_table
-    )
+    top, bottom, vs = _ladder_instance(lab, 3, prefs_spec={3: "inj"}, v0="surj")
     return _diagram(lab, "four", (*top[0], *bottom[0]), (*top[1], *bottom[1], *vs))
 
 
@@ -394,8 +378,8 @@ def five_instance(lab: InstanceLab, part: str) -> Diagram:
         "ii": {1: "surj", 3: "surj", 4: "inj"},
         "full": {1: "iso", 3: "iso", 4: "inj"},
     }[part]
-    v0_pred = _is_surjective_table if part in ("i", "full") else _any_table
-    top, bottom, vs = _ladder_instance(lab, 4, prefs_spec=prefs, v0_pred=v0_pred)
+    v0 = "surj" if part in ("i", "full") else None
+    top, bottom, vs = _ladder_instance(lab, 4, prefs_spec=prefs, v0=v0)
     return _diagram(lab, "five", (*top[0], *bottom[0]), (*top[1], *bottom[1], *vs))
 
 
@@ -445,7 +429,7 @@ def short_five_instance(lab: InstanceLab, part: str) -> Diagram:
             # the automorphisms of G that map N onto itself
             cands = G.algebra.memoized(("automorphisms keeping", N), lambda: tuple(
                 t for t in extend_homs(G.algebra, G.algebra, {})
-                if _is_bijective_table(t, G.algebra.n) and {t[x] for x in N} == set(N)))
+                if _DECORATIONS["iso"](t, G.algebra.n) and {t[x] for x in N} == set(N)))
             Np = N
         else:
             cands = extend_homs(G.algebra, Gp.algebra, {})

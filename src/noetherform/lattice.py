@@ -13,11 +13,13 @@ is set when keys[p] <= keys[q].  A table lattice builds them from its
 declared order and answers leq, join and meet from them; a dual lattice
 swaps its base's.
 
-A mask lattice numbers its keys in (size, key) order.  MaskLattice sorts
-the masks it is given into that order; MaskLattice.ordered takes keys and
-masks already in it (an interval of a parent lattice, which a quotient's or
-a subalgebra's lattice is read off: see slominski._interval_object) and
-sorts, checks and rebuilds nothing.
+A mask lattice is plain data: keys, masks and the tables derived from
+them, and no closure or reference to an algebra.  It numbers its keys in
+(size, key) order.  MaskLattice sorts the masks it is given into that
+order; MaskLattice.ordered takes keys and masks already in it (an interval
+of a parent lattice, which a quotient's or a subalgebra's lattice is read
+off: see slominski._interval_object) and sorts, checks and rebuilds
+nothing.  leq and meet compare masks; join walks the spine (below).
 
 A mask lattice derives both from its element columns on first use, where
 holds[x] is the set of positions whose key holds x: keys[p] <= keys[q] iff
@@ -25,8 +27,11 @@ q lies in holds[x] for every x in keys[p] (up), iff p lacks every x outside
 keys[q] (down).  It also keeps one spine: for each position a > 0 a lower
 cover s of a and the least x in keys[a] outside keys[s], so a = s v <x>,
 where <x>, the least key holding x, is the lowest bit of holds[x].  The
-spine serves two kinds of column, each one list lookup per position in the
-join columns of the cyclic keys, built once per lattice:
+spine serves every join, one list lookup per step in the join columns of
+the cyclic keys, built once per lattice:
+- a v b, for one pair, walks a's chain of spine steps from b, from the
+  bottom up: a = <x1> v ... v <xk>, so a v b = ((b v <x1>) v ...) v <xk>
+  (join; its chains are built once per lattice);
 - the join column of q, the position of a v q for every a, is
   (s v q) v <x> (join_column; the quotient projections read it);
 - the image column of a hom f into another mask lattice, the position of
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from operator import and_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
 
 from .errors import LatticeError
@@ -76,6 +81,14 @@ def _no_subobject(mask: int) -> LatticeError:
     return LatticeError(f"mask {bin(mask)} is not a subobject")
 
 
+def _positions(lat, a: Key, b: Key) -> tuple[int, int]:
+    """The positions of keys a and b in lat."""
+    try:
+        return lat.index[a], lat.index[b]
+    except KeyError:
+        raise LatticeError(f"unknown subobject key {a!r} or {b!r}") from None
+
+
 def _converse(rows: tuple[int, ...]) -> tuple[int, ...]:
     """The bitset rows of the converse relation."""
     n = len(rows)
@@ -83,44 +96,36 @@ def _converse(rows: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class MaskLattice:
-    """Lattice of closed subsets of {0..n-1}, ordered by inclusion.
+    """Lattice of the subsets of {0..n-1} given by `masks`, ordered by
+    inclusion.  `masks` must contain the bottom and top and be closed under
+    intersection; joins are read off the spine (see join)."""
 
-    `masks` must contain the bottom and top and be closed under intersection;
-    `close` maps an arbitrary subset mask to the least closed superset (used
-    for joins).
-    """
-
-    def __init__(self, n: int, masks: Iterable[int], close: Callable[[int], int]):
+    def __init__(self, n: int, masks: Iterable[int]):
         by_key = {elements_of(m): m for m in set(masks)}
         keys = sorted(by_key, key=lambda k: (len(k), k))
         ms = list(map(by_key.__getitem__, keys))
         if any(m & ~ms[-1] for m in ms):
             raise LatticeError("no top element among the given masks")
-        self._adopt(n, keys, ms, close)
+        self._adopt(n, keys, ms)
 
     @classmethod
-    def ordered(cls, n: int, keys: Sequence[Key], masks: Sequence[int],
-                close: Callable[[int], int]) -> MaskLattice:
+    def ordered(cls, n: int, keys: Sequence[Key], masks: Sequence[int]) -> MaskLattice:
         """The lattice whose position p holds keys[p], the elements of
         masks[p], given already as __init__ would sort them: distinct, in
         (size, key) order, closed under intersection, the top last.
         Nothing is sorted, checked or rebuilt."""
         lat = cls.__new__(cls)
-        lat._adopt(n, keys, masks, close)
+        lat._adopt(n, keys, masks)
         return lat
 
-    def _adopt(self, n: int, keys: Sequence[Key], masks: Sequence[int],
-               close: Callable[[int], int]) -> None:
+    def _adopt(self, n: int, keys: Sequence[Key], masks: Sequence[int]) -> None:
         self.n = n
-        self._close = close
         self.keys: tuple[Key, ...] = tuple(keys)
         self.masks = tuple(masks)
         at = range(len(self.keys))
         self.index = dict(zip(self.keys, at))
-        self._mask = dict(zip(self.keys, self.masks))
         self._position = dict(zip(self.masks, at))
         self.bottom, self.top = self.keys[0], self.keys[-1]
-        self._joins: dict[int, Key] = {}  # union mask -> key of its closure (join)
 
     @cached_property
     def image_tables(self) -> WeakKeyDictionary:  # element_morphism's: codomain lattice, table
@@ -208,6 +213,15 @@ class MaskLattice:
         joins = self._cyclic_joins
         return tuple((s, joins[x]) for s, x in self.spine)
 
+    @cached_property
+    def _join_chains(self) -> list[tuple[list[int], ...]]:
+        """For each position a, the join columns of the cyclic keys along
+        a's spine, from the bottom up: a = <x1> v ... v <xk>."""
+        chains = [()]
+        for s, cx in self._join_steps:
+            chains.append(chains[s] + (cx,))
+        return chains
+
     def join_column(self, q: int) -> list[int]:
         """The position of keys[a] v keys[q] for every position a, along the
         spine: a v q = (s v q) v <x>."""
@@ -235,12 +249,6 @@ class MaskLattice:
             col.append(joins[table[x]][col[s]])
         return col
 
-    def mask(self, key: Key) -> int:
-        try:
-            return self._mask[key]
-        except KeyError:
-            raise LatticeError(f"unknown subobject key {key!r}") from None
-
     def position_of_mask(self, mask: int) -> int:
         try:
             return self._position[mask]
@@ -256,24 +264,21 @@ class MaskLattice:
         except KeyError as exc:
             raise _no_subobject(mask_of(x for x, c in enumerate(exc.args[0]) if c)) from None
 
-    def key_of_mask(self, mask: int) -> Key:
-        return self.keys[self.position_of_mask(mask)]
-
     def leq(self, a: Key, b: Key) -> bool:
-        return self.mask(a) & ~self.mask(b) == 0
+        p, q = _positions(self, a, b)
+        return self.masks[p] & ~self.masks[q] == 0
 
     def join(self, a: Key, b: Key) -> Key:
-        """The key of the closure of the union, closed once per distinct
-        union on this lattice; a union whose closure is no key raises each
-        time and is not remembered."""
-        union = self.mask(a) | self.mask(b)
-        got = self._joins.get(union)
-        if got is None:
-            got = self._joins[union] = self.key_of_mask(self._close(union))
-        return got
+        """Along a's spine from b: a v b = ((b v <x1>) v ...) v <xk>, one
+        lookup per step of the chain (_join_chains)."""
+        p, r = _positions(self, a, b)
+        for column in self._join_chains[p]:
+            r = column[r]
+        return self.keys[r]
 
     def meet(self, a: Key, b: Key) -> Key:
-        return self.key_of_mask(self.mask(a) & self.mask(b))
+        p, q = _positions(self, a, b)
+        return self.keys[self.position_of_mask(self.masks[p] & self.masks[q])]
 
 
 class TableLattice:
@@ -305,20 +310,14 @@ class TableLattice:
         self.up = tuple(up)
         self.down = _converse(self.up)
 
-    def _positions(self, a: Key, b: Key) -> tuple[int, int]:
-        try:
-            return self.index[a], self.index[b]
-        except KeyError:
-            raise LatticeError(f"unknown subobject key {a!r} or {b!r}") from None
-
     def leq(self, a: Key, b: Key) -> bool:
-        p, q = self._positions(a, b)
+        p, q = _positions(self, a, b)
         return self.up[p] >> q & 1 == 1
 
     def _unique_with(self, sets: tuple[int, ...], a: Key, b: Key, op: str) -> Key:
         """The one key whose set in sets is the intersection of a's and b's:
         over up-sets the join, over down-sets the meet."""
-        p, q = self._positions(a, b)
+        p, q = _positions(self, a, b)
         want = sets[p] & sets[q]
         if sets.count(want) != 1:
             raise LatticeError(f"{op} of {a!r} and {b!r} does not exist")

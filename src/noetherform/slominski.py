@@ -298,7 +298,10 @@ def subalgebra_masks(alg: SlominskiAlgebra) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def subalgebra_lattice(alg: SlominskiAlgebra) -> MaskLattice:
-    return MaskLattice(alg.n, subalgebra_masks(alg), lambda m: close_mask(alg, m))
+    """The lattice of alg's subalgebras (subalgebra_masks), cached per
+    process.  It holds masks only: its joins are read off its own spine,
+    and nothing in it closes a set or refers to alg."""
+    return MaskLattice(alg.n, subalgebra_masks(alg))
 
 
 # ---------------------------------------------------------------------------
@@ -817,22 +820,19 @@ class SlominskiForm(Form):
           elements in one only are a union of classes, so m is the least
           element of its class, and it also decides π(A) against π(B).
         Otherwise (a relabelled carrier) MaskLattice sorts the images and
-        each is looked up by its mask."""
+        each is looked up by its mask.  Either way the lattice gets keys and
+        masks only, no closure over alg: its joins are read off its own
+        spine."""
         bit = [1 << j for j in range(alg.n)]
         keys = [tuple(dict.fromkeys(map(label.__getitem__, lat.keys[a]))) for a in positions]
         masks = [sum(map(bit.__getitem__, k)) for k in keys]
-
-        def close(m):
-            return close_mask(alg, m)
-
         rank = [-1] * len(lat.keys)
         if ordered:
-            obj = self._object(alg, lambda: MaskLattice.ordered(alg.n, keys, masks, close),
-                               keep=keep)
+            obj = self._object(alg, lambda: MaskLattice.ordered(alg.n, keys, masks), keep=keep)
             for r, a in enumerate(positions):
                 rank[a] = r
             return obj, positions, rank
-        obj = self._object(alg, lambda: MaskLattice(alg.n, masks, close), keep=keep)
+        obj = self._object(alg, lambda: MaskLattice(alg.n, masks), keep=keep)
         outer = [0] * len(masks)
         for a, m in zip(positions, masks):
             rank[a] = r = obj.lattice.position_of_mask(m)

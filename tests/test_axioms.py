@@ -9,7 +9,7 @@ from noetherform import DataForm, FormObject, Morphism, axiom_suite, dualize
 from noetherform.errors import ClosureError
 from noetherform.groups import (cyclic, cyclic_data, dihedral8, product_data, symmetric3,
                                trivial_group, xor_group)
-from noetherform.lattice import TableLattice
+from noetherform.lattice import MaskLattice, TableLattice
 from noetherform.slominski import (SlominskiForm, as_form, close_homs, enumerate_homs,
                                    from_group)
 
@@ -678,6 +678,16 @@ def test_missing_bound_is_a_failure_not_an_error():
     assert checks["BL"].render() == "FAIL BL [X: join of 'a' and 'b' does not exist]"
     assert checks["AX2"].render() == "FAIL AX2 [f: join of 'a' and 'b' does not exist]"
     assert checks["AX5"].render() == "FAIL AX5 [X: join of 'a' and 'b' does not exist]"
+
+
+def test_bl_judges_a_mask_lattice_join_whatever_computes_it(monkeypatch):
+    # BL reads a mask lattice's joins through join, like any lattice's, and
+    # checks them against up and down: a join that returns its second
+    # argument fails at the first pair that is not already ordered
+    form = endo_form(xor_group(3))
+    monkeypatch.setattr(MaskLattice, "join", lambda self, a, b: b)
+    checks = {c.name: c for c in axiom_suite(form).checks}
+    assert checks["BL"].render() == "FAIL BL [E8: join((0, 1),(0,)) is not an upper bound]"
 
 
 def test_check_axioms_cli_fails_on_a_non_lattice(tmp_path, capsys):

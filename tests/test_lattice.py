@@ -17,25 +17,10 @@ def test_mask_helpers():
     assert elements_of(0) == ()
 
 
-def closure_z4(mask):
-    # subgroup closure in Z4 written directly on masks
-    elems = set(elements_of(mask)) | {0}
-    changed = True
-    while changed:
-        changed = False
-        for x in list(elems):
-            for y in list(elems):
-                v = (x + y) % 4
-                if v not in elems:
-                    elems.add(v)
-                    changed = True
-    return mask_of(elems)
-
-
 @pytest.fixture
 def z4_lattice():
     masks = [0b0001, 0b0101, 0b1111]
-    return MaskLattice(4, masks, closure_z4)
+    return MaskLattice(4, masks)
 
 
 def test_mask_lattice_keys_sorted_by_size(z4_lattice):
@@ -50,8 +35,8 @@ def test_mask_lattice_ops(z4_lattice):
     assert not lat.leq((0, 2), (0,))
     assert lat.meet((0, 2), (0, 1, 2, 3)) == (0, 2)
     assert lat.join((0,), (0, 2)) == (0, 2)
-    # join of generators closes up
     assert lat.join((0, 2), (0, 2)) == (0, 2)
+    assert lat.join((0, 2), (0,)) == (0, 2)
 
 
 def test_mask_lattice_rejects_unknown_key(z4_lattice):
@@ -167,7 +152,7 @@ def test_lattices_hold_their_order_as_bitsets(z4_lattice):
 
 
 # ---------------------------------------------------------------------------
-# MaskLattice.join closes each distinct union once per lattice
+# MaskLattice.join reads each union's closure off the spine, without a closure
 
 
 def _join_groups():
@@ -176,52 +161,36 @@ def _join_groups():
     return [xor_group(3), dihedral8(), quaternion8()]
 
 
-def _counted_lattice(alg, close):
-    """A fresh lattice of alg's subalgebras whose closure counts its calls."""
-    from noetherform.slominski import subalgebra_masks
-
-    calls = []
-
-    def counted(mask):
-        calls.append(mask)
-        return close(mask)
-
-    return MaskLattice(alg.n, subalgebra_masks(alg), counted), calls
-
-
 @pytest.mark.parametrize("alg", _join_groups(), ids=lambda a: a.name)
 def test_join_closes_each_union_once_and_agrees_with_a_fresh_closure(alg):
-    from noetherform.slominski import close_mask
+    # the lattice is built from masks alone; every join is the key of the
+    # closure of the union, the same key object on a second call, and a
+    # second lattice over the same masks answers alike
+    from noetherform.slominski import close_mask, subalgebra_masks
 
-    lat, calls = _counted_lattice(alg, lambda m: close_mask(alg, m))
-    unions = set()
-    for a in lat.keys:
-        for b in lat.keys:
-            union = lat.mask(a) | lat.mask(b)
-            unions.add(union)
-            want = lat.key_of_mask(close_mask(alg, union))
+    masks = subalgebra_masks(alg)
+    lat, other = MaskLattice(alg.n, masks), MaskLattice(alg.n, masks)
+    for p, a in enumerate(lat.keys):
+        for q, b in enumerate(lat.keys):
+            want = lat.keys[lat.position_of_mask(close_mask(alg, lat.masks[p] | lat.masks[q]))]
             got = lat.join(a, b)
             assert got == want and lat.join(a, b) is got, (a, b)
-    assert sorted(calls) == sorted(unions)
-    # a second lattice over the same masks keeps its own memo
-    other, other_calls = _counted_lattice(alg, lambda m: close_mask(alg, m))
+            assert other.join(a, b) == want, (a, b)
     top = other.keys[-1]
-    assert other.join(top, top) == top and other_calls == [other.mask(top)]
+    assert other.join(top, top) == top
 
 
 @pytest.mark.parametrize("alg", _join_groups(), ids=lambda a: a.name)
 def test_join_remembers_no_error(alg):
-    from noetherform.slominski import close_mask
+    # an unknown key raises on every call, on either side, and leaves the
+    # joins of known keys as they were
+    from noetherform.slominski import close_mask, subalgebra_masks
 
-    lat, calls = _counted_lattice(alg, lambda m: close_mask(alg, m))
-    a = lat.keys[1]
+    lat = MaskLattice(alg.n, subalgebra_masks(alg))
+    a, b = lat.keys[1], lat.keys[-2]
+    want = lat.keys[lat.position_of_mask(close_mask(alg, lat.masks[1] | lat.masks[-2]))]
     for _ in range(2):
-        with pytest.raises(LatticeError):
-            lat.join(a, ("no", "such", "key"))
-    assert calls == []
-    # a closure that is no subobject raises on every call, and is retried
-    broken, broken_calls = _counted_lattice(alg, lambda m: m | 1 << alg.n)
-    for _ in range(2):
-        with pytest.raises(LatticeError):
-            broken.join(a, a)
-    assert broken_calls == [broken.mask(a)] * 2
+        for pair in ((a, ("no", "such", "key")), (("no", "such", "key"), a)):
+            with pytest.raises(LatticeError):
+                lat.join(*pair)
+        assert lat.join(a, b) == want

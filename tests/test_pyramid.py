@@ -295,8 +295,9 @@ def test_scrambled_dual_builds_leave_nothing_behind():
 
 def test_dropped_labs_leave_no_codomain_on_the_palette_lattices():
     # the palette groups' lattices are process-wide; the image tables
-    # element_morphism memoizes on them hold a lab's codomain lattices (and
-    # through their closures its algebras) only as long as the lab lives.
+    # element_morphism memoizes on them hold a lab's codomain lattices only
+    # as long as the lab lives (a lattice holds no algebra: see
+    # test_lattices_are_plain_data).
     # A lab of the same seed rebuilds equal algebras, so whatever the
     # process-wide caches keep of it is kept once.
     counts = []

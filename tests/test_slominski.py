@@ -1,7 +1,10 @@
 """Slominski algebras: identities, subalgebras, congruences, quotients, homs."""
 
+import gc
 import itertools
 import random
+import types
+import weakref
 from functools import reduce
 from operator import and_
 
@@ -37,6 +40,7 @@ from noetherform.slominski import (
     as_form,
     check_hom,
     close_homs,
+    close_mask,
     element_morphism,
     enumerate_homs,
     from_group,
@@ -384,7 +388,7 @@ def _z257():
     sub = tuple(tuple((x - y) % n for y in range(n)) for x in range(n))
     alg = SlominskiAlgebra("Z257", 0, add, sub)
     everything = (1 << n) - 1
-    lat = lattice.MaskLattice(n, (1, everything), lambda m: m if m == 1 else everything)
+    lat = lattice.MaskLattice(n, (1, everything))
     return FormObject("Z257", lat, algebra=alg)
 
 
@@ -920,6 +924,83 @@ def test_join_columns_and_down_against_the_bitset_formulas(alg):
         assert [lat.join_column(q) for q in range(len(lat.keys))] == join_columns_by_formula(lat)
 
 
+def test_join_against_the_closure_of_the_union():
+    # MaskLattice.join walks its own spine and closes nothing; close_mask,
+    # the closure subalgebras are enumerated by, must find the same key for
+    # every pair of keys of the small algebras and for seeded pairs of the
+    # scale groups.  An unknown key raises, on every call
+    def check(lat, alg, p, q):
+        a, b, ms = lat.keys[p], lat.keys[q], lat.masks
+        want = lat.keys[lat.position_of_mask(close_mask(alg, ms[p] | ms[q]))]
+        assert lat.join(a, b) == want, (alg.name, a, b)
+
+    pairs = 0
+    for alg in LE16 + [T3, T4, U4] + [random_permutation_algebra(s) for s in range(200)]:
+        lat = subalgebra_lattice(alg)
+        at = range(len(lat.keys))
+        for p, q in itertools.product(at, at):
+            check(lat, alg, p, q)
+        pairs += len(at) ** 2
+    assert pairs == 11_872
+    rng = random.Random(0)
+    for alg in (E32, D32, Z64):
+        lat = subalgebra_lattice(alg)
+        for _ in range(500):
+            check(lat, alg, rng.randrange(len(lat.keys)), rng.randrange(len(lat.keys)))
+        a = lat.keys[1]
+        for _ in range(2):
+            for pair in ((a, ("no", "such", "key")), (("no", "such", "key"), a)):
+                with pytest.raises(LatticeError, match="unknown subobject key"):
+                    lat.join(*pair)
+
+
+def _strongly_reached(root):
+    """Everything a gc.get_referents walk from root reaches, following no
+    weakref and no class (shared code, not data); of a WeakKeyDictionary,
+    whose keys are weakrefs with a removal callback, only the values."""
+    seen, todo, out = {id(root)}, [root], []
+    while todo:
+        x = todo.pop()
+        out.append(x)
+        if isinstance(x, weakref.WeakKeyDictionary):
+            nxt = list(x.data.values())
+        elif isinstance(x, (type, weakref.ref)):
+            continue
+        else:
+            nxt = gc.get_referents(x)
+        for y in nxt:
+            if id(y) not in seen:
+                seen.add(id(y))
+                todo.append(y)
+    return out
+
+
+def test_lattices_are_plain_data():
+    # a subalgebra lattice and the lattices of a quotient and a subobject,
+    # used through join, join_column and element_morphism, hold keys, masks
+    # and tables only: nothing they reach is an algebra or a function
+    form = SlominskiForm()
+    G = form.object_of(dihedral8())
+    N = next(k for k in G.lattice.keys[1:-1] if is_normal_subalgebra(G.algebra, k))
+    Q, pi = form.quotient_object(Subobject(G, N))
+    S, iota = form.subobject_object(Subobject(G, N))
+    for obj in (G, Q, S):
+        lat = obj.lattice
+        assert lat.join(lat.top, lat.bottom) == lat.top
+        assert lat.join_column(0) == list(range(len(lat.keys)))
+        element_morphism(obj, obj, range(obj.algebra.n))
+    element_morphism(G, Q, pi.element_map)
+    element_morphism(S, G, iota.element_map)
+    for obj in (G, Q, S):
+        lat = obj.lattice
+        held = _strongly_reached(lat)
+        reached = set(map(id, held))
+        memos = [lat.keys, lat.masks, lat._join_chains, *lat.image_tables.values()]
+        assert all(id(x) in reached for x in memos), obj.id
+        assert not [x for x in held if isinstance(x, (SlominskiAlgebra, types.FunctionType,
+                                                         types.MethodType))], obj.id
+
+
 @pytest.mark.parametrize("alg", LE16 + [T3, T4, U4, E32, D32, Z64], ids=lambda a: a.name)
 def test_spine_steps_join_a_lower_cover_with_a_cyclic_key(alg):
     # for each a > 0, (s, x): keys[s] < keys[a] with nothing strictly
@@ -933,7 +1014,7 @@ def test_spine_steps_join_a_lower_cover_with_a_cyclic_key(alg):
             assert s < a and ms[s] & ~ms[a] == 0
             assert not any(ms[s] & ~m == 0 and m & ~ms[a] == 0 for m in ms[s + 1:a])
             assert x == min(set(lat.keys[a]) - set(lat.keys[s]))
-            generated = lat.key_of_mask(reduce(and_, (m for m in ms if m >> x & 1)))
+            generated = lat.keys[lat.position_of_mask(reduce(and_, (m for m in ms if m >> x & 1)))]
             assert lat.join(lat.keys[s], generated) == lat.keys[a]
 
 
