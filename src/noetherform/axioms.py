@@ -34,6 +34,11 @@ compared, the rest following from them), and how many instances it compared.
   its witness, never an exception.  A mask lattice's join closes nothing:
   it walks one chain of its own join columns (MaskLattice.join), and BL
   judges its answers against up and down like any lattice's.
+- P1 and P2 are guarded by construction: no lattice the engine builds can
+  fail them.  A TableLattice's up-sets are the reflexive-transitive
+  closure of its declared pairs, a mask lattice is ordered by inclusion,
+  and a dual lattice swaps its base's.  P3 can fail: a form block whose
+  order has a cycle (a <= b and b <= a) gives two keys mutually <=.
 - AX4 is decided on image tables.  For f = m . h . e, the form's
   projection_of gives e once per kernel and its embedding_of gives m once
   per image (per object and position), each with the verdict on its part.

@@ -16,10 +16,15 @@ swaps its base's.
 A mask lattice is plain data: keys, masks and the tables derived from
 them, and no closure or reference to an algebra.  It numbers its keys in
 (size, key) order.  MaskLattice sorts the masks it is given into that
-order; MaskLattice.ordered takes keys and masks already in it (an interval
-of a parent lattice, which a quotient's or a subalgebra's lattice is read
-off: see slominski._interval_object) and sorts, checks and rebuilds
-nothing.  leq and meet compare masks; join walks the spine (below).
+order.  MaskLattice.interval is the lattice of an interval of a parent
+lattice relabelled by an order-keeping map (a quotient's or a subalgebra's
+lattice is read off its parent's: see slominski._interval_object).  It is
+made from the parent, the interval's positions and the labelling alone,
+and derives its keys, masks, index, bottom and top together on the first
+read of any of them (interval_images), sorting, checking and looking up
+nothing; then it drops the parent.  A quotient or subalgebra whose
+lattice is never read costs no key.  leq and meet compare masks; join
+walks the spine (below).
 
 A mask lattice derives both from its element columns on first use, where
 holds[x] is the set of positions whose key holds x: keys[p] <= keys[q] iff
@@ -95,6 +100,33 @@ def _converse(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 << p for p in range(n) if rows[p] >> q & 1) for q in range(n))
 
 
+def interval_images(n: int, parent, positions: Sequence[int], label
+                    ) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The keys and masks, over n elements, of the images under label of
+    parent's keys at positions: key by key, the labels in order of first
+    appearance, so an order-keeping label gives sorted keys."""
+    bit = [1 << j for j in range(n)]
+    pk = parent.keys
+    keys = [tuple(dict.fromkeys(map(label.__getitem__, pk[a]))) for a in positions]
+    return keys, [sum(map(bit.__getitem__, k)) for k in keys]
+
+
+class _DerivedOnFirstRead:
+    """A field of an interval lattice (MaskLattice.interval).  Its first
+    read derives every such field into the instance's __dict__, which later
+    reads find before this descriptor, so each lattice calls it once; a
+    lattice built by __init__ has them all there from the start."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, lat, owner=None):
+        if lat is None:
+            return self
+        lat._derive()
+        return lat.__dict__[self.name]
+
+
 class MaskLattice:
     """Lattice of the subsets of {0..n-1} given by `masks`, ordered by
     inclusion.  `masks` must contain the bottom and top and be closed under
@@ -109,13 +141,20 @@ class MaskLattice:
         self._adopt(n, keys, ms)
 
     @classmethod
-    def ordered(cls, n: int, keys: Sequence[Key], masks: Sequence[int]) -> MaskLattice:
-        """The lattice whose position p holds keys[p], the elements of
-        masks[p], given already as __init__ would sort them: distinct, in
-        (size, key) order, closed under intersection, the top last.
-        Nothing is sorted, checked or rebuilt."""
+    def interval(cls, n: int, parent: MaskLattice, positions: Sequence[int],
+                 label) -> MaskLattice:
+        """The lattice, over n elements, of the images under label of
+        parent's keys at positions (see interval_images).  The images must
+        come out as __init__ would sort them: distinct, in (size, key)
+        order, closed under intersection, the top last; a label that keeps
+        size and key order, applied to an interval, gives that.  Nothing is
+        sorted, checked or rebuilt, and nothing is derived here: keys,
+        masks, index, bottom, top and the mask-to-position map are derived
+        together on the first read of any of them, after which the lattice
+        holds no reference to parent."""
         lat = cls.__new__(cls)
-        lat._adopt(n, keys, masks)
+        lat.n = n
+        lat._interval = parent, positions, label
         return lat
 
     def _adopt(self, n: int, keys: Sequence[Key], masks: Sequence[int]) -> None:
@@ -126,6 +165,18 @@ class MaskLattice:
         self.index = dict(zip(self.keys, at))
         self._position = dict(zip(self.masks, at))
         self.bottom, self.top = self.keys[0], self.keys[-1]
+
+    def _derive(self) -> None:
+        """Fill in an interval lattice's fields from its parent, once."""
+        parent, positions, label = self.__dict__.pop("_interval")
+        self._adopt(self.n, *interval_images(self.n, parent, positions, label))
+
+    keys = _DerivedOnFirstRead()
+    masks = _DerivedOnFirstRead()
+    index = _DerivedOnFirstRead()
+    _position = _DerivedOnFirstRead()
+    bottom = _DerivedOnFirstRead()
+    top = _DerivedOnFirstRead()
 
     @cached_property
     def image_tables(self) -> WeakKeyDictionary:  # element_morphism's: codomain lattice, table

@@ -63,13 +63,16 @@ Costs the module avoids:
   (SlominskiForm.quotient_object and subobject_object).  Both relabellings
   keep the (size, key) order, so, unless a carrier is relabelled too, the
   interval is taken in the parent's order as the derived lattice's
-  (MaskLattice.ordered): nothing is sorted and no position is looked up by
+  (MaskLattice.interval): nothing is sorted and no position is looked up by
   mask (_interval_object).  Each derived position is then a rank in the
   interval, and the image tables of the projection and the inclusion are
   read off it instead of taking images element by element: the interval's
   positions are the bits of up[N] or down[S], and the other table gathers
   ranks from the lattice's join column of N or meet column of S
-  (MaskLattice.join_column, meet_column).
+  (MaskLattice.join_column, meet_column).  So the tables need none of the
+  derived lattice's keys, and its keys and masks are derived on their
+  first read: a quotient or subalgebra whose lattice is never read costs
+  none.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ from .core import (Form, FormObject, Frozen, Morphism, Subobject, compose,
                    composite_element_key, element_key, first_uncomposed, gather,
                    identity_morphism, image)
 from .errors import ClosureError, UnsupportedSubobjectError, ValidationError
-from .lattice import MaskLattice, elements_of, mask_of
+from .lattice import MaskLattice, elements_of, interval_images, mask_of
 
 
 class SlominskiAlgebra(Frozen):
@@ -727,7 +730,8 @@ class SlominskiForm(Form):
         are read off the interval by rank: the direct image of a subalgebra
         of S is itself, so d lists the interval's positions (the bits of
         down[S]), and the inverse image of an A of the owner is the meet
-        A ^ S, so i gathers each meet's rank in the interval.
+        A ^ S, so i gathers each meet's rank in the interval.  Unless
+        relabelled, S's lattice derives its keys and masks on first read.
         """
         keep, ck = self._keeps(S, perm), ("sub", S.owner.id, S.key)
         if keep and ck in self._derived:
@@ -762,7 +766,8 @@ class SlominskiForm(Form):
         the inverse image of π(A) is A, so i lists the interval's positions
         (the bits of up[N]), and the direct image of any A is π(A v N), so d
         gathers the ranks of the lattice's join column of N
-        (MaskLattice.join_column), one list lookup per position.
+        (MaskLattice.join_column), one list lookup per position.  Unless
+        relabelled, G/N's lattice derives its keys and masks on first read.
         """
         keep, ck = self._keeps(S, perm), ("quot", S.owner.id, S.key)
         if keep and ck in self._derived:
@@ -804,10 +809,11 @@ class SlominskiForm(Form):
 
         When ordered, the image of the interval is taken in lat's order,
         which is the order of (size, key) that subalgebra_lattice(alg)
-        gives, and is handed to MaskLattice.ordered as it is: the position
-        of each image is its rank in the interval, and nothing is sorted or
-        looked up.  Two labellings are ordered, as both keep size and key
-        order:
+        gives: the position of each image is its rank in the interval, and
+        alg's lattice is MaskLattice.interval, handed lat, positions and
+        label as they are, which derives its keys and masks on their first
+        read and sorts and looks up nothing.  Two labellings are ordered,
+        as both keep size and key order:
         - the inclusion's, x -> its index among S's sorted elements, is
           increasing, so it maps each key to a sorted key of the same size
           and two keys compare as their images do;
@@ -819,19 +825,19 @@ class SlominskiForm(Form):
           one that holds m, the least element in one of them only; the
           elements in one only are a union of classes, so m is the least
           element of its class, and it also decides π(A) against π(B).
-        Otherwise (a relabelled carrier) MaskLattice sorts the images and
-        each is looked up by its mask.  Either way the lattice gets keys and
-        masks only, no closure over alg: its joins are read off its own
-        spine."""
-        bit = [1 << j for j in range(alg.n)]
-        keys = [tuple(dict.fromkeys(map(label.__getitem__, lat.keys[a]))) for a in positions]
-        masks = [sum(map(bit.__getitem__, k)) for k in keys]
+        Otherwise (a relabelled carrier) the images are taken now
+        (interval_images), MaskLattice sorts them and each is looked up by
+        its mask.  Either way the lattice holds no closure over alg (until
+        read, an interval lattice holds lat, positions and label): its joins
+        are read off its own spine."""
         rank = [-1] * len(lat.keys)
         if ordered:
-            obj = self._object(alg, lambda: MaskLattice.ordered(alg.n, keys, masks), keep=keep)
+            obj = self._object(alg, lambda: MaskLattice.interval(alg.n, lat, positions, label),
+                               keep=keep)
             for r, a in enumerate(positions):
                 rank[a] = r
             return obj, positions, rank
+        masks = interval_images(alg.n, lat, positions, label)[1]
         obj = self._object(alg, lambda: MaskLattice(alg.n, masks), keep=keep)
         outer = [0] * len(masks)
         for a, m in zip(positions, masks):

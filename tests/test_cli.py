@@ -229,3 +229,16 @@ def test_directory_as_dot_output_exit2(tmp_path, capsys):
     code, out, err = run(capsys, "pyramid", fx("d8_snake.nf"), "delta", "--dot", str(tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_check_axioms_fails_p3_on_a_cyclic_order(tmp_path, capsys):
+    # a form block may declare a cycle, a <= b and b <= a: P3 names the two
+    # keys (P1 and P2 cannot fail: TableLattice closes the order)
+    src = tmp_path / "cycle.nf"
+    src.write_text("form cyc\nobject T subobjects a b\norder T a <= b\norder T b <= a\n"
+                   "morphism idT T -> T\n  dimg a -> a\n  dimg b -> b\n"
+                   "  iimg a -> a\n  iimg b -> b\n")
+    code, out, _ = run(capsys, "check-axioms", str(src))
+    assert code == 1
+    assert "FAIL P3 [T: 'a' and 'b' mutually <= but distinct]\n" in out
+    assert "PASS P1\nPASS P2\n" in out

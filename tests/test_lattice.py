@@ -139,6 +139,30 @@ def test_table_lattice_matches_the_reference_search():
     assert missing and cycles
 
 
+def test_table_lattice_orders_by_the_reflexive_transitive_closure():
+    # P1 and P2 are guarded by construction: whatever pairs a form block
+    # declares, the up-sets are reflexive and transitive and hold every
+    # pair, the bottom below and the top above every key.  A chain declared
+    # from its top down needs every step of the closure
+    import random
+
+    rng = random.Random(13)
+    chain = [f"c{j}" for j in range(8)]
+    cases = [(chain, list(zip(chain, chain[1:]))[::-1])]
+    for _ in range(300):
+        keys = [f"k{j}" for j in range(rng.randint(1, 8))]
+        cases.append((keys, [(rng.choice(keys), rng.choice(keys))
+                             for _ in range(rng.randint(0, 10))]))
+    for keys, pairs in cases:
+        lat = TableLattice(keys, pairs)
+        up, at = lat.up, lat.index
+        assert all(up[p] >> p & 1 and up[p] >> len(keys) - 1 & 1 for p in range(len(keys)))
+        assert up[0] == (1 << len(keys)) - 1
+        assert all(up[at[a]] >> at[b] & 1 for a, b in pairs)
+        assert all(up[q] & ~up[p] == 0 for p in range(len(keys)) for q in elements_of(up[p]))
+    assert TableLattice(*cases[0]).up == tuple(255 ^ (1 << p) - 1 for p in range(8))
+
+
 def test_lattices_hold_their_order_as_bitsets(z4_lattice):
     for lat in (z4_lattice, TableLattice(["bot", "a", "b", "top"], [("a", "top")])):
         for p, a in enumerate(lat.keys):

@@ -999,6 +999,99 @@ def test_lattices_are_plain_data():
         assert all(id(x) in reached for x in memos), obj.id
         assert not [x for x in held if isinstance(x, (SlominskiAlgebra, types.FunctionType,
                                                          types.MethodType))], obj.id
+    # the lattices of a quotient and a subobject not read yet hold their
+    # parent's lattice, the interval's positions and the labelling; once
+    # read, not even the parent's lattice
+    N2 = next(k for k in G.lattice.keys[1:-1] if k != N and is_normal_subalgebra(G.algebra, k))
+    for lat in (form.quotient_object(Subobject(G, N2))[0].lattice,
+                form.subobject_object(Subobject(G, N2))[0].lattice):
+        held = _strongly_reached(lat)
+        assert any(x is G.lattice for x in held)
+        assert not [x for x in held if isinstance(x, (SlominskiAlgebra, types.FunctionType,
+                                                         types.MethodType))]
+        assert len(lat.keys) > 1
+        assert not any(x is G.lattice for x in _strongly_reached(lat))
+
+
+def _unread_interval_lattices(alg):
+    """The lattice of every subobject and every quotient of alg, as a
+    fresh form builds them and before anything reads them, each with the
+    masks of its keys: the parent's keys at the interval's positions, taken
+    along the inclusion's or the projection's element map."""
+    form = SlominskiForm()
+    obj = form.object_of(alg)
+    keys = obj.lattice.keys
+    for key in keys:
+        S = Subobject(obj, key)
+        sub, incl = form.subobject_object(S)
+        own = {y: x for x, y in enumerate(incl.element_map)}
+        yield sub.lattice, [lattice.mask_of(own[y] for y in keys[p]) for p in incl.d]
+        if is_normal_subalgebra(alg, key):
+            q, proj = form.quotient_object(S)
+            table = proj.element_map
+            yield q.lattice, [lattice.mask_of(table[x] for x in keys[p]) for p in proj.i]
+
+
+@pytest.mark.parametrize("alg", LE16 + [E32, D32, Z64], ids=lambda a: a.name)
+def test_interval_lattices_derive_on_first_read_what_the_sorted_one_holds(alg):
+    # a derived lattice is handed its parent, the interval's positions and
+    # the labelling, and derives its fields together on the first read of
+    # any one of them; whichever is read first, they must equal those of
+    # the lattice MaskLattice sorts from the same masks
+    for first in ("keys", "masks", "index", "position_of_mask", "bottom", "top"):
+        for lat, masks in _unread_interval_lattices(alg):
+            if first == "position_of_mask":
+                assert lat.position_of_mask(masks[-1]) == len(masks) - 1
+            else:
+                getattr(lat, first)
+            ref = lattice.MaskLattice(lat.n, masks)
+            assert (lat.keys, lat.masks, lat.index, lat.bottom, lat.top) == (
+                ref.keys, ref.masks, ref.index, ref.bottom, ref.top), first
+            assert list(map(lat.position_of_mask, masks)) == list(map(ref.position_of_mask, masks))
+
+
+def test_an_interval_lattice_read_after_its_form_and_parent_are_gone():
+    # G/N's lattice holds G's; the lattice of a subobject of G/N holds
+    # G/N's, which nothing else does once the form and objects are dropped
+    form = SlominskiForm()
+    G = form.object_of(D32)
+    normals = [k for k in G.lattice.keys[1:-1] if is_normal_subalgebra(D32, k)]
+    Q1 = form.quotient_object(Subobject(G, normals[0]))[0]
+    Q = form.quotient_object(Subobject(G, normals[1]))[0]
+    S = form.subobject_object(Subobject(Q, Q.lattice.keys[1]))[0]
+    want = [enumerated_keys(Q1.algebra), enumerated_keys(S.algebra)]
+    lats = [Q1.lattice, S.lattice]
+    gone = weakref.ref(form)
+    del form, G, Q1, Q, S
+    gc.collect()
+    assert gone() is None
+    assert [lat.keys for lat in lats] == want
+
+
+def test_building_derived_objects_derives_no_key(monkeypatch):
+    # the projections' and inclusions' tables are ranks in the parent's
+    # interval, so building E32's 374 quotient and 374 subobject objects
+    # takes no image of a key; reading one lattice derives it, once
+    calls = []
+    images = lattice.interval_images
+
+    def counting(*args):
+        calls.append(args)
+        return images(*args)
+
+    monkeypatch.setattr(lattice, "interval_images", counting)
+    monkeypatch.setattr(slominski, "interval_images", counting)
+    form = SlominskiForm()
+    obj = form.object_of(E32)
+    quots = [form.quotient_object(Subobject(obj, k))[0] for k in obj.lattice.keys]
+    subs = [form.subobject_object(Subobject(obj, k))[0] for k in obj.lattice.keys]
+    assert len(quots) == len(subs) == 374 and calls == []
+    lat = quots[[len(k) for k in obj.lattice.keys].index(8)].lattice  # G/N = (Z2)^2
+    assert len(lat.keys) == 5
+    assert len(calls) == 1
+    assert lat.position_of_mask(lat.masks[-1]) == len(lat.index) - 1
+    assert (lat.bottom, lat.top, len(lat.up)) == (lat.keys[0], lat.keys[-1], 5)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("alg", LE16 + [T3, T4, U4, E32, D32, Z64], ids=lambda a: a.name)
