@@ -137,12 +137,7 @@ class Pyramid:
         return "\n".join(lines)
 
 
-def build_pyramid(
-    z: Zigzag,
-    form: Optional[Form] = None,
-    order: str = "ltr",
-    scramble: Optional[int] = None,
-) -> Pyramid:
+def build_pyramid(z: Zigzag, order: str = "ltr", scramble: Optional[int] = None) -> Pyramid:
     """Construct the full pyramid over a zigzag.
 
     `order` picks the within-layer completion order and `scramble` seeds the
@@ -152,9 +147,9 @@ def build_pyramid(
     depend on either choice.  A subobject the form cannot construct raises
     UnsupportedSubobjectError, naming it.
     """
-    form = form if form is not None else z.form
+    form = z.form
     if form is None:
-        raise UnsupportedFormError("zigzag carries no form and none was given")
+        raise UnsupportedFormError("zigzag carries no form")
     rng = random.Random(scramble) if scramble is not None else None
     perm = _perm_fn(rng)
     n = len(z)

@@ -61,18 +61,21 @@ Costs the module avoids:
   the projection's images of the A >= N are all of G/N's subalgebras), and
   that of a subalgebra S is the interval [0, S], relabelled
   (SlominskiForm.quotient_object and subobject_object).  Both relabellings
-  keep the (size, key) order, so, unless a carrier is relabelled too, the
-  interval is taken in the parent's order as the derived lattice's
-  (MaskLattice.interval): nothing is sorted and no position is looked up by
-  mask (_interval_object).  Each derived position is then a rank in the
-  interval, and the image tables of the projection and the inclusion are
-  read off it instead of taking images element by element: the interval's
-  positions are the bits of up[N] or down[S], and the other table gathers
-  ranks from the lattice's join column of N or meet column of S
-  (MaskLattice.join_column, meet_column).  So the tables need none of the
-  derived lattice's keys, and its keys and masks are derived on their
-  first read: a quotient or subalgebra whose lattice is never read costs
-  none.
+  keep the (size, key) order, so the interval is taken in the parent's
+  order as the derived lattice's (MaskLattice.interval): nothing is sorted
+  and no position is looked up by mask (_interval_object).  Each derived
+  position is then a rank in the interval, and the image tables of the
+  projection and the inclusion are read off it instead of taking images
+  element by element: the interval's positions are the bits of up[N] or
+  down[S], and the other table gathers ranks from the lattice's join
+  column of N or meet column of S (MaskLattice.join_column, meet_column).
+  So the tables need none of the derived lattice's keys, and its keys and
+  masks are derived on their first read: a quotient or subalgebra whose
+  lattice is never read costs none.
+- A carrier relabelled by a permutation (perm) takes no second path.
+  Axiom 3 fixes an embedding or a projection only up to isomorphism, so
+  the relabelled one is the canonical one read through an isomorphism
+  onto a copy, and only the copy's lattice is sorted (_relabelled).
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ from .core import (Form, FormObject, Frozen, Morphism, Subobject, compose,
                    composite_element_key, element_key, first_uncomposed, gather,
                    identity_morphism, image)
 from .errors import ClosureError, UnsupportedSubobjectError, ValidationError
-from .lattice import MaskLattice, elements_of, interval_images, mask_of
+from .lattice import MaskLattice, elements_of, mask_of
 
 
 class SlominskiAlgebra(Frozen):
@@ -450,9 +453,7 @@ def is_normal_subalgebra(alg: SlominskiAlgebra, B: Iterable[int]) -> bool:
     return _kernel_classes(alg, tuple(sorted(set(B)))) is not None
 
 
-def quotient(
-    alg: SlominskiAlgebra, B: Iterable[int], name: Optional[str] = None
-) -> tuple[SlominskiAlgebra, tuple[int, ...]]:
+def quotient(alg: SlominskiAlgebra, B: Iterable[int]) -> tuple[SlominskiAlgebra, tuple[int, ...]]:
     """Quotient by a normal subalgebra, with the projection's table.
 
     Classes are indexed in order of their minimal element, so tables are
@@ -474,13 +475,12 @@ def quotient(
         at_reps = itemgetter(*reps)
         p = tuple(gather(cls, at_reps(alg.p[r])) for r in reps)
         d = tuple(gather(cls, at_reps(alg.d[r])) for r in reps)
-    qname = name or f"{alg.name}/{{{','.join(map(str, belems))}}}"
+    qname = f"{alg.name}/{{{','.join(map(str, belems))}}}"
     return SlominskiAlgebra(qname, cls[alg.zero], p, d), cls
 
 
-def subalgebra_algebra(
-    alg: SlominskiAlgebra, S: Iterable[int], name: Optional[str] = None
-) -> tuple[SlominskiAlgebra, tuple[int, ...]]:
+def subalgebra_algebra(alg: SlominskiAlgebra, S: Iterable[int]
+                       ) -> tuple[SlominskiAlgebra, tuple[int, ...]]:
     """A subalgebra as an algebra in its own right, with the inclusion's table.
 
     Carrier indices follow the sorted parent elements.
@@ -491,7 +491,7 @@ def subalgebra_algebra(
     idx = {e: i for i, e in enumerate(elems)}
     p = tuple(tuple(idx[alg.p[x][y]] for y in elems) for x in elems)
     d = tuple(tuple(idx[alg.d[x][y]] for y in elems) for x in elems)
-    sname = name or f"{alg.name}[{','.join(map(str, elems))}]"
+    sname = f"{alg.name}[{','.join(map(str, elems))}]"
     return SlominskiAlgebra(sname, idx[alg.zero], p, d), elems
 
 
@@ -722,7 +722,8 @@ class SlominskiForm(Form):
         return True
 
     def subobject_object(self, S: Subobject, perm=None) -> tuple[FormObject, Morphism]:
-        """S as an algebra, with its inclusion; perm(n) relabels its carrier.
+        """S as an algebra, with its inclusion; perm(n) relabels its carrier
+        (_relabelled).
 
         The subalgebras of S are the interval [0, S] of its owner's lattice,
         so S's lattice is that interval, relabelled along the inclusion,
@@ -730,32 +731,26 @@ class SlominskiForm(Form):
         are read off the interval by rank: the direct image of a subalgebra
         of S is itself, so d lists the interval's positions (the bits of
         down[S]), and the inverse image of an A of the owner is the meet
-        A ^ S, so i gathers each meet's rank in the interval.  Unless
-        relabelled, S's lattice derives its keys and masks on first read.
+        A ^ S, so i gathers each meet's rank in the interval.  S's lattice
+        derives its keys and masks on first read.
         """
-        keep, ck = self._keeps(S, perm), ("sub", S.owner.id, S.key)
-        if keep and ck in self._derived:
-            return self._derived[ck]
-        sub, table = subalgebra_algebra(S.owner.algebra, S.key)
-        if perm is not None:
-            p = tuple(perm(sub.n))
-            sub = permuted(sub, p, name=sub.name + "~")
-            table = gather(table, sorted(range(sub.n), key=p.__getitem__))  # p's inverse
-        lat = S.owner.lattice
-        label = dict(zip(table, range(sub.n)))  # an element of S -> its own in sub
-        s = lat.index[S.key]
-        obj, d, rank = self._interval_object(sub, lat, elements_of(lat.down[s]), label, keep,
-                                             perm is None)
-        i = gather(rank, lat.meet_column(s))
-        mor = Morphism(obj, S.owner, d, i, name=f"iota_{S.owner.id}{list(S.key)}",
-                       element_map=table)
-        if keep:
-            self._derived[ck] = (obj, mor)
-        return obj, mor
+        keep, ck = self._keeps(S), ("sub", S.owner.id, S.key)
+        got = self._derived.get(ck) if keep else None
+        if got is None:
+            sub, table = subalgebra_algebra(S.owner.algebra, S.key)
+            lat = S.owner.lattice
+            s = lat.index[S.key]
+            d = elements_of(lat.down[s])
+            obj, rank = self._interval_object(sub, lat, d, dict(zip(table, range(sub.n))), keep)
+            got = obj, Morphism(obj, S.owner, d, gather(rank, lat.meet_column(s)),
+                                name=f"iota_{S.owner.id}{list(S.key)}", element_map=table)
+            if keep:
+                self._derived[ck] = got
+        return got if perm is None else self._relabelled(*got, perm)
 
     def quotient_object(self, S: Subobject, perm=None) -> tuple[FormObject, Morphism]:
         """G/N for a normal N, with its projection; perm(n) relabels its
-        carrier.
+        carrier (_relabelled).
 
         By AX2 the projection π gives a correspondence: the subalgebras of
         G/N are the images π(A) of the subalgebras A >= N of G.  Each such A
@@ -766,54 +761,47 @@ class SlominskiForm(Form):
         the inverse image of π(A) is A, so i lists the interval's positions
         (the bits of up[N]), and the direct image of any A is π(A v N), so d
         gathers the ranks of the lattice's join column of N
-        (MaskLattice.join_column), one list lookup per position.  Unless
-        relabelled, G/N's lattice derives its keys and masks on first read.
+        (MaskLattice.join_column), one list lookup per position.  G/N's
+        lattice derives its keys and masks on first read.
         """
-        keep, ck = self._keeps(S, perm), ("quot", S.owner.id, S.key)
-        if keep and ck in self._derived:
-            return self._derived[ck]
-        try:
-            q, table = quotient(S.owner.algebra, S.key)
-        except UnsupportedSubobjectError as exc:
-            raise UnsupportedSubobjectError(str(exc), subobject=S) from None
-        if perm is not None:
-            p = tuple(perm(q.n))
-            q = permuted(q, p, name=q.name + "~")
-            table = gather(p, table)
-        lat = S.owner.lattice
-        n = lat.index[S.key]
-        obj, i, rank = self._interval_object(q, lat, elements_of(lat.up[n]), table, keep,
-                                             perm is None)
-        d = gather(rank, lat.join_column(n))
-        mor = Morphism(S.owner, obj, d, i, name=f"pi_{S.owner.id}/{list(S.key)}",
-                       element_map=table)
-        if keep:
-            self._derived[ck] = (obj, mor)
-        return obj, mor
+        keep, ck = self._keeps(S), ("quot", S.owner.id, S.key)
+        got = self._derived.get(ck) if keep else None
+        if got is None:
+            try:
+                q, table = quotient(S.owner.algebra, S.key)
+            except UnsupportedSubobjectError as exc:
+                raise UnsupportedSubobjectError(str(exc), subobject=S) from None
+            lat = S.owner.lattice
+            n = lat.index[S.key]
+            i = elements_of(lat.up[n])
+            obj, rank = self._interval_object(q, lat, i, table, keep)
+            got = obj, Morphism(S.owner, obj, gather(rank, lat.join_column(n)), i,
+                                name=f"pi_{S.owner.id}/{list(S.key)}", element_map=table)
+            if keep:
+                self._derived[ck] = got
+        return got if perm is None else self._relabelled(*got, perm)
 
-    def _keeps(self, S: Subobject, perm) -> bool:
+    def _keeps(self, S: Subobject) -> bool:
         """Objects derived from S are registered and remembered only when
-        not relabelled and derived from an object this form registered."""
-        return perm is None and self._by_algebra.get(S.owner.algebra) is S.owner
+        derived from an object this form registered."""
+        return self._by_algebra.get(S.owner.algebra) is S.owner
 
     def _interval_object(self, alg: SlominskiAlgebra, lat: MaskLattice, positions: Sequence[int],
-                         label, keep: bool, ordered: bool
-                         ) -> tuple[FormObject, Sequence[int], list[int]]:
+                         label, keep: bool) -> tuple[FormObject, list[int]]:
         """alg's object (registered if keep), whose subalgebras are the
         images of lat's at positions (an interval, ascending) under label,
         which maps each element of the interval's top to one of alg: key
-        by key, the labels in order of first appearance.  Also returns the
-        map between the two numberings both ways: over alg's positions, the
-        one in lat, and over lat's, the one in alg's lattice (-1 outside the
+        by key, the labels in order of first appearance.  Also returns, over
+        lat's positions, the position in alg's lattice (-1 outside the
         interval).
 
-        When ordered, the image of the interval is taken in lat's order,
-        which is the order of (size, key) that subalgebra_lattice(alg)
-        gives: the position of each image is its rank in the interval, and
-        alg's lattice is MaskLattice.interval, handed lat, positions and
-        label as they are, which derives its keys and masks on their first
-        read and sorts and looks up nothing.  Two labellings are ordered,
-        as both keep size and key order:
+        The image of the interval is taken in lat's order, which is the
+        order of (size, key) that subalgebra_lattice(alg) gives: the
+        position of each image is its rank in the interval, and alg's
+        lattice is MaskLattice.interval, handed lat, positions and label as
+        they are, which derives its keys and masks on their first read and
+        sorts and looks up nothing.  Both labellings keep size and key
+        order:
         - the inclusion's, x -> its index among S's sorted elements, is
           increasing, so it maps each key to a sorted key of the same size
           and two keys compare as their images do;
@@ -825,25 +813,37 @@ class SlominskiForm(Form):
           one that holds m, the least element in one of them only; the
           elements in one only are a union of classes, so m is the least
           element of its class, and it also decides π(A) against π(B).
-        Otherwise (a relabelled carrier) the images are taken now
-        (interval_images), MaskLattice sorts them and each is looked up by
-        its mask.  Either way the lattice holds no closure over alg (until
-        read, an interval lattice holds lat, positions and label): its joins
-        are read off its own spine."""
+        The lattice holds no closure over alg (until read, it holds lat,
+        positions and label): its joins are read off its own spine."""
+        obj = self._object(alg, lambda: MaskLattice.interval(alg.n, lat, positions, label),
+                           keep=keep)
         rank = [-1] * len(lat.keys)
-        if ordered:
-            obj = self._object(alg, lambda: MaskLattice.interval(alg.n, lat, positions, label),
-                               keep=keep)
-            for r, a in enumerate(positions):
-                rank[a] = r
-            return obj, positions, rank
-        masks = interval_images(alg.n, lat, positions, label)[1]
-        obj = self._object(alg, lambda: MaskLattice(alg.n, masks), keep=keep)
-        outer = [0] * len(masks)
-        for a, m in zip(positions, masks):
-            rank[a] = r = obj.lattice.position_of_mask(m)
-            outer[r] = a
-        return obj, outer, rank
+        for r, a in enumerate(positions):
+            rank[a] = r
+        return obj, rank
+
+    def _relabelled(self, obj: FormObject, mor: Morphism, perm) -> tuple[FormObject, Morphism]:
+        """obj and mor, its projection or inclusion, read through an
+        isomorphism iso from obj onto a copy whose carrier p = perm(n)
+        relabels: iso . mor for a projection, mor . iso^-1 for an
+        inclusion, under mor's name.  The copy's algebra is
+        permuted(obj.algebra, p), and the copy is not registered, so only
+        its users hold it.  Its lattice is obj's keys mapped through p and
+        sorted once (MaskLattice), and iso's direct image table is each
+        key's position there, looked up by mask."""
+        p = tuple(perm(obj.algebra.n))
+        alg = permuted(obj.algebra, p, name=obj.algebra.name + "~")
+        bit = [1 << x for x in p]
+        masks = [sum(map(bit.__getitem__, key)) for key in obj.lattice.keys]
+        copy = self._object(alg, lambda: MaskLattice(alg.n, masks), keep=False)
+        to = tuple(map(copy.lattice.position_of_mask, masks))
+        back = sorted(range(len(to)), key=to.__getitem__)
+        if mor.cod is obj:
+            m = compose(Morphism(obj, copy, to, back, element_map=p), mor)
+        else:
+            m = compose(mor, Morphism(copy, obj, back, to,
+                                      element_map=sorted(range(alg.n), key=p.__getitem__)))
+        return copy, Morphism(m.dom, m.cod, m.d, m.i, name=mor.name, element_map=m.element_map)
 
     def epi_mono(self, f: Morphism, perm=None) -> tuple[Morphism, Morphism]:
         """Corestriction onto the image algebra, then inclusion."""

@@ -206,6 +206,20 @@ def test_non_integer_header_field_exit2(tmp_path, capsys, text, want):
     assert want in err
 
 
+@pytest.mark.parametrize("text,want", [
+    ("group G size 3 id 0\ntable 0 1 2 / 1 2 0 / 2 0 3\n",
+     "error: line 1: G: Cayley table is ragged or out of range\n"),
+    ("algebra A size 2 zero 2\np 0 1 / 1 0\nd 0 1 / 1 0\n",
+     "error: line 1: A: malformed tables\n"),
+], ids=["group-entry", "algebra-zero"])
+def test_out_of_range_table_entry_exit2(tmp_path, capsys, text, want):
+    # an entry or a zero equal to the size is out of range, like any larger one
+    bad = tmp_path / "bad.nf"
+    bad.write_text(text)
+    code, out, err = run(capsys, "check-axioms", str(bad))
+    assert (code, out, err) == (2, "", want)
+
+
 def test_missing_file_exit2(capsys):
     code, _, err = run(capsys, "check-axioms", "/nonexistent/file.nf")
     assert code == 2

@@ -143,7 +143,7 @@ def test_data_form_pyramid_missing_projection():
     z_bad = Zigzag((form.objects["Q"], X, form.objects["Q"]),
                    (Edge(r, LEFT), Edge(r, RIGHT)), form=slim)
     with pytest.raises(UnsupportedFormError) as err:
-        build_pyramid(z_bad, form=slim)
+        build_pyramid(z_bad)
     assert err.value.subobject is not None
     assert err.value.subobject.key == "K"
 

@@ -65,6 +65,13 @@ def test_table_lattice_missing_bound_raises():
         lat.join("a", "b")
 
 
+@pytest.mark.parametrize("pair", [("x", "1"), ("0", "x")], ids=["left", "right"])
+def test_table_lattice_names_an_unknown_key_on_either_side(pair):
+    # only library callers reach this: the parser checks order keys first
+    with pytest.raises(LatticeError, match="order relation mentions unknown key"):
+        TableLattice(["0", "1"], [pair])
+
+
 def test_dual_lattice_swaps_everything(z4_lattice):
     d = DualLattice(z4_lattice)
     assert d.bottom == z4_lattice.top

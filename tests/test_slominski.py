@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import noetherform.lattice as lattice
 import noetherform.slominski as slominski
-from noetherform.core import FormObject, Subobject, dualize, element_key
+from noetherform.core import FormObject, Subobject, compose, dualize, element_key
 from noetherform.errors import (ClosureError, LatticeError, UnsupportedSubobjectError,
                                 ValidationError)
 from noetherform.gen import InstanceLab, extend_homs
@@ -794,6 +794,49 @@ def test_derived_lattices_against_enumeration(alg):
     check_derived_objects(alg)
 
 
+def test_a_relabelled_object_is_the_canonical_one_read_through_an_isomorphism():
+    # the element bijection q from the canonical carrier to the relabelled
+    # one is read off the two maps; element_morphism rebuilds iso's image
+    # tables from q alone, so iso is independent of how the relabelled
+    # lattice was sorted, and the relabelled inclusion and projection must
+    # be the canonical ones composed with it, tables and element maps alike
+    rng = random.Random(23)
+
+    def perm(n):
+        p = list(range(n))
+        rng.shuffle(p)
+        return p
+
+    def iso(X, X2, q):
+        assert sorted(q) == list(range(X.algebra.n))
+        check_hom(X.algebra, X2.algebra, q)
+        return element_morphism(X, X2, q)
+
+    def same(f, g):
+        return f == g and f.element_map == g.element_map
+
+    form, cases = SlominskiForm(), 0
+    for alg in all_groups_le8():
+        G = form.object_of(alg)
+        for key in G.lattice.keys:
+            S = Subobject(G, key)
+            sub, incl = form.subobject_object(S)
+            sub2, incl2 = form.subobject_object(S, perm)
+            at = {x: y for y, x in enumerate(incl2.element_map)}
+            assert same(compose(incl2, iso(sub, sub2, [at[x] for x in incl.element_map])),
+                        incl), (alg.name, key)
+            cases += 1
+            if is_normal_subalgebra(alg, key):
+                q, proj = form.quotient_object(S)
+                q2, proj2 = form.quotient_object(S, perm)
+                table = [0] * q.algebra.n
+                for x, c in enumerate(proj.element_map):
+                    table[c] = proj2.element_map[x]
+                assert same(compose(iso(q, q2, table), proj), proj2), (alg.name, key)
+                cases += 1
+    assert cases == 135
+
+
 E32 = xor_group(5)
 D32 = from_group(*dihedral_data(16), name="D32")
 Z64 = cyclic(64)
@@ -1080,7 +1123,6 @@ def test_building_derived_objects_derives_no_key(monkeypatch):
         return images(*args)
 
     monkeypatch.setattr(lattice, "interval_images", counting)
-    monkeypatch.setattr(slominski, "interval_images", counting)
     form = SlominskiForm()
     obj = form.object_of(E32)
     quots = [form.quotient_object(Subobject(obj, k))[0] for k in obj.lattice.keys]
