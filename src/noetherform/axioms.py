@@ -42,7 +42,7 @@ compared, the rest following from them), and how many instances it compared.
 - AX4 is decided on image tables.  For f = m . h . e, the form's
   projection_of gives e once per kernel and its embedding_of gives m once
   per image (per object and position), each with the verdict on its part.
-  h's tables come from Form._middle, the routine epi_mono builds on: four
+  h's tables come from Form._middle, the one factorization routine: four
   gathers, x = f . e^-1 then h = m^-1 . x, each checked by the induction
   criterion and passed to the form's _declared hook (a data form's lookup).
   A Morphism is built only by a hook that needs one, never for h.  The

@@ -17,15 +17,18 @@ quotient_object(S, perm) the quotient by S with its projection.  perm(n)
 relabels the carrier of a constructed object in Slominski forms and their
 duals; data forms ignore it (they have only their declared objects).
 embedding_of and projection_of are derived from the pair in Form.  The
-mediators and the factorization f = m . h . e are homomorphism induction on
-image tables, written once in Form: a mediator's tables are two gathers of
-its inputs', and it exists iff they send bottom to bottom and pull top back
-to top.  The tables are decided before any Morphism is built: Form._middle
-gives the middle map h as tables, which the axiom suite reads without
-building it.  Two concrete families exist: data-defined forms (normality,
-embeddings and projections found by search over the declared morphism set,
-and each mediator looked up there, see DataForm) and Slominski-algebra
-forms (intrinsic constructions, see slominski.SlominskiForm).
+mediators are homomorphism induction on image tables, written once in Form:
+a mediator's tables are two gathers of its inputs', and it exists iff they
+send bottom to bottom and pull top back to top.  The tables are decided
+before any Morphism is built: Form._middle gives the middle map h of the
+factorization f = m . h . e as tables, which the axiom suite reads without
+building it.  A form has no factorization method: f splits as the mediator
+of f through the embedding of Im f, then that embedding (the triangles of
+pyramid.build_pyramid).  Two concrete families exist: data-defined forms
+(normality, embeddings and projections found by search over the declared
+morphism set, and each mediator looked up there, see DataForm) and
+Slominski-algebra forms (intrinsic constructions, see
+slominski.SlominskiForm).
 
 Duality is an involution memoized on the values: X.dual, S.dual and
 m.dual() read an object, subobject or morphism in the dual form, and
@@ -165,11 +168,11 @@ class Morphism:
         return self._dual
 
     @classmethod
-    def from_maps(cls, dom, cod, dimg, iimg, name="", element_map=None) -> "Morphism":
+    def from_maps(cls, dom, cod, dimg, iimg, name="") -> "Morphism":
         """The morphism with the given key -> key image maps."""
         d = tuple(cod.lattice.index[dimg[k]] for k in dom.lattice.keys)
         i = tuple(dom.lattice.index[iimg[k]] for k in cod.lattice.keys)
-        return cls(dom, cod, d, i, name=name, element_map=element_map)
+        return cls(dom, cod, d, i, name=name)
 
     @property
     def dimg(self):
@@ -510,23 +513,6 @@ class Form:
     def projection_of(self, S: Subobject) -> Morphism:
         return self.quotient_object(S)[1]
 
-    def epi_mono(self, f: Morphism, perm=None) -> tuple[Morphism, Morphism]:
-        """Split f as (h . e, m) from its factorization f = m . h . e: e the
-        projection of Ker f, m the embedding of subobject_object(Im f, perm)
-        and h the middle map that _middle computes on tables, built as a
-        Morphism (with the element map of m^-1 . f . e^-1 when f, e and m
-        have theirs) unless the form declares it."""
-        e = self.projection_of(kernel(f))
-        m = self.subobject_object(image(f), perm)[1]
-        d, i, name, h = self._middle(f, e, m)
-        if h is None:
-            emap = None
-            if f.element_map is not None and e.element_map is not None and m.element_map is not None:
-                emap = _embedded_elements(
-                    _projected_elements(f.element_map, e.element_map, e.cod.algebra.n), m.element_map)
-            h = Morphism(e.cod, m.dom, d, i, name=name, element_map=emap)
-        return compose(h, e), m
-
     def mediating_projection(self, p: Morphism, n: Morphism) -> Morphism:
         """The x with x . n = p: the morphism induced by the zigzag n^-1, p,
         so x(B) = p(n^-1 B) and x^-1(C) = n(p^-1 C).  It exists iff Ker n <=
@@ -576,9 +562,8 @@ class Form:
         """The middle map h of f = m . h . e on image tables, as (d, i,
         name, declared): x, the mediator of f through e, then h, that of x
         through m, each checked by the induction criterion and passed to
-        _declared, x before h.  The factorization formula lives here alone:
-        epi_mono builds h from it, and the axiom suite's AX4 reads its
-        tables."""
+        _declared, x before h.  The factorization formula lives here alone,
+        and the axiom suite's AX4 reads its tables."""
         d, i, name, x = self._through_projection(f, e)
         if x is not None:
             return self._through_embedding(e.cod, x.d, x.i, x.name, x, m)

@@ -232,11 +232,12 @@ def check_assertions(d: Diagram, report: LemmaReport, hyps: Iterable[Assertion],
             report.conclude(label, check, d)
 
 
-def verify_generic(d: Diagram, conclusions: Iterable[Assertion], lemma: str = "") -> LemmaReport:
+def verify_generic(d: Diagram, conclusions: Iterable[Assertion]) -> LemmaReport:
     """Check the diagram's own assertions and commutativities as hypotheses,
-    then the given conclusions (skipped unless every hypothesis passes)."""
+    then the given conclusions (skipped unless every hypothesis passes), in
+    a report titled d.name."""
     d.validate()
-    report = LemmaReport(lemma or d.name)
+    report = LemmaReport(d.name)
     commutes = [Assertion("commute", c) for c in d.commutes]
     check_assertions(d, report, [*commutes, *d.assertions], conclusions)
     return report

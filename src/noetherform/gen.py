@@ -409,7 +409,8 @@ def threebythree_instance(lab: InstanceLab) -> Diagram:
     App, i = lab.proj(Ap, inverse_image(x, Subobject(Bp, both)).key)
     m = uni.mediating_projection(compose(j, x), i)
     yt = compose(y, t)
-    g, u = uni.epi_mono(yt)
+    u = uni.subobject_object(image(yt))[1]
+    g = uni.mediating_embedding(yt, u)
     Cpp, k = lab.proj(Cp, image(yt).key)
     n = uni.mediating_projection(compose(k, y), j)
     return _diagram(lab, "threebythree", (A, B, g.cod, Ap, Bp, Cp, App, Bpp, Cpp),

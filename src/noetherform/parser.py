@@ -67,6 +67,9 @@ class DiagramSpec:
         self.commutes = commutes
         self.asserts = asserts
         self.line = line
+        # the line of each commute and of each assert, in the same order
+        self.commute_lines: list[int] = []
+        self.assert_lines: list[int] = []
 
 
 class FormSpec:
@@ -207,6 +210,11 @@ class Workspace:
                     d.add_arrow(role, form.morphism(*self.homs[ent], name=ent))
                 else:
                     raise ParseError(f"diagram {name}: unknown entity {ent!r}", line)
+        # every arrow a commute or assert line names, a zero's path included
+        for (p1, p2), line in zip(spec.commutes, spec.commute_lines):
+            _known_arrows(d, [*p1.split("."), *p2.split(".")], line)
+        for a, line in zip(spec.asserts, spec.assert_lines):
+            _known_arrows(d, a.args[0].split(".") if a.kind == "zero" else a.args, line)
         d.commutes = list(spec.commutes)
         d.assertions = list(spec.asserts)
         return d
@@ -227,6 +235,11 @@ def _rows(parts: list[str], n: int, line: int) -> tuple[tuple[int, ...], ...]:
 def _expect(cond, msg, line):
     if not cond:
         raise ParseError(msg, line)
+
+
+def _known_arrows(d, names, line):
+    for n in names:
+        _expect(n in d.arrows, f"diagram {d.name}: unknown arrow {n!r}", line)
 
 
 def _int(tok, what, line):
@@ -358,6 +371,7 @@ def _read_diagram(ws, line, toks, body):
         elif t[0] == "commute":
             _expect(len(t) == 4 and t[2] == "=", "expected: commute <p1> = <p2>", ln)
             spec.commutes.append((t[1], t[3]))
+            spec.commute_lines.append(ln)
         else:
             from .diagram import ASSERTION_ARITY, Assertion
 
@@ -367,6 +381,7 @@ def _read_diagram(ws, line, toks, body):
             arity = ASSERTION_ARITY[kind]
             _expect(len(args) == arity, f"assertion {kind} takes {arity} argument(s)", ln)
             spec.asserts.append(Assertion(kind, args))
+            spec.assert_lines.append(ln)
 
 
 # Each top-level keyword: its reader, the keywords of the body lines it owns,

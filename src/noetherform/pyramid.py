@@ -62,6 +62,16 @@ def _perm_fn(rng: Optional[random.Random]):
     return perm
 
 
+def _diamonds(n: int, order: str):
+    """The (bottom, up_left, up_right, top) coordinates of each diamond of
+    the pyramid over a zigzag of n edges, layer by layer upward, each layer
+    left to right, or right to left unless order is "ltr"."""
+    for h in range(2, n + 1):
+        span = range(0, n - h + 1)
+        for s in (span if order == "ltr" else reversed(span)):
+            yield (s + 1, s + h - 1), (s, s + h - 1), (s + 1, s + h), (s, s + h)
+
+
 class Pyramid:
     def __init__(self, base: Zigzag, form: Form, node: dict[Coord, FormObject],
                  arrow: dict[tuple[Coord, Coord], tuple[Morphism, bool]]):
@@ -94,9 +104,7 @@ class Pyramid:
 
     def diamonds(self):
         """Yield (bottom, up_left, up_right, top) coordinate quadruples."""
-        for h in range(2, self.n + 1):
-            for s in range(0, self.n - h + 1):
-                yield ((s + 1, s + h - 1), (s, s + h - 1), (s + 1, s + h), (s, s + h))
+        return _diamonds(self.n, "ltr")
 
     def commutativity_failures(self) -> list[str]:
         """Chase every subobject of each diamond's left node to the right
@@ -141,10 +149,10 @@ def build_pyramid(z: Zigzag, order: str = "ltr", scramble: Optional[int] = None)
     """Construct the full pyramid over a zigzag.
 
     `order` picks the within-layer completion order and `scramble` seeds the
-    perm passed to the form's epi_mono, quotient_object and subobject_object,
-    which relabels the constructed intermediate objects of a Slominski form
-    or its dual (a data form ignores it); the induced morphism must not
-    depend on either choice.  A subobject the form cannot construct raises
+    perm passed to the form's quotient_object and subobject_object, which
+    relabels the constructed intermediate objects of a Slominski form or its
+    dual (a data form ignores it); the induced morphism must not depend on
+    either choice.  A subobject the form cannot construct raises
     UnsupportedSubobjectError, naming it.
     """
     form = z.form
@@ -152,18 +160,17 @@ def build_pyramid(z: Zigzag, order: str = "ltr", scramble: Optional[int] = None)
         raise UnsupportedFormError("zigzag carries no form")
     rng = random.Random(scramble) if scramble is not None else None
     perm = _perm_fn(rng)
-    n = len(z)
     node: dict[Coord, FormObject] = {}
     arrow: dict[tuple[Coord, Coord], tuple[Morphism, bool]] = {}
     for i, obj in enumerate(z.nodes):
         node[(i, i)] = obj
 
     def split(m: Morphism, a: Coord, b: Coord, apex: Coord) -> None:
-        """Triangle over m: a -> b, split as projection a -> apex then
-        embedding apex -> b."""
-        epi, mono = form.epi_mono(m, perm)
-        node[apex] = epi.cod
-        arrow[(a, apex)] = (epi, True)
+        """Triangle over m: a -> b, split as the mediator a -> apex of m
+        through the embedding apex -> b of Im m."""
+        mono = form.subobject_object(image(m), perm)[1]
+        node[apex] = mono.dom
+        arrow[(a, apex)] = (form.mediating_embedding(m, mono), True)
         arrow[(b, apex)] = (mono, False)
 
     for i, e in enumerate(z.edges):
@@ -171,39 +178,33 @@ def build_pyramid(z: Zigzag, order: str = "ltr", scramble: Optional[int] = None)
         a, b = (left, right) if e.direction == RIGHT else (right, left)
         split(e.morphism, a, b, (i, i + 1))
 
-    for h in range(2, n + 1):
-        span = range(0, n - h + 1)
-        for s in (span if order == "ltr" else reversed(span)):
-            bot = (s + 1, s + h - 1)
-            ul = (s, s + h - 1)
-            ur = (s + 1, s + h)
-            tp = (s, s + h)
-            leg_l, l_up = arrow[(bot, ul)]
-            leg_r, r_up = arrow[(bot, ur)]
-            if l_up and r_up:
-                # projection diamond: apex is the quotient by the kernel join
-                J = join(kernel(leg_l), kernel(leg_r))
-                p = form.quotient_object(J, perm)[1]
-                x = form.mediating_projection(p, leg_l)
-                y = form.mediating_projection(p, leg_r)
-                node[tp] = p.cod
-                arrow[(ul, tp)] = (x, True)
-                arrow[(ur, tp)] = (y, True)
-            elif not l_up and not r_up:
-                # embedding diamond: apex is the meet of the images
-                S = meet(image(leg_l), image(leg_r))
-                i_s = form.subobject_object(S, perm)[1]
-                u = form.mediating_embedding(i_s, leg_l)
-                v = form.mediating_embedding(i_s, leg_r)
-                node[tp] = i_s.dom
-                arrow[(ul, tp)] = (u, False)
-                arrow[(ur, tp)] = (v, False)
-            else:
-                # mixed wedge: the dotted composite runs from the node whose
-                # leg points down to the node whose leg points up
-                (a, down), (b, up) = (((ul, leg_l), (ur, leg_r)) if r_up
-                                      else ((ur, leg_r), (ul, leg_l)))
-                split(compose(up, down), a, b, tp)
+    for bot, ul, ur, tp in _diamonds(len(z), order):
+        leg_l, l_up = arrow[(bot, ul)]
+        leg_r, r_up = arrow[(bot, ur)]
+        if l_up and r_up:
+            # projection diamond: apex is the quotient by the kernel join
+            J = join(kernel(leg_l), kernel(leg_r))
+            p = form.quotient_object(J, perm)[1]
+            x = form.mediating_projection(p, leg_l)
+            y = form.mediating_projection(p, leg_r)
+            node[tp] = p.cod
+            arrow[(ul, tp)] = (x, True)
+            arrow[(ur, tp)] = (y, True)
+        elif not l_up and not r_up:
+            # embedding diamond: apex is the meet of the images
+            S = meet(image(leg_l), image(leg_r))
+            i_s = form.subobject_object(S, perm)[1]
+            u = form.mediating_embedding(i_s, leg_l)
+            v = form.mediating_embedding(i_s, leg_r)
+            node[tp] = i_s.dom
+            arrow[(ul, tp)] = (u, False)
+            arrow[(ur, tp)] = (v, False)
+        else:
+            # mixed wedge: the dotted composite runs from the node whose
+            # leg points down to the node whose leg points up
+            (a, down), (b, up) = (((ul, leg_l), (ur, leg_r)) if r_up
+                                  else ((ur, leg_r), (ul, leg_l)))
+            split(compose(up, down), a, b, tp)
 
     return Pyramid(z, form, node, arrow)
 

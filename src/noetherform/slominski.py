@@ -10,8 +10,8 @@ hom enumeration, and SlominskiForm, which realizes the abstract form
 interface with intrinsic embeddings and projections (every subalgebra is
 conormal; a subalgebra B is normal when its cosets p(B, y) are the
 classes of a congruence, the only one that can have zero class B).  Its
-mediators and epi_mono are core.Form's induction on image tables, which
-also fills in their element maps.  generate_congruence has no caller
+mediators are core.Form's induction on image tables, which also fills in
+their element maps.  generate_congruence has no caller
 in the engine: it is the independent oracle the tests check normality
 against.
 
@@ -87,7 +87,7 @@ from typing import Iterable, Optional, Sequence
 
 from .core import (Form, FormObject, Frozen, Morphism, Subobject, compose,
                    composite_element_key, element_key, first_uncomposed, gather,
-                   identity_morphism, image)
+                   identity_morphism)
 from .errors import ClosureError, UnsupportedSubobjectError, ValidationError
 from .lattice import MaskLattice, elements_of, mask_of
 
@@ -844,11 +844,6 @@ class SlominskiForm(Form):
             m = compose(mor, Morphism(copy, obj, back, to,
                                       element_map=sorted(range(alg.n), key=p.__getitem__)))
         return copy, Morphism(m.dom, m.cod, m.d, m.i, name=mor.name, element_map=m.element_map)
-
-    def epi_mono(self, f: Morphism, perm=None) -> tuple[Morphism, Morphism]:
-        """Corestriction onto the image algebra, then inclusion."""
-        m = self.subobject_object(image(f), perm=perm)[1]
-        return self.mediating_embedding(f, m), m
 
     def zero_morphism(self, X: FormObject, Y: FormObject) -> Morphism:
         return element_morphism(X, Y, (Y.algebra.zero,) * X.algebra.n, "0")

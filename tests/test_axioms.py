@@ -82,6 +82,23 @@ def test_tiny_data_form_fails_axiom6_only():
     assert report.failed_names() == ["AX6"]
 
 
+def test_f1_fails_when_the_identity_moves_a_subobject():
+    # an identity whose image tables send both subobjects of T to top
+    import importlib.resources as resources
+
+    from noetherform.parser import parse
+
+    class MovedIdentity(DataForm):
+        def identity(self, obj):
+            return Morphism(obj, obj, (1, 1), (1, 1), name=f"id_{obj.id}")
+
+    text = (resources.files("noetherform") / "fixtures" / "tiny_form.nf").read_text()
+    tiny = parse(text).data_form("tinyform")
+    report = axiom_suite(MovedIdentity(tiny.objects.values(), tiny.morphisms))
+    checks = {c.name: c.render() for c in report.checks}
+    assert checks["F1"] == "FAIL F1 [id_T moves 'bot']"
+
+
 def test_fault_injection_nonmonotone_dimg():
     # swapping bottom and top in dimg breaks the adjunction (G)
     report = axiom_suite(_tiny_data_form(corrupt="dimg"))
@@ -97,8 +114,9 @@ def test_fault_injection_broken_ax2():
     victim = next(m for m in form.morphisms if len(set(m.element_map)) == 2)
     dimg = dict(victim.dimg)
     dimg[(0, 2)] = (0, 1, 2, 3)  # image of {0,2} corrupted upward
-    tampered = Morphism.from_maps(victim.dom, victim.cod, dimg, victim.iimg,
-                                  name=victim.name, element_map=victim.element_map)
+    t = Morphism.from_maps(victim.dom, victim.cod, dimg, victim.iimg)
+    tampered = Morphism(victim.dom, victim.cod, t.d, t.i, name=victim.name,
+                        element_map=victim.element_map)
     form.morphisms = tuple(tampered if m is victim else m for m in form.morphisms)
     report = axiom_suite(form)
     assert not report.passed
@@ -165,9 +183,9 @@ def _swap_dimg(m, name=None):
     dl = m.dom.lattice
     dimg = dict(m.dimg)
     dimg[dl.bottom], dimg[dl.top] = dimg[dl.top], dimg[dl.bottom]
-    return Morphism.from_maps(m.dom, m.cod, dimg, m.iimg,
-                              name=m.name if name is None else name,
-                              element_map=m.element_map)
+    t = Morphism.from_maps(m.dom, m.cod, dimg, m.iimg)
+    return Morphism(m.dom, m.cod, t.d, t.i, name=m.name if name is None else name,
+                    element_map=m.element_map)
 
 
 def _named_homs(alg):

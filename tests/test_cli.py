@@ -168,6 +168,24 @@ def test_verify_diagram_over_a_data_form(tmp_path, capsys, name, entity, code, w
     assert want in (out if code == 0 else err)
 
 
+@pytest.mark.parametrize("line,lemma", [
+    ("commute f = f.g", "generic"),
+    ("assert zero g.f", "generic"),
+    ("assert exact f g", "generic"),
+    ("assert injective g", "four"),
+], ids=["commute", "zero-path", "exact", "registered-lemma"])
+def test_unknown_arrow_in_a_diagram_line_exit2(tmp_path, capsys, line, lemma):
+    # the parser rejects an arrow no use line names, at its line, before any
+    # lemma runs, a registered one that reads no assert line included
+    text = (FIXTURES / "tiny_form.nf").read_text() + (
+        f"\ndiagram dd over tinyform\nuse T as X\nuse idT as f\n{line}\n")
+    src = tmp_path / "dd.nf"
+    src.write_text(text)
+    code, out, err = run(capsys, "verify", str(src), "dd", "--lemma", lemma)
+    at = text.splitlines().index(line) + 1
+    assert (code, out, err) == (2, "", f"error: line {at}: diagram dd: unknown arrow 'g'\n")
+
+
 def test_check_axioms_all_small_groups(capsys):
     code, out, _ = run(capsys, "check-axioms", fx("groups_le8.nf"),
                        "--with-axiom6")

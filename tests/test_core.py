@@ -205,7 +205,8 @@ def test_unique_decomposition_connecting_iso(uni, z4, z2):
     from noetherform.zigzag import Edge, LEFT, RIGHT, Zigzag
 
     q = mod2(uni, z4, z2)
-    e1, m1 = uni.epi_mono(q)
+    m1 = uni.subobject_object(image(q))[1]
+    e1 = uni.mediating_embedding(q, m1)
     e, h, m2 = factorize(uni, q)
     e2 = compose(h, e)
     assert compose(m1, e1) == q and compose(m2, e2) == q

@@ -121,8 +121,9 @@ def test_data_form_pyramid_with_mediator_search(form):
 
 
 def test_data_form_pyramid_missing_projection():
-    # drop q: the kernel K keeps no associated projection, so the base
-    # triangle of any zigzag needing it cannot be built
+    # drop q: the kernel K keeps no associated projection; a triangle over r
+    # needs only the embedding of Im r (idQ) and the mediator of r through
+    # it, which is r itself and is not declared
     src = FORM_SRC.replace("morphism q X -> Q", "morphism r X -> Q")
     ws = parse(src)
     form = ws.data_form("quotpair")
@@ -142,10 +143,64 @@ def test_data_form_pyramid_missing_projection():
         slim.projection_of(slim.objects["X"].sub("K"))
     z_bad = Zigzag((form.objects["Q"], X, form.objects["Q"]),
                    (Edge(r, LEFT), Edge(r, RIGHT)), form=slim)
-    with pytest.raises(UnsupportedFormError) as err:
+    with pytest.raises(UnsupportedFormError,
+                       match="med_r:X->Q mediates, but no declared morphism equals it"):
         build_pyramid(z_bad)
-    assert err.value.subobject is not None
-    assert err.value.subobject.key == "K"
+
+
+# X and Y are chains 0 <= s <= 1 and 0 <= k <= 1 with their identities, and
+# m: Y -> X has image s, which no declared morphism embeds
+NOEMB_SRC = """
+form noemb
+object X subobjects 0 s 1
+order X 0 <= s
+order X s <= 1
+object Y subobjects 0 k 1
+order Y 0 <= k
+order Y k <= 1
+morphism idX X -> X
+  dimg 0 -> 0
+  dimg s -> s
+  dimg 1 -> 1
+  iimg 0 -> 0
+  iimg s -> s
+  iimg 1 -> 1
+morphism idY Y -> Y
+  dimg 0 -> 0
+  dimg k -> k
+  dimg 1 -> 1
+  iimg 0 -> 0
+  iimg k -> k
+  iimg 1 -> 1
+morphism m Y -> X
+  dimg 0 -> 0
+  dimg k -> 0
+  dimg 1 -> s
+  iimg 0 -> k
+  iimg s -> 1
+  iimg 1 -> 1
+"""
+
+
+def test_check_axioms_fails_ax3_on_an_image_without_an_embedding(tmp_path, capsys):
+    from noetherform.cli import main
+
+    src = tmp_path / "noemb.nf"
+    src.write_text(NOEMB_SRC)
+    assert main(["check-axioms", str(src)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL AX3 [embedding_of(X:s): no embedding associated to X:s is declared]\n" in out
+
+
+def test_data_form_pyramid_names_the_image_it_cannot_embed():
+    # the triangle over m asks for the embedding of Im m = X:s first; the
+    # projection of Ker m = Y:k is missing too, but the split never needs it
+    form = parse(NOEMB_SRC).data_form("noemb")
+    m = next(x for x in form.morphisms if x.name == "m")
+    z = Zigzag((form.objects["Y"], form.objects["X"]), (Edge(m, RIGHT),), form=form)
+    with pytest.raises(UnsupportedSubobjectError) as err:
+        build_pyramid(z)
+    assert err.value.subobject == form.objects["X"].sub("s")
 
 
 def test_data_form_identity_and_compose(form):

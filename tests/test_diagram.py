@@ -110,14 +110,14 @@ def test_verify_generic_pass_and_skip(uni):
     d.add_arrow("m", m)
     d.add_arrow("q", q)
     d.assertions = [injective("m"), surjective("q")]
-    report = verify_generic(d, [exact("m", "q"), zero("q.m")], lemma="ses-demo")
+    report = verify_generic(d, [exact("m", "q"), zero("q.m")])
     assert report.passed and not report.refuted
     # unmet hypothesis: conclusions are skipped and flagged
     d2 = Diagram(uni, name="ses2")
     d2.add_arrow("m", m)
     d2.add_arrow("q", q)
     d2.assertions = [injective("q")]  # false
-    report2 = verify_generic(d2, [exact("m", "q")], lemma="ses-demo")
+    report2 = verify_generic(d2, [exact("m", "q")])
     assert report2.skipped and not report2.passed
     assert all(l.status == "SKIP" for l in report2.conclusions)
     assert "SKIP" in report2.render()
@@ -130,7 +130,7 @@ def test_verify_generic_refutation_flag(uni):
     d = Diagram(uni, name="bad")
     d.add_arrow("q", q)
     d.assertions = [surjective("q")]
-    report = verify_generic(d, [injective("q")], lemma="bad-claim")
+    report = verify_generic(d, [injective("q")])
     assert report.refuted and not report.passed
     assert "REFUTATION" in report.render()
 

@@ -406,7 +406,7 @@ def test_diamond_lemma_two_diamond_sequence(uni):
     d.commutes = [("u", "v.p"), ("x", "y.r"), ("b", "p.a"), ("dd", "r.c")]
     d.assertions = [exact("p", "q"), exact("q", "r"),
                     surjective("u"), injective("v"), injective("y")]
-    report = verify_generic(d, [injective("x")], lemma="two-diamond (i)")
+    report = verify_generic(d, [injective("x")])
     assert report.passed, report.render()
 
 

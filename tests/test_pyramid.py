@@ -14,7 +14,9 @@ from noetherform import (
     decide_isomorphism,
     identity_morphism,
     is_collapsible,
+    is_injective,
     is_isomorphism,
+    is_surjective,
     quotient_iso,
 )
 from noetherform.errors import ValidationError
@@ -29,7 +31,7 @@ from noetherform.zigzag import (
     chase_backward,
     chase_forward,
 )
-from oracles import collapse, dual_zigzag, is_subquotient
+from oracles import collapse, dual_zigzag, factorize, is_subquotient
 
 
 @pytest.fixture
@@ -424,3 +426,58 @@ def test_dot_output(uni, delta):
     assert "X_0_0" in dot and "X_0_5" in dot
     assert 'label="X_0^5"' in dot
     assert "style=solid" in dot and "style=dashed" in dot
+
+
+def _triangles(p):
+    """(f, epi, mono) of each triangle of p: the base edges, then the dotted
+    composite of each mixed wedge, from the node whose leg points down to
+    the node whose leg points up."""
+    for s, e in enumerate(p.base.edges):
+        a, b = (s, s), (s + 1, s + 1)
+        if e.direction == LEFT:
+            a, b = b, a
+        yield e.morphism, p.arrow[(a, (s, s + 1))][0], p.arrow[(b, (s, s + 1))][0]
+    for bot, ul, ur, tp in p.diamonds():
+        (leg_l, l_up), (leg_r, r_up) = p.arrow[(bot, ul)], p.arrow[(bot, ur)]
+        if l_up != r_up:
+            (a, down), (b, up) = ((ul, leg_l), (ur, leg_r)) if r_up else ((ur, leg_r), (ul, leg_l))
+            yield compose(up, down), p.arrow[(a, tp)][0], p.arrow[(b, tp)][0]
+
+
+def _pyramid_zigzags():
+    """(name, zigzag) over a Slominski form, its dual and a data form: the
+    seeded zigzags of the dual tests and each one's dual, then Q <- X -> Q
+    and X -> Q on the data form of the Z4 mod-2 quotient."""
+    from test_dataform import FORM_SRC
+
+    from noetherform.parser import parse
+
+    dual, pairs = _dual_zigzags(InstanceLab(seed=202), count=30)
+    data = parse(FORM_SRC).data_form("quotpair")
+    X, Q = data.objects["X"], data.objects["Q"]
+    q = next(m for m in data.morphisms if m.name == "q")
+    return ([("primal", z) for z, _ in pairs] + [("dual", zd) for _, zd in pairs]
+            + [("data", Zigzag((Q, X, Q), (Edge(q, LEFT), Edge(q, RIGHT)), form=data)),
+               ("data", Zigzag((X, Q), (Edge(q, RIGHT),), form=data))])
+
+
+def test_each_triangle_is_the_mediator_onto_its_images_embedding():
+    # unscrambled, a triangle over f is AX4's factorization read in two:
+    # the epi is h . e (tables and element maps) and the mono is the
+    # embedding of Im f; relabelled, it still splits f into a surjection
+    # followed by an injection
+    seen = {"primal": 0, "dual": 0, "data": 0}
+    for i, (side, z) in enumerate(_pyramid_zigzags()):
+        form = z.form
+        for f, epi, mono in _triangles(build_pyramid(z)):
+            e, h, m = factorize(form, f)
+            want = compose(h, e)
+            assert ((epi.dom.id, epi.cod.id, epi.d, epi.i, epi.element_map)
+                    == (want.dom.id, want.cod.id, want.d, want.i, want.element_map))
+            assert mono == m and mono.element_map == m.element_map
+            seen[side] += 1
+        for f, epi, mono in _triangles(build_pyramid(z, order="rtl", scramble=i)):
+            split = compose(mono, epi)
+            assert split == f and split.element_map == f.element_map
+            assert is_surjective(epi) and is_injective(mono)
+    assert all(seen.values()), seen

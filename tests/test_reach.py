@@ -99,13 +99,7 @@ def test_every_engine_name_has_a_product_caller_or_a_reason():
     assert all(reason.strip() for reason in UNREACHED.values())
 
 
-UNSET = {
-    "core.Morphism.from_maps.element_map":
-        "the F2 tamper tests give a morphism whose element map disagrees with "
-        "its image maps",
-    "diagram.verify_generic.lemma":
-        "the report's title; verify leaves it empty, the tests name the check",
-}
+UNSET: dict = {}
 
 
 def _ci_python():
