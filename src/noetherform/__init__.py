@@ -21,7 +21,6 @@ _EXPORTS = {
     ),
     "diagram": (
         "Assertion", "Diagram", "LemmaReport", "is_exact_at", "is_short_exact",
-        "verify_generic",
     ),
     "lemmas": (
         "LEMMAS", "HomologyObject", "SnakeResult", "UndefinedMarker", "homology_object",

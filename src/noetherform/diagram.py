@@ -1,11 +1,11 @@
-"""Diagrams, exactness, and the generic lemma verifier.
+"""Diagrams, exactness, and lemma reports.
 
-A Diagram names objects and morphisms by role, declares commutativities as
-pairs of dot-separated paths (composition reads right to left, so "t.f"
-means t after f), and carries tagged assertions.  verify_generic checks the
-hypotheses and, only when they all hold, the conclusions; a conclusion
-failing on a passing-hypotheses instance is a refutation and is surfaced as
-such.
+A Diagram names objects and morphisms by role and carries its own
+Assertions, commutativities among them as pairs of dot-separated paths
+(composition reads right to left, so "t.f" means t after f); every lemma
+takes them as hypotheses.  check_assertions checks the hypotheses and, only
+when they all hold, the conclusions; a conclusion failing on a
+passing-hypotheses instance is a refutation and is surfaced as such.
 """
 
 from __future__ import annotations
@@ -68,6 +68,12 @@ class Assertion(Frozen):
             return f"commute {self.args[0]} = {self.args[1]}"
         return f"{self.kind} {' '.join(str(a) for a in self.args)}"
 
+    def arrows(self) -> list[str]:
+        """The arrow roles named, each path of a commute or zero split on '.'."""
+        if self.kind in ("commute", "zero"):
+            return [n for p in self.args for n in p.split(".")]
+        return list(self.args)
+
 
 def exact(f: str, g: str) -> Assertion:
     return Assertion("exact", (f, g))
@@ -95,12 +101,11 @@ def zero(path: str) -> Assertion:
 
 class Diagram:
     def __init__(self, form: Form, objects: Optional[dict] = None,
-                 arrows: Optional[dict] = None, commutes: Optional[list] = None,
-                 assertions: Optional[list] = None, name: str = "diagram"):
+                 arrows: Optional[dict] = None, assertions: Optional[list] = None,
+                 name: str = "diagram"):
         self.form = form
         self.objects: dict[str, FormObject] = {} if objects is None else objects
         self.arrows: dict[str, Morphism] = {} if arrows is None else arrows
-        self.commutes: list[tuple[str, str]] = [] if commutes is None else commutes
         self.assertions: list[Assertion] = [] if assertions is None else assertions
         self.name = name
 
@@ -154,10 +159,9 @@ class Diagram:
 
     def validate(self) -> None:
         for a in self.assertions:
-            if a.kind in ASSERTION_ARITY and a.kind != "zero":
-                for arg in a.args:
-                    if arg not in self.arrows:
-                        raise ShapeError(f"{self.name}: assertion uses unknown arrow {arg!r}")
+            for arg in a.arrows():
+                if arg not in self.arrows:
+                    raise ShapeError(f"{self.name}: assertion uses unknown arrow {arg!r}")
 
 
 class CheckLine:
@@ -231,13 +235,3 @@ def check_assertions(d: Diagram, report: LemmaReport, hyps: Iterable[Assertion],
             label, check = c
             report.conclude(label, check, d)
 
-
-def verify_generic(d: Diagram, conclusions: Iterable[Assertion]) -> LemmaReport:
-    """Check the diagram's own assertions and commutativities as hypotheses,
-    then the given conclusions (skipped unless every hypothesis passes), in
-    a report titled d.name."""
-    d.validate()
-    report = LemmaReport(d.name)
-    commutes = [Assertion("commute", c) for c in d.commutes]
-    check_assertions(d, report, [*commutes, *d.assertions], conclusions)
-    return report

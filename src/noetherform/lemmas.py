@@ -3,9 +3,10 @@
 Each lemma has a shape template (object and arrow roles with endpoints);
 binding is by role name.  LEMMAS holds one LemmaSpec per lemma: its shape,
 its hypotheses and, per part, extra hypotheses and conclusions, all written
-as the same Assertions a diagram file's assert lines produce.  verify()
-checks the shape, then the shape's commutativities and the hypotheses, then
-the conclusions only on passing hypotheses.  snake, the generalized snail
+as the same Assertions a diagram file's assert lines produce.  verify() is
+the one lemma path: the shape, then as hypotheses its commutativities, the
+lemma's and the diagram's own assertions, then the conclusions only on
+passing hypotheses.  snake, the generalized snail
 and the salamander instead construct an exact sequence whose maps come from
 homomorphism induction on explicit zigzags; Goursat constructs a quotient
 isomorphism.
@@ -42,7 +43,6 @@ from .diagram import (
     iso,
     short_exact,
     surjective,
-    verify_generic,
     zero,
 )
 from .errors import ShapeError, ValidationError
@@ -461,7 +461,8 @@ class LemmaSpec(Frozen):
     or a (label, check) pair with check(d) -> (ok, witness).  construct, if
     given, runs instead of the conclusions: construct(d, report) adds its
     own hypothesis and conclusion lines and returns the lemma's product.
-    shape None stands for the diagram's own commute and assert lines."""
+    Every lemma also takes the diagram's own commute and assert lines as
+    hypotheses; shape None (generic) has those lines alone."""
 
     def __init__(self, shape: Optional[str], hyps: tuple[Assertion, ...] = (),
                  parts: Optional[dict] = None, construct: Optional[Callable] = None):
@@ -601,10 +602,12 @@ ALIASES = {"threebythree": "3x3"}
 def verify(d: Diagram, name: str, part: Optional[str] = None) -> tuple[LemmaReport, object]:
     """Verify a registered lemma, or one part of it, on a diagram.
 
-    Checks the diagram against the lemma's shape, then the shape's
-    commutativities and the hypotheses, then the part's conclusions or the
-    lemma's construction.  Returns the report and the construction's product
-    (None if there is none).  An unknown lemma or part raises ValidationError.
+    Checks the diagram against the lemma's shape, then as hypotheses the
+    shape's commutativities, the lemma's and the part's hypotheses and the
+    diagram's own assertions in order, then the part's conclusions or the
+    lemma's construction.  Generic's report is titled d.name.  Returns the
+    report and the construction's product (None if there is none).  An
+    unknown lemma or part raises ValidationError.
     """
     key = ALIASES.get(name, name)
     spec = LEMMAS.get(key)
@@ -616,12 +619,15 @@ def verify(d: Diagram, name: str, part: Optional[str] = None) -> tuple[LemmaRepo
         parts = [p for p in spec.parts if p is not None]
         which = f"parts {', '.join(parts)}" if parts else "no parts"
         raise ValidationError(f"lemma {name} has {which}, not {part!r}")
+    d.validate()
     if spec.shape is None:
-        return verify_generic(d, ()), None
-    shape = check_shape(d, spec.shape)
+        report, commutes = LemmaReport(d.name), ()
+    else:
+        report = LemmaReport(key if part is None else f"{key} ({part})")
+        commutes = check_shape(d, spec.shape).commutes
     extra_hyps, conclusions = spec.parts[part]
-    report = LemmaReport(key if part is None else f"{key} ({part})")
-    hyps = [Assertion("commute", c) for c in shape.commutes] + [*spec.hyps, *extra_hyps]
+    hyps = [*(Assertion("commute", c) for c in commutes), *spec.hyps, *extra_hyps,
+            *d.assertions]
     check_assertions(d, report, hyps, conclusions)
     return report, spec.construct(d, report) if spec.construct else None
 

@@ -30,9 +30,9 @@ form of that name is declared.
 Zigzag lines accept the direction token on either side of the morphism
 name: `X > f Y` and `X f > Y` both mean f points rightward.
 
-The zigzag and diagram layers are imported only where zigzag lines,
-assertions, zigzags or diagrams are handled, so a file of forms and algebras
-loads neither.
+The zigzag and diagram layers are imported only where zigzag lines, commute
+and assert lines, zigzags or diagrams are handled, so a file of forms and
+algebras loads neither.
 """
 
 from __future__ import annotations
@@ -60,16 +60,12 @@ class ZigzagSpec:
 
 class DiagramSpec:
     def __init__(self, name: str, over: str, uses: list[tuple[str, str, int]],
-                 commutes: list[tuple[str, str]], asserts: list[Assertion], line: int):
+                 asserts: list[tuple[Assertion, int]], line: int):
         self.name = name
         self.over = over
         self.uses = uses  # (entity, role, line)
-        self.commutes = commutes
-        self.asserts = asserts
+        self.asserts = asserts  # (assertion, line) of each commute and assert line, in order
         self.line = line
-        # the line of each commute and of each assert, in the same order
-        self.commute_lines: list[int] = []
-        self.assert_lines: list[int] = []
 
 
 class FormSpec:
@@ -210,13 +206,11 @@ class Workspace:
                     d.add_arrow(role, form.morphism(*self.homs[ent], name=ent))
                 else:
                     raise ParseError(f"diagram {name}: unknown entity {ent!r}", line)
-        # every arrow a commute or assert line names, a zero's path included
-        for (p1, p2), line in zip(spec.commutes, spec.commute_lines):
-            _known_arrows(d, [*p1.split("."), *p2.split(".")], line)
-        for a, line in zip(spec.asserts, spec.assert_lines):
-            _known_arrows(d, a.args[0].split(".") if a.kind == "zero" else a.args, line)
-        d.commutes = list(spec.commutes)
-        d.assertions = list(spec.asserts)
+        # every arrow a commute or assert line names, each path's included
+        for a, line in spec.asserts:
+            for n in a.arrows():
+                _expect(n in d.arrows, f"diagram {name}: unknown arrow {n!r}", line)
+        d.assertions = [a for a, _ in spec.asserts]
         return d
 
 
@@ -235,11 +229,6 @@ def _rows(parts: list[str], n: int, line: int) -> tuple[tuple[int, ...], ...]:
 def _expect(cond, msg, line):
     if not cond:
         raise ParseError(msg, line)
-
-
-def _known_arrows(d, names, line):
-    for n in names:
-        _expect(n in d.arrows, f"diagram {d.name}: unknown arrow {n!r}", line)
 
 
 def _int(tok, what, line):
@@ -363,25 +352,24 @@ def _read_zigzag(ws, line, toks, body):
 def _read_diagram(ws, line, toks, body):
     _expect(len(toks) == 4 and toks[2] == "over", "expected: diagram <name> over <form>", line)
     _fresh(ws.diagram_specs, toks[1], "diagram", line)
-    spec = ws.diagram_specs[toks[1]] = DiagramSpec(toks[1], toks[3], [], [], [], line)
+    spec = ws.diagram_specs[toks[1]] = DiagramSpec(toks[1], toks[3], [], [], line)
     for ln, t in body:
         if t[0] == "use":
             _expect(len(t) == 4 and t[2] == "as", "expected: use <entity> as <role>", ln)
             spec.uses.append((t[1], t[3], ln))
-        elif t[0] == "commute":
-            _expect(len(t) == 4 and t[2] == "=", "expected: commute <p1> = <p2>", ln)
-            spec.commutes.append((t[1], t[3]))
-            spec.commute_lines.append(ln)
-        else:
-            from .diagram import ASSERTION_ARITY, Assertion
+            continue
+        from .diagram import ASSERTION_ARITY, Assertion
 
+        if t[0] == "commute":
+            _expect(len(t) == 4 and t[2] == "=", "expected: commute <p1> = <p2>", ln)
+            kind, args = "commute", (t[1], t[3])
+        else:
             _expect(len(t) > 1, "empty assertion", ln)
             kind, args = t[1], tuple(t[2:])
             _expect(kind in ASSERTION_ARITY, f"unknown assertion kind {kind!r}", ln)
             arity = ASSERTION_ARITY[kind]
             _expect(len(args) == arity, f"assertion {kind} takes {arity} argument(s)", ln)
-            spec.asserts.append(Assertion(kind, args))
-            spec.assert_lines.append(ln)
+        spec.asserts.append((Assertion(kind, args), ln))
 
 
 # Each top-level keyword: its reader, the keywords of the body lines it owns,
@@ -483,8 +471,6 @@ def dump(ws: Workspace) -> str:
         out.append(f"diagram {dname} over {spec.over}")
         for ent, role, _ in spec.uses:
             out.append(f"use {ent} as {role}")
-        for p1, p2 in spec.commutes:
-            out.append(f"commute {p1} = {p2}")
-        for a in spec.asserts:
-            out.append("assert " + a.label())
+        for a, _ in spec.asserts:
+            out.append(a.label() if a.kind == "commute" else "assert " + a.label())
     return "\n".join(out) + "\n"

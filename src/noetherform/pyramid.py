@@ -65,7 +65,7 @@ def _perm_fn(rng: Optional[random.Random]):
 def _diamonds(n: int, order: str):
     """The (bottom, up_left, up_right, top) coordinates of each diamond of
     the pyramid over a zigzag of n edges, layer by layer upward, each layer
-    left to right, or right to left unless order is "ltr"."""
+    left to right for order "ltr" and right to left for "rtl"."""
     for h in range(2, n + 1):
         span = range(0, n - h + 1)
         for s in (span if order == "ltr" else reversed(span)):
@@ -148,13 +148,15 @@ class Pyramid:
 def build_pyramid(z: Zigzag, order: str = "ltr", scramble: Optional[int] = None) -> Pyramid:
     """Construct the full pyramid over a zigzag.
 
-    `order` picks the within-layer completion order and `scramble` seeds the
-    perm passed to the form's quotient_object and subobject_object, which
-    relabels the constructed intermediate objects of a Slominski form or its
-    dual (a data form ignores it); the induced morphism must not depend on
-    either choice.  A subobject the form cannot construct raises
+    `order` picks the within-layer completion order, "ltr" or "rtl", and
+    `scramble` seeds the perm passed to the form's quotient_object and
+    subobject_object, which relabels the constructed intermediate objects of
+    a Slominski form or its dual (a data form ignores it); the induced
+    morphism must not depend on either choice.  A subobject the form cannot construct raises
     UnsupportedSubobjectError, naming it.
     """
+    if order not in ("ltr", "rtl"):
+        raise ValidationError(f"build_pyramid: order must be 'ltr' or 'rtl', not {order!r}")
     form = z.form
     if form is None:
         raise UnsupportedFormError("zigzag carries no form")

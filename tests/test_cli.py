@@ -154,6 +154,38 @@ def test_verify_generic_diagram_checks(capsys):
     assert "PASS commute g.f = z0" in out
 
 
+def test_own_assert_line_is_a_hypothesis_of_a_registered_lemma(tmp_path, capsys):
+    # shortfive with a false line of its own: the lemma's conclusion SKIPs
+    text = (FIXTURES / "z4_stack.nf").read_text()
+    src = tmp_path / "sf.nf"
+    src.write_text(text.replace("use idZ2 as u\n", "use idZ2 as u\nassert injective g\n", 1))
+    code, out, _ = run(capsys, "verify", str(src), "shortfive",
+                       "--lemma", "short-five", "--part", "iii")
+    assert (code, out) == (1, "\n".join([
+        "lemma short-five (iii)",
+        "PASS commute t.f = x.s", "PASS commute u.g = y.t",
+        "PASS short-exact f g", "PASS short-exact x y", "PASS iso s", "PASS iso u",
+        "FAIL injective g [Ker g = Z4:{0,2}]",
+        "SKIP iso t",
+    ]) + "\n")
+
+
+def test_own_lines_are_reported_and_dumped_in_file_order(tmp_path, capsys):
+    from noetherform.parser import dump, parse
+
+    lines = ["diagram mixed over main", "use minc as f", "use q as g", "use zq as z0",
+             "assert injective f", "commute g.f = z0", "assert exact f g"]
+    text = (FIXTURES / "z4_stack.nf").read_text() + "\n" + "\n".join(lines) + "\n"
+    src = tmp_path / "mixed.nf"
+    src.write_text(text)
+    code, out, _ = run(capsys, "verify", str(src), "mixed", "--lemma", "generic")
+    assert (code, out) == (0, "lemma mixed\nPASS injective f\nPASS commute g.f = z0\n"
+                              "PASS exact f g\n")
+    dumped = dump(parse(text)).splitlines()
+    at = dumped.index(lines[0])
+    assert dumped[at:at + len(lines)] == lines
+
+
 @pytest.mark.parametrize("name,entity,code,want", [
     ("dd", "idT", 0, "PASS commute f = f.f\nPASS iso f\n"),
     ("bad", "nothere", 2, "diagram bad: unknown entity 'nothere'"),
@@ -176,7 +208,7 @@ def test_verify_diagram_over_a_data_form(tmp_path, capsys, name, entity, code, w
 ], ids=["commute", "zero-path", "exact", "registered-lemma"])
 def test_unknown_arrow_in_a_diagram_line_exit2(tmp_path, capsys, line, lemma):
     # the parser rejects an arrow no use line names, at its line, before any
-    # lemma runs, a registered one that reads no assert line included
+    # lemma runs, a registered one included
     text = (FIXTURES / "tiny_form.nf").read_text() + (
         f"\ndiagram dd over tinyform\nuse T as X\nuse idT as f\n{line}\n")
     src = tmp_path / "dd.nf"

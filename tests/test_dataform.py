@@ -1,9 +1,13 @@
 """Data-defined forms: search-based providers, pyramids, error contracts."""
 
+import itertools
+
 import pytest
 
-from noetherform import axiom_suite, build_pyramid, compose, decide_induction
+from noetherform import axiom_suite, build_pyramid, compose, decide_induction, dualize
+from noetherform.core import DataForm, FormObject, Morphism
 from noetherform.errors import UnsupportedFormError, UnsupportedSubobjectError
+from noetherform.lattice import TableLattice
 from noetherform.parser import parse
 from noetherform.zigzag import LEFT, RIGHT, Edge, Zigzag
 from oracles import factorize
@@ -224,3 +228,54 @@ def test_induced_morphism_membership_check(form):
     m = decide_induction(span).morphism
     got = declared_member(form, m.dom, m.cod, m.d, m.i)
     assert got is form.identity(Q) or got == form.identity(Q)
+
+
+def sets_form():
+    """Finite sets of size 0, 1 and 2 with all 11 maps between them.  A
+    subobject is a subset, keyed as its sorted tuple; d is the direct image
+    and i the inverse image.  The map X -> Y with element table t is named
+    X.id + Y.id + "_" + t."""
+    objects = []
+    for n in range(3):
+        keys = sorted((s for r in range(n + 1) for s in itertools.combinations(range(n), r)),
+                      key=lambda s: (len(s), s))
+        pairs = [(a, b) for a in keys for b in keys if set(a) <= set(b)]
+        objects.append(FormObject(f"S{n}", TableLattice(keys, pairs)))
+    maps = []
+    for X, Y in itertools.product(objects, repeat=2):
+        for t in itertools.product(range(len(Y.lattice.top)), repeat=len(X.lattice.top)):
+            dimg = {a: tuple(sorted({t[x] for x in a})) for a in X.lattice.keys}
+            iimg = {b: tuple(x for x in X.lattice.top if t[x] in b) for b in Y.lattice.keys}
+            maps.append(Morphism.from_maps(X, Y, dimg, iimg,
+                                           name=f"{X.id}{Y.id}_{''.join(map(str, t))}"))
+    return DataForm(objects, maps, name="sets")
+
+
+CHECKS = ["P1", "P2", "P3", "BL", "G", "I", "A", "F1", "F2", "AX2", "AX3", "AX4", "AX5", "AX6"]
+
+
+@pytest.mark.parametrize("dual,failures", [
+    (False, {
+        "AX2": "S2S1_00: f^-1 f A != A v Ker f at A=(0,)",
+        "AX4": "factorize(S2S2_01): med_S2S2_01:S1->S2 mediates, "
+               "but no declared morphism equals it",
+        "AX6": "S1: top not normal",
+    }),
+    (True, {
+        "AX2": "S2S1_00: f f^-1 B != B ^ Im f at B=(0,)",
+        "AX4": "factorize(S2S2_01): med_S2S2_01:S1->S2 mediates, "
+               "but no declared morphism equals it",
+        "AX6": "S1: bottom not conormal",
+    }),
+], ids=["sets", "dual"])
+def test_sets_with_all_maps_fail_ax2_ax4_and_ax6_naturally(dual, failures):
+    # PAPER.md lists only the dual of pointed sets as a form; sets and their
+    # dual fail these three checks by their own structure, not by a planted
+    # fault, and pass every other check
+    form = sets_form()
+    assert len(form.morphisms) == 11
+    name = "dual(sets)" if dual else "sets"
+    report = axiom_suite(dualize(form) if dual else form, include_axiom6=True)
+    assert report.render() == "\n".join(
+        [f"FAIL {c} [{failures[c]}]" if c in failures else f"PASS {c}" for c in CHECKS]
+        + [f"FAIL axioms({name})"])

@@ -1,4 +1,5 @@
-"""Diagram layer: exactness, assertions, the generic verifier."""
+"""Diagram layer: exactness, assertions, and a diagram's own lines as
+hypotheses."""
 
 import pytest
 
@@ -8,12 +9,21 @@ from noetherform import (
     identity_morphism,
     is_exact_at,
     is_short_exact,
-    verify_generic,
 )
-from noetherform.diagram import exact, injective, iso, surjective, zero
+from noetherform.diagram import (
+    Assertion,
+    LemmaReport,
+    check_assertions,
+    exact,
+    injective,
+    iso,
+    surjective,
+    zero,
+)
 from noetherform.errors import ShapeError, ValidationError
 from noetherform.gen import InstanceLab, random_zigzag
 from noetherform.groups import D8_B, D8_V, cyclic, dihedral8, trivial_group
+from noetherform.lemmas import verify
 from noetherform.slominski import element_morphism
 
 
@@ -85,8 +95,6 @@ def test_exactness_self_dual(uni):
 
 
 def test_path_composition_and_commute(uni):
-    from noetherform.diagram import Assertion
-
     z4 = uni.object_of(cyclic(4))
     z2 = uni.object_of(cyclic(2))
     q = element_morphism(z4, z2, (0, 1, 0, 1), "q")
@@ -101,7 +109,7 @@ def test_path_composition_and_commute(uni):
         d.path("q.nope")
 
 
-def test_verify_generic_pass_and_skip(uni):
+def test_check_assertions_pass_and_skip(uni):
     z4 = uni.object_of(cyclic(4))
     z2 = uni.object_of(cyclic(2))
     m = element_morphism(z2, z4, (0, 2), "m")
@@ -109,28 +117,26 @@ def test_verify_generic_pass_and_skip(uni):
     d = Diagram(uni, name="ses")
     d.add_arrow("m", m)
     d.add_arrow("q", q)
-    d.assertions = [injective("m"), surjective("q")]
-    report = verify_generic(d, [exact("m", "q"), zero("q.m")])
+    report = LemmaReport("ses")
+    check_assertions(d, report, [injective("m"), surjective("q")],
+                     [exact("m", "q"), zero("q.m")])
     assert report.passed and not report.refuted
     # unmet hypothesis: conclusions are skipped and flagged
-    d2 = Diagram(uni, name="ses2")
-    d2.add_arrow("m", m)
-    d2.add_arrow("q", q)
-    d2.assertions = [injective("q")]  # false
-    report2 = verify_generic(d2, [exact("m", "q")])
+    report2 = LemmaReport("ses2")
+    check_assertions(d, report2, [injective("q")], [exact("m", "q")])  # false
     assert report2.skipped and not report2.passed
     assert all(l.status == "SKIP" for l in report2.conclusions)
     assert "SKIP" in report2.render()
 
 
-def test_verify_generic_refutation_flag(uni):
+def test_check_assertions_refutation_flag(uni):
     z4 = uni.object_of(cyclic(4))
     z2 = uni.object_of(cyclic(2))
     q = element_morphism(z4, z2, (0, 1, 0, 1), "q")
     d = Diagram(uni, name="bad")
     d.add_arrow("q", q)
-    d.assertions = [surjective("q")]
-    report = verify_generic(d, [injective("q")])
+    report = LemmaReport("bad")
+    check_assertions(d, report, [surjective("q")], [injective("q")])
     assert report.refuted and not report.passed
     assert "REFUTATION" in report.render()
 
@@ -155,8 +161,6 @@ def test_assertion_kinds(uni):
 
 
 def test_assertion_labels_are_report_lines(uni):
-    from noetherform.diagram import Assertion
-
     assert Assertion("commute", ("t.f", "x.s")).label() == "commute t.f = x.s"
     assert exact("f", "g").label() == "exact f g"
     assert zero("y.x").label() == "zero y.x"
@@ -164,14 +168,27 @@ def test_assertion_labels_are_report_lines(uni):
     d = Diagram(uni, name="square")
     d.add_arrow("id", identity_morphism(z2))
     d.add_arrow("z", uni.zero_morphism(z2, z2))
-    d.commutes = [("id", "z")]
-    report = verify_generic(d, [])
+    d.assertions = [Assertion("commute", ("id", "z"))]
+    report, _ = verify(d, "generic")
     assert report.render() == "lemma square\nFAIL commute id = z [paths id and z differ]"
 
 
-def test_check_assertions_takes_labelled_checks(uni):
-    from noetherform.diagram import LemmaReport, check_assertions
+@pytest.mark.parametrize("a,named", [
+    (Assertion("commute", ("id", "id.nope")), ["id", "id", "nope"]),
+    (zero("nope.id"), ["nope", "id"]),
+    (exact("id", "nope"), ["id", "nope"]),
+], ids=["commute", "zero", "exact"])
+def test_validate_reads_every_arrow_of_an_assertion_paths_included(uni, a, named):
+    assert a.arrows() == named
+    z2 = uni.object_of(cyclic(2))
+    d = Diagram(uni, name="typo")
+    d.add_arrow("id", identity_morphism(z2))
+    d.assertions = [a]
+    with pytest.raises(ShapeError, match="typo: assertion uses unknown arrow 'nope'"):
+        d.validate()
 
+
+def test_check_assertions_takes_labelled_checks(uni):
     z2 = uni.object_of(cyclic(2))
     d = Diagram(uni, name="pair")
     d.add_arrow("id", identity_morphism(z2))
@@ -195,4 +212,4 @@ def test_an_assertion_on_an_unknown_arrow_is_a_shape_error(uni):
     d.add_arrow("id", identity_morphism(z2))
     d.assertions = [iso("id"), injective("nope")]
     with pytest.raises(ShapeError, match="typo: assertion uses unknown arrow 'nope'"):
-        verify_generic(d, [])
+        verify(d, "generic")

@@ -388,9 +388,10 @@ def test_baby_dragon_nontrivial_instance(uni):
 
 
 def test_diamond_lemma_two_diamond_sequence(uni):
-    """The two-diamond horizontal-sequence exercise, run through the generic
-    engine with its literal assertions."""
-    from noetherform.diagram import exact, injective, surjective, verify_generic
+    """The two-diamond horizontal-sequence exercise: its literal commute and
+    assert lines as hypotheses, then its conclusion."""
+    from noetherform.diagram import (
+        Assertion, LemmaReport, check_assertions, exact, injective, surjective)
 
     z2 = uni.object_of(cyclic(2))
     idz2 = identity_morphism(z2)
@@ -403,10 +404,12 @@ def test_diamond_lemma_two_diamond_sequence(uni):
                       ("q", zero(z2, z2)), ("v", idz2), ("r", idz2),
                       ("x", idz2), ("y", idz2)):
         d.add_arrow(role, mor)
-    d.commutes = [("u", "v.p"), ("x", "y.r"), ("b", "p.a"), ("dd", "r.c")]
-    d.assertions = [exact("p", "q"), exact("q", "r"),
+    commutes = [("u", "v.p"), ("x", "y.r"), ("b", "p.a"), ("dd", "r.c")]
+    d.assertions = [*(Assertion("commute", c) for c in commutes),
+                    exact("p", "q"), exact("q", "r"),
                     surjective("u"), injective("v"), injective("y")]
-    report = verify_generic(d, [injective("x")])
+    report = LemmaReport(d.name)
+    check_assertions(d, report, d.assertions, [injective("x")])
     assert report.passed, report.render()
 
 

@@ -145,10 +145,10 @@ def test_fixture_roundtrip(name):
     assert {n: (s.nodes, s.edges) for n, s in ws1.zigzag_specs.items()} == {
         n: (s.nodes, s.edges) for n, s in ws2.zigzag_specs.items()
     }
-    # a use keeps its line, which the dump moves
-    assert {n: (s.over, [u[:2] for u in s.uses], s.commutes, s.asserts)
+    # a use and an assertion keep their lines, which the dump moves
+    assert {n: (s.over, [u[:2] for u in s.uses], [a for a, _ in s.asserts])
             for n, s in ws1.diagram_specs.items()} == {
-        n: (s.over, [u[:2] for u in s.uses], s.commutes, s.asserts)
+        n: (s.over, [u[:2] for u in s.uses], [a for a, _ in s.asserts])
         for n, s in ws2.diagram_specs.items()
     }
 
@@ -179,7 +179,8 @@ assert zero m.m
 """
     ws = parse(src)
     spec = ws.diagram_specs["d"]
-    assert [a.kind for a in spec.asserts] == ["injective", "exact", "zero"]
+    assert [(a.kind, ln) for a, ln in spec.asserts] == [
+        ("injective", 10), ("exact", 11), ("zero", 12)]
     with pytest.raises(ParseError):
         parse(ALGEBRA_SRC + "diagram d over main\nassert exact onlyone\n")
 

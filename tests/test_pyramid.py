@@ -72,6 +72,14 @@ def test_single_edge_pyramid_is_base_triangle(uni):
     assert compose(m, e) == q
 
 
+@pytest.mark.parametrize("order", ["lrt", "LTR", ""])
+def test_build_pyramid_refuses_an_order_other_than_ltr_or_rtl(delta, order):
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"order must be 'ltr' or 'rtl', not {order!r}")):
+        build_pyramid(delta, order=order)
+    assert not build_pyramid(delta, order="rtl").commutativity_failures()
+
+
 def test_projection_wedge_apex_is_quotient_by_kernel_join(uni):
     # Q1 <- Z4 -> Q2 with kernels {0,2} and {0}: apex kernel join is {0,2}
     z4 = uni.object_of(cyclic(4))

@@ -17,7 +17,7 @@ SIGNATURES = {
     "zigzag.Edge": "morphism direction",
     "zigzag.Zigzag": "nodes edges form=",
     "diagram.Assertion": "kind args",
-    "diagram.Diagram": "form objects= arrows= commutes= assertions= name=",
+    "diagram.Diagram": "form objects= arrows= assertions= name=",
     "diagram.CheckLine": "status name witness=",
     "diagram.LemmaReport": "lemma hypotheses= conclusions=",
     "lemmas.Shape": "objects arrows commutes",
@@ -31,7 +31,7 @@ SIGNATURES = {
     "pyramid.IsoVerdict": "holds forward backward failures=",
     "pyramid.QuotientIsoResult": "w_normal_to_x fw_normal_to_fx iso zigzag",
     "parser.ZigzagSpec": "name nodes edges line",
-    "parser.DiagramSpec": "name over uses commutes asserts line",
+    "parser.DiagramSpec": "name over uses asserts line",
     "parser.FormSpec": "name objects= orders= morphisms=",
     "axioms.AxiomCheck": "name passed witness= mode= cases=",
     "axioms.AxiomReport": "form checks=",
