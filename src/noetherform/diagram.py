@@ -157,11 +157,32 @@ class Diagram:
             return ok, None if ok else f"{args[0]} is not a zero morphism"
         raise ValidationError(f"unknown assertion kind {kind!r}")
 
+    def check_paths(self, a: Assertion) -> None:
+        """ShapeError unless each path of a zero or commute assertion, its
+        arrows known, composes, and a commute's two paths run between the
+        same objects.  Reads the ids of the arrows' ends; composes nothing."""
+        if a.kind not in ("commute", "zero"):
+            return
+        ends = []
+        for spec in a.args:
+            names = spec.split(".")
+            for g, f in zip(names, names[1:]):
+                if self.arrows[f].cod.id != self.arrows[g].dom.id:
+                    raise ShapeError(
+                        f"{self.name}: path {spec!r} does not compose: {f} ends at "
+                        f"{self.arrows[f].cod.id}, {g} starts at {self.arrows[g].dom.id}")
+            ends.append((self.arrows[names[-1]].dom.id, self.arrows[names[0]].cod.id))
+        if ends[0] != ends[-1]:
+            (d1, c1), (d2, c2) = ends
+            raise ShapeError(f"{self.name}: {a.label()} compares a path {d1} -> {c1} "
+                             f"with a path {d2} -> {c2}")
+
     def validate(self) -> None:
         for a in self.assertions:
             for arg in a.arrows():
                 if arg not in self.arrows:
                     raise ShapeError(f"{self.name}: assertion uses unknown arrow {arg!r}")
+            self.check_paths(a)
 
 
 class CheckLine:

@@ -206,10 +206,13 @@ class Workspace:
                     d.add_arrow(role, form.morphism(*self.homs[ent], name=ent))
                 else:
                     raise ParseError(f"diagram {name}: unknown entity {ent!r}", line)
-        # every arrow a commute or assert line names, each path's included
+        # every arrow a commute or assert line names, each path's included,
+        # then each path's ends
         for a, line in spec.asserts:
             for n in a.arrows():
                 _expect(n in d.arrows, f"diagram {name}: unknown arrow {n!r}", line)
+            with _located(line, "diagram "):
+                d.check_paths(a)
         d.assertions = [a for a, _ in spec.asserts]
         return d
 

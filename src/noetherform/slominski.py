@@ -32,12 +32,16 @@ Costs the module avoids:
   meets a smaller cyclic subalgebra's generator that makes it no canonical
   augmentation, and a cyclic <x> as soon as it reaches an earlier y whose
   <y> holds x, when <x> = <y> (subalgebra_masks).
-- Normality checks one candidate partition, a gathered row per distinct
-  translation (equal rows are one test, so an abelian group's p(z, -) and
-  p(-, z) count once), and stops at the first row that breaks it; the
-  answer is memoized on the algebra, so normality and the quotient share
-  it.  The translations' getters are built once per algebra and memoized
-  on it (_translations).  The closure that decides whether B is a
+- Normality checks one candidate partition, a gathered row per
+  translation, and stops at the first row that breaks it; the answer is
+  memoized on the algebra, so normality and the quotient share it.  A
+  group reads only the left translations p(s, -) by a generating set S:
+  they compose to every p(z, -), so every zB is a coset Bz.  Its tables
+  show a group when a greedy S passes Light's test, associativity with
+  each s in S in the middle, since an associative Slominski algebra is a
+  group.  Any other algebra reads each distinct row among p(z, -),
+  p(-, z) and d(z, -).  The rows' getters are built once per algebra and
+  memoized on it (_translations).  The closure that decides whether B is a
   subalgebra runs only when the partition is refused: one that passes is
   a congruence with zero class B, which is therefore closed under d
   (_candidate_classes).
@@ -397,19 +401,29 @@ def _candidate_classes(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Option
 
 def _coset_classes(alg: SlominskiAlgebra, belems: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     """The cosets p(B, y) as classes, numbered by least element, when they
-    do not overlap and every translation p(z, -), p(-, z) and d(z, -)
-    keeps them; else None.  B lies in the carrier and holds 0.
+    do not overlap and every translation _translations gives keeps them;
+    else None.  B lies in the carrier and holds 0.
 
     t keeps them when cls(t(x)) = cls(t(r(x))) for each x and the least
     element r(x) of its class: the row cls.t, gathered at once, equals its
-    own gather at r.  Then d(-, z) keeps them too: each class has |B|
-    elements, so the bijection p(-, z) permutes them, and d(-, z) is its
-    inverse.  So a partition that passes is a congruence, and B is its
-    zero class Z: the coset placed at y holds p(0, y) = y, so it is y's
-    class p(Z, y), and p(-, y) is one-to-one.  The overlap test only
-    returns early: classes kept by the translations all have the size of
-    the zero class Z, which lies in B, and the last coset placed keeps all
-    |B| elements, so Z = B.
+    own gather at r.  The overlap test only returns early: classes kept by
+    the translations all have the size of the zero class Z, which lies in
+    B, and the last coset placed keeps all |B| elements, so Z = B.
+
+    In general the translations are p(z, -), p(-, z) and d(z, -).  Then
+    d(-, z) keeps the classes too: each has |B| elements, so the bijection
+    p(-, z) permutes them, and d(-, z) is its inverse.  So a partition that
+    passes is a congruence, and B is its zero class Z: the coset placed at
+    y holds p(0, y) = y, so it is y's class p(Z, y), and p(-, y) is
+    one-to-one.
+
+    In a group they are the left translations L_s = p(s, -) by a set S
+    that generates it.  Maps that keep a partition compose, and L_ab =
+    L_a . L_b, so every L_z keeps the classes.  B, the class of 0, holds
+    L_b(0) = b for each b in B, so L_b maps B into B and B is a subgroup;
+    L_z then maps B into the class of z, which is the coset Bz, so zB = Bz
+    and B is normal.  So exactly the sets a test by every translation
+    passes pass, and the classes are the same.
     """
     if alg.n == 1:  # a one-position itemgetter returns a scalar
         return (0,)
@@ -435,16 +449,63 @@ def _translations(
     alg: SlominskiAlgebra
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[itemgetter, ...]]:
     """The columns of p (columns[y][x] = p(x, y)) and a getter for each
-    distinct translation among p(z, -), p(-, z) and d(z, -), built once per
-    algebra of more than one element: every normality test of alg reads
-    them.  Equal rows are the same test, so each is kept once (in an abelian
-    group p(z, -) = p(-, z), and in an elementary abelian 2-group d = p
-    as well)."""
+    translation that decides normality in alg (_coset_classes), built once
+    per algebra of more than one element: every normality test of alg
+    reads them.
+
+    A group needs only the left translations p(s, -) by a set S that
+    generates it (_group_generators).  Any other algebra reads each
+    distinct translation among p(z, -), p(-, z) and d(z, -); equal rows
+    are the same test, so each is kept once."""
     def build():
         columns = tuple(zip(*alg.p))
-        rows = dict.fromkeys(itertools.chain(alg.p, columns, alg.d))
+        gens = _group_generators(alg)
+        if gens is None:
+            rows = dict.fromkeys(itertools.chain(alg.p, columns, alg.d))
+        else:
+            rows = [alg.p[s] for s in gens]
         return columns, tuple(itemgetter(*t) for t in rows)
     return alg.memoized("translations", build)
+
+
+def _group_generators(alg: SlominskiAlgebra) -> Optional[list[int]]:
+    """A set S that generates alg under p, taken greedily in element order
+    with 0 skipped, when p is associative; else None.
+
+    Each element not yet reached joins S, and S's right products p(r, s)
+    are closed over until they cover the carrier; a product of S is one of
+    them when p is associative.  Light's test then decides associativity
+    on S alone: p(p(x, s), y) = p(x, p(s, y)) for all x, y and each s in S.
+    The s that pass are closed under p, and S generates alg.  An
+    associative Slominski algebra is a group: p(0, y) = p(d(y, y), y) = y,
+    and p(d(0, y), y) = 0 gives each y a left inverse.  A group reaches 0 as a power of
+    any element, so an algebra whose products never reach it is none.
+    """
+    p, n = alg.p, alg.n
+    gens: list[int] = []
+    reached, seen = [], [False] * n
+    for g in range(n):
+        if g == alg.zero or seen[g]:
+            continue
+        gens.append(g)
+        seen[g] = True
+        reached.append(g)
+        i = 0
+        while i < len(reached) < n:
+            row = p[reached[i]]
+            for s in gens:
+                if not seen[row[s]]:
+                    seen[row[s]] = True
+                    reached.append(row[s])
+            i += 1
+    if len(reached) < n:
+        return None
+    for s in gens:
+        at_s = itemgetter(*p[s])  # p(x, -) read at p(s, y): p(x, p(s, y))
+        for row in p:
+            if p[row[s]] != at_s(row):
+                return None
+    return gens
 
 
 def is_normal_subalgebra(alg: SlominskiAlgebra, B: Iterable[int]) -> bool:

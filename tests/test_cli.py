@@ -200,22 +200,32 @@ def test_verify_diagram_over_a_data_form(tmp_path, capsys, name, entity, code, w
     assert want in (out if code == 0 else err)
 
 
-@pytest.mark.parametrize("line,lemma", [
-    ("commute f = f.g", "generic"),
-    ("assert zero g.f", "generic"),
-    ("assert exact f g", "generic"),
-    ("assert injective g", "four"),
-], ids=["commute", "zero-path", "exact", "registered-lemma"])
-def test_unknown_arrow_in_a_diagram_line_exit2(tmp_path, capsys, line, lemma):
-    # the parser rejects an arrow no use line names, at its line, before any
-    # lemma runs, a registered one included
-    text = (FIXTURES / "tiny_form.nf").read_text() + (
-        f"\ndiagram dd over tinyform\nuse T as X\nuse idT as f\n{line}\n")
+TINY_DIAGRAM = ("tiny_form.nf", "diagram dd over tinyform\nuse T as X\nuse idT as f\n")
+STACK_DIAGRAM = ("z4_stack.nf", "diagram dd over main\nuse minc as f\nuse q as g\n")
+
+
+@pytest.mark.parametrize("base,line,lemma,want", [
+    (TINY_DIAGRAM, "commute f = f.g", "generic", "unknown arrow 'g'"),
+    (TINY_DIAGRAM, "assert zero g.f", "generic", "unknown arrow 'g'"),
+    (TINY_DIAGRAM, "assert exact f g", "generic", "unknown arrow 'g'"),
+    (TINY_DIAGRAM, "assert injective g", "four", "unknown arrow 'g'"),
+    (STACK_DIAGRAM, "assert zero f.f", "generic",
+     "path 'f.f' does not compose: f ends at Z4, f starts at Z2"),
+    (STACK_DIAGRAM, "commute f.g = g", "generic",
+     "commute f.g = g compares a path Z4 -> Z4 with a path Z4 -> Z2"),
+], ids=["commute", "zero-path", "exact", "registered-lemma", "uncomposable-path",
+        "unparallel-commute"])
+def test_unknown_arrow_in_a_diagram_line_exit2(tmp_path, capsys, base, line, lemma, want):
+    # the parser rejects an arrow no use line names, a path whose arrows do
+    # not compose and a commute between paths with different ends, at its
+    # line, before any lemma runs, a registered one included
+    fixture, uses = base
+    text = (FIXTURES / fixture).read_text() + f"\n{uses}{line}\n"
     src = tmp_path / "dd.nf"
     src.write_text(text)
     code, out, err = run(capsys, "verify", str(src), "dd", "--lemma", lemma)
     at = text.splitlines().index(line) + 1
-    assert (code, out, err) == (2, "", f"error: line {at}: diagram dd: unknown arrow 'g'\n")
+    assert (code, out, err) == (2, "", f"error: line {at}: diagram dd: {want}\n")
 
 
 def test_check_axioms_all_small_groups(capsys):

@@ -188,6 +188,24 @@ def test_validate_reads_every_arrow_of_an_assertion_paths_included(uni, a, named
         d.validate()
 
 
+@pytest.mark.parametrize("a,want", [
+    (zero("m.m"), "path 'm.m' does not compose: m ends at Z4, m starts at Z2"),
+    (Assertion("commute", ("m.q", "q")), "commute m.q = q compares a path Z4 -> Z4 with a path Z4 -> Z2"),
+], ids=["uncomposable", "unparallel"])
+def test_validate_reads_each_path_s_ends(uni, a, want):
+    # validate reads the ends of every path of a zero or commute assertion,
+    # so a path that cannot compose, or a commute between paths with
+    # different ends, is a shape error before any lemma checks it
+    z2, z4 = uni.object_of(cyclic(2)), uni.object_of(cyclic(4))
+    d = Diagram(uni, name="ends")
+    d.add_arrow("m", element_morphism(z2, z4, (0, 2), "m"))
+    d.add_arrow("q", element_morphism(z4, z2, (0, 1, 0, 1), "q"))
+    d.assertions = [zero("q.m"), Assertion("commute", ("q.m.q", "q")), a]
+    with pytest.raises(ShapeError) as exc:
+        verify(d, "generic")
+    assert str(exc.value) == f"ends: {want}"
+
+
 def test_check_assertions_takes_labelled_checks(uni):
     z2 = uni.object_of(cyclic(2))
     d = Diagram(uni, name="pair")

@@ -872,8 +872,9 @@ def test_normality_of_every_subset_against_generate_congruence(monkeypatch):
     # algebras it must raise exactly when B is no subalgebra, with the text
     # the closure gives, and otherwise agree with generate_congruence.  A
     # passed coset test shows B a subalgebra, so the test itself must
-    # refuse each of the 1,787 non-subalgebras that hold 0
-    small = ([a for a in LE16 if a.n <= 6] + [T3, T4, U4]
+    # refuse each of the 2,445 non-subalgebras that hold 0.  The groups of
+    # order 7 and 8 are tested by their generators' left translations alone
+    small = ([a for a in LE16 if a.n <= 8] + [T3, T4, U4]
              + [r for r in map(random_permutation_algebra, range(200)) if r.n <= 6])
     coset_classes, refused = slominski._coset_classes, []
 
@@ -898,7 +899,7 @@ def test_normality_of_every_subset_against_generate_congruence(monkeypatch):
                 assert str(exc.value) == f"{sub} is not a subalgebra of {alg.name}"
                 assert refused == ([True] if alg.zero in sub else []), (alg.name, sub)
                 tested += len(refused)
-    assert tested == 1787
+    assert tested == 2445
 
 
 def test_subalgebra_masks_finds_each_subalgebra_once():
@@ -1200,15 +1201,30 @@ def test_derived_tables_are_ranks_in_the_parent_interval(alg):
             lat.keys[p] for p in above], key
 
 
-def test_normality_reads_each_distinct_translation_once():
-    # of the 3n rows p(z, -), p(-, z) and d(z, -), equal ones are one test:
-    # E32 is abelian with d = p, Z64 and Z4xE4 are abelian, and D32's two
-    # central elements give p(z, -) = p(-, z)
+def test_normality_reads_each_distinct_translation_once(monkeypatch):
+    # a group is tested by the left translations of its greedy generators
+    # alone: E32 = (Z2)^5 by 5, Z64 by 1, Z4xE4 by 3 and D32 by a rotation
+    # and a reflection; a loop reads each distinct row among p(z, -),
+    # p(-, z) and d(z, -) once
     z2 = cyclic_data(2)
     z4e4 = from_group(*product_data(cyclic_data(4), product_data(z2, z2)), name="Z4xE4")
-    for alg, rows, distinct in ((E32, 96, 32), (Z64, 192, 128), (z4e4, 48, 32), (D32, 96, 94)):
-        assert 3 * alg.n == rows
-        assert len(slominski._translations(alg)[1]) == distinct, alg.name
+    for alg, rows in ((E32, 5), (Z64, 1), (z4e4, 3), (D32, 2), (T3, 5), (T4, 7), (U4, 10)):
+        assert len(slominski._translations(alg)[1]) == rows, alg.name
+    # the generator rows give the same classes, or None, as every distinct
+    # translation, on every subset holding 0 of each group of order <= 8
+    # and every subgroup of those of order 16
+    cases = [(a, (0,) + sub) for a in LE16 if a.n <= 8
+             for k in range(a.n) for sub in itertools.combinations(range(1, a.n), k)]
+    cases += [(a, key) for a in LE16 if a.n == 16 for key in subalgebra_lattice(a).keys]
+    assert all(a.zero == 0 for a, _ in cases) and len(cases) == 807 + 296
+
+    def copy(alg):  # a fresh memo, so the translations are built again
+        return SlominskiAlgebra(alg.name, alg.zero, alg.p, alg.d)
+
+    by_generators = [slominski._coset_classes(copy(a), sub) for a, sub in cases]
+    monkeypatch.setattr(slominski, "_group_generators", lambda alg: None)
+    assert by_generators == [slominski._coset_classes(copy(a), sub) for a, sub in cases]
+    assert {cls is None for cls in by_generators} == {True, False}
 
 
 E64 = xor_group(6)
