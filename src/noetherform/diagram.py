@@ -3,9 +3,11 @@
 A Diagram names objects and morphisms by role and carries its own
 Assertions, commutativities among them as pairs of dot-separated paths
 (composition reads right to left, so "t.f" means t after f); every lemma
-takes them as hypotheses.  check_assertions checks the hypotheses and, only
-when they all hold, the conclusions; a conclusion failing on a
-passing-hypotheses instance is a refutation and is surfaced as such.
+takes them as hypotheses.  Diagram.read is the one reader of an
+assertion's arguments; validate runs it before any lemma checks a diagram.
+check_assertions checks the hypotheses and, only when they all hold, the
+conclusions; a conclusion failing on a passing-hypotheses instance is a
+refutation and is surfaced as such.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .core import (
     kernel,
     kernel_position,
 )
-from .errors import ShapeError, ValidationError
+from .errors import CompositionError, ShapeError, ValidationError
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 
@@ -44,15 +46,18 @@ def is_short_exact(f: Morphism, g: Morphism) -> bool:
     return is_injective(f) and is_surjective(g) and is_exact_at(f, g)
 
 
-# The kinds a diagram may assert, with their arities.  Every argument is an
-# arrow role, except that zero takes one dot-separated path.
-ASSERTION_ARITY = {"exact": 2, "short-exact": 2, "injective": 1, "surjective": 1,
-                   "iso": 1, "zero": 1}
+# The kinds a diagram may assert: each one's arity, whether its arguments
+# are dot-separated paths (else arrow roles), and how they meet: a commute's
+# two paths have the same ends, and an exact pair's first arrow ends where
+# the second starts.
+KINDS = {"commute": (2, True, "ends"), "zero": (1, True, None),
+         "exact": (2, False, "node"), "short-exact": (2, False, "node"),
+         "injective": (1, False, None), "surjective": (1, False, None), "iso": (1, False, None)}
 
 
 class Assertion(Frozen):
     def __init__(self, kind: str, args: tuple):
-        object.__setattr__(self, "kind", kind)  # a kind of ASSERTION_ARITY, or commute
+        object.__setattr__(self, "kind", kind)  # a kind of KINDS
         object.__setattr__(self, "args", args)
 
     def __eq__(self, other):
@@ -67,12 +72,6 @@ class Assertion(Frozen):
         if self.kind == "commute":
             return f"commute {self.args[0]} = {self.args[1]}"
         return f"{self.kind} {' '.join(str(a) for a in self.args)}"
-
-    def arrows(self) -> list[str]:
-        """The arrow roles named, each path of a commute or zero split on '.'."""
-        if self.kind in ("commute", "zero"):
-            return [n for p in self.args for n in p.split(".")]
-        return list(self.args)
 
 
 def exact(f: str, g: str) -> Assertion:
@@ -117,16 +116,27 @@ class Diagram:
         self.arrows[role] = m
         return m
 
+    def arrow(self, role: str) -> Morphism:
+        """The arrow bound to role; a ShapeError names the role if none is."""
+        if role not in self.arrows:
+            raise ShapeError(f"{self.name}: unknown arrow {role!r}")
+        return self.arrows[role]
+
     def path(self, spec: str) -> Morphism:
-        """Composite of a dot-separated path, rightmost morphism first."""
+        """Composite of a dot-separated path, rightmost morphism first; a
+        ShapeError names its first unknown arrow, or else its first pair
+        that does not compose."""
         names = spec.split(".")
-        try:
-            mors = [self.arrows[n] for n in names]
-        except KeyError as exc:
-            raise ShapeError(f"{self.name}: unknown arrow {exc.args[0]!r} in path {spec!r}") from None
+        mors = [self.arrow(n) for n in names]
         out = mors[-1]
-        for m in reversed(mors[:-1]):
-            out = compose(m, out)
+        try:
+            for m in reversed(mors[:-1]):
+                out = compose(m, out)
+        except CompositionError:
+            k = next(k for k in range(1, len(mors)) if mors[k].cod.id != mors[k - 1].dom.id)
+            raise ShapeError(f"{self.name}: path {spec!r} does not compose: {names[k]} ends at "
+                             f"{mors[k].cod.id}, {names[k - 1]} starts at {mors[k - 1].dom.id}"
+                             ) from None
         return out
 
     def check(self, a: Assertion) -> tuple[bool, Optional[str]]:
@@ -157,32 +167,24 @@ class Diagram:
             return ok, None if ok else f"{args[0]} is not a zero morphism"
         raise ValidationError(f"unknown assertion kind {kind!r}")
 
-    def check_paths(self, a: Assertion) -> None:
-        """ShapeError unless each path of a zero or commute assertion, its
-        arrows known, composes, and a commute's two paths run between the
-        same objects.  Reads the ids of the arrows' ends; composes nothing."""
-        if a.kind not in ("commute", "zero"):
-            return
-        ends = []
-        for spec in a.args:
-            names = spec.split(".")
-            for g, f in zip(names, names[1:]):
-                if self.arrows[f].cod.id != self.arrows[g].dom.id:
-                    raise ShapeError(
-                        f"{self.name}: path {spec!r} does not compose: {f} ends at "
-                        f"{self.arrows[f].cod.id}, {g} starts at {self.arrows[g].dom.id}")
-            ends.append((self.arrows[names[-1]].dom.id, self.arrows[names[0]].cod.id))
-        if ends[0] != ends[-1]:
-            (d1, c1), (d2, c2) = ends
-            raise ShapeError(f"{self.name}: {a.label()} compares a path {d1} -> {c1} "
-                             f"with a path {d2} -> {c2}")
+    def read(self, a: Assertion) -> None:
+        """Read an assertion's arguments as KINDS says: a ShapeError names a
+        wrong kind or arity, an unknown arrow, a path that does not compose,
+        or arguments that do not meet."""
+        arity, paths, meet = KINDS.get(a.kind, (None, False, None))
+        if len(a.args) != arity:
+            raise ShapeError(f"{self.name}: no assertion {a.kind} of {len(a.args)} argument(s)")
+        mors = [self.path(arg) if paths else self.arrow(arg) for arg in a.args]
+        if meet == "ends" and (mors[0].dom.id, mors[0].cod.id) != (mors[1].dom.id, mors[1].cod.id):
+            raise ShapeError(f"{self.name}: {a.label()} compares a path {mors[0].dom.id} -> "
+                             f"{mors[0].cod.id} with a path {mors[1].dom.id} -> {mors[1].cod.id}")
+        if meet == "node" and mors[0].cod.id != mors[1].dom.id:
+            raise ShapeError(f"{self.name}: {a.label()} needs a shared node: {a.args[0]} ends at "
+                             f"{mors[0].cod.id}, {a.args[1]} starts at {mors[1].dom.id}")
 
     def validate(self) -> None:
         for a in self.assertions:
-            for arg in a.arrows():
-                if arg not in self.arrows:
-                    raise ShapeError(f"{self.name}: assertion uses unknown arrow {arg!r}")
-            self.check_paths(a)
+            self.read(a)
 
 
 class CheckLine:

@@ -182,37 +182,26 @@ class Workspace:
             raise ParseError(f"unknown diagram {name!r}")
         if spec.over in self.form_specs:
             form: Form = self.data_form(spec.over)
-            d = Diagram(form, name=name)
-            for ent, role, line in spec.uses:
-                if ent in form.objects:
-                    d.add_object(role, form.objects[ent])
-                else:
-                    mor = next((m for m in form.morphisms if m.name == ent), None)
-                    if mor is None:
-                        raise ParseError(f"diagram {name}: unknown entity {ent!r}", line)
-                    d.add_arrow(role, mor)
+            objects, arrows = form.objects, {m.name: m for m in form.morphisms}
         else:
-            if not self.algebras:
-                raise ParseError(
-                    f"diagram {name}: form {spec.over!r} not declared and no algebras loaded",
-                    spec.line,
-                )
+            _expect(self.algebras, f"diagram {name}: form {spec.over!r} not declared and no "
+                    "algebras loaded", spec.line)
             form = self.slominski_form()
-            d = Diagram(form, name=name)
-            for ent, role, line in spec.uses:
-                if ent in self.algebras:
-                    d.add_object(role, form.object_of(self.algebras[ent]))
-                elif ent in self.homs:
-                    d.add_arrow(role, form.morphism(*self.homs[ent], name=ent))
-                else:
-                    raise ParseError(f"diagram {name}: unknown entity {ent!r}", line)
-        # every arrow a commute or assert line names, each path's included,
-        # then each path's ends
+            objects = {n: form.object_of(a) for n, a in self.algebras.items()}
+            arrows = {n: form.morphism(*h, name=n) for n, h in self.homs.items()}
+        d = Diagram(form, name=name)
+        for ent, role, line in spec.uses:
+            _expect(role not in d.objects and role not in d.arrows,
+                    f"diagram {name}: role {role!r} bound twice", line)
+            if ent in objects:
+                d.add_object(role, objects[ent])
+            elif ent in arrows:
+                d.add_arrow(role, arrows[ent])
+            else:
+                raise ParseError(f"diagram {name}: unknown entity {ent!r}", line)
         for a, line in spec.asserts:
-            for n in a.arrows():
-                _expect(n in d.arrows, f"diagram {name}: unknown arrow {n!r}", line)
             with _located(line, "diagram "):
-                d.check_paths(a)
+                d.read(a)
         d.assertions = [a for a, _ in spec.asserts]
         return d
 
@@ -261,6 +250,7 @@ def _sized(ws, line, toks, base):
     _expect(len(toks) == 6 and toks[2] == "size" and toks[4] == base,
             f"expected: {toks[0]} <name> size <n> {base} <i>", line)
     _fresh(ws.algebras, toks[1], "algebra", line)
+    _expect(toks[1] not in ws.homs, f"{toks[0]} {toks[1]}: a hom has that name", line)
     return toks[1], _int(toks[3], "size", line), _int(toks[5], base, line)
 
 
@@ -293,6 +283,7 @@ def _read_hom(ws, line, toks, body):
             "expected: hom <f> <A> -> <B> map <i0> ...", line)
     name, dom, cod = toks[1], toks[2], toks[4]
     _fresh(ws.homs, name, "hom", line)
+    _expect(name not in ws.algebras, f"hom {name}: an algebra has that name", line)
     _expect(dom in ws.algebras, f"hom {name}: unknown algebra {dom!r}", line)
     _expect(cod in ws.algebras, f"hom {name}: unknown algebra {cod!r}", line)
     table = tuple(_int(v, "map entry", line) for v in toks[6:])
@@ -312,6 +303,8 @@ def _read_form(ws, line, toks, body):
             _expect(len(t) >= 4 and t[2] == "subobjects",
                     "expected: object <name> subobjects <k1> ...", ln)
             _fresh(spec.objects, t[1], "object", ln)
+            _expect(all(m[0] != t[1] for m in spec.morphisms),
+                    f"object {t[1]}: a morphism has that name", ln)
             spec.objects[t[1]] = t[3:]
             mor = None
         elif t[0] == "order":
@@ -320,6 +313,8 @@ def _read_form(ws, line, toks, body):
             mor = None
         elif t[0] == "morphism":
             _expect(len(t) == 5 and t[3] == "->", "expected: morphism <f> <dom> -> <cod>", ln)
+            _fresh({m[0] for m in spec.morphisms}, t[1], "morphism", ln)
+            _expect(t[1] not in spec.objects, f"morphism {t[1]}: an object has that name", ln)
             mor = (t[1], t[2], t[4], {}, {}, ln)
             spec.morphisms.append(mor)
         else:
@@ -361,7 +356,7 @@ def _read_diagram(ws, line, toks, body):
             _expect(len(t) == 4 and t[2] == "as", "expected: use <entity> as <role>", ln)
             spec.uses.append((t[1], t[3], ln))
             continue
-        from .diagram import ASSERTION_ARITY, Assertion
+        from .diagram import KINDS, Assertion
 
         if t[0] == "commute":
             _expect(len(t) == 4 and t[2] == "=", "expected: commute <p1> = <p2>", ln)
@@ -369,8 +364,8 @@ def _read_diagram(ws, line, toks, body):
         else:
             _expect(len(t) > 1, "empty assertion", ln)
             kind, args = t[1], tuple(t[2:])
-            _expect(kind in ASSERTION_ARITY, f"unknown assertion kind {kind!r}", ln)
-            arity = ASSERTION_ARITY[kind]
+            _expect(kind in KINDS and kind != "commute", f"unknown assertion kind {kind!r}", ln)
+            arity = KINDS[kind][0]
             _expect(len(args) == arity, f"assertion {kind} takes {arity} argument(s)", ln)
         spec.asserts.append((Assertion(kind, args), ln))
 
@@ -428,6 +423,8 @@ def merge(*spaces: Workspace) -> Workspace:
                 if name in dst:
                     raise ParseError(f"duplicate {kind} name {name!r} across files")
             dst.update(src)
+    for name in out.homs:
+        _expect(name not in out.algebras, f"hom {name}: an algebra has that name across files", None)
     return out
 
 

@@ -213,11 +213,20 @@ STACK_DIAGRAM = ("z4_stack.nf", "diagram dd over main\nuse minc as f\nuse q as g
      "path 'f.f' does not compose: f ends at Z4, f starts at Z2"),
     (STACK_DIAGRAM, "commute f.g = g", "generic",
      "commute f.g = g compares a path Z4 -> Z4 with a path Z4 -> Z2"),
+    (STACK_DIAGRAM, "assert exact f f", "generic",
+     "exact f f needs a shared node: f ends at Z4, f starts at Z2"),
+    (STACK_DIAGRAM, "assert short-exact f f", "generic",
+     "short-exact f f needs a shared node: f ends at Z4, f starts at Z2"),
+    (STACK_DIAGRAM, "assert injective g.f", "generic", "unknown arrow 'g.f'"),
+    (STACK_DIAGRAM, "use q as f", "generic", "role 'f' bound twice"),
 ], ids=["commute", "zero-path", "exact", "registered-lemma", "uncomposable-path",
-        "unparallel-commute"])
+        "unparallel-commute", "exact-unshared", "short-exact-unshared", "role-path",
+        "role-bound-twice"])
 def test_unknown_arrow_in_a_diagram_line_exit2(tmp_path, capsys, base, line, lemma, want):
-    # the parser rejects an arrow no use line names, a path whose arrows do
-    # not compose and a commute between paths with different ends, at its
+    # the parser rejects a role bound twice, an arrow no use line names (an
+    # argument of a kind other than commute and zero is one role, not a
+    # path), a path whose arrows do not compose, a commute between paths
+    # with different ends and an exact pair that shares no node, at its
     # line, before any lemma runs, a registered one included
     fixture, uses = base
     text = (FIXTURES / fixture).read_text() + f"\n{uses}{line}\n"

@@ -166,6 +166,10 @@ def test_names_unique_per_kind():
         parse(dup)
     with pytest.raises(ParseError, match="duplicate algebra name 'A' across files"):
         merge(parse(ALGEBRA_SRC), parse(ALGEBRA_SRC))
+    # a use line resolves an algebra before a hom, so one name is never both
+    other = parse("group H size 2 id 0\ntable 0 1 / 1 0\nhom A H -> H map 0 1\n")
+    with pytest.raises(ParseError, match="hom A: an algebra has that name across files"):
+        merge(parse(ALGEBRA_SRC), other)
 
 
 def test_assert_parsing_and_arity():
@@ -238,6 +242,9 @@ PINNED_ERRORS = [
     (GRP + "\nhom f G -> H map 0 1\n", "line 7: hom f: unknown algebra 'H'"),
     (GRP + "\nhom f H -> G map 0 1\n", "line 7: hom f: unknown algebra 'H'"),
     (GRP + "hom f G -> G map 0 1\n\nhom f G -> G map 0 1\n", "line 8: duplicate hom name 'f'"),
+    (GRP + "\nhom G G -> G map 0 1\n", "line 7: hom G: an algebra has that name"),
+    (GRP + "hom f G -> G map 0 1\n\ngroup f size 1 id 0\ntable 0\n",
+     "line 8: group f: a hom has that name"),
     (GRP + "\n# not a hom\nhom f G -> G map 1 1\n", "line 8: hom f: does not preserve 0"),
     (GRP + "\nhom f G -> G map 0\n", "line 7: hom f: table does not match carriers"),
     (GRP + "\nhom f G -> G map 0 7\n", "line 7: hom f: table does not match carriers"),
@@ -251,6 +258,11 @@ PINNED_ERRORS = [
     (FORM + "\norder T bot top\n", "line 7: expected: order <obj> <ki> <= <kj>"),
     (FORM + "\norder T bot <= top extra\n", "line 7: expected: order <obj> <ki> <= <kj>"),
     (FORM + "\nmorphism m T T\n", "line 7: expected: morphism <f> <dom> -> <cod>"),
+    (FORM + "morphism m T -> T\n  dimg bot -> bot\n\nmorphism m T -> T\n",
+     "line 9: duplicate morphism name 'm'"),
+    (FORM + "\nmorphism T T -> T\n", "line 7: morphism T: an object has that name"),
+    (FORM + "morphism m T -> T\n#\nobject m subobjects bot\n",
+     "line 8: object m: a morphism has that name"),
     (FORM + "morphism m T -> T\n\n  dimg bot bot\n", "line 8: expected: dimg <k> -> <k>"),
     (FORM + "morphism m T -> T\n#\n  iimg bot -> bot top\n", "line 8: expected: iimg <k> -> <k>"),
     (FORM + "\ndimg bot -> bot\n", "line 7: dimg outside a morphism block"),
